@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Condition, HypothesisReport, abco_series
-from .drazin import dual_drazin, dual_drazin_series, matrix_index
+from .drazin import _existence_test, dual_drazin, dual_drazin_series, matrix_index
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import HypothesisViolated, IndexTooLarge, SchemaError, SpecInvalid
@@ -333,6 +333,13 @@ def _dw_conditions(spec: DutchWindmill, tol, res_tol) -> list[Condition]:
     return conds
 
 
+def _hub_membership(spec: DutchWindmill, tol, res_tol) -> Condition:
+    """The hub product W = sum y_s x_t^T, which _dw_hatted inverts, is in the class."""
+    b_row, c_col, _ = _dw_parts(spec)
+    passed, _, residual = _existence_test(dmul(c_col, b_row), tol, res_tol)
+    return Condition("hub_membership", residual, passed)
+
+
 def _bc0_conditions(spec: DutchWindmill, res_tol) -> list[Condition]:
     rtol = residual_tol(res_tol)
     conds = []
@@ -350,8 +357,9 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     """Residual report for the conditions the family formulas rely on.
 
     form selects the windmill variant: "drazin" and "group" check the
-    blade-pair annihilation and commutation conditions (the latter also
-    reports the two index-at-most-one requirements), "bc_zero" checks
+    blade-pair annihilation and commutation conditions ("drazin" also
+    reports whether the hub product W = sum y_s x_t^T has a dual Drazin
+    inverse, "group" the two index-at-most-one requirements), "bc_zero" checks
     that every outer product of fan weights vanishes.  Double star and
     linked stars ignore form and report fan orthogonality.
     """
@@ -372,6 +380,7 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
         return HypothesisReport("WINDMILL_BC0", tuple(_bc0_conditions(spec, res_tol)))
     conds = _dw_conditions(spec, tol, res_tol)
     if form == "drazin":
+        conds.append(_hub_membership(spec, tol, res_tol))
         return HypothesisReport("WINDMILL", tuple(conds))
     b_row, c_col, d_blk = _dw_parts(spec)
     ind_d = matrix_index(d_blk.std, tol)
@@ -440,10 +449,12 @@ def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
 
     Valid when, for every blade pair (s,t), the outer product y_s x_t^T is
     annihilated by the core-range part of blade s and intertwines the
-    blade matrices on their nilpotent parts.
+    blade matrices on their nilpotent parts, and when the hub product
+    W = sum y_s x_t^T has a dual Drazin inverse.
     """
     _validate(spec)
     _require_conditions(_dw_conditions(spec, tol, res_tol), "blade-pair conditions fail")
+    _require_conditions([_hub_membership(spec, tol, res_tol)], "hub product is not invertible")
     return _dw_hatted(spec, tol, res_tol)
 
 
@@ -553,7 +564,6 @@ def graph_spec_from_doc(doc: dict) -> GraphSpec:
             blades = tuple(matrix_from_doc(item) for item in raw)
         else:
             blades = pattern.blades
-        size = 2 * n - 1
         x = _vectors_from_doc(doc, "x", m, "x") if "x" in doc else pattern.x
         y = _vectors_from_doc(doc, "y", m, "y") if "y" in doc else pattern.y
         return DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)

@@ -20,12 +20,13 @@ higher terms vanish identically in the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .dualmat import DualMatrix, dmul, dpow, numerical_rank
-from .errors import IndexTooLarge, NotDualDrazinInvertible
+from .dualmat import DualMatrix, _index_and_core, dmul, dpow
+from .errors import CrossCheckFailed, IndexTooLarge, NotDualDrazinInvertible, ShapeMismatch
 from .tolerances import CLUSTER_TOL, rank_tol, residual_tol
 
 __all__ = [
@@ -55,34 +56,37 @@ class DrazinData:
 
 @dataclass(frozen=True)
 class DualDrazinData:
-    """Dual Drazin inverse together with the existence certificate."""
+    """Dual Drazin inverse of ``source`` together with the existence certificate.
+
+    ``drazin`` is the factorisation of the standard part the inverse was
+    built from.  ``residuals`` reports the three defining equations,
+    evaluated in dual arithmetic with the computed inverse; it is computed
+    on first access and cached, so callers that only need the inverse do
+    not pay for it.
+    """
 
     inverse: DualMatrix
     m_matrix: np.ndarray
     exists: bool
-    residuals: tuple[float, float, float]
+    source: DualMatrix
+    drazin: DrazinData
+    tol: float | None
 
+    @property
+    def index(self) -> int:
+        """Standard index Ind(A) of the source matrix."""
+        return self.drazin.index
 
-def _index_and_core(a: np.ndarray, tol: float | None = None) -> tuple[int, int]:
-    """(Ind(a), rank of the stabilised power) via SVD rank stabilisation."""
-    n = a.shape[0]
-    power = np.eye(n, dtype=complex)
-    prev = n
-    for k in range(n + 1):
-        nxt = power @ a
-        r = numerical_rank(nxt, tol)
-        if r == prev:
-            return k, prev
-        power = nxt
-        prev = r
-    return n, prev
+    @cached_property
+    def residuals(self) -> tuple[float, float, float]:
+        return defining_residuals(self.source, self.inverse, self.index, self.tol)
 
 
 def drazin_complex(a, tol: float | None = None) -> DrazinData:
     """Drazin inverse via a sorted complex Schur decomposition."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
+        raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
     n = a.shape[0]
     k, s = _index_and_core(a, tol)
     eye = np.eye(n, dtype=complex)
@@ -170,13 +174,24 @@ def dual_exists(
     Returns (exists, M) where M is the mixed series whose projection onto
     the nilpotent part must vanish.
     """
+    ok, m, _ = _existence_test(x, tol, res_tol, data)
+    return ok, m
+
+
+def _existence_test(
+    x: DualMatrix,
+    tol: float | None = None,
+    res_tol: float | None = None,
+    data: DrazinData | None = None,
+) -> tuple[bool, np.ndarray, float]:
+    """dual_exists plus the norm of the sandwich Pi M Pi it compared."""
     x.require_square()
     if data is None:
         data = drazin_complex(x.std, tol)
     m = _dual_m_matrix(x, data.index)
-    sandwich = data.proj_pi @ m @ data.proj_pi
-    ok = np.linalg.norm(sandwich) <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m))
-    return bool(ok), m
+    sandwich = float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
+    ok = sandwich <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m))
+    return bool(ok), m, sandwich
 
 
 def dual_drazin_series(
@@ -235,8 +250,7 @@ def dual_drazin(
 ) -> DualDrazinData:
     """Dual Drazin inverse A^D + eps*R, raising when none exists.
 
-    The residuals report the three defining equations, evaluated in dual
-    arithmetic with the computed inverse.
+    The result's residuals are evaluated only when first read.
     """
     x.require_square()
     data = drazin_complex(x.std, tol)
@@ -246,8 +260,7 @@ def dual_drazin(
             "projection of the mixed series onto the nilpotent part is nonzero"
         )
     inverse = dual_drazin_series(x, tol, data)
-    residuals = defining_residuals(x, inverse, data.index, tol)
-    return DualDrazinData(inverse=inverse, m_matrix=m, exists=True, residuals=residuals)
+    return DualDrazinData(inverse=inverse, m_matrix=m, exists=True, source=x, drazin=data, tol=tol)
 
 
 def dual_drazin_power(
@@ -281,5 +294,5 @@ def dual_drazin_power(
 
     gap = (direct - series).norm() / (1.0 + direct.norm())
     if gap > residual_tol(res_tol) * 10:
-        raise ArithmeticError(f"power series disagrees with repeated product: {gap:.3e}")
+        raise CrossCheckFailed(f"power series disagrees with repeated product: {gap:.3e}")
     return direct

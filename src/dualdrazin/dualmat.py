@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteEntries, ShapeMismatch
 from .tolerances import rank_tol
 
 __all__ = [
@@ -50,7 +50,7 @@ class DualMatrix:
                 f"standard part {std.shape} and infinitesimal part {inf.shape} differ"
             )
         if not (np.all(np.isfinite(std.view(float))) and np.all(np.isfinite(inf.view(float)))):
-            raise ValueError("dual matrix entries must be finite")
+            raise NonFiniteEntries("dual matrix entries must be finite")
         self.std = std
         self.inf = inf
 
@@ -172,6 +172,21 @@ def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(sv > max(a.shape) * rank_tol(tol) * sv[0]))
 
 
+def _index_and_core(a: np.ndarray, tol: float | None = None) -> tuple[int, int]:
+    """(k, rank(a**k)) for the smallest k >= 0 with rank(a**k) == rank(a**(k+1))."""
+    n = a.shape[0]
+    power = np.eye(n, dtype=complex)
+    prev = n
+    for k in range(n + 1):
+        nxt = power @ a
+        r = numerical_rank(nxt, tol)
+        if r == prev:
+            return k, prev
+        power = nxt
+        prev = r
+    return n, prev
+
+
 def rank_std(x: DualMatrix, tol: float | None = None) -> int:
     return numerical_rank(x.std, tol)
 
@@ -192,21 +207,6 @@ class IndexReport:
     ind_phi: int
 
 
-def _index_by_rank(a: np.ndarray, tol: float | None = None) -> int:
-    """Smallest k >= 0 with rank(a**k) == rank(a**(k+1))."""
-    n = a.shape[0]
-    power = np.eye(n, dtype=complex)
-    prev = n
-    for k in range(n + 1):
-        nxt = power @ a
-        r = numerical_rank(nxt, tol)
-        if r == prev:
-            return k
-        power = nxt
-        prev = r
-    return n
-
-
 def indices(x: DualMatrix, tol: float | None = None) -> IndexReport:
     """Standard index, dual index and index of the phi embedding.
 
@@ -215,8 +215,8 @@ def indices(x: DualMatrix, tol: float | None = None) -> IndexReport:
     exists the matrix has no dual Drazin inverse and None is reported.
     """
     n = x.require_square()
-    k = _index_by_rank(x.std, tol)
-    k_phi = _index_by_rank(phi_embed(x), tol)
+    k = _index_and_core(x.std, tol)[0]
+    k_phi = _index_and_core(phi_embed(x), tol)[0]
     ind_dual: int | None = None
     for t in range(k, 2 * k + 1):
         xt = dpow(x, t)

@@ -17,8 +17,16 @@ class IndexTooLarge(DualDrazinError):
     """An operation requiring index at most 1 received a matrix of higher index."""
 
 
-class ShapeMismatch(DualDrazinError):
+class ShapeMismatch(DualDrazinError, ValueError):
     """Block or operand shapes are incompatible."""
+
+
+class NonFiniteEntries(DualDrazinError, ValueError):
+    """A matrix entry is NaN or infinite."""
+
+
+class CrossCheckFailed(DualDrazinError, ArithmeticError):
+    """Two routes to the same quantity disagree beyond tolerance."""
 
 
 class HypothesisViolated(DualDrazinError):

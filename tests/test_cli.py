@@ -103,6 +103,21 @@ def test_schema_errors_are_exit_4(write, capsys, tmp_path):
     assert code == 4
 
 
+def test_non_finite_entries_are_exit_4(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"rows": 1, "cols": 1, "std": [[[NaN, 0]]]}')
+    code, _, err = run(capsys, "dual-drazin", "-i", str(path))
+    assert code == 4
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_square_drazin_input_is_exit_4(write, capsys):
+    wide = {"rows": 1, "cols": 2, "std": [[[1, 0], [0, 0]]]}
+    code, _, err = run(capsys, "drazin", "-i", write(wide, "wide.json"))
+    assert code == 4
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_graph_build_writes_sidecars(write, capsys, tmp_path):
     out_path = tmp_path / "M.json"
     closed = tmp_path / "Md.json"
@@ -162,6 +177,26 @@ def test_verify_reports_violation_as_exit_2(write, capsys):
     assert code == 2
     record = json.loads(out)
     assert record["hypotheses_pass"] is False and record["pass"] is False
+
+
+def test_verify_windmill_hub_outside_class_is_exit_2(write, capsys):
+    # fuzz draw WINDMILL seed 0 trial 3 before the generator filtered on the
+    # hub product: every blade-pair condition holds, but W = y x^T is a
+    # nonzero pure infinitesimal and has no dual Drazin inverse
+    zero = [0, 0]
+    spec = {
+        "family": "dutch_windmill", "m": 1, "n": 2,
+        "blades": [{"rows": 3, "cols": 3,
+                    "std": [[zero, [1, 0], zero], [zero, zero, [2, 0]], [zero, zero, zero]],
+                    "inf": [[zero, [2, 0], zero], [zero, zero, [4, 0]], [zero, zero, zero]]}],
+        "x": [{"std": [zero, zero, [2, 0]], "inf": [zero, zero, [-2, 0]]}],
+        "y": [{"std": [zero, zero, zero], "inf": [[-2, 0], zero, zero]}],
+    }
+    code, out, _ = run(capsys, "verify", "-i", write(spec, "spec.json"))
+    assert code == 2
+    residuals = json.loads(out)["hypothesis_residuals"]
+    assert residuals["annihilation_1_1"] == 0 and residuals["commutation_1_1"] == 0
+    assert residuals["hub_membership"] > 0
 
 
 def test_fuzz_verb_deterministic_output(capsys):

@@ -16,7 +16,14 @@ from dualdrazin import (
     group_inverse,
     matrix_index,
 )
-from dualdrazin.errors import IndexTooLarge, NotDualDrazinInvertible
+import dualdrazin.drazin
+from dualdrazin.errors import (
+    CrossCheckFailed,
+    DualDrazinError,
+    IndexTooLarge,
+    NotDualDrazinInvertible,
+    ShapeMismatch,
+)
 
 from conftest import rand_int_dual
 
@@ -54,6 +61,13 @@ def test_idempotent_is_its_own_inverse():
     assert data.index == 1
     assert np.allclose(data.ad, a, atol=1e-12)
     assert np.allclose(drazin_oracle(a), a, atol=1e-9)
+
+
+def test_non_square_input_is_a_shape_error():
+    with pytest.raises(ShapeMismatch):
+        drazin_complex(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        drazin_complex(np.zeros((2, 3)))
 
 
 def test_projectors_split_the_space():
@@ -149,3 +163,33 @@ def test_residuals_report_failure_scale():
     bad = DualMatrix.identity(2)
     r1, r2, r3 = defining_residuals(x, bad)
     assert max(r1, r2, r3) > 0.1
+
+
+def test_residuals_are_computed_once_on_first_read(monkeypatch, rng):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return defining_residuals(*args)
+
+    monkeypatch.setattr(dualdrazin.drazin, "defining_residuals", counted)
+    x = rand_int_dual(rng, 4, scale=2)
+    while not dual_exists(x)[0]:
+        x = rand_int_dual(rng, 4, scale=2)
+    out = dual_drazin(x)
+    assert calls == []
+    first = out.residuals
+    assert len(calls) == 1
+    assert out.residuals is first
+    assert len(calls) == 1
+    assert out.index == matrix_index(x.std)
+    assert first == defining_residuals(x, out.inverse, out.index)
+
+
+def test_power_cross_check_failure_is_a_library_error(monkeypatch):
+    x = DualMatrix(np.diag([2.0, 1.0]), [[0.0, 1.0], [0.0, 0.0]])
+    monkeypatch.setattr(dualdrazin.drazin, "dpow", lambda y, k: y.scaled(2.0))
+    with pytest.raises(CrossCheckFailed) as info:
+        dual_drazin_power(x, 1)
+    assert isinstance(info.value, DualDrazinError)
+    assert isinstance(info.value, ArithmeticError)

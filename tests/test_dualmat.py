@@ -8,6 +8,7 @@ from dualdrazin import (
     dmul,
     dpow,
     indices,
+    matrix_index,
     phi_embed,
     rank_dual,
     rank_std,
@@ -115,6 +116,19 @@ def test_index_phi_within_double_bound(rng):
         x = rand_int_dual(rng, rng.integers(1, 6))
         rep = indices(x)
         assert rep.ind_std <= rep.ind_phi <= 2 * rep.ind_std
+
+
+def test_indices_agree_with_matrix_index(rng):
+    examples = [
+        DualMatrix([[0, 1], [0, 0]]),
+        DualMatrix(np.diag([1.0, 2.0]), np.ones((2, 2))),
+        DualMatrix([[0.0]], [[1.0]]),
+        DualMatrix(np.eye(3)),
+        DualMatrix(np.zeros((2, 2))),
+    ]
+    examples += [rand_int_dual(rng, int(rng.integers(1, 6))) for _ in range(25)]
+    for x in examples:
+        assert indices(x).ind_std == matrix_index(x.std)
 
 
 def test_dblock_assembles_in_order():

@@ -116,6 +116,14 @@ def test_fuzz_violation_mode_never_evaluates():
         assert report.summary["hypothesis_failures"] == 3
 
 
+def test_windmill_draws_have_an_invertible_hub_product():
+    # seed 0 trial 3 used to pass the hypothesis report and then have no
+    # dual Drazin inverse for the hub product inside the closed form
+    report = fuzz(GenConfig("WINDMILL", trials=40, seed=0))
+    assert report.passed, [r for r in report.records if not r["pass"]]
+    assert all("hub_membership" in r["hypothesis_residuals"] for r in report.records)
+
+
 def test_fuzz_persists_counterexamples(tmp_path):
     cfg = GenConfig(family="BIPARTITE", trials=2, seed=3, violate=True,
                     artifact_dir=tmp_path)
