@@ -21,29 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import (
-    BlockInstance,
-    abco_drazin,
-    abio_drazin,
-    bipartite_drazin,
-    check_hypotheses,
-    cline,
-    closed_form,
-    tri_drazin,
-)
-from .digraphs import (
-    DLinkedStars,
-    DoubleStar,
-    build_adjacency,
-    dls_dual_drazin,
-    ds_dual_drazin,
-    dw_bc_zero,
-    dw_dual_drazin,
-    dw_group,
-    graph_hypotheses,
-    graph_spec_from_doc,
-)
-from .drazin import _existence_test, defining_residuals, drazin_complex, dual_drazin
+from .blocks import BlockInstance, abco_drazin, abio_drazin, bipartite_drazin, cline, tri_drazin
+from .digraphs import build_adjacency, graph_spec_from_doc
+from .drazin import _existence_test, drazin_complex, dual_drazin
 from .dualmat import DualMatrix, indices, rank_dual, rank_std
 from .errors import (
     DualDrazinError,
@@ -57,7 +37,15 @@ from .errors import (
     ShapeMismatch,
     SpecInvalid,
 )
-from .harness import FAMILIES, GenConfig, fuzz, smith_rank_oracle
+from .harness import (
+    FAMILIES,
+    GenConfig,
+    _FAMILY_TABLE,
+    _family_of,
+    _verify,
+    fuzz,
+    smith_rank_oracle,
+)
 from .serialize import dumps_doc, matrix_from_doc, matrix_to_doc
 
 EXIT_OK = 0
@@ -72,7 +60,8 @@ _GRAPH_FAMILY_KEYS = {
     "windmill": "dutch_windmill",
 }
 
-_WINDMILL_OPS = {"drazin": dw_dual_drazin, "bc-zero": dw_bc_zero, "group": dw_group}
+# --form value -> the FAMILIES name a windmill is checked and inverted as
+_WINDMILL_FAMILIES = {"drazin": "WINDMILL", "bc-zero": "WINDMILL_BC0", "group": "WINDMILL_GROUP"}
 
 
 def _env_float(name: str) -> float | None:
@@ -217,14 +206,6 @@ def _cmd_bipartite(args) -> int:
     return EXIT_OK
 
 
-def _graph_closed_form(spec, form: str, rank, res) -> DualMatrix:
-    if isinstance(spec, DoubleStar):
-        return ds_dual_drazin(spec, rank, res)
-    if isinstance(spec, DLinkedStars):
-        return dls_dual_drazin(spec, rank, res)
-    return _WINDMILL_OPS[form](spec, rank, res)
-
-
 def _cmd_graph(args) -> int:
     if args.spec:
         doc = _read_doc(args.spec)
@@ -254,7 +235,8 @@ def _cmd_graph(args) -> int:
     _emit(matrix_to_doc(build.matrix, **extras), args.output)
     if args.closed_form:
         rank, res = _tols(args)
-        inverse = _graph_closed_form(spec, args.form, rank, res)
+        _, closed_form_of = _FAMILY_TABLE[_family_of(spec, _WINDMILL_FAMILIES[args.form])]
+        inverse = closed_form_of(spec, rank, res)
         _emit(matrix_to_doc(inverse), args.closed_form)
     return EXIT_OK
 
@@ -267,43 +249,18 @@ def _cmd_verify(args) -> int:
     if "theorem" in doc:
         inst = BlockInstance.from_doc(doc)
         label = inst.theorem
-        hyp = check_hypotheses(inst, rank, res)
-        assembled = inst.assembled()
-
-        def evaluate() -> DualMatrix:
-            return closed_form(inst, rank, res)
-
     elif "family" in doc:
-        spec = graph_spec_from_doc(doc)
-        form = args.form
-        label = type(spec).__name__
-        hyp = graph_hypotheses(spec, form.replace("-", "_"), rank, res)
-        assembled = build_adjacency(spec).matrix
-
-        def evaluate() -> DualMatrix:
-            return _graph_closed_form(spec, form, rank, res)
-
+        inst = graph_spec_from_doc(doc)
+        label = type(inst).__name__
     else:
         raise SchemaError("instance document needs a 'theorem' or 'family' field")
-    record = {
-        "record": "verify",
-        "instance": label,
-        "order": assembled.shape[0],
-        "hypotheses_pass": hyp.passed,
-        "hypothesis_residuals": {c.name: c.residual for c in hyp.conditions},
-    }
-    if not hyp.passed:
-        record["pass"] = False
-        _emit(dumps_doc(record), args.output)
-        return EXIT_HYPOTHESIS
-    closed = evaluate()
-    oracle = dual_drazin(assembled, rank, res)
-    rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
-    defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, rank)]
-    ok = rel <= args.max_rel_error and max(defres) <= args.max_rel_error
-    record.update({"closed_form_error": rel, "defining_residuals": defres, "pass": ok})
+    record = {"record": "verify", "instance": label}
+    family = _family_of(inst, _WINDMILL_FAMILIES[args.form])
+    _verify(inst, family, rank, res, args.max_rel_error, record)
     _emit(dumps_doc(record), args.output)
-    return EXIT_OK if ok else EXIT_FAILURE
+    if not record["hypotheses_pass"]:
+        return EXIT_HYPOTHESIS
+    return EXIT_OK if record["pass"] else EXIT_FAILURE
 
 
 def _cmd_fuzz(args) -> int:
@@ -399,13 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="complete graph spec document")
     p.add_argument("--closed-form", default=None, metavar="PATH",
                    help="also write the closed-form inverse to PATH")
-    p.add_argument("--form", choices=sorted(_WINDMILL_OPS), default="drazin",
+    p.add_argument("--form", choices=sorted(_WINDMILL_FAMILIES), default="drazin",
                    help="windmill variant used by --closed-form")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("verify", parents=[common], help="check one instance document end to end")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--form", choices=sorted(_WINDMILL_OPS), default="drazin")
+    p.add_argument("--form", choices=sorted(_WINDMILL_FAMILIES), default="drazin")
     p.add_argument("--max-rel-error", type=float, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 

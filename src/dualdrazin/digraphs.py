@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Condition, HypothesisReport, abco_series
+from .blocks import Condition, HypothesisReport, abco_series, bipartite_drazin
 from .drazin import _existence_test, dual_drazin, dual_drazin_series, matrix_index
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
@@ -494,15 +494,14 @@ def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
 
 
 def bipartite_dual(e: DualMatrix, f: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
-    """Dual Drazin inverse of [[0,E],[F,0]] as [[0, E (FE)^D],[(FE)^D F, 0]]."""
+    """Dual Drazin inverse of [[0,E],[F,0]]; the bipartite_drazin formula.
+
+    E (FE)^D = (EF)^D E, so this equals [[0, E (FE)^D],[(FE)^D F, 0]].
+    """
     n, p = e.shape
     if f.shape != (p, n):
         raise SpecInvalid(f"blocks {e.shape} and {f.shape} do not form a square matrix")
-    xfe = dual_drazin(dmul(f, e), tol, res_tol).inverse
-    return dblock([
-        [DualMatrix.zeros(n), dmul(e, xfe)],
-        [dmul(xfe, f), DualMatrix.zeros(p)],
-    ])
+    return bipartite_drazin(e, f, tol, res_tol)
 
 
 def _vectors_from_doc(doc: dict, key: str, count: int, label: str) -> tuple[DualMatrix, ...]:

@@ -7,9 +7,10 @@ supported on exact kernels of that nilpotent part.  Membership in the
 invertible class is then either structural or enforced by an exact-filter
 and resample loop.
 
-fuzz drives a family of such instances through the closed form, compares
-against the series inverse of the assembled matrix and against the three
-defining equations, and emits a deterministic JSON-lines report.
+fuzz drives a family of such instances through the one check that ddz
+verify also runs (_verify): hypotheses, the closed form, the series inverse
+of the assembled matrix as oracle, and the three defining equations.  It
+emits a deterministic JSON-lines report.
 smith_rank_oracle cross-checks the numerical ranks by exact fraction
 elimination over the dual ring.
 """
@@ -148,6 +149,18 @@ def _int_dual(rng, m, n, scale) -> DualMatrix:
     return DualMatrix(_ints(rng, (m, n), scale), _ints(rng, (m, n), scale))
 
 
+def _invertible_triu(n, rng, scale) -> np.ndarray:
+    """Upper-triangular integers with a +-1/+-2 diagonal, so invertible."""
+    t = np.triu(_ints(rng, (n, n), scale))
+    if n:
+        np.fill_diagonal(t, rng.choice([-2, -1, 1, 2], n))
+    return t
+
+
+def _ones_column(k: int) -> DualMatrix:
+    return DualMatrix(np.ones((k, 1), dtype=complex), np.zeros((k, 1), dtype=complex))
+
+
 def _unimodular(n, rng) -> tuple[np.ndarray, np.ndarray]:
     """Integer shear product with exactly known integer inverse."""
     s = np.eye(n)
@@ -214,9 +227,7 @@ def _make_frame(n, rng, scale, a=None, nilpotent_inf=True) -> _Frame:
         a = int(rng.integers(0, n + 1))
     b = n - a
     s, sinv = _unimodular(n, rng)
-    p = np.triu(_ints(rng, (a, a), scale))
-    if a:
-        np.fill_diagonal(p, rng.choice([-2, -1, 1, 2], a))
+    p = _invertible_triu(a, rng, scale)
     p0 = _ints(rng, (a, a), scale)
     nil, coeffs = _superdiag_nilpotent(b, rng)
     g22 = nil @ _poly_of(nil, rng, unit=bool(rng.integers(0, 2))) if nilpotent_inf else np.eye(b, dtype=complex)
@@ -329,9 +340,7 @@ def _gen_sum(cfg, trial, rng):
     a = int(rng.integers(0, n + 1))
     b = n - a
     s, sinv = _unimodular(n, rng)
-    h1 = np.triu(_ints(rng, (a, a), cfg.entry_scale))
-    if a:
-        np.fill_diagonal(h1, rng.choice([-2, -1, 1, 2], a))
+    h1 = _invertible_triu(a, rng, cfg.entry_scale)
     h1_inf = _ints(rng, (a, a), cfg.entry_scale)
     p_std = np.zeros((n, n), dtype=complex)
     p_inf = np.zeros((n, n), dtype=complex)
@@ -340,9 +349,7 @@ def _gen_sum(cfg, trial, rng):
     q_std = np.zeros((n, n), dtype=complex)
     q_std[a:, :a] = _ints(rng, (b, a), cfg.entry_scale)
     if b and rng.integers(0, 2):
-        h2 = np.triu(_ints(rng, (b, b), cfg.entry_scale))
-        np.fill_diagonal(h2, rng.choice([-2, -1, 1, 2], b))
-        q_std[a:, a:] = h2
+        q_std[a:, a:] = _invertible_triu(b, rng, cfg.entry_scale)
         q_inf = np.zeros((n, n), dtype=complex)
         q_inf[a:, :a] = _ints(rng, (b, a), cfg.entry_scale)
         q_inf[a:, a:] = _ints(rng, (b, b), cfg.entry_scale)
@@ -368,14 +375,6 @@ def _kernel_cols(rows, cols, kernel, rng, scale) -> np.ndarray:
     for col in range(cols):
         for pos in kernel:
             out[pos, col] = int(rng.integers(-scale, scale + 1))
-    return out
-
-
-def _kernel_rows(rows, cols, left_kernel, rng, scale) -> np.ndarray:
-    out = np.zeros((rows, cols), dtype=complex)
-    for row in range(rows):
-        for pos in left_kernel:
-            out[row, pos] = int(rng.integers(-scale, scale + 1))
     return out
 
 
@@ -406,8 +405,8 @@ def _gen_abio(cfg, trial, rng, side):
         b_std[a:, a:] = v2
         b_inf[a:, a:] = v2t
     else:
-        b_std[:a, a:] = _kernel_rows(a, b, frame.left_kernel, rng, cfg.entry_scale)
-        b_inf[:a, a:] = _kernel_rows(a, b, frame.left_kernel, rng, cfg.entry_scale)
+        b_std[:a, a:] = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
+        b_inf[:a, a:] = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
         b_std[a:, a:] = v2
         b_inf[a:, a:] = v2t
     bb = DualMatrix(frame.s @ b_std @ frame.sinv, frame.s @ b_inf @ frame.sinv)
@@ -445,8 +444,8 @@ def _gen_abco(cfg, trial, rng, side):
         bb = DualMatrix(frame.s @ b_std, frame.s @ b_inf)
         cc = DualMatrix(np.hstack([w1, w2]) @ frame.sinv, np.hstack([w1t, w2t]) @ frame.sinv)
     else:
-        v1 = _kernel_rows(a, b, frame.left_kernel, rng, cfg.entry_scale)
-        v1t = _kernel_rows(a, b, frame.left_kernel, rng, cfg.entry_scale)
+        v1 = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
+        v1t = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
         c_std = np.zeros((b, n), dtype=complex)
         c_inf = np.zeros((b, n), dtype=complex)
         c_std[:, a:] = np.eye(b)
@@ -480,7 +479,7 @@ def _gen_double_star(cfg, trial, rng):
     a = DualScalar(int(rng.choice([-2, -1, 1, 2])), int(rng.integers(-scale, scale + 1)))
     b = DualScalar(int(rng.choice([-2, -1, 1, 2])), int(rng.integers(-scale, scale + 1)))
     if cfg.violate:
-        ones = DualMatrix(np.ones((n, 1), dtype=complex), np.zeros((n, 1), dtype=complex))
+        ones = _ones_column(n)
         spec = DoubleStar(m=m, n=n, x=x, y=y, w=ones, v=ones, a=a, b=b)
         return spec, True
     w, v = _orthogonal_pair(n, rng, scale)
@@ -501,7 +500,7 @@ def _gen_linked_stars(cfg, trial, rng):
     x = tuple(p[0] for p in pairs)
     y = tuple(p[1] for p in pairs)
     if cfg.violate:
-        ones = DualMatrix(np.ones((r[0], 1), dtype=complex), np.zeros((r[0], 1), dtype=complex))
+        ones = _ones_column(r[0])
         x = (ones,) + x[1:]
         y = (ones,) + y[1:]
         return DLinkedStars(base=base, r=r, x=x, y=y), True
@@ -520,10 +519,7 @@ def _gen_windmill(cfg, trial, rng):
     size = 2 * n - 1
     scale = cfg.entry_scale
     if cfg.violate:
-        blades = tuple(DualMatrix.identity(size) for _ in range(m))
-        ones = DualMatrix(np.ones((size, 1), dtype=complex), np.zeros((size, 1), dtype=complex))
-        spec = DutchWindmill(m=m, n=n, blades=blades, x=(ones,) * m, y=(ones,) * m)
-        return spec, True
+        return _ones_fans(m, n, tuple(DualMatrix.identity(size) for _ in range(m))), True
     if rng.integers(0, 2):
         # orthogonal stratum: invertible blades, pure infinitesimal weights
         blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
@@ -564,6 +560,12 @@ def _gen_windmill(cfg, trial, rng):
     return spec, ok
 
 
+def _ones_fans(m: int, n: int, blades) -> DutchWindmill:
+    """Windmill whose every fan weight is one, for the violating draws."""
+    ones = _ones_column(2 * n - 1)
+    return DutchWindmill(m=m, n=n, blades=blades, x=(ones,) * m, y=(ones,) * m)
+
+
 def _unit_column(size: int, pos: int) -> DualMatrix:
     std = np.zeros((size, 1), dtype=complex)
     std[pos, 0] = 1.0
@@ -572,8 +574,7 @@ def _unit_column(size: int, pos: int) -> DualMatrix:
 
 def _invertible_dual(n, rng, scale) -> DualMatrix:
     s, sinv = _unimodular(n, rng)
-    t = np.triu(_ints(rng, (n, n), scale))
-    np.fill_diagonal(t, rng.choice([-2, -1, 1, 2], n))
+    t = _invertible_triu(n, rng, scale)
     return DualMatrix(s @ t @ sinv, _ints(rng, (n, n), scale))
 
 
@@ -582,9 +583,7 @@ def _gen_windmill_bc0(cfg, trial, rng):
     size = 2 * n - 1
     scale = cfg.entry_scale
     if cfg.violate:
-        blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
-        ones = DualMatrix(np.ones((size, 1), dtype=complex), np.zeros((size, 1), dtype=complex))
-        return DutchWindmill(m=m, n=n, blades=blades, x=(ones,) * m, y=(ones,) * m), True
+        return _ones_fans(m, n, tuple(_invertible_dual(size, rng, scale) for _ in range(m))), True
     blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
     x = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
     y = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
@@ -597,9 +596,7 @@ def _gen_windmill_group(cfg, trial, rng):
     size = 2 * n - 1
     scale = cfg.entry_scale
     if cfg.violate:
-        blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
-        ones = DualMatrix(np.ones((size, 1), dtype=complex), np.zeros((size, 1), dtype=complex))
-        return DutchWindmill(m=m, n=n, blades=blades, x=(ones,) * m, y=(ones,) * m), True
+        return _ones_fans(m, n, tuple(_invertible_dual(size, rng, scale) for _ in range(m))), True
     blades = []
     for _ in range(m):
         if rng.integers(0, 2):
@@ -619,9 +616,7 @@ def _group_frame(size, a, rng, scale) -> DualMatrix:
     std = np.zeros((size, size), dtype=complex)
     inf = np.zeros((size, size), dtype=complex)
     if a:
-        p = np.triu(_ints(rng, (a, a), scale))
-        np.fill_diagonal(p, rng.choice([-2, -1, 1, 2], a))
-        std[:a, :a] = p
+        std[:a, :a] = _invertible_triu(a, rng, scale)
         inf[:a, :a] = _ints(rng, (a, a), scale)
     return DualMatrix(s @ std @ sinv, s @ inf @ sinv)
 
@@ -798,15 +793,30 @@ def _exact_rank(rows_in) -> int:
 # fuzz driver
 
 
-_GRAPH_OPS = {
-    "DOUBLE_STAR": ds_dual_drazin,
-    "LINKED_STARS": dls_dual_drazin,
-    "WINDMILL": dw_dual_drazin,
-    "WINDMILL_BC0": dw_bc_zero,
-    "WINDMILL_GROUP": dw_group,
+# family -> (graph_hypotheses form, closed form).  None marks a block
+# theorem, which check_hypotheses and closed_form dispatch on the instance's
+# own tag.  The lambdas look the closed forms up as module globals at call
+# time, so wrappers installed over those globals (perfbench's tracing spans)
+# also see these calls.
+_FAMILY_TABLE = {
+    **dict.fromkeys(THEOREMS, (None, lambda *args: closed_form(*args))),
+    "DOUBLE_STAR": ("drazin", lambda *args: ds_dual_drazin(*args)),
+    "LINKED_STARS": ("drazin", lambda *args: dls_dual_drazin(*args)),
+    "WINDMILL": ("drazin", lambda *args: dw_dual_drazin(*args)),
+    "WINDMILL_BC0": ("bc_zero", lambda *args: dw_bc_zero(*args)),
+    "WINDMILL_GROUP": ("group", lambda *args: dw_group(*args)),
 }
 
-_WINDMILL_FORM = {"WINDMILL": "drazin", "WINDMILL_BC0": "bc_zero", "WINDMILL_GROUP": "group"}
+
+def _family_of(inst, windmill: str) -> str:
+    """FAMILIES name of an instance; a windmill is checked as the variant named."""
+    if isinstance(inst, BlockInstance):
+        return inst.theorem
+    if isinstance(inst, DoubleStar):
+        return "DOUBLE_STAR"
+    if isinstance(inst, DLinkedStars):
+        return "LINKED_STARS"
+    return windmill
 
 
 @dataclass
@@ -837,30 +847,40 @@ def _instance_doc(inst) -> dict:
     return graph_spec_to_doc(inst)
 
 
-def _instance_hypotheses(inst, family, tol, res_tol):
-    if isinstance(inst, BlockInstance):
-        return check_hypotheses(inst, tol, res_tol)
-    return graph_hypotheses(inst, _WINDMILL_FORM.get(family, "drazin"), tol, res_tol)
+def _verify(inst, family: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
+    """Check one instance: hypotheses, closed form, oracle, defining residuals.
 
-
-def _instance_closed_form(inst, family, tol, res_tol) -> DualMatrix:
-    if isinstance(inst, BlockInstance):
-        return closed_form(inst, tol, res_tol)
-    return _GRAPH_OPS[family](inst, tol, res_tol)
-
-
-def _instance_assembled(inst) -> DualMatrix:
-    if isinstance(inst, BlockInstance):
-        return inst.assembled()
-    return build_adjacency(inst).matrix
+    Fills record with order, hypotheses_pass and hypothesis_residuals, then,
+    when every hypothesis holds, closed_form_error (the relative gap to the
+    series inverse of the assembled matrix) and defining_residuals, and
+    last pass.  Errors propagate and leave the fields set so far in place.
+    """
+    form, closed_form_of = _FAMILY_TABLE[family]
+    if form is None:
+        hyp = check_hypotheses(inst, tol, res_tol)
+        assembled = inst.assembled()
+    else:
+        hyp = graph_hypotheses(inst, form, tol, res_tol)
+        assembled = build_adjacency(inst).matrix
+    record["order"] = assembled.shape[0]
+    record["hypotheses_pass"] = hyp.passed
+    record["hypothesis_residuals"] = {c.name: c.residual for c in hyp.conditions}
+    if not hyp.passed:
+        record["pass"] = False
+        return
+    closed = closed_form_of(inst, tol, res_tol)
+    oracle = dual_drazin(assembled, tol, res_tol)
+    rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
+    defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, tol)]
+    record["closed_form_error"] = rel
+    record["defining_residuals"] = defres
+    record["pass"] = rel <= max_rel_error and max(defres) <= max_rel_error
 
 
 def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     """Generate, gate and verify cfg.trials instances of one family.
 
-    Each record carries the hypothesis residuals, the relative gap between
-    the closed form and the series inverse of the assembled matrix, and
-    the residuals of the three defining equations.  The closed form is
+    Each trial runs the check of ddz verify (_verify).  The closed form is
     only evaluated when every hypothesis holds, so a config built to
     violate them produces a report with zero evaluations.  Counterexamples
     are kept on the report and, when artifact_dir is set, written to disk.
@@ -874,54 +894,37 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     max_def = 0.0
     for trial in range(cfg.trials):
         record: dict = {"record": "trial", "family": cfg.family, "trial": trial}
+        report.records.append(record)
         try:
             inst = gen_instance(cfg, trial)
         except GenerationFailed as exc:
             generation_failures += 1
             record.update({"pass": False, "note": str(exc)})
-            report.records.append(record)
             continue
         doc = _instance_doc(inst)
-        assembled = _instance_assembled(inst)
         record["digest"] = hashlib.sha256(dumps_doc(doc).encode()).hexdigest()[:16]
-        record["order"] = assembled.shape[0]
-        hyp = _instance_hypotheses(inst, cfg.family, tol, res_tol)
-        record["hypotheses_pass"] = hyp.passed
-        record["hypothesis_residuals"] = {c.name: c.residual for c in hyp.conditions}
-        if not hyp.passed:
+        try:
+            _verify(inst, cfg.family, tol, res_tol, cfg.max_rel_error, record)
+        except DualDrazinError as exc:
+            record.update({"pass": False, "note": f"{type(exc).__name__}: {exc}"})
+            _persist(report, cfg, trial, doc, record)
+            continue
+        if not record["hypotheses_pass"]:
             hypothesis_failures += 1
             record["pass"] = bool(cfg.violate)
             if not cfg.violate:
                 record["note"] = "hypotheses failed on a non-violating draw"
-                _persist(report, cfg, trial, doc, record)
-            report.records.append(record)
-            if record["pass"]:
-                pass_count += 1
-            continue
-        try:
-            closed = _instance_closed_form(inst, cfg.family, tol, res_tol)
-            oracle = dual_drazin(assembled, tol, res_tol)
-        except DualDrazinError as exc:
-            record.update({"pass": False, "note": f"{type(exc).__name__}: {exc}"})
-            _persist(report, cfg, trial, doc, record)
-            report.records.append(record)
-            continue
-        evaluated += 1
-        rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
-        defres = defining_residuals(assembled, closed, oracle.index, tol)
-        record["closed_form_error"] = rel
-        record["defining_residuals"] = [float(v) for v in defres]
-        ok = rel <= cfg.max_rel_error and max(defres) <= cfg.max_rel_error
-        record["pass"] = bool(ok) and not cfg.violate
-        if cfg.violate:
-            record["note"] = "closed form evaluated despite violate config"
-        max_err = max(max_err, rel)
-        max_def = max(max_def, max(defres))
+        else:
+            evaluated += 1
+            max_err = max(max_err, record["closed_form_error"])
+            max_def = max(max_def, max(record["defining_residuals"]))
+            record["pass"] = record["pass"] and not cfg.violate
+            if cfg.violate:
+                record["note"] = "closed form evaluated despite violate config"
         if record["pass"]:
             pass_count += 1
         else:
             _persist(report, cfg, trial, doc, record)
-        report.records.append(record)
     report.summary = {
         "record": "summary",
         "family": cfg.family,

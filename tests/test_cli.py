@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from dualdrazin.blocks import BlockInstance
 from dualdrazin.cli import main
+from dualdrazin.digraphs import graph_spec_to_doc
+from dualdrazin.harness import FAMILIES, GenConfig, fuzz, gen_instance
+from dualdrazin.serialize import dumps_doc
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
 COMPATIBLE = dict(NILPOTENT, inf=[[[0, 0], [3, 0]], [[0, 0], [0, 0]]])
@@ -197,6 +201,31 @@ def test_verify_windmill_hub_outside_class_is_exit_2(write, capsys):
     residuals = json.loads(out)["hypothesis_residuals"]
     assert residuals["annihilation_1_1"] == 0 and residuals["commutation_1_1"] == 0
     assert residuals["hub_membership"] > 0
+
+
+WINDMILL_FORMS = {"WINDMILL": "drazin", "WINDMILL_BC0": "bc-zero", "WINDMILL_GROUP": "group"}
+SHARED_FIELDS = ("order", "hypotheses_pass", "hypothesis_residuals",
+                 "closed_form_error", "defining_residuals", "pass")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_matches_the_fuzz_record(family, tmp_path, capsys):
+    # ddz verify and each fuzz trial run one check, so on the same instance
+    # they must report the same fields, in the same order
+    cfg = GenConfig(family, trials=2, seed=9)
+    records = fuzz(cfg).records
+    form = WINDMILL_FORMS.get(family, "drazin")
+    for trial, want in enumerate(records):
+        inst = gen_instance(cfg, trial)
+        doc = inst.to_doc() if isinstance(inst, BlockInstance) else graph_spec_to_doc(inst)
+        path = tmp_path / f"{family}_{trial}.json"
+        path.write_text(dumps_doc(doc))
+        code, out, _ = run(capsys, "verify", "-i", str(path), "--form", form)
+        got = json.loads(out)
+        assert code == 0
+        assert [k for k in got if k in SHARED_FIELDS] == list(SHARED_FIELDS)
+        assert [k for k in want if k in SHARED_FIELDS] == list(SHARED_FIELDS)
+        assert {k: got[k] for k in SHARED_FIELDS} == {k: want[k] for k in SHARED_FIELDS}
 
 
 def test_fuzz_verb_deterministic_output(capsys):
