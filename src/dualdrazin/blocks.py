@@ -1,9 +1,12 @@
 """Closed-form dual Drazin inverses of structured block matrices.
 
 Each theorem family pairs a finite series formula with the hypotheses that
-make it valid.  Callers can evaluate the hypotheses separately through
-check_hypotheses; the formula functions re-check them and raise
-HypothesisViolated rather than return a value the identity does not cover.
+make it valid.  check_hypotheses evaluates the hypotheses and keeps the
+factorisation of every block it tests for membership; the formula bodies
+take their inverses from that report, so each block is factorised once.
+The formula functions build the report and raise HypothesisViolated, or
+NotDualDrazinInvertible for a block outside the invertible class, rather
+than return a value the identity does not cover.
 
 Series limits follow the standard indices of the governing blocks, with an
 empty sum whenever the limit is zero.
@@ -11,9 +14,9 @@ empty sum whenever the limit is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .drazin import _existence_test, dual_drazin, dual_drazin_series
+from .drazin import DualDrazinData, _factorise, _gated, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
 from .errors import HypothesisViolated, ShapeMismatch
 from .serialize import matrix_from_doc, matrix_to_doc
@@ -59,11 +62,6 @@ _BLOCK_KEYS = {
     "BIPARTITE": ("B", "C"),
 }
 
-# conditions that integer-built instances satisfy identically, so strict
-# checking may demand an exact zero instead of a tolerance
-_EXACT_CONDITIONS = {"product_zero"}
-
-
 @dataclass(frozen=True)
 class Condition:
     name: str
@@ -75,6 +73,8 @@ class Condition:
 class HypothesisReport:
     theorem: str
     conditions: tuple[Condition, ...]
+    # name -> factorisation of each matrix the formula inverts, kept by the check
+    factorisations: dict[str, DualDrazinData] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -154,14 +154,6 @@ class BlockInstance:
         return cls(theorem, {k: matrix_from_doc(v) for k, v in raw.items()})
 
 
-def _projectors(x: DualMatrix, tol: float | None) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
-    """(inverse series, e-projector, pi-projector), ungated."""
-    n = x.require_square()
-    inv = dual_drazin_series(x, tol)
-    e = dmul(x, inv)
-    return inv, e, DualMatrix.identity(n) - e
-
-
 def _dual_powers(x: DualMatrix, count: int) -> list[DualMatrix]:
     out = [DualMatrix.identity(x.shape[0])]
     for _ in range(count):
@@ -169,111 +161,94 @@ def _dual_powers(x: DualMatrix, count: int) -> list[DualMatrix]:
     return out
 
 
-def _membership_condition(name: str, x: DualMatrix, tol, res_tol) -> Condition:
-    passed, _, residual = _existence_test(x, tol, res_tol)
-    return Condition(name, residual, passed)
-
-
-def _residual_condition(name, defect: DualMatrix, operands, res_tol, strict) -> Condition:
+def _residual_condition(name, defect: DualMatrix, operands, res_tol) -> Condition:
     residual = defect.norm()
     scale = 1.0 + sum(op.norm() for op in operands)
-    if strict and name in _EXACT_CONDITIONS:
-        passed = residual == 0.0
-    else:
-        passed = residual <= residual_tol(res_tol) * scale
-    return Condition(name, residual, passed)
+    return Condition(name, residual, residual <= residual_tol(res_tol) * scale)
+
+
+def _require_conditions(conds, context: str) -> None:
+    """Raise HypothesisViolated naming every failed condition."""
+    failed = [c for c in conds if not c.passed]
+    if failed:
+        detail = ", ".join(f"{c.name}={c.residual:.3e}" for c in failed)
+        raise HypothesisViolated(f"{context}: {detail}")
 
 
 def check_hypotheses(
     inst: BlockInstance,
     tol: float | None = None,
     res_tol: float | None = None,
-    strict: bool = False,
 ) -> HypothesisReport:
     """Evaluate every named hypothesis of the instance's theorem.
 
     Total: matrices outside the invertible class yield failed membership
-    conditions instead of an exception.
+    conditions instead of an exception.  Each matrix tested for membership
+    is factorised once, and the report keeps that factorisation for the
+    formula body.
     """
     t, b = inst.theorem, inst.blocks
     conds: list[Condition] = []
+    factors: dict[str, DualDrazinData] = {}
+
+    def membership(key: str, x: DualMatrix) -> Condition:
+        factors[key], residual = _factorise(x, tol, res_tol)
+        return Condition(f"membership_{key}", residual, factors[key].exists)
+
     if t == "CLINE":
         a, bb = b["A"], b["B"]
         if a.shape[1] != bb.shape[0] or a.shape[0] != bb.shape[1]:
             raise ShapeMismatch(f"need m x n and n x m factors, got {a.shape} and {bb.shape}")
-        conds.append(_membership_condition("membership_BA", dmul(bb, a), tol, res_tol))
+        conds.append(membership("BA", dmul(bb, a)))
     elif t in ("TRI_UPPER", "TRI_LOWER"):
         inst.assembled()  # shape conformance only
-        conds.append(_membership_condition("membership_A", b["A"], tol, res_tol))
-        conds.append(_membership_condition("membership_D", b["D"], tol, res_tol))
+        conds.append(membership("A", b["A"]))
+        conds.append(membership("D", b["D"]))
     elif t == "SUM_PQ0":
         p, q = b["P"], b["Q"]
         if p.shape != q.shape:
             raise ShapeMismatch(f"summands must agree in shape, got {p.shape} and {q.shape}")
-        conds.append(_residual_condition("product_zero", dmul(p, q), (p, q), res_tol, strict))
-        conds.append(_membership_condition("membership_P", p, tol, res_tol))
-        conds.append(_membership_condition("membership_Q", q, tol, res_tol))
-    elif t in ("ABIO_RIGHT", "ABIO_LEFT"):
+        conds.append(_residual_condition("product_zero", dmul(p, q), (p, q), res_tol))
+        conds.append(membership("P", p))
+        conds.append(membership("Q", q))
+    elif t in ("ABIO_RIGHT", "ABIO_LEFT", "ABCO_RIGHT", "ABCO_LEFT"):
         inst.assembled()
-        a, bb = b["A"], b["B"]
-        _, ae, api = _projectors(a, tol)
-        aapi = dmul(a, api)
+        a = b["A"]
+        # ABIO couples A with W = B itself, ABCO with the product W = BC
+        key, w = ("B", b["B"]) if t.startswith("ABIO") else ("BC", dmul(b["B"], b["C"]))
+        membership_a = membership("A", a)
+        ae = dmul(a, factors["A"].inverse)  # projectors from the ungated series
+        aapi = dmul(a, DualMatrix.identity(a.shape[0]) - ae)
         aae = dmul(a, ae)
         conds.append(_residual_condition(
-            "commutation", dmul(aapi, bb) - dmul(bb, aapi), (a, bb), res_tol, strict))
-        annihil = dmul(aae, bb) if t == "ABIO_RIGHT" else dmul(bb, aae)
-        conds.append(_residual_condition("annihilation", annihil, (a, bb), res_tol, strict))
-        conds.append(_membership_condition("membership_A", a, tol, res_tol))
-        conds.append(_membership_condition("membership_B", bb, tol, res_tol))
-    elif t in ("ABCO_RIGHT", "ABCO_LEFT"):
-        inst.assembled()
-        a, bb, c = b["A"], b["B"], b["C"]
-        w = dmul(bb, c)
-        _, ae, api = _projectors(a, tol)
-        aapi = dmul(a, api)
-        aae = dmul(a, ae)
-        conds.append(_residual_condition(
-            "commutation", dmul(aapi, w) - dmul(w, aapi), (a, w), res_tol, strict))
-        annihil = dmul(aae, w) if t == "ABCO_RIGHT" else dmul(w, aae)
-        conds.append(_residual_condition("annihilation", annihil, (a, w), res_tol, strict))
-        conds.append(_membership_condition("membership_A", a, tol, res_tol))
-        conds.append(_membership_condition("membership_BC", w, tol, res_tol))
+            "commutation", dmul(aapi, w) - dmul(w, aapi), (a, w), res_tol))
+        annihil = dmul(aae, w) if t.endswith("RIGHT") else dmul(w, aae)
+        conds.append(_residual_condition("annihilation", annihil, (a, w), res_tol))
+        conds.append(membership_a)
+        conds.append(membership(key, w))
     else:  # BIPARTITE
         inst.assembled()
-        conds.append(_membership_condition("membership_BC", dmul(b["B"], b["C"]), tol, res_tol))
-    return HypothesisReport(theorem=t, conditions=tuple(conds))
+        conds.append(membership("BC", dmul(b["B"], b["C"])))
+    return HypothesisReport(theorem=t, conditions=tuple(conds), factorisations=factors)
 
 
-def _require(inst: BlockInstance, tol, res_tol, strict=False) -> None:
-    report = check_hypotheses(inst, tol, res_tol, strict)
-    if not report.passed:
-        failed = ", ".join(f"{c.name}={c.residual:.3e}" for c in report.conditions if not c.passed)
-        raise HypothesisViolated(f"{inst.theorem}: {failed}")
+# Formula bodies: (instance, its report) -> the dual Drazin inverse.  A body
+# first raises as its formula function does for a failed report: the gated
+# theorems name the failed conditions, and every inverse comes from the
+# report's factorisations through _gated.
 
 
-def cline(a: DualMatrix, b: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
-    """(AB)^D as A (BA)^2D B, valid whenever BA has a dual Drazin inverse."""
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise ShapeMismatch(f"need m x n and n x m factors, got {a.shape} and {b.shape}")
-    ba = dmul(b, a)
-    inv = dual_drazin(ba, tol, res_tol).inverse
-    return dmul(dmul(a, dpow(inv, 2)), b)
+def _cline(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    inv = _gated(report.factorisations["BA"])
+    return dmul(dmul(inst["A"], dpow(inv, 2)), inst["B"])
 
 
-def tri_drazin(a: DualMatrix, b: DualMatrix, d: DualMatrix,
-               orientation: str = "upper", tol=None, res_tol=None) -> DualMatrix:
-    """Dual Drazin inverse of [[A,B],[0,D]] (upper) or [[D,0],[B,A]] (lower)."""
-    if orientation not in ("upper", "lower"):
-        raise ValueError(f"orientation must be 'upper' or 'lower', got {orientation!r}")
-    theorem = "TRI_UPPER" if orientation == "upper" else "TRI_LOWER"
-    inst = BlockInstance(theorem, {"A": a, "B": b, "D": d})
-    inst.assembled()
-    m = a.require_square()
-    n = d.require_square()
-    da = dual_drazin(a, tol, res_tol)
-    dd = dual_drazin(d, tol, res_tol)
-    xa, p = da.inverse, da.index
-    xd, q = dd.inverse, dd.index
+def _tri(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    a, b, d = inst["A"], inst["B"], inst["D"]
+    da, dd = report.factorisations["A"], report.factorisations["D"]
+    xa, p = _gated(da), da.index
+    xd, q = _gated(dd), dd.index
+    m, n = a.shape[0], d.shape[0]
     d_pi = DualMatrix.identity(n) - dmul(d, xd)
     a_pi = DualMatrix.identity(m) - dmul(a, xa)
 
@@ -287,20 +262,18 @@ def tri_drazin(a: DualMatrix, b: DualMatrix, d: DualMatrix,
     for i in range(p):
         s = s + dmul(a_pi, dmul(dmul(a_pow[i], b), xd_pow[i + 2]))
     s = s - dmul(dmul(xa, b), xd)
-    if orientation == "upper":
+    if inst.theorem == "TRI_UPPER":
         return dblock([[xa, s], [DualMatrix.zeros(n, m), xd]])
     return dblock([[xd, DualMatrix.zeros(n, m)], [s, xa]])
 
 
-def sum_pq_zero(p: DualMatrix, q: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
-    """(P+Q)^D under PQ = 0."""
-    inst = BlockInstance("SUM_PQ0", {"P": p, "Q": q})
-    _require(inst, tol, res_tol)
-    dp = dual_drazin(p, tol, res_tol)
-    dq = dual_drazin(q, tol, res_tol)
-    xp, r = dp.inverse, dp.index
-    xq, t = dq.inverse, dq.index
-    n = p.require_square()
+def _sum_pq0(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions, inst.theorem)
+    p, q = inst["P"], inst["Q"]
+    dp, dq = report.factorisations["P"], report.factorisations["Q"]
+    xp, r = _gated(dp), dp.index
+    xq, t = _gated(dq), dq.index
+    n = p.shape[0]
     eye = DualMatrix.identity(n)
     q_pi = eye - dmul(q, xq)
     p_pi = eye - dmul(p, xp)
@@ -316,22 +289,14 @@ def sum_pq_zero(p: DualMatrix, q: DualMatrix, tol=None, res_tol=None) -> DualMat
     return out
 
 
-def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
-                tol=None, res_tol=None) -> DualMatrix:
-    """Dual Drazin inverse of [[A,B],[I,0]] under the one-sided conditions.
-
-    side selects which product must vanish: 'right' demands A A^e B = 0,
-    'left' demands B A A^e = 0; both demand A A^pi to commute with B.
-    """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    theorem = "ABIO_RIGHT" if side == "right" else "ABIO_LEFT"
-    inst = BlockInstance(theorem, {"A": a, "B": b})
-    _require(inst, tol, res_tol)
-    xa = dual_drazin(a, tol, res_tol).inverse
-    db = dual_drazin(b, tol, res_tol)
-    xb = db.inverse
-    n = a.require_square()
+def _abio(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions, inst.theorem)
+    a, b = inst["A"], inst["B"]
+    right = inst.theorem == "ABIO_RIGHT"
+    db = report.factorisations["B"]
+    xa = _gated(report.factorisations["A"])
+    xb = _gated(db)
+    n = a.shape[0]
     eye = DualMatrix.identity(n)
     b_e = dmul(b, xb)
     b_pi = eye - b_e
@@ -346,7 +311,7 @@ def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
     br = DualMatrix.zeros(n)
     for i in range(limit):
         bpbi = dmul(b_pi, b_pow[i])
-        if side == "right":
+        if right:
             tl = tl + dmul(bpbi, xa_pow[2 * i + 1])
             bl = bl + dmul(bpbi, xa_pow[2 * i + 2])
         else:
@@ -355,7 +320,7 @@ def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
             tr = tr + dmul(xa_pow[2 * i + 2], bpbi1)
             bl = bl + dmul(xa_pow[2 * i + 2], bpbi)
             br = br + dmul(xa_pow[2 * i + 3], bpbi1)
-    if side == "right":
+    if right:
         tr = b_e
         bl = bl + dmul(xb, a_pi)
         br = -dmul(aapi, xb)
@@ -366,35 +331,20 @@ def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
     return dblock([[tl, tr], [bl, br]])
 
 
-def abco_drazin(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right",
-                tol=None, res_tol=None) -> DualMatrix:
-    """Dual Drazin inverse of [[A,B],[C,0]] under the one-sided conditions.
-
-    side selects which product with W = BC must vanish: 'right' demands
-    A A^e W = 0, 'left' demands W A A^e = 0; both demand A A^pi to commute
-    with W.
-    """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    theorem = "ABCO_RIGHT" if side == "right" else "ABCO_LEFT"
-    inst = BlockInstance(theorem, {"A": a, "B": b, "C": c})
-    _require(inst, tol, res_tol)
-    return abco_series(a, b, c, side, tol, res_tol)
+def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions, inst.theorem)
+    side = "right" if inst.theorem == "ABCO_RIGHT" else "left"
+    f = report.factorisations
+    return _abco_formula(inst["A"], inst["B"], inst["C"], side, f["A"], f["BC"])
 
 
-def abco_series(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right",
-                tol=None, res_tol=None) -> DualMatrix:
-    """The [[A,B],[C,0]] formula without its hypothesis gate.
-
-    Membership of A and BC is still enforced through dual_drazin; callers
-    that have verified the commutation and annihilation conditions in an
-    equivalent blockwise form use this to avoid a redundant global check.
-    """
-    w = dmul(b, c)
-    xa = dual_drazin(a, tol, res_tol).inverse
-    dw = dual_drazin(w, tol, res_tol)
-    xw = dw.inverse
-    n = a.require_square()
+def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str,
+                  da: DualDrazinData, dw: DualDrazinData) -> DualMatrix:
+    """The [[A,B],[C,0]] series from the factorisations of A and W = BC."""
+    xa = _gated(da)
+    xw = _gated(dw)
+    w = dw.source
+    n = a.shape[0]
     p = b.shape[1]
     eye = DualMatrix.identity(n)
     w_e = dmul(w, xw)
@@ -438,30 +388,92 @@ def abco_series(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right"
     return dblock([[tl, tr], [bl, br]])
 
 
-def bipartite_drazin(b: DualMatrix, c: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
-    """Dual Drazin inverse of [[0,B],[C,0]]: [[0,(BC)^D B],[C (BC)^D,0]]."""
-    inst = BlockInstance("BIPARTITE", {"B": b, "C": c})
-    inst.assembled()
+def _bipartite(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    b, c = inst["B"], inst["C"]
     n, p = b.shape
-    xw = dual_drazin(dmul(b, c), tol, res_tol).inverse
+    xw = _gated(report.factorisations["BC"])
     return dblock([
         [DualMatrix.zeros(n), dmul(xw, b)],
         [dmul(c, xw), DualMatrix.zeros(p)],
     ])
 
 
+_FORMULAS = {
+    "CLINE": _cline,
+    "TRI_UPPER": _tri,
+    "TRI_LOWER": _tri,
+    "SUM_PQ0": _sum_pq0,
+    "ABIO_RIGHT": _abio,
+    "ABIO_LEFT": _abio,
+    "ABCO_RIGHT": _abco,
+    "ABCO_LEFT": _abco,
+    "BIPARTITE": _bipartite,
+}
+
+
+def cline(a: DualMatrix, b: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
+    """(AB)^D as A (BA)^2D B, valid whenever BA has a dual Drazin inverse."""
+    return closed_form(BlockInstance("CLINE", {"A": a, "B": b}), tol, res_tol)
+
+
+def tri_drazin(a: DualMatrix, b: DualMatrix, d: DualMatrix,
+               orientation: str = "upper", tol=None, res_tol=None) -> DualMatrix:
+    """Dual Drazin inverse of [[A,B],[0,D]] (upper) or [[D,0],[B,A]] (lower)."""
+    if orientation not in ("upper", "lower"):
+        raise ValueError(f"orientation must be 'upper' or 'lower', got {orientation!r}")
+    theorem = "TRI_UPPER" if orientation == "upper" else "TRI_LOWER"
+    return closed_form(BlockInstance(theorem, {"A": a, "B": b, "D": d}), tol, res_tol)
+
+
+def sum_pq_zero(p: DualMatrix, q: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
+    """(P+Q)^D under PQ = 0."""
+    return closed_form(BlockInstance("SUM_PQ0", {"P": p, "Q": q}), tol, res_tol)
+
+
+def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
+                tol=None, res_tol=None) -> DualMatrix:
+    """Dual Drazin inverse of [[A,B],[I,0]] under the one-sided conditions.
+
+    side selects which product must vanish: 'right' demands A A^e B = 0,
+    'left' demands B A A^e = 0; both demand A A^pi to commute with B.
+    """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    theorem = "ABIO_RIGHT" if side == "right" else "ABIO_LEFT"
+    return closed_form(BlockInstance(theorem, {"A": a, "B": b}), tol, res_tol)
+
+
+def abco_drazin(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right",
+                tol=None, res_tol=None) -> DualMatrix:
+    """Dual Drazin inverse of [[A,B],[C,0]] under the one-sided conditions.
+
+    side selects which product with W = BC must vanish: 'right' demands
+    A A^e W = 0, 'left' demands W A A^e = 0; both demand A A^pi to commute
+    with W.
+    """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    theorem = "ABCO_RIGHT" if side == "right" else "ABCO_LEFT"
+    return closed_form(BlockInstance(theorem, {"A": a, "B": b, "C": c}), tol, res_tol)
+
+
+def abco_series(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right",
+                tol=None, res_tol=None) -> DualMatrix:
+    """The [[A,B],[C,0]] formula without its hypothesis gate.
+
+    A and W = BC are factorised here, through dual_drazin, so either one
+    outside the class raises NotDualDrazinInvertible; the commutation and
+    annihilation conditions are left to the caller.
+    """
+    w = dmul(b, c)
+    return _abco_formula(a, b, c, side, dual_drazin(a, tol, res_tol), dual_drazin(w, tol, res_tol))
+
+
+def bipartite_drazin(b: DualMatrix, c: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
+    """Dual Drazin inverse of [[0,B],[C,0]]: [[0,(BC)^D B],[C (BC)^D,0]]."""
+    return closed_form(BlockInstance("BIPARTITE", {"B": b, "C": c}), tol, res_tol)
+
+
 def closed_form(inst: BlockInstance, tol=None, res_tol=None) -> DualMatrix:
-    """Dispatch an instance to its theorem's formula."""
-    t, b = inst.theorem, inst.blocks
-    if t == "CLINE":
-        return cline(b["A"], b["B"], tol, res_tol)
-    if t in ("TRI_UPPER", "TRI_LOWER"):
-        orientation = "upper" if t == "TRI_UPPER" else "lower"
-        return tri_drazin(b["A"], b["B"], b["D"], orientation, tol, res_tol)
-    if t == "SUM_PQ0":
-        return sum_pq_zero(b["P"], b["Q"], tol, res_tol)
-    if t in ("ABIO_RIGHT", "ABIO_LEFT"):
-        return abio_drazin(b["A"], b["B"], t.rsplit("_", 1)[1].lower(), tol, res_tol)
-    if t in ("ABCO_RIGHT", "ABCO_LEFT"):
-        return abco_drazin(b["A"], b["B"], b["C"], t.rsplit("_", 1)[1].lower(), tol, res_tol)
-    return bipartite_drazin(b["B"], b["C"], tol, res_tol)
+    """Check an instance's hypotheses and evaluate its theorem's formula."""
+    return _FORMULAS[inst.theorem](inst, check_hypotheses(inst, tol, res_tol))

@@ -235,7 +235,7 @@ def _cmd_graph(args) -> int:
     _emit(matrix_to_doc(build.matrix, **extras), args.output)
     if args.closed_form:
         rank, res = _tols(args)
-        _, closed_form_of = _FAMILY_TABLE[_family_of(spec, _WINDMILL_FAMILIES[args.form])]
+        _, closed_form_of, _ = _FAMILY_TABLE[_family_of(spec, _WINDMILL_FAMILIES[args.form])]
         inverse = closed_form_of(spec, rank, res)
         _emit(matrix_to_doc(inverse), args.closed_form)
     return EXIT_OK

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Condition, HypothesisReport, abco_series, bipartite_drazin
-from .drazin import _existence_test, dual_drazin, dual_drazin_series, matrix_index
+from .blocks import Condition, HypothesisReport, _abco_formula, _require_conditions, bipartite_drazin
+from .drazin import _factorise, _gated, dual_drazin_series
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
-from .errors import HypothesisViolated, IndexTooLarge, SchemaError, SpecInvalid
+from .errors import IndexTooLarge, NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .serialize import (
     matrix_from_doc,
     matrix_to_doc,
@@ -298,10 +298,35 @@ def _corner_formula(ad: DualMatrix, b_blk: DualMatrix, c_blk: DualMatrix) -> Dua
     ])
 
 
+def _hub_first(inner: DualMatrix) -> DualMatrix:
+    """Move the last row and column of a windmill inverse, the hub's, to the front."""
+    total = inner.shape[0] - 1
+    rows = slice(0, total)
+    last = slice(total, total + 1)
+    return dblock([
+        [inner.block(last, last), inner.block(last, rows)],
+        [inner.block(rows, last), inner.block(rows, rows)],
+    ])
+
+
 def _ortho_condition(name: str, u: DualMatrix, v: DualMatrix, res_tol) -> Condition:
     ortho = abs(_dual_dot(u, v))
     scale = 1.0 + u.norm() * v.norm()
     return Condition(name, float(ortho), ortho <= residual_tol(res_tol) * scale)
+
+
+def _theta(spec: DoubleStar) -> DualScalar:
+    """theta = x^T y + ab, the dual number the double star core inverts through."""
+    return _dual_dot(spec.x, spec.y) + spec.a * spec.b
+
+
+def _theta_condition(theta: DualScalar) -> Condition:
+    """theta has a dual Drazin inverse; a failure's residual is its infinitesimal part."""
+    try:
+        scalar_dual_drazin(theta)
+    except NotDualDrazinInvertible:
+        return Condition("theta_membership", abs(theta.inf), False)
+    return Condition("theta_membership", 0.0, True)
 
 
 def _dw_conditions(spec: DutchWindmill, tol, res_tol) -> list[Condition]:
@@ -333,13 +358,6 @@ def _dw_conditions(spec: DutchWindmill, tol, res_tol) -> list[Condition]:
     return conds
 
 
-def _hub_membership(spec: DutchWindmill, tol, res_tol) -> Condition:
-    """The hub product W = sum y_s x_t^T, which _dw_hatted inverts, is in the class."""
-    b_row, c_col, _ = _dw_parts(spec)
-    passed, _, residual = _existence_test(dmul(c_col, b_row), tol, res_tol)
-    return Condition("hub_membership", residual, passed)
-
-
 def _bc0_conditions(spec: DutchWindmill, res_tol) -> list[Condition]:
     rtol = residual_tol(res_tol)
     conds = []
@@ -357,44 +375,89 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     """Residual report for the conditions the family formulas rely on.
 
     form selects the windmill variant: "drazin" and "group" check the
-    blade-pair annihilation and commutation conditions ("drazin" also
-    reports whether the hub product W = sum y_s x_t^T has a dual Drazin
-    inverse, "group" the two index-at-most-one requirements), "bc_zero" checks
-    that every outer product of fan weights vanishes.  Double star and
-    linked stars ignore form and report fan orthogonality.
+    blade-pair annihilation and commutation conditions and whether the hub
+    product W = sum y_s x_t^T has a dual Drazin inverse ("group" also the
+    two index-at-most-one requirements), "bc_zero" checks that every outer
+    product of fan weights vanishes.  Double star and linked stars ignore
+    form and report fan orthogonality; the double star also reports whether
+    theta = x^T y + ab has a dual Drazin inverse.  The report keeps the
+    factorisation of every matrix the family formula inverts.
     """
     _validate(spec)
     if isinstance(spec, DoubleStar):
-        return HypothesisReport(
-            "DOUBLE_STAR", (_ortho_condition("fan_orthogonality", spec.w, spec.v, res_tol),)
+        conds = (
+            _ortho_condition("fan_orthogonality", spec.w, spec.v, res_tol),
+            _theta_condition(_theta(spec)),
         )
+        return HypothesisReport("DOUBLE_STAR", conds)
     if isinstance(spec, DLinkedStars):
         conds = tuple(
             _ortho_condition(f"fan_orthogonality_{i + 1}", xi, yi, res_tol)
             for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
         )
-        return HypothesisReport("LINKED_STARS", conds)
+        return HypothesisReport("LINKED_STARS", conds, {"base": _factorise(spec.base, tol, res_tol)[0]})
     if form not in ("drazin", "bc_zero", "group"):
         raise SpecInvalid(f"unknown windmill form {form!r}")
-    if form == "bc_zero":
-        return HypothesisReport("WINDMILL_BC0", tuple(_bc0_conditions(spec, res_tol)))
-    conds = _dw_conditions(spec, tol, res_tol)
-    if form == "drazin":
-        conds.append(_hub_membership(spec, tol, res_tol))
-        return HypothesisReport("WINDMILL", tuple(conds))
     b_row, c_col, d_blk = _dw_parts(spec)
-    ind_d = matrix_index(d_blk.std, tol)
-    ind_phi = matrix_index(dmul(c_col, b_row).std, tol)
-    conds.append(Condition("blade_group_index", float(max(0, ind_d - 1)), ind_d <= 1))
-    conds.append(Condition("hub_group_index", float(max(0, ind_phi - 1)), ind_phi <= 1))
-    return HypothesisReport("WINDMILL_GROUP", tuple(conds))
+    factors = {"D": _factorise(d_blk, tol, res_tol)[0]}
+    if form == "bc_zero":
+        return HypothesisReport("WINDMILL_BC0", tuple(_bc0_conditions(spec, res_tol)), factors)
+    conds = _dw_conditions(spec, tol, res_tol)
+    factors["W"], residual = _factorise(dmul(c_col, b_row), tol, res_tol)
+    conds.append(Condition("hub_membership", residual, factors["W"].exists))
+    if form == "drazin":
+        return HypothesisReport("WINDMILL", tuple(conds), factors)
+    for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
+        conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
+    return HypothesisReport("WINDMILL_GROUP", tuple(conds), factors)
 
 
-def _require_conditions(conds, context: str) -> None:
-    failed = [c for c in conds if not c.passed]
-    if failed:
-        detail = ", ".join(f"{c.name}={c.residual:.3e}" for c in failed)
-        raise HypothesisViolated(f"{context}: {detail}")
+# Formula bodies: (spec, its report) -> inverse of the adjacency matrix.  A
+# body first raises as its public closed form does for a failed report, then
+# takes every matrix inverse from the report's factorisations through _gated.
+
+
+def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions[:1], "hub2 fan is not dual-orthogonal")
+    core, b_blk, c_blk = _ds_parts(spec)
+    ad = _scalar_scale(scalar_dual_drazin(_theta(spec)), core)
+    return _corner_formula(ad, b_blk, c_blk)
+
+
+def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions, "leaf fans are not dual-orthogonal")
+    _, b_blk, c_blk = _dls_parts(spec)
+    return _corner_formula(_gated(report.factorisations["base"]), b_blk, c_blk)
+
+
+def _dw_series(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
+    """The bordered-corner series of [[D, C],[B, 0]], hub moved first."""
+    b_row, c_col, d_blk = _dw_parts(spec)
+    f = report.factorisations
+    return _hub_first(_abco_formula(d_blk, c_col, b_row, "right", f["D"], f["W"]))
+
+
+def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
+    *pairs, hub = report.conditions
+    _require_conditions(pairs, "blade-pair conditions fail")
+    _require_conditions([hub], "hub product is not invertible")
+    return _dw_series(spec, report)
+
+
+def _group_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
+    *pairs, _, blade_index, hub_index = report.conditions
+    if not blade_index.passed:
+        raise IndexTooLarge("blade matrix is not group invertible")
+    if not hub_index.passed:
+        raise IndexTooLarge("hub product is not group invertible")
+    _require_conditions(pairs, "blade-pair conditions fail")
+    return _dw_series(spec, report)
+
+
+def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions, "fan outer products are not dual-zero")
+    b_row, c_col, _ = _dw_parts(spec)
+    return _hub_first(_corner_formula(_gated(report.factorisations["D"]), c_col, b_row))
 
 
 def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
@@ -404,13 +467,7 @@ def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
     parts).  The core inverts through the single dual number
     theta = x^T y + a*b; a pure-infinitesimal theta admits no inverse.
     """
-    _validate(spec)
-    core, b_blk, c_blk = _ds_parts(spec)
-    cond = _ortho_condition("fan_orthogonality", spec.w, spec.v, res_tol)
-    _require_conditions([cond], "hub2 fan is not dual-orthogonal")
-    theta = _dual_dot(spec.x, spec.y) + spec.a * spec.b
-    ad = _scalar_scale(scalar_dual_drazin(theta), core)
-    return _corner_formula(ad, b_blk, c_blk)
+    return _ds_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
 
 
 def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
@@ -420,28 +477,7 @@ def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
     which zeroes the fan-to-fan product and leaves the core's dual Drazin
     inverse as the only nontrivial ingredient.
     """
-    _validate(spec)
-    base, b_blk, c_blk = _dls_parts(spec)
-    conds = [
-        _ortho_condition(f"fan_orthogonality_{i + 1}", xi, yi, res_tol)
-        for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
-    ]
-    _require_conditions(conds, "leaf fans are not dual-orthogonal")
-    ad = dual_drazin(base, tol, res_tol).inverse
-    return _corner_formula(ad, b_blk, c_blk)
-
-
-def _dw_hatted(spec: DutchWindmill, tol, res_tol) -> DualMatrix:
-    """Assemble the windmill inverse from the bordered-corner series."""
-    b_row, c_col, d_blk = _dw_parts(spec)
-    total = d_blk.shape[0]
-    inner = abco_series(d_blk, c_col, b_row, "right", tol, res_tol)
-    rows = slice(0, total)
-    last = slice(total, total + 1)
-    return dblock([
-        [inner.block(last, last), inner.block(last, rows)],
-        [inner.block(rows, last), inner.block(rows, rows)],
-    ])
+    return _dls_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
 
 
 def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -452,10 +488,7 @@ def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     blade matrices on their nilpotent parts, and when the hub product
     W = sum y_s x_t^T has a dual Drazin inverse.
     """
-    _validate(spec)
-    _require_conditions(_dw_conditions(spec, tol, res_tol), "blade-pair conditions fail")
-    _require_conditions([_hub_membership(spec, tol, res_tol)], "hub product is not invertible")
-    return _dw_hatted(spec, tol, res_tol)
+    return _dw_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
 
 
 def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -464,16 +497,7 @@ def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     When every outer product y_s x_t^T vanishes in both parts the series
     collapses to [[B D^3D C, B D^2D],[D^2D C, D^D]].
     """
-    _validate(spec)
-    _require_conditions(_bc0_conditions(spec, res_tol), "fan outer products are not dual-zero")
-    b_row, c_col, d_blk = _dw_parts(spec)
-    dd = dual_drazin(d_blk, tol, res_tol).inverse
-    dd2 = dmul(dd, dd)
-    dd3 = dmul(dd2, dd)
-    return dblock([
-        [dmul(b_row, dmul(dd3, c_col)), dmul(b_row, dd2)],
-        [dmul(dd2, c_col), dd],
-    ])
+    return _bc0_formula(spec, graph_hypotheses(spec, "bc_zero", tol, res_tol))
 
 
 def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -482,15 +506,7 @@ def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     Same conditions as dw_dual_drazin, with the blade matrix and the hub
     product additionally required to have standard index at most one.
     """
-    _validate(spec)
-    b_row, c_col, d_blk = _dw_parts(spec)
-    phi = dmul(c_col, b_row)
-    if matrix_index(d_blk.std, tol) > 1:
-        raise IndexTooLarge("blade matrix is not group invertible")
-    if matrix_index(phi.std, tol) > 1:
-        raise IndexTooLarge("hub product is not group invertible")
-    _require_conditions(_dw_conditions(spec, tol, res_tol), "blade-pair conditions fail")
-    return _dw_hatted(spec, tol, res_tol)
+    return _group_formula(spec, graph_hypotheses(spec, "group", tol, res_tol))
 
 
 def bipartite_dual(e: DualMatrix, f: DualMatrix, tol=None, res_tol=None) -> DualMatrix:

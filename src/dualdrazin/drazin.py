@@ -62,7 +62,8 @@ class DualDrazinData:
     built from.  ``residuals`` reports the three defining equations,
     evaluated in dual arithmetic with the computed inverse; it is computed
     on first access and cached, so callers that only need the inverse do
-    not pay for it.
+    not pay for it.  ``exists`` is False only in the factorisations a
+    hypothesis report keeps; ``inverse`` is then the ungated series value.
     """
 
     inverse: DualMatrix
@@ -243,6 +244,9 @@ def defining_residuals(
     return r1, r2, r3
 
 
+_NO_INVERSE = "projection of the mixed series onto the nilpotent part is nonzero"
+
+
 def dual_drazin(
     x: DualMatrix,
     tol: float | None = None,
@@ -256,11 +260,30 @@ def dual_drazin(
     data = drazin_complex(x.std, tol)
     exists, m = dual_exists(x, tol, res_tol, data)
     if not exists:
-        raise NotDualDrazinInvertible(
-            "projection of the mixed series onto the nilpotent part is nonzero"
-        )
+        raise NotDualDrazinInvertible(_NO_INVERSE)
     inverse = dual_drazin_series(x, tol, data)
     return DualDrazinData(inverse=inverse, m_matrix=m, exists=True, source=x, drazin=data, tol=tol)
+
+
+def _factorise(x: DualMatrix, tol, res_tol) -> tuple[DualDrazinData, float]:
+    """dual_drazin without the raise, plus the sandwich norm it decided on.
+
+    The series is evaluated even when ``exists`` is False: hypothesis checks
+    build projectors from it for matrices that may sit outside the class.
+    """
+    x.require_square()
+    data = drazin_complex(x.std, tol)
+    exists, m, sandwich = _existence_test(x, tol, res_tol, data)
+    inverse = dual_drazin_series(x, tol, data)
+    dd = DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol)
+    return dd, sandwich
+
+
+def _gated(dd: DualDrazinData) -> DualMatrix:
+    """The inverse of a factorisation, raising as dual_drazin does when none exists."""
+    if not dd.exists:
+        raise NotDualDrazinInvertible(_NO_INVERSE)
+    return dd.inverse
 
 
 def dual_drazin_power(

@@ -26,12 +26,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import THEOREMS, BlockInstance, check_hypotheses, closed_form
+from .blocks import _FORMULAS, THEOREMS, BlockInstance, check_hypotheses, closed_form
 from .digraphs import (
     DLinkedStars,
     DoubleStar,
     DutchWindmill,
     GraphSpec,
+    _bc0_formula,
+    _dls_formula,
+    _ds_formula,
+    _dw_formula,
+    _group_formula,
+    _theta,
+    _theta_condition,
     build_adjacency,
     dls_dual_drazin,
     ds_dual_drazin,
@@ -384,9 +391,7 @@ def _gen_abio(cfg, trial, rng, side):
     if cfg.violate:
         # invertible A makes A A^e B = A B, never zero against B = I
         frame = _make_frame(n, rng, cfg.entry_scale, a=n)
-        inst = BlockInstance(theorem, {"A": frame.matrix, "B": DualMatrix.identity(n)})
-        report = check_hypotheses(inst)
-        return inst, not report.passed
+        return BlockInstance(theorem, {"A": frame.matrix, "B": DualMatrix.identity(n)}), True
     frame = _make_frame(n, rng, cfg.entry_scale)
     a, b = frame.a, frame.b
     nil = frame.nil
@@ -425,9 +430,7 @@ def _gen_abco(cfg, trial, rng, side):
             "B": DualMatrix.identity(n),
             "C": DualMatrix.identity(n),
         }
-        inst = BlockInstance(theorem, blocks)
-        report = check_hypotheses(inst)
-        return inst, not report.passed
+        return BlockInstance(theorem, blocks), True
     frame = _make_frame(n, rng, cfg.entry_scale, a=int(rng.integers(0, n)))
     a, b = frame.a, frame.b
     nil = frame.nil
@@ -484,9 +487,7 @@ def _gen_double_star(cfg, trial, rng):
         return spec, True
     w, v = _orthogonal_pair(n, rng, scale)
     spec = DoubleStar(m=m, n=n, x=x, y=y, w=w, v=v, a=a, b=b)
-    theta = (x.T.std @ y.std)[0, 0] + complex(a.std * b.std)
-    theta_inf = (x.T.std @ y.inf + x.T.inf @ y.std)[0, 0] + complex(a.std * b.inf + a.inf * b.std)
-    if theta == 0 and theta_inf != 0:
+    if not _theta_condition(_theta(spec)).passed:
         return spec, False
     return spec, _in_class(build_adjacency(spec).matrix)
 
@@ -793,18 +794,21 @@ def _exact_rank(rows_in) -> int:
 # fuzz driver
 
 
-# family -> (graph_hypotheses form, closed form).  None marks a block
-# theorem, which check_hypotheses and closed_form dispatch on the instance's
-# own tag.  The lambdas look the closed forms up as module globals at call
-# time, so wrappers installed over those globals (perfbench's tracing spans)
-# also see these calls.
+# family -> (graph_hypotheses form, public closed form, formula body).  None
+# marks a block theorem, which check_hypotheses, closed_form and
+# blocks._FORMULAS dispatch on the instance's own tag.  The body evaluates
+# the formula from the instance and its report.  The lambdas look the
+# functions up as module globals (or _FORMULAS entries) at call time, so
+# wrappers installed over those (perfbench's tracing spans) also see these
+# calls.
 _FAMILY_TABLE = {
-    **dict.fromkeys(THEOREMS, (None, lambda *args: closed_form(*args))),
-    "DOUBLE_STAR": ("drazin", lambda *args: ds_dual_drazin(*args)),
-    "LINKED_STARS": ("drazin", lambda *args: dls_dual_drazin(*args)),
-    "WINDMILL": ("drazin", lambda *args: dw_dual_drazin(*args)),
-    "WINDMILL_BC0": ("bc_zero", lambda *args: dw_bc_zero(*args)),
-    "WINDMILL_GROUP": ("group", lambda *args: dw_group(*args)),
+    **dict.fromkeys(THEOREMS, (None, lambda *args: closed_form(*args),
+                               lambda inst, hyp: _FORMULAS[inst.theorem](inst, hyp))),
+    "DOUBLE_STAR": ("drazin", lambda *args: ds_dual_drazin(*args), lambda *args: _ds_formula(*args)),
+    "LINKED_STARS": ("drazin", lambda *args: dls_dual_drazin(*args), lambda *args: _dls_formula(*args)),
+    "WINDMILL": ("drazin", lambda *args: dw_dual_drazin(*args), lambda *args: _dw_formula(*args)),
+    "WINDMILL_BC0": ("bc_zero", lambda *args: dw_bc_zero(*args), lambda *args: _bc0_formula(*args)),
+    "WINDMILL_GROUP": ("group", lambda *args: dw_group(*args), lambda *args: _group_formula(*args)),
 }
 
 
@@ -855,7 +859,7 @@ def _verify(inst, family: str, tol, res_tol, max_rel_error: float, record: dict)
     series inverse of the assembled matrix) and defining_residuals, and
     last pass.  Errors propagate and leave the fields set so far in place.
     """
-    form, closed_form_of = _FAMILY_TABLE[family]
+    form, _, formula = _FAMILY_TABLE[family]
     if form is None:
         hyp = check_hypotheses(inst, tol, res_tol)
         assembled = inst.assembled()
@@ -868,7 +872,7 @@ def _verify(inst, family: str, tol, res_tol, max_rel_error: float, record: dict)
     if not hyp.passed:
         record["pass"] = False
         return
-    closed = closed_form_of(inst, tol, res_tol)
+    closed = formula(inst, hyp)
     oracle = dual_drazin(assembled, tol, res_tol)
     rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
     defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, tol)]

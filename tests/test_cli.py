@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from dualdrazin import DoubleStar, DualMatrix, DualScalar, DutchWindmill
 from dualdrazin.blocks import BlockInstance
 from dualdrazin.cli import main
-from dualdrazin.digraphs import graph_spec_to_doc
+from dualdrazin.digraphs import ds_dual_drazin, dw_group, graph_spec_to_doc
+from dualdrazin.errors import NotDualDrazinInvertible
 from dualdrazin.harness import FAMILIES, GenConfig, fuzz, gen_instance
 from dualdrazin.serialize import dumps_doc
 
@@ -201,6 +203,43 @@ def test_verify_windmill_hub_outside_class_is_exit_2(write, capsys):
     residuals = json.loads(out)["hypothesis_residuals"]
     assert residuals["annihilation_1_1"] == 0 and residuals["commutation_1_1"] == 0
     assert residuals["hub_membership"] > 0
+
+
+def _col(*values):
+    return DualMatrix(np.array(values, dtype=complex).reshape(-1, 1))
+
+
+# Each spec passed its hypothesis report before the report checked the one
+# inverse it lacks; the public closed form then raised from inside.
+REPORT_GAPS = {
+    # theta = x^T y + ab = 1e-13 + eps is a pure infinitesimal at working
+    # precision, so the double star core has no dual Drazin inverse
+    "theta": ("drazin", "theta_membership", ds_dual_drazin, DoubleStar(
+        m=1, n=2, x=_col(1), y=_col(-1 + 1e-13), w=_col(1, 1), v=_col(1, -1),
+        a=DualScalar(1, 1), b=DualScalar(1, 0))),
+    # the hub product W = y x^T = eps is outside the class, while the blade
+    # pair and index conditions of the group form all hold
+    "group_hub": ("group", "hub_membership", dw_group, DutchWindmill(
+        m=1, n=1, blades=(DualMatrix([[0]]),), x=(DualMatrix([[0]], [[1]]),),
+        y=(DualMatrix([[1]]),))),
+}
+
+
+@pytest.mark.parametrize("gap", sorted(REPORT_GAPS))
+def test_report_gaps_are_exit_2_and_closed_forms_stay_exit_3(gap, write, capsys, tmp_path):
+    form, condition, closed_form, spec = REPORT_GAPS[gap]
+    path = write(graph_spec_to_doc(spec), "spec.json")
+    code, out, _ = run(capsys, "verify", "-i", path, "--form", form)
+    assert code == 2
+    record = json.loads(out)
+    assert record["hypotheses_pass"] is False and record["pass"] is False
+    failed = [k for k, v in record["hypothesis_residuals"].items() if v > 0]
+    assert failed == [condition]
+    with pytest.raises(NotDualDrazinInvertible):
+        closed_form(spec)
+    code, _, err = run(capsys, "graph", "--spec", path, "-o", str(tmp_path / "adj.json"),
+                       "--closed-form", str(tmp_path / "inv.json"), "--form", form)
+    assert code == 3 and err.startswith("error: ")
 
 
 WINDMILL_FORMS = {"WINDMILL": "drazin", "WINDMILL_BC0": "bc-zero", "WINDMILL_GROUP": "group"}

@@ -1,16 +1,19 @@
 """Generator determinism, the exact elimination oracle, and fuzz reporting."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import dualdrazin.drazin
 from dualdrazin import DualMatrix, dual_exists, rank_dual, rank_std
 from dualdrazin.errors import InexactInput, SpecInvalid
 from dualdrazin.harness import (
     FAMILIES,
     GRAPH_FAMILIES,
     GenConfig,
+    _verify,
     fuzz,
     gen_existence,
     gen_instance,
@@ -192,3 +195,46 @@ def test_generated_instances_are_pinned(violate):
         report = fuzz(GenConfig(family, trials=3, seed=5, violate=violate))
         got = [r.get("digest") for r in report.records]
         assert got == PINNED_DIGESTS[(violate, family)], family
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of dualdrazin.drazin.<name> through every module binding."""
+    original = getattr(dualdrazin.drazin, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "dualdrazin" or module_name.startswith("dualdrazin."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+# Schur factorisations per ddz verify check: one per distinct matrix the
+# report tests or the formula inverts, plus the oracle on the assembled
+# matrix.  Windmills factorise each blade, W, D and the assembled matrix.
+FACTORISATIONS = {
+    "CLINE": 2, "TRI_UPPER": 3, "TRI_LOWER": 3, "SUM_PQ0": 3,
+    "ABIO_RIGHT": 3, "ABIO_LEFT": 3, "ABCO_RIGHT": 3, "ABCO_LEFT": 3, "BIPARTITE": 2,
+    "DOUBLE_STAR": 1, "LINKED_STARS": 2, "WINDMILL_BC0": 2,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_factorises_each_matrix_once(family, monkeypatch):
+    cfg = GenConfig(family, trials=3, seed=4, dim_max=4)
+    instances = [gen_instance(cfg, trial) for trial in range(cfg.trials)]
+    schur = _count_calls(monkeypatch, "drazin_complex")
+    index = _count_calls(monkeypatch, "matrix_index")
+    for inst in instances:
+        record = {}
+        schur.clear()
+        _verify(inst, family, None, None, 1e-8, record)
+        assert record["pass"], record
+        want = FACTORISATIONS.get(family) or inst.m + 3
+        assert len(schur) == want, (family, len(schur), want)
+    assert index == []
