@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import BlockInstance, abco_drazin, abio_drazin, bipartite_drazin, cline, tri_drazin
-from .digraphs import build_adjacency, graph_spec_from_doc
+from .digraphs import build_adjacency, graph_hypotheses, graph_spec_from_doc
 from .drazin import _existence_test, drazin_complex, dual_drazin
 from .dualmat import DualMatrix, indices, rank_dual, rank_std
 from .errors import (
@@ -40,8 +40,7 @@ from .errors import (
 from .harness import (
     FAMILIES,
     GenConfig,
-    _FAMILY_TABLE,
-    _family_of,
+    _FORMULAS,
     _verify,
     fuzz,
     smith_rank_oracle,
@@ -60,8 +59,8 @@ _GRAPH_FAMILY_KEYS = {
     "windmill": "dutch_windmill",
 }
 
-# --form value -> the FAMILIES name a windmill is checked and inverted as
-_WINDMILL_FAMILIES = {"drazin": "WINDMILL", "bc-zero": "WINDMILL_BC0", "group": "WINDMILL_GROUP"}
+# --form values: the windmill variant, a graph_hypotheses form with "_" as "-"
+_WINDMILL_FORMS = ["bc-zero", "drazin", "group"]
 
 
 def _env_float(name: str) -> float | None:
@@ -235,9 +234,8 @@ def _cmd_graph(args) -> int:
     _emit(matrix_to_doc(build.matrix, **extras), args.output)
     if args.closed_form:
         rank, res = _tols(args)
-        _, closed_form_of, _ = _FAMILY_TABLE[_family_of(spec, _WINDMILL_FAMILIES[args.form])]
-        inverse = closed_form_of(spec, rank, res)
-        _emit(matrix_to_doc(inverse), args.closed_form)
+        hyp = graph_hypotheses(spec, args.form.replace("-", "_"), rank, res)
+        _emit(matrix_to_doc(_FORMULAS[hyp.theorem](spec, hyp)), args.closed_form)
     return EXIT_OK
 
 
@@ -255,8 +253,7 @@ def _cmd_verify(args) -> int:
     else:
         raise SchemaError("instance document needs a 'theorem' or 'family' field")
     record = {"record": "verify", "instance": label}
-    family = _family_of(inst, _WINDMILL_FAMILIES[args.form])
-    _verify(inst, family, rank, res, args.max_rel_error, record)
+    _verify(inst, args.form.replace("-", "_"), rank, res, args.max_rel_error, record)
     _emit(dumps_doc(record), args.output)
     if not record["hypotheses_pass"]:
         return EXIT_HYPOTHESIS
@@ -356,13 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="complete graph spec document")
     p.add_argument("--closed-form", default=None, metavar="PATH",
                    help="also write the closed-form inverse to PATH")
-    p.add_argument("--form", choices=sorted(_WINDMILL_FAMILIES), default="drazin",
+    p.add_argument("--form", choices=_WINDMILL_FORMS, default="drazin",
                    help="windmill variant used by --closed-form")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("verify", parents=[common], help="check one instance document end to end")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--form", choices=sorted(_WINDMILL_FAMILIES), default="drazin")
+    p.add_argument("--form", choices=_WINDMILL_FORMS, default="drazin")
     p.add_argument("--max-rel-error", type=float, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 

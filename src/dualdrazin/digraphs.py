@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Condition, HypothesisReport, _abco_formula, _require_conditions, bipartite_drazin
-from .drazin import _factorise, _gated, dual_drazin_series
+from .drazin import _factorise, _gated
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import IndexTooLarge, NotDualDrazinInvertible, SchemaError, SpecInvalid
@@ -329,13 +329,17 @@ def _theta_condition(theta: DualScalar) -> Condition:
     return Condition("theta_membership", 0.0, True)
 
 
-def _dw_conditions(spec: DutchWindmill, tol, res_tol) -> list[Condition]:
-    """Per-blade-pair commutation and annihilation residuals."""
+def _dw_conditions(spec: DutchWindmill, inverse: DualMatrix, res_tol) -> list[Condition]:
+    """Per-blade-pair commutation and annihilation residuals.
+
+    inverse is the (ungated) inverse of the block-diagonal blade matrix D,
+    whose diagonal blocks are the blade inverses D_s^D.
+    """
     projectors = []
-    for d in spec.blades:
+    for s, d in enumerate(spec.blades):
         size = d.shape[0]
-        inv = dual_drazin_series(d, tol)
-        e = dmul(d, inv)
+        blade = slice(s * size, (s + 1) * size)
+        e = dmul(d, inverse.block(blade, blade))
         projectors.append((e, DualMatrix.identity(size) - e))
     rtol = residual_tol(res_tol)
     conds = []
@@ -375,13 +379,16 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     """Residual report for the conditions the family formulas rely on.
 
     form selects the windmill variant: "drazin" and "group" check the
-    blade-pair annihilation and commutation conditions and whether the hub
-    product W = sum y_s x_t^T has a dual Drazin inverse ("group" also the
-    two index-at-most-one requirements), "bc_zero" checks that every outer
-    product of fan weights vanishes.  Double star and linked stars ignore
+    blade-pair annihilation and commutation conditions ("bc_zero" instead
+    checks that every outer product of fan weights vanishes), then whether
+    the block-diagonal blade matrix D has a dual Drazin inverse
+    (membership_D), then, except for "bc_zero", whether the hub product
+    W = sum y_s x_t^T has one (hub_membership); "group" adds the two
+    index-at-most-one requirements.  Double star and linked stars ignore
     form and report fan orthogonality; the double star also reports whether
-    theta = x^T y + ab has a dual Drazin inverse.  The report keeps the
-    factorisation of every matrix the family formula inverts.
+    theta = x^T y + ab has a dual Drazin inverse, and linked stars whether
+    the core does (membership_base).  The report keeps the factorisation of
+    every matrix the family formula inverts.
     """
     _validate(spec)
     if isinstance(spec, DoubleStar):
@@ -390,21 +397,28 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
             _theta_condition(_theta(spec)),
         )
         return HypothesisReport("DOUBLE_STAR", conds)
+    factors: dict = {}
+
+    def membership(name: str, key: str, x: DualMatrix) -> Condition:
+        factors[key], residual = _factorise(x, tol, res_tol)
+        return Condition(name, residual, factors[key].exists)
+
     if isinstance(spec, DLinkedStars):
-        conds = tuple(
+        conds = [
             _ortho_condition(f"fan_orthogonality_{i + 1}", xi, yi, res_tol)
             for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
-        )
-        return HypothesisReport("LINKED_STARS", conds, {"base": _factorise(spec.base, tol, res_tol)[0]})
+        ]
+        conds.append(membership("membership_base", "base", spec.base))
+        return HypothesisReport("LINKED_STARS", tuple(conds), factors)
     if form not in ("drazin", "bc_zero", "group"):
         raise SpecInvalid(f"unknown windmill form {form!r}")
     b_row, c_col, d_blk = _dw_parts(spec)
-    factors = {"D": _factorise(d_blk, tol, res_tol)[0]}
+    membership_d = membership("membership_D", "D", d_blk)
     if form == "bc_zero":
-        return HypothesisReport("WINDMILL_BC0", tuple(_bc0_conditions(spec, res_tol)), factors)
-    conds = _dw_conditions(spec, tol, res_tol)
-    factors["W"], residual = _factorise(dmul(c_col, b_row), tol, res_tol)
-    conds.append(Condition("hub_membership", residual, factors["W"].exists))
+        return HypothesisReport("WINDMILL_BC0", (*_bc0_conditions(spec, res_tol), membership_d), factors)
+    conds = _dw_conditions(spec, factors["D"].inverse, res_tol)
+    conds.append(membership_d)
+    conds.append(membership("hub_membership", "W", dmul(c_col, b_row)))
     if form == "drazin":
         return HypothesisReport("WINDMILL", tuple(conds), factors)
     for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
@@ -414,7 +428,8 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
 
 # Formula bodies: (spec, its report) -> inverse of the adjacency matrix.  A
 # body first raises as its public closed form does for a failed report, then
-# takes every matrix inverse from the report's factorisations through _gated.
+# takes every matrix inverse from the report's factorisations through _gated,
+# so a failed membership condition raises NotDualDrazinInvertible.
 
 
 def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
@@ -425,7 +440,8 @@ def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
 
 
 def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
-    _require_conditions(report.conditions, "leaf fans are not dual-orthogonal")
+    *fans, _ = report.conditions
+    _require_conditions(fans, "leaf fans are not dual-orthogonal")
     _, b_blk, c_blk = _dls_parts(spec)
     return _corner_formula(_gated(report.factorisations["base"]), b_blk, c_blk)
 
@@ -438,14 +454,14 @@ def _dw_series(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
 
 
 def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    *pairs, hub = report.conditions
+    *pairs, _, hub = report.conditions
     _require_conditions(pairs, "blade-pair conditions fail")
     _require_conditions([hub], "hub product is not invertible")
     return _dw_series(spec, report)
 
 
 def _group_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    *pairs, _, blade_index, hub_index = report.conditions
+    *pairs, _, _, blade_index, hub_index = report.conditions
     if not blade_index.passed:
         raise IndexTooLarge("blade matrix is not group invertible")
     if not hub_index.passed:
@@ -455,9 +471,19 @@ def _group_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
 
 
 def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    _require_conditions(report.conditions, "fan outer products are not dual-zero")
+    *outer, _ = report.conditions
+    _require_conditions(outer, "fan outer products are not dual-zero")
     b_row, c_col, _ = _dw_parts(spec)
     return _hub_first(_corner_formula(_gated(report.factorisations["D"]), c_col, b_row))
+
+
+_FORMULAS = {
+    "DOUBLE_STAR": _ds_formula,
+    "LINKED_STARS": _dls_formula,
+    "WINDMILL": _dw_formula,
+    "WINDMILL_BC0": _bc0_formula,
+    "WINDMILL_GROUP": _group_formula,
+}
 
 
 def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
@@ -485,8 +511,8 @@ def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
 
     Valid when, for every blade pair (s,t), the outer product y_s x_t^T is
     annihilated by the core-range part of blade s and intertwines the
-    blade matrices on their nilpotent parts, and when the hub product
-    W = sum y_s x_t^T has a dual Drazin inverse.
+    blade matrices on their nilpotent parts, and when the blade matrix D
+    and the hub product W = sum y_s x_t^T have dual Drazin inverses.
     """
     return _dw_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .dualmat import DualMatrix, _index_and_core, dmul, dpow
-from .errors import CrossCheckFailed, IndexTooLarge, NotDualDrazinInvertible, ShapeMismatch
+from .errors import IndexTooLarge, NotDualDrazinInvertible, ShapeMismatch
 from .tolerances import CLUSTER_TOL, rank_tol, residual_tol
 
 __all__ = [
@@ -256,20 +256,18 @@ def dual_drazin(
 
     The result's residuals are evaluated only when first read.
     """
-    x.require_square()
-    data = drazin_complex(x.std, tol)
-    exists, m = dual_exists(x, tol, res_tol, data)
-    if not exists:
-        raise NotDualDrazinInvertible(_NO_INVERSE)
-    inverse = dual_drazin_series(x, tol, data)
-    return DualDrazinData(inverse=inverse, m_matrix=m, exists=True, source=x, drazin=data, tol=tol)
+    dd, _ = _factorise(x, tol, res_tol)
+    _gated(dd)
+    return dd
 
 
 def _factorise(x: DualMatrix, tol, res_tol) -> tuple[DualDrazinData, float]:
-    """dual_drazin without the raise, plus the sandwich norm it decided on.
+    """One Schur factorisation, the existence test and the inverse series.
 
+    Returns the factorisation and the sandwich norm the test decided on.
     The series is evaluated even when ``exists`` is False: hypothesis checks
-    build projectors from it for matrices that may sit outside the class.
+    build projectors from it for matrices that may sit outside the class,
+    and dual_drazin gates it through _gated.
     """
     x.require_square()
     data = drazin_complex(x.std, tol)
@@ -292,30 +290,7 @@ def dual_drazin_power(
     tol: float | None = None,
     res_tol: float | None = None,
 ) -> DualMatrix:
-    """k-th dual power of the dual Drazin inverse, k >= 1.
-
-    Computed twice: directly as dpow of the inverse and through the series
-
-        (A^D)^k + eps * sum_{i=0..k-1} (A^D)^i R (A^D)^(k-1-i)
-
-    and cross-checked before returning.
-    """
+    """k-th dual power of the dual Drazin inverse, k >= 1."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    dd = dual_drazin(x, tol, res_tol)
-    direct = dpow(dd.inverse, k)
-
-    ad, r = dd.inverse.std, dd.inverse.inf
-    n = ad.shape[0]
-    dpowers = [np.eye(n, dtype=complex)]
-    for _ in range(k):
-        dpowers.append(dpowers[-1] @ ad)
-    series_inf = np.zeros_like(ad)
-    for i in range(k):
-        series_inf += dpowers[i] @ r @ dpowers[k - 1 - i]
-    series = DualMatrix(dpowers[k], series_inf)
-
-    gap = (direct - series).norm() / (1.0 + direct.norm())
-    if gap > residual_tol(res_tol) * 10:
-        raise CrossCheckFailed(f"power series disagrees with repeated product: {gap:.3e}")
-    return direct
+    return dpow(dual_drazin(x, tol, res_tol).inverse, k)

@@ -25,10 +25,6 @@ class NonFiniteEntries(DualDrazinError, ValueError):
     """A matrix entry is NaN or infinite."""
 
 
-class CrossCheckFailed(DualDrazinError, ArithmeticError):
-    """Two routes to the same quantity disagree beyond tolerance."""
-
-
 class HypothesisViolated(DualDrazinError):
     """A closed-form theorem was invoked on inputs violating its hypotheses."""
 

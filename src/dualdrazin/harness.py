@@ -26,25 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import _FORMULAS, THEOREMS, BlockInstance, check_hypotheses, closed_form
+from .blocks import _FORMULAS as _BLOCK_FORMULAS
+from .blocks import THEOREMS, BlockInstance, check_hypotheses
+from .digraphs import _FORMULAS as _GRAPH_FORMULAS
 from .digraphs import (
     DLinkedStars,
     DoubleStar,
     DutchWindmill,
-    GraphSpec,
-    _bc0_formula,
-    _dls_formula,
-    _ds_formula,
-    _dw_formula,
-    _group_formula,
     _theta,
     _theta_condition,
     build_adjacency,
-    dls_dual_drazin,
-    ds_dual_drazin,
-    dw_bc_zero,
-    dw_dual_drazin,
-    dw_group,
     graph_hypotheses,
     graph_spec_to_doc,
 )
@@ -794,33 +785,12 @@ def _exact_rank(rows_in) -> int:
 # fuzz driver
 
 
-# family -> (graph_hypotheses form, public closed form, formula body).  None
-# marks a block theorem, which check_hypotheses, closed_form and
-# blocks._FORMULAS dispatch on the instance's own tag.  The body evaluates
-# the formula from the instance and its report.  The lambdas look the
-# functions up as module globals (or _FORMULAS entries) at call time, so
-# wrappers installed over those (perfbench's tracing spans) also see these
-# calls.
-_FAMILY_TABLE = {
-    **dict.fromkeys(THEOREMS, (None, lambda *args: closed_form(*args),
-                               lambda inst, hyp: _FORMULAS[inst.theorem](inst, hyp))),
-    "DOUBLE_STAR": ("drazin", lambda *args: ds_dual_drazin(*args), lambda *args: _ds_formula(*args)),
-    "LINKED_STARS": ("drazin", lambda *args: dls_dual_drazin(*args), lambda *args: _dls_formula(*args)),
-    "WINDMILL": ("drazin", lambda *args: dw_dual_drazin(*args), lambda *args: _dw_formula(*args)),
-    "WINDMILL_BC0": ("bc_zero", lambda *args: dw_bc_zero(*args), lambda *args: _bc0_formula(*args)),
-    "WINDMILL_GROUP": ("group", lambda *args: dw_group(*args), lambda *args: _group_formula(*args)),
-}
+# report theorem -> formula body (instance, report) -> closed-form inverse,
+# for the nine block theorems and the five digraph families alike
+_FORMULAS = {**_BLOCK_FORMULAS, **_GRAPH_FORMULAS}
 
-
-def _family_of(inst, windmill: str) -> str:
-    """FAMILIES name of an instance; a windmill is checked as the variant named."""
-    if isinstance(inst, BlockInstance):
-        return inst.theorem
-    if isinstance(inst, DoubleStar):
-        return "DOUBLE_STAR"
-    if isinstance(inst, DLinkedStars):
-        return "LINKED_STARS"
-    return windmill
+# graph_hypotheses form of each family fuzz checks; "drazin" for the rest
+_FUZZ_FORMS = {"WINDMILL_BC0": "bc_zero", "WINDMILL_GROUP": "group"}
 
 
 @dataclass
@@ -851,16 +821,19 @@ def _instance_doc(inst) -> dict:
     return graph_spec_to_doc(inst)
 
 
-def _verify(inst, family: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
+def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
     """Check one instance: hypotheses, closed form, oracle, defining residuals.
+
+    form is the graph_hypotheses form a windmill is checked under; block
+    instances, double stars and linked stars ignore it.  The formula body
+    is the _FORMULAS entry of the report's theorem.
 
     Fills record with order, hypotheses_pass and hypothesis_residuals, then,
     when every hypothesis holds, closed_form_error (the relative gap to the
     series inverse of the assembled matrix) and defining_residuals, and
     last pass.  Errors propagate and leave the fields set so far in place.
     """
-    form, _, formula = _FAMILY_TABLE[family]
-    if form is None:
+    if isinstance(inst, BlockInstance):
         hyp = check_hypotheses(inst, tol, res_tol)
         assembled = inst.assembled()
     else:
@@ -872,7 +845,7 @@ def _verify(inst, family: str, tol, res_tol, max_rel_error: float, record: dict)
     if not hyp.passed:
         record["pass"] = False
         return
-    closed = formula(inst, hyp)
+    closed = _FORMULAS[hyp.theorem](inst, hyp)
     oracle = dual_drazin(assembled, tol, res_tol)
     rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
     defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, tol)]
@@ -908,7 +881,8 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
         doc = _instance_doc(inst)
         record["digest"] = hashlib.sha256(dumps_doc(doc).encode()).hexdigest()[:16]
         try:
-            _verify(inst, cfg.family, tol, res_tol, cfg.max_rel_error, record)
+            form = _FUZZ_FORMS.get(cfg.family, "drazin")
+            _verify(inst, form, tol, res_tol, cfg.max_rel_error, record)
         except DualDrazinError as exc:
             record.update({"pass": False, "note": f"{type(exc).__name__}: {exc}"})
             _persist(report, cfg, trial, doc, record)

@@ -5,10 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from dualdrazin import DoubleStar, DualMatrix, DualScalar, DutchWindmill
+from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DualScalar, DutchWindmill
 from dualdrazin.blocks import BlockInstance
 from dualdrazin.cli import main
-from dualdrazin.digraphs import ds_dual_drazin, dw_group, graph_spec_to_doc
+from dualdrazin.digraphs import (
+    dls_dual_drazin,
+    ds_dual_drazin,
+    dw_bc_zero,
+    dw_dual_drazin,
+    dw_group,
+    graph_spec_to_doc,
+)
 from dualdrazin.errors import NotDualDrazinInvertible
 from dualdrazin.harness import FAMILIES, GenConfig, fuzz, gen_instance
 from dualdrazin.serialize import dumps_doc
@@ -209,6 +216,12 @@ def _col(*values):
     return DualMatrix(np.array(values, dtype=complex).reshape(-1, 1))
 
 
+EPS = DualMatrix([[0]], [[1]])
+# one blade whose matrix D = eps is outside the class; every fan outer
+# product is eps^2 = 0, so the pair, outer-zero, hub and index conditions hold
+EPS_WINDMILL = DutchWindmill(m=1, n=1, blades=(EPS,), x=(EPS,), y=(EPS,))
+
+
 # Each spec passed its hypothesis report before the report checked the one
 # inverse it lacks; the public closed form then raised from inside.
 REPORT_GAPS = {
@@ -222,6 +235,14 @@ REPORT_GAPS = {
     "group_hub": ("group", "hub_membership", dw_group, DutchWindmill(
         m=1, n=1, blades=(DualMatrix([[0]]),), x=(DualMatrix([[0]], [[1]]),),
         y=(DualMatrix([[1]]),))),
+    "windmill_D": ("drazin", "membership_D", dw_dual_drazin, EPS_WINDMILL),
+    "bc_zero_D": ("bc-zero", "membership_D", dw_bc_zero, EPS_WINDMILL),
+    "group_D": ("group", "membership_D", dw_group, EPS_WINDMILL),
+    # the core [[0,1],[0,0]] + eps [[1,0],[2,1]] is outside the class, while
+    # both leaf fans are dual-orthogonal
+    "linked_base": ("drazin", "membership_base", dls_dual_drazin, DLinkedStars(
+        base=DualMatrix([[0, 1], [0, 0]], [[1, 0], [2, 1]]), r=(2, 2),
+        x=(_col(1, 1), _col(1, 1)), y=(_col(1, -1), _col(1, -1)))),
 }
 
 

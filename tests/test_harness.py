@@ -216,12 +216,14 @@ def _count_calls(monkeypatch, name):
 
 # Schur factorisations per ddz verify check: one per distinct matrix the
 # report tests or the formula inverts, plus the oracle on the assembled
-# matrix.  Windmills factorise each blade, W, D and the assembled matrix.
+# matrix.  Windmills factorise D, W and the assembled matrix; the blade
+# projectors come from D's factorisation.
 FACTORISATIONS = {
     "CLINE": 2, "TRI_UPPER": 3, "TRI_LOWER": 3, "SUM_PQ0": 3,
     "ABIO_RIGHT": 3, "ABIO_LEFT": 3, "ABCO_RIGHT": 3, "ABCO_LEFT": 3, "BIPARTITE": 2,
-    "DOUBLE_STAR": 1, "LINKED_STARS": 2, "WINDMILL_BC0": 2,
+    "DOUBLE_STAR": 1, "LINKED_STARS": 2, "WINDMILL": 3, "WINDMILL_BC0": 2, "WINDMILL_GROUP": 3,
 }
+WINDMILL_FORMS = {"WINDMILL_BC0": "bc_zero", "WINDMILL_GROUP": "group"}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -233,8 +235,7 @@ def test_verify_factorises_each_matrix_once(family, monkeypatch):
     for inst in instances:
         record = {}
         schur.clear()
-        _verify(inst, family, None, None, 1e-8, record)
+        _verify(inst, WINDMILL_FORMS.get(family, "drazin"), None, None, 1e-8, record)
         assert record["pass"], record
-        want = FACTORISATIONS.get(family) or inst.m + 3
-        assert len(schur) == want, (family, len(schur), want)
+        assert len(schur) == FACTORISATIONS[family], (family, len(schur))
     assert index == []
