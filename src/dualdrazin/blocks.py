@@ -12,15 +12,18 @@ Series limits follow the standard indices of the governing blocks, with an
 empty sum whenever the limit is zero.
 
 The anti-triangular [[A,B],[I,0]] (ABIO) is the C = I case of the bordered
-[[A,B],[C,0]] (ABCO): its hypotheses are the ABCO ones with W = BC = B, and
-both families share one formula body.
+[[A,B],[C,0]] (ABCO), and its report checks the ABCO conditions with
+W = BC = B.  It keeps a series of its own: with C = I the conditions also
+give A^D B = 0 (right) or B A^D = 0 (left), so several ABCO terms vanish
+and the (W^D)^2 term needs one factor B^D.  Evaluated at C = I, the ABCO
+series carries those terms as rounding error that grows with |B^D|^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .drazin import DualDrazinData, _factorise, _gated, dual_drazin
+from .drazin import DualDrazinData, _factorise, _gated, _sandwich, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
 from .errors import HypothesisViolated, ShapeMismatch
 from .serialize import matrix_from_doc, matrix_to_doc
@@ -196,8 +199,8 @@ def check_hypotheses(
     factors: dict[str, DualDrazinData] = {}
 
     def membership(key: str, x: DualMatrix) -> Condition:
-        factors[key], residual = _factorise(x, tol, res_tol)
-        return Condition(f"membership_{key}", residual, factors[key].exists)
+        dd = factors[key] = _factorise(x, tol, res_tol)
+        return Condition(f"membership_{key}", _sandwich(dd.drazin, dd.m_matrix), dd.exists)
 
     if t == "CLINE":
         a, bb = b["A"], b["B"]
@@ -293,23 +296,58 @@ def _sum_pq0(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     return out
 
 
-def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    """ABCO_* and ABIO_*: [[A,B],[I,0]] is the C = I case, with W = BC = B."""
+def _abio(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     _require_conditions(report.conditions, inst.theorem)
-    side = "right" if inst.theorem.endswith("RIGHT") else "left"
-    a, b, f = inst["A"], inst["B"], report.factorisations
-    if inst.theorem.startswith("ABIO"):
-        return _abco_formula(a, b, DualMatrix.identity(a.shape[0]), side, f["A"], f["B"])
-    return _abco_formula(a, b, inst["C"], side, f["A"], f["BC"])
+    a, b = inst["A"], inst["B"]
+    right = inst.theorem == "ABIO_RIGHT"
+    db = report.factorisations["B"]
+    xa = _gated(report.factorisations["A"])
+    xb = _gated(db)
+    n = a.shape[0]
+    eye = DualMatrix.identity(n)
+    b_e = dmul(b, xb)
+    b_pi = eye - b_e
+    a_pi = eye - dmul(a, xa)
+    aapi = dmul(a, a_pi)
+    limit = db.index
+    xa_pow = _dual_powers(xa, 2 * limit + 2)
+    b_pow = _dual_powers(b, max(limit, 1))
+    tl = DualMatrix.zeros(n)
+    tr = DualMatrix.zeros(n)
+    bl = DualMatrix.zeros(n)
+    br = DualMatrix.zeros(n)
+    for i in range(limit):
+        bpbi = dmul(b_pi, b_pow[i])
+        if right:
+            tl = tl + dmul(bpbi, xa_pow[2 * i + 1])
+            bl = bl + dmul(bpbi, xa_pow[2 * i + 2])
+        else:
+            bpbi1 = dmul(bpbi, b)
+            tl = tl + dmul(xa_pow[2 * i + 1], bpbi)
+            tr = tr + dmul(xa_pow[2 * i + 2], bpbi1)
+            bl = bl + dmul(xa_pow[2 * i + 2], bpbi)
+            br = br + dmul(xa_pow[2 * i + 3], bpbi1)
+    if right:
+        tr = b_e
+        bl = bl + dmul(xb, a_pi)
+        br = -dmul(aapi, xb)
+    else:
+        tr = tr + dmul(a_pi, b_e)
+        bl = bl + dmul(a_pi, xb)
+        br = br - dmul(aapi, xb) - dmul(xa, b_e)
+    return dblock([[tl, tr], [bl, br]])
+
+
+def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
+    _require_conditions(report.conditions, inst.theorem)
+    side = "right" if inst.theorem == "ABCO_RIGHT" else "left"
+    f = report.factorisations
+    return _abco_formula(inst["A"], inst["B"], inst["C"], side, f["A"], f["BC"])
 
 
 def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str,
                   da: DualDrazinData, dw: DualDrazinData) -> DualMatrix:
-    """The [[A,B],[C,0]] series from the factorisations of A and W = BC.
-
-    With C = I and W = B it is the [[A,B],[I,0]] inverse; the digraph
-    windmills call it with the blade matrix as A and the fans as B and C.
-    """
+    """The [[A,B],[C,0]] series from the factorisations of A and W = BC."""
     xa = _gated(da)
     xw = _gated(dw)
     w = dw.source
@@ -372,8 +410,8 @@ _FORMULAS = {
     "TRI_UPPER": _tri,
     "TRI_LOWER": _tri,
     "SUM_PQ0": _sum_pq0,
-    "ABIO_RIGHT": _abco,
-    "ABIO_LEFT": _abco,
+    "ABIO_RIGHT": _abio,
+    "ABIO_LEFT": _abio,
     "ABCO_RIGHT": _abco,
     "ABCO_LEFT": _abco,
     "BIPARTITE": _bipartite,

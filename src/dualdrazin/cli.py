@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import BlockInstance, abco_drazin, abio_drazin, bipartite_drazin, cline, tri_drazin
-from .digraphs import build_adjacency, graph_hypotheses, graph_spec_from_doc
-from .drazin import _existence_test, drazin_complex, dual_drazin
+from .digraphs import _WINDMILL_FORMS, build_adjacency, graph_hypotheses, graph_spec_from_doc
+from .drazin import _sandwich, drazin_complex, dual_drazin, dual_exists
 from .dualmat import DualMatrix, indices, rank_dual, rank_std
 from .errors import (
     DualDrazinError,
@@ -60,7 +60,7 @@ _GRAPH_FAMILY_KEYS = {
 }
 
 # --form values: the windmill variant, a graph_hypotheses form with "_" as "-"
-_WINDMILL_FORMS = ["bc-zero", "drazin", "group"]
+_FORM_CHOICES = sorted(form.replace("_", "-") for form in _WINDMILL_FORMS)
 
 
 def _env_float(name: str) -> float | None:
@@ -129,8 +129,8 @@ def _cmd_exists(args) -> int:
     x = _load_matrix(args.input)
     rank, res = _tols(args)
     data = drazin_complex(x.std, rank)
-    ok, _, sandwich = _existence_test(x, rank, res, data)
-    _emit({"exists": ok, "residual": sandwich, "ind_std": data.index}, args.output)
+    ok, m = dual_exists(x, rank, res, data)
+    _emit({"exists": ok, "residual": _sandwich(data, m), "ind_std": data.index}, args.output)
     return EXIT_OK if ok else EXIT_NOT_INVERTIBLE
 
 
@@ -353,13 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="complete graph spec document")
     p.add_argument("--closed-form", default=None, metavar="PATH",
                    help="also write the closed-form inverse to PATH")
-    p.add_argument("--form", choices=_WINDMILL_FORMS, default="drazin",
+    p.add_argument("--form", choices=_FORM_CHOICES, default="drazin",
                    help="windmill variant used by --closed-form")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("verify", parents=[common], help="check one instance document end to end")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--form", choices=_WINDMILL_FORMS, default="drazin")
+    p.add_argument("--form", choices=_FORM_CHOICES, default="drazin")
     p.add_argument("--max-rel-error", type=float, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 

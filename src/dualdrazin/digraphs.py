@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Condition, HypothesisReport, _abco_formula, _require_conditions, bipartite_drazin
-from .drazin import _factorise, _gated
+from .drazin import _factorise, _gated, _sandwich
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import IndexTooLarge, NotDualDrazinInvertible, SchemaError, SpecInvalid
@@ -375,6 +375,10 @@ def _bc0_conditions(spec: DutchWindmill, res_tol) -> list[Condition]:
     return conds
 
 
+# graph_hypotheses form of each windmill variant -> the theorem of its report
+_WINDMILL_FORMS = {"drazin": "WINDMILL", "bc_zero": "WINDMILL_BC0", "group": "WINDMILL_GROUP"}
+
+
 def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=None) -> HypothesisReport:
     """Residual report for the conditions the family formulas rely on.
 
@@ -400,8 +404,8 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     factors: dict = {}
 
     def membership(name: str, key: str, x: DualMatrix) -> Condition:
-        factors[key], residual = _factorise(x, tol, res_tol)
-        return Condition(name, residual, factors[key].exists)
+        dd = factors[key] = _factorise(x, tol, res_tol)
+        return Condition(name, _sandwich(dd.drazin, dd.m_matrix), dd.exists)
 
     if isinstance(spec, DLinkedStars):
         conds = [
@@ -410,20 +414,20 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
         ]
         conds.append(membership("membership_base", "base", spec.base))
         return HypothesisReport("LINKED_STARS", tuple(conds), factors)
-    if form not in ("drazin", "bc_zero", "group"):
+    if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
     b_row, c_col, d_blk = _dw_parts(spec)
     membership_d = membership("membership_D", "D", d_blk)
     if form == "bc_zero":
-        return HypothesisReport("WINDMILL_BC0", (*_bc0_conditions(spec, res_tol), membership_d), factors)
-    conds = _dw_conditions(spec, factors["D"].inverse, res_tol)
-    conds.append(membership_d)
-    conds.append(membership("hub_membership", "W", dmul(c_col, b_row)))
-    if form == "drazin":
-        return HypothesisReport("WINDMILL", tuple(conds), factors)
-    for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
-        conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
-    return HypothesisReport("WINDMILL_GROUP", tuple(conds), factors)
+        conds = [*_bc0_conditions(spec, res_tol), membership_d]
+    else:
+        conds = _dw_conditions(spec, factors["D"].inverse, res_tol)
+        conds.append(membership_d)
+        conds.append(membership("hub_membership", "W", dmul(c_col, b_row)))
+    if form == "group":
+        for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
+            conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
+    return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors)
 
 
 # Formula bodies: (spec, its report) -> inverse of the adjacency matrix.  A

@@ -175,24 +175,17 @@ def dual_exists(
     Returns (exists, M) where M is the mixed series whose projection onto
     the nilpotent part must vanish.
     """
-    ok, m, _ = _existence_test(x, tol, res_tol, data)
-    return ok, m
-
-
-def _existence_test(
-    x: DualMatrix,
-    tol: float | None = None,
-    res_tol: float | None = None,
-    data: DrazinData | None = None,
-) -> tuple[bool, np.ndarray, float]:
-    """dual_exists plus the norm of the sandwich Pi M Pi it compared."""
     x.require_square()
     if data is None:
         data = drazin_complex(x.std, tol)
     m = _dual_m_matrix(x, data.index)
-    sandwich = float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
-    ok = sandwich <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m))
-    return bool(ok), m, sandwich
+    ok = _sandwich(data, m) <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m))
+    return bool(ok), m
+
+
+def _sandwich(data: DrazinData, m: np.ndarray) -> float:
+    """Norm of Pi M Pi, the projection dual_exists compares with zero."""
+    return float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
 
 
 def dual_drazin_series(
@@ -256,25 +249,23 @@ def dual_drazin(
 
     The result's residuals are evaluated only when first read.
     """
-    dd, _ = _factorise(x, tol, res_tol)
+    dd = _factorise(x, tol, res_tol)
     _gated(dd)
     return dd
 
 
-def _factorise(x: DualMatrix, tol, res_tol) -> tuple[DualDrazinData, float]:
+def _factorise(x: DualMatrix, tol, res_tol) -> DualDrazinData:
     """One Schur factorisation, the existence test and the inverse series.
 
-    Returns the factorisation and the sandwich norm the test decided on.
     The series is evaluated even when ``exists`` is False: hypothesis checks
     build projectors from it for matrices that may sit outside the class,
     and dual_drazin gates it through _gated.
     """
     x.require_square()
     data = drazin_complex(x.std, tol)
-    exists, m, sandwich = _existence_test(x, tol, res_tol, data)
+    exists, m = dual_exists(x, tol, res_tol, data)
     inverse = dual_drazin_series(x, tol, data)
-    dd = DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol)
-    return dd, sandwich
+    return DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol)
 
 
 def _gated(dd: DualDrazinData) -> DualMatrix:

@@ -33,6 +33,7 @@ from .digraphs import (
     DLinkedStars,
     DoubleStar,
     DutchWindmill,
+    _WINDMILL_FORMS,
     _theta,
     _theta_condition,
     build_adjacency,
@@ -789,8 +790,8 @@ def _exact_rank(rows_in) -> int:
 # for the nine block theorems and the five digraph families alike
 _FORMULAS = {**_BLOCK_FORMULAS, **_GRAPH_FORMULAS}
 
-# graph_hypotheses form of each family fuzz checks; "drazin" for the rest
-_FUZZ_FORMS = {"WINDMILL_BC0": "bc_zero", "WINDMILL_GROUP": "group"}
+# graph_hypotheses form of each windmill family; fuzz uses "drazin" for the rest
+_FUZZ_FORMS = {theorem: form for form, theorem in _WINDMILL_FORMS.items()}
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dualdrazin.digraphs import (
     graph_spec_to_doc,
 )
 from dualdrazin.errors import NotDualDrazinInvertible
-from dualdrazin.harness import FAMILIES, GenConfig, fuzz, gen_instance
+from dualdrazin.harness import FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance
 from dualdrazin.serialize import dumps_doc
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
@@ -263,7 +263,6 @@ def test_report_gaps_are_exit_2_and_closed_forms_stay_exit_3(gap, write, capsys,
     assert code == 3 and err.startswith("error: ")
 
 
-WINDMILL_FORMS = {"WINDMILL": "drazin", "WINDMILL_BC0": "bc-zero", "WINDMILL_GROUP": "group"}
 SHARED_FIELDS = ("order", "hypotheses_pass", "hypothesis_residuals",
                  "closed_form_error", "defining_residuals", "pass")
 
@@ -274,7 +273,7 @@ def test_verify_matches_the_fuzz_record(family, tmp_path, capsys):
     # they must report the same fields, in the same order
     cfg = GenConfig(family, trials=2, seed=9)
     records = fuzz(cfg).records
-    form = WINDMILL_FORMS.get(family, "drazin")
+    form = _FUZZ_FORMS.get(family, "drazin").replace("_", "-")
     for trial, want in enumerate(records):
         inst = gen_instance(cfg, trial)
         doc = inst.to_doc() if isinstance(inst, BlockInstance) else graph_spec_to_doc(inst)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dualdrazin import (
+    BlockInstance,
     DualMatrix,
+    check_hypotheses,
     defining_residuals,
     dmul,
     drazin_complex,
@@ -186,3 +188,22 @@ def test_residuals_are_computed_once_on_first_read(monkeypatch, rng):
     assert out.index == matrix_index(x.std)
     assert first == defining_residuals(x, out.inverse, out.index)
 
+
+
+def test_existence_tests_run_through_dual_exists(monkeypatch):
+    # dual_drazin and every membership condition of a hypothesis report call
+    # dual_exists by name, so a wrapper installed over it sees each test
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dual_exists(*args, **kwargs)
+
+    monkeypatch.setattr(dualdrazin.drazin, "dual_exists", counted)
+    x = DualMatrix([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+    with pytest.raises(NotDualDrazinInvertible):
+        dual_drazin(x)
+    assert calls == [x]
+    report = check_hypotheses(BlockInstance("TRI_UPPER", {"A": x, "B": x, "D": x}))
+    assert len(calls) == 3
+    assert [c.passed for c in report.conditions] == [False, False]

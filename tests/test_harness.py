@@ -13,6 +13,7 @@ from dualdrazin.harness import (
     FAMILIES,
     GRAPH_FAMILIES,
     GenConfig,
+    _FUZZ_FORMS,
     _verify,
     fuzz,
     gen_existence,
@@ -223,7 +224,6 @@ FACTORISATIONS = {
     "ABIO_RIGHT": 3, "ABIO_LEFT": 3, "ABCO_RIGHT": 3, "ABCO_LEFT": 3, "BIPARTITE": 2,
     "DOUBLE_STAR": 1, "LINKED_STARS": 2, "WINDMILL": 3, "WINDMILL_BC0": 2, "WINDMILL_GROUP": 3,
 }
-WINDMILL_FORMS = {"WINDMILL_BC0": "bc_zero", "WINDMILL_GROUP": "group"}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -235,7 +235,7 @@ def test_verify_factorises_each_matrix_once(family, monkeypatch):
     for inst in instances:
         record = {}
         schur.clear()
-        _verify(inst, WINDMILL_FORMS.get(family, "drazin"), None, None, 1e-8, record)
+        _verify(inst, _FUZZ_FORMS.get(family, "drazin"), None, None, 1e-8, record)
         assert record["pass"], record
         assert len(schur) == FACTORISATIONS[family], (family, len(schur))
     assert index == []
