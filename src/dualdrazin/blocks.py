@@ -1,12 +1,15 @@
 """Closed-form dual Drazin inverses of structured block matrices.
 
 Each theorem family pairs a finite series formula with the hypotheses that
-make it valid.  check_hypotheses evaluates the hypotheses and keeps the
-factorisation of every block it tests for membership; the formula bodies
-take their inverses from that report, so each block is factorised once.
-The formula functions build the report and raise HypothesisViolated, or
-NotDualDrazinInvertible for a block outside the invertible class, rather
-than return a value the identity does not cover.
+make it valid.  A BlockInstance checks its blocks against the theorem's
+entry in _SHAPES when it is built and raises ShapeMismatch there, so later
+stages take the shapes as given.  check_hypotheses evaluates the
+hypotheses and keeps the factorisation of every block it tests for
+membership; the formula bodies take their inverses from that report, so
+each block is factorised once.  The formula functions build the report
+and raise HypothesisViolated, or NotDualDrazinInvertible for a block
+outside the invertible class, rather than return a value the identity
+does not cover.
 
 Series limits follow the standard indices of the governing blocks, with an
 empty sum whenever the limit is zero.
@@ -45,29 +48,22 @@ __all__ = [
     "closed_form",
 ]
 
-THEOREMS = (
-    "CLINE",
-    "TRI_UPPER",
-    "TRI_LOWER",
-    "SUM_PQ0",
-    "ABIO_RIGHT",
-    "ABIO_LEFT",
-    "ABCO_RIGHT",
-    "ABCO_LEFT",
-    "BIPARTITE",
-)
-
-_BLOCK_KEYS = {
-    "CLINE": ("A", "B"),
-    "TRI_UPPER": ("A", "B", "D"),
-    "TRI_LOWER": ("A", "B", "D"),
-    "SUM_PQ0": ("P", "Q"),
-    "ABIO_RIGHT": ("A", "B"),
-    "ABIO_LEFT": ("A", "B"),
-    "ABCO_RIGHT": ("A", "B", "C"),
-    "ABCO_LEFT": ("A", "B", "C"),
-    "BIPARTITE": ("B", "C"),
+# theorem -> its blocks, each with its (rows, cols) as size letters; blocks
+# sharing a letter must agree in that size.  THEOREMS keeps this order.
+_SHAPES = {
+    "CLINE": {"A": "mn", "B": "nm"},
+    "TRI_UPPER": {"A": "mm", "B": "mn", "D": "nn"},
+    "TRI_LOWER": {"A": "mm", "B": "mn", "D": "nn"},
+    "SUM_PQ0": {"P": "nn", "Q": "nn"},
+    "ABIO_RIGHT": {"A": "nn", "B": "nn"},
+    "ABIO_LEFT": {"A": "nn", "B": "nn"},
+    "ABCO_RIGHT": {"A": "nn", "B": "np", "C": "pn"},
+    "ABCO_LEFT": {"A": "nn", "B": "np", "C": "pn"},
+    "BIPARTITE": {"B": "np", "C": "pn"},
 }
+
+THEOREMS = tuple(_SHAPES)
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -95,17 +91,24 @@ class HypothesisReport:
 
 
 class BlockInstance:
-    """A theorem tag plus the named dual blocks it applies to."""
+    """A theorem tag plus the named dual blocks it applies to, checked to conform."""
 
     def __init__(self, theorem: str, blocks: dict[str, DualMatrix]):
-        if theorem not in _BLOCK_KEYS:
+        if theorem not in _SHAPES:
             raise ValueError(f"unknown theorem {theorem!r}")
-        needed = _BLOCK_KEYS[theorem]
-        missing = [k for k in needed if k not in blocks]
+        shapes = _SHAPES[theorem]
+        missing = [k for k in shapes if k not in blocks]
         if missing:
-            raise ShapeMismatch(f"{theorem} needs blocks {needed}, missing {missing}")
+            raise ShapeMismatch(f"{theorem} needs blocks {tuple(shapes)}, missing {missing}")
         self.theorem = theorem
-        self.blocks = {k: blocks[k] for k in needed}
+        self.blocks = {k: blocks[k] for k in shapes}
+        sizes: dict[str, int] = {}
+        for key, letters in shapes.items():
+            for letter, size in zip(letters, self.blocks[key].shape):
+                if sizes.setdefault(letter, size) != size:
+                    want = ", ".join(f"{k} {r}x{c}" for k, (r, c) in shapes.items())
+                    got = ", ".join(f"{k} {v.shape[0]}x{v.shape[1]}" for k, v in self.blocks.items())
+                    raise ShapeMismatch(f"{theorem} needs {want}, got {got}")
 
     def __getitem__(self, key: str) -> DualMatrix:
         return self.blocks[key]
@@ -119,31 +122,18 @@ class BlockInstance:
             return b["P"] + b["Q"]
         if t in ("TRI_UPPER", "TRI_LOWER"):
             a, bb, d = b["A"], b["B"], b["D"]
-            m, dd = a.require_square(), d.require_square()
-            if bb.shape != (m, dd):
-                raise ShapeMismatch(f"off-diagonal block must be {m}x{dd}, got {bb.shape}")
+            zero = DualMatrix.zeros(d.shape[0], a.shape[0])
             if t == "TRI_UPPER":
-                return dblock([[a, bb], [DualMatrix.zeros(dd, m), d]])
-            return dblock([[d, DualMatrix.zeros(dd, m)], [bb, a]])
+                return dblock([[a, bb], [zero, d]])
+            return dblock([[d, zero], [bb, a]])
         if t in ("ABIO_RIGHT", "ABIO_LEFT"):
-            a, bb = b["A"], b["B"]
-            n = a.require_square()
-            if bb.shape != (n, n):
-                raise ShapeMismatch(f"blocks must both be {n}x{n}, got {bb.shape}")
-            return dblock([[a, bb], [DualMatrix.identity(n), DualMatrix.zeros(n)]])
+            n = b["A"].shape[0]
+            return dblock([[b["A"], b["B"]], [DualMatrix.identity(n), DualMatrix.zeros(n)]])
         if t in ("ABCO_RIGHT", "ABCO_LEFT"):
-            a, bb, c = b["A"], b["B"], b["C"]
-            n = a.require_square()
-            p = bb.shape[1]
-            if bb.shape[0] != n or c.shape != (p, n):
-                raise ShapeMismatch(
-                    f"blocks {bb.shape} and {c.shape} do not border a {n}x{n} corner"
-                )
-            return dblock([[a, bb], [c, DualMatrix.zeros(p)]])
+            p = b["B"].shape[1]
+            return dblock([[b["A"], b["B"]], [b["C"], DualMatrix.zeros(p)]])
         bb, c = b["B"], b["C"]
         n, p = bb.shape
-        if c.shape != (p, n):
-            raise ShapeMismatch(f"expected {p}x{n} lower block, got {c.shape}")
         return dblock([[DualMatrix.zeros(n), bb], [c, DualMatrix.zeros(p)]])
 
     def to_doc(self) -> dict:
@@ -156,7 +146,7 @@ class BlockInstance:
     def from_doc(cls, doc: dict) -> "BlockInstance":
         theorem = doc.get("theorem")
         raw = doc.get("blocks")
-        if theorem not in _BLOCK_KEYS or not isinstance(raw, dict):
+        if theorem not in _SHAPES or not isinstance(raw, dict):
             raise ShapeMismatch("block instance document needs 'theorem' and 'blocks'")
         return cls(theorem, {k: matrix_from_doc(v) for k, v in raw.items()})
 
@@ -168,10 +158,23 @@ def _dual_powers(x: DualMatrix, count: int) -> list[DualMatrix]:
     return out
 
 
-def _residual_condition(name, defect: DualMatrix, operands, res_tol) -> Condition:
-    residual = defect.norm()
-    scale = 1.0 + sum(op.norm() for op in operands)
+def _condition(name: str, residual: float, scale: float, res_tol) -> Condition:
+    """The acceptance rule of every residual hypothesis: residual <= tol * scale."""
     return Condition(name, residual, residual <= residual_tol(res_tol) * scale)
+
+
+def _residual_condition(name, defect: DualMatrix, operands, res_tol) -> Condition:
+    return _condition(name, defect.norm(), 1.0 + sum(op.norm() for op in operands), res_tol)
+
+
+def _membership(factors: dict[str, DualDrazinData], tol, res_tol):
+    """A membership test that keeps each factorisation in factors under its key."""
+
+    def test(key: str, x: DualMatrix, name: str | None = None) -> Condition:
+        dd = factors[key] = _factorise(x, tol, res_tol)
+        return Condition(name or f"membership_{key}", _sandwich(dd.drazin, dd.m_matrix), dd.exists)
+
+    return test
 
 
 def _require_conditions(conds, context: str) -> None:
@@ -197,29 +200,18 @@ def check_hypotheses(
     t, b = inst.theorem, inst.blocks
     conds: list[Condition] = []
     factors: dict[str, DualDrazinData] = {}
-
-    def membership(key: str, x: DualMatrix) -> Condition:
-        dd = factors[key] = _factorise(x, tol, res_tol)
-        return Condition(f"membership_{key}", _sandwich(dd.drazin, dd.m_matrix), dd.exists)
-
+    membership = _membership(factors, tol, res_tol)
     if t == "CLINE":
-        a, bb = b["A"], b["B"]
-        if a.shape[1] != bb.shape[0] or a.shape[0] != bb.shape[1]:
-            raise ShapeMismatch(f"need m x n and n x m factors, got {a.shape} and {bb.shape}")
-        conds.append(membership("BA", dmul(bb, a)))
+        conds.append(membership("BA", dmul(b["B"], b["A"])))
     elif t in ("TRI_UPPER", "TRI_LOWER"):
-        inst.assembled()  # shape conformance only
         conds.append(membership("A", b["A"]))
         conds.append(membership("D", b["D"]))
     elif t == "SUM_PQ0":
         p, q = b["P"], b["Q"]
-        if p.shape != q.shape:
-            raise ShapeMismatch(f"summands must agree in shape, got {p.shape} and {q.shape}")
         conds.append(_residual_condition("product_zero", dmul(p, q), (p, q), res_tol))
         conds.append(membership("P", p))
         conds.append(membership("Q", q))
     elif t in ("ABIO_RIGHT", "ABIO_LEFT", "ABCO_RIGHT", "ABCO_LEFT"):
-        inst.assembled()
         a = b["A"]
         # ABIO couples A with W = B itself, ABCO with the product W = BC
         key, w = ("B", b["B"]) if t.startswith("ABIO") else ("BC", dmul(b["B"], b["C"]))
@@ -234,7 +226,6 @@ def check_hypotheses(
         conds.append(membership_a)
         conds.append(membership(key, w))
     else:  # BIPARTITE
-        inst.assembled()
         conds.append(membership("BC", dmul(b["B"], b["C"])))
     return HypothesisReport(theorem=t, conditions=tuple(conds), factorisations=factors)
 

@@ -5,7 +5,9 @@ fans), linked stars (a core digraph whose vertices each carry a leaf fan),
 and windmills (even cycles joined at a common hub).  Each family has a
 canonical vertex ordering, so its adjacency matrix is reproducible
 bit-for-bit, and a closed-form dual Drazin inverse built from the blocks
-of that layout.
+of that layout.  The layout is written once per family (_layout), for the
+standard and the infinitesimal parts alike; the formula blocks are slices
+of the matrix it builds (_parts).
 
 Weights are dual complex numbers.  Arc weights may be pure infinitesimals;
 a weight that is zero in both parts means the arc is missing, which the
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Condition, HypothesisReport, _abco_formula, _require_conditions, bipartite_drazin
-from .drazin import _factorise, _gated, _sandwich
+from .blocks import Condition, HypothesisReport, _abco_formula, _condition, _membership
+from .blocks import _require_conditions, bipartite_drazin
+from .drazin import _gated
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import IndexTooLarge, NotDualDrazinInvertible, SchemaError, SpecInvalid
@@ -31,7 +34,6 @@ from .serialize import (
     vector_from_doc,
     vector_to_doc,
 )
-from .tolerances import residual_tol
 
 __all__ = [
     "DoubleStar",
@@ -156,93 +158,80 @@ def _validate(spec: GraphSpec) -> None:
         raise SpecInvalid(f"unknown graph spec {type(spec).__name__}")
 
 
-def _ds_parts(spec: DoubleStar) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
-    """Core [[0,x^T,a],[y,0,0],[b,0,0]], hub2 leaf row block, leaf column block."""
-    m, n = spec.m, spec.n
-    core_std = np.zeros((m + 2, m + 2), dtype=complex)
-    core_inf = np.zeros((m + 2, m + 2), dtype=complex)
-    core_std[0, 1 : m + 1] = spec.x.std[:, 0]
-    core_inf[0, 1 : m + 1] = spec.x.inf[:, 0]
-    core_std[1 : m + 1, 0] = spec.y.std[:, 0]
-    core_inf[1 : m + 1, 0] = spec.y.inf[:, 0]
-    core_std[0, m + 1] = spec.a.std
-    core_inf[0, m + 1] = spec.a.inf
-    core_std[m + 1, 0] = spec.b.std
-    core_inf[m + 1, 0] = spec.b.inf
-    core = DualMatrix(core_std, core_inf)
-    b_std = np.zeros((m + 2, n), dtype=complex)
-    b_inf = np.zeros((m + 2, n), dtype=complex)
-    b_std[m + 1, :] = spec.w.std[:, 0]
-    b_inf[m + 1, :] = spec.w.inf[:, 0]
-    c_std = np.zeros((n, m + 2), dtype=complex)
-    c_inf = np.zeros((n, m + 2), dtype=complex)
-    c_std[:, m + 1] = spec.v.std[:, 0]
-    c_inf[:, m + 1] = spec.v.inf[:, 0]
-    return core, DualMatrix(b_std, b_inf), DualMatrix(c_std, c_inf)
+def _layout(spec: GraphSpec, part: str) -> np.ndarray:
+    """One part ("std" or "inf") of every weight, placed in the adjacency matrix.
 
-
-def _dls_parts(spec: DLinkedStars) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
-    n = spec.base.shape[0]
-    total = sum(spec.r)
-    b_std = np.zeros((n, total), dtype=complex)
-    b_inf = np.zeros((n, total), dtype=complex)
-    c_std = np.zeros((total, n), dtype=complex)
-    c_inf = np.zeros((total, n), dtype=complex)
-    offset = 0
-    for i, ri in enumerate(spec.r):
-        b_std[i, offset : offset + ri] = spec.x[i].std[:, 0]
-        b_inf[i, offset : offset + ri] = spec.x[i].inf[:, 0]
-        c_std[offset : offset + ri, i] = spec.y[i].std[:, 0]
-        c_inf[offset : offset + ri, i] = spec.y[i].inf[:, 0]
-        offset += ri
-    return spec.base, DualMatrix(b_std, b_inf), DualMatrix(c_std, c_inf)
-
-
-def _dw_parts(spec: DutchWindmill) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
-    """Hub row block, hub column block, block-diagonal blade matrix."""
+    Double star: [[A, B], [C, 0]] with A the hub1 star plus hub2, B hub2's
+    leaf row and C hub2's leaf column.  Linked stars: the same with A the
+    core.  Windmill: [[0, B], [C, D]] with the hub first, B its fan row, C
+    its fan column and D the block-diagonal blade matrix.
+    """
+    if isinstance(spec, DoubleStar):
+        m = spec.m
+        out = np.zeros((m + spec.n + 2,) * 2, dtype=complex)
+        out[0, 1 : m + 1] = getattr(spec.x, part)[:, 0]
+        out[1 : m + 1, 0] = getattr(spec.y, part)[:, 0]
+        out[0, m + 1] = getattr(spec.a, part)
+        out[m + 1, 0] = getattr(spec.b, part)
+        out[m + 1, m + 2 :] = getattr(spec.w, part)[:, 0]
+        out[m + 2 :, m + 1] = getattr(spec.v, part)[:, 0]
+        return out
+    if isinstance(spec, DLinkedStars):
+        n = spec.base.shape[0]
+        offset = n
+        out = np.zeros((n + sum(spec.r),) * 2, dtype=complex)
+        out[:n, :n] = getattr(spec.base, part)
+        for i, ri in enumerate(spec.r):
+            out[i, offset : offset + ri] = getattr(spec.x[i], part)[:, 0]
+            out[offset : offset + ri, i] = getattr(spec.y[i], part)[:, 0]
+            offset += ri
+        return out
     size = 2 * spec.n - 1
-    total = spec.m * size
-    b_std = np.zeros((1, total), dtype=complex)
-    b_inf = np.zeros((1, total), dtype=complex)
-    c_std = np.zeros((total, 1), dtype=complex)
-    c_inf = np.zeros((total, 1), dtype=complex)
-    d_std = np.zeros((total, total), dtype=complex)
-    d_inf = np.zeros((total, total), dtype=complex)
+    out = np.zeros((1 + spec.m * size,) * 2, dtype=complex)
     for s in range(spec.m):
-        lo, hi = s * size, (s + 1) * size
-        b_std[0, lo:hi] = spec.x[s].std[:, 0]
-        b_inf[0, lo:hi] = spec.x[s].inf[:, 0]
-        c_std[lo:hi, 0] = spec.y[s].std[:, 0]
-        c_inf[lo:hi, 0] = spec.y[s].inf[:, 0]
-        d_std[lo:hi, lo:hi] = spec.blades[s].std
-        d_inf[lo:hi, lo:hi] = spec.blades[s].inf
-    return DualMatrix(b_std, b_inf), DualMatrix(c_std, c_inf), DualMatrix(d_std, d_inf)
+        blade = slice(1 + s * size, 1 + (s + 1) * size)
+        out[0, blade] = getattr(spec.x[s], part)[:, 0]
+        out[blade, 0] = getattr(spec.y[s], part)[:, 0]
+        out[blade, blade] = getattr(spec.blades[s], part)
+    return out
+
+
+def _adjacency(spec: GraphSpec) -> DualMatrix:
+    return DualMatrix(_layout(spec, "std"), _layout(spec, "inf"))
+
+
+def _parts(spec: GraphSpec) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
+    """(A, B, C) of [[A, B], [C, 0]], sliced from the adjacency matrix.
+
+    The windmill's hub-first [[0, B], [C, D]] gives (D, C, B): its blocks
+    in the [[A, B], [C, 0]] order once the hub is moved last.
+    """
+    matrix = _adjacency(spec)
+    if isinstance(spec, DutchWindmill):
+        hub, rest = slice(0, 1), slice(1, None)
+        return matrix.block(rest, rest), matrix.block(rest, hub), matrix.block(hub, rest)
+    k = spec.m + 2 if isinstance(spec, DoubleStar) else spec.base.shape[0]
+    core, leaves = slice(0, k), slice(k, None)
+    return matrix.block(core, core), matrix.block(core, leaves), matrix.block(leaves, core)
 
 
 def build_adjacency(spec: GraphSpec) -> AdjacencyBuild:
     """Canonical adjacency matrix, vertex labels and family metadata."""
     _validate(spec)
+    matrix = _adjacency(spec)
     if isinstance(spec, DoubleStar):
-        core, b_blk, c_blk = _ds_parts(spec)
-        n = spec.n
-        matrix = dblock([[core, b_blk], [c_blk, DualMatrix.zeros(n)]])
         labels = (
             ["hub1"]
             + [f"hub1_leaf{j + 1}" for j in range(spec.m)]
             + ["hub2"]
-            + [f"hub2_leaf{j + 1}" for j in range(n)]
+            + [f"hub2_leaf{j + 1}" for j in range(spec.n)]
         )
         return AdjacencyBuild(matrix, tuple(labels))
     if isinstance(spec, DLinkedStars):
-        base, b_blk, c_blk = _dls_parts(spec)
-        total = sum(spec.r)
-        matrix = dblock([[base, b_blk], [c_blk, DualMatrix.zeros(total)]])
         labels = [f"core{i + 1}" for i in range(len(spec.r))]
         for i, ri in enumerate(spec.r):
             labels += [f"core{i + 1}_leaf{j + 1}" for j in range(ri)]
         return AdjacencyBuild(matrix, tuple(labels))
-    b_row, c_col, d_blk = _dw_parts(spec)
-    matrix = dblock([[DualMatrix.zeros(1), b_row], [c_col, d_blk]])
     size = 2 * spec.n - 1
     labels = ["hub"]
     for s in range(spec.m):
@@ -300,19 +289,12 @@ def _corner_formula(ad: DualMatrix, b_blk: DualMatrix, c_blk: DualMatrix) -> Dua
 
 def _hub_first(inner: DualMatrix) -> DualMatrix:
     """Move the last row and column of a windmill inverse, the hub's, to the front."""
-    total = inner.shape[0] - 1
-    rows = slice(0, total)
-    last = slice(total, total + 1)
-    return dblock([
-        [inner.block(last, last), inner.block(last, rows)],
-        [inner.block(rows, last), inner.block(rows, rows)],
-    ])
+    order = np.roll(np.arange(inner.shape[0]), 1)
+    return DualMatrix(inner.std[np.ix_(order, order)], inner.inf[np.ix_(order, order)])
 
 
 def _ortho_condition(name: str, u: DualMatrix, v: DualMatrix, res_tol) -> Condition:
-    ortho = abs(_dual_dot(u, v))
-    scale = 1.0 + u.norm() * v.norm()
-    return Condition(name, float(ortho), ortho <= residual_tol(res_tol) * scale)
+    return _condition(name, float(abs(_dual_dot(u, v))), 1.0 + u.norm() * v.norm(), res_tol)
 
 
 def _theta(spec: DoubleStar) -> DualScalar:
@@ -341,7 +323,6 @@ def _dw_conditions(spec: DutchWindmill, inverse: DualMatrix, res_tol) -> list[Co
         blade = slice(s * size, (s + 1) * size)
         e = dmul(d, inverse.block(blade, blade))
         projectors.append((e, DualMatrix.identity(size) - e))
-    rtol = residual_tol(res_tol)
     conds = []
     for s in range(spec.m):
         d_s = spec.blades[s]
@@ -352,26 +333,19 @@ def _dw_conditions(spec: DutchWindmill, inverse: DualMatrix, res_tol) -> list[Co
             outer = dmul(spec.y[s], spec.x[t].T)
             scale = 1.0 + (d_s.norm() + d_t.norm()) * (1.0 + outer.norm())
             annihil = dmul(dmul(d_s, e_s), outer).norm()
-            conds.append(
-                Condition(f"annihilation_{s + 1}_{t + 1}", float(annihil), annihil <= rtol * scale)
-            )
+            conds.append(_condition(f"annihilation_{s + 1}_{t + 1}", annihil, scale, res_tol))
             commute = (dmul(d_s, outer) - dmul(outer, dmul(d_t, pi_t))).norm()
-            conds.append(
-                Condition(f"commutation_{s + 1}_{t + 1}", float(commute), commute <= rtol * scale)
-            )
+            conds.append(_condition(f"commutation_{s + 1}_{t + 1}", commute, scale, res_tol))
     return conds
 
 
 def _bc0_conditions(spec: DutchWindmill, res_tol) -> list[Condition]:
-    rtol = residual_tol(res_tol)
     conds = []
     for s in range(spec.m):
         for t in range(spec.m):
             outer = dmul(spec.y[s], spec.x[t].T).norm()
             scale = 1.0 + spec.y[s].norm() * spec.x[t].norm()
-            conds.append(
-                Condition(f"outer_zero_{s + 1}_{t + 1}", float(outer), outer <= rtol * scale)
-            )
+            conds.append(_condition(f"outer_zero_{s + 1}_{t + 1}", outer, scale, res_tol))
     return conds
 
 
@@ -402,28 +376,24 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
         )
         return HypothesisReport("DOUBLE_STAR", conds)
     factors: dict = {}
-
-    def membership(name: str, key: str, x: DualMatrix) -> Condition:
-        dd = factors[key] = _factorise(x, tol, res_tol)
-        return Condition(name, _sandwich(dd.drazin, dd.m_matrix), dd.exists)
-
+    membership = _membership(factors, tol, res_tol)
     if isinstance(spec, DLinkedStars):
         conds = [
             _ortho_condition(f"fan_orthogonality_{i + 1}", xi, yi, res_tol)
             for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
         ]
-        conds.append(membership("membership_base", "base", spec.base))
+        conds.append(membership("base", spec.base))
         return HypothesisReport("LINKED_STARS", tuple(conds), factors)
     if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
-    b_row, c_col, d_blk = _dw_parts(spec)
-    membership_d = membership("membership_D", "D", d_blk)
+    d_blk, c_col, b_row = _parts(spec)
+    membership_d = membership("D", d_blk)
     if form == "bc_zero":
         conds = [*_bc0_conditions(spec, res_tol), membership_d]
     else:
         conds = _dw_conditions(spec, factors["D"].inverse, res_tol)
         conds.append(membership_d)
-        conds.append(membership("hub_membership", "W", dmul(c_col, b_row)))
+        conds.append(membership("W", dmul(c_col, b_row), "hub_membership"))
     if form == "group":
         for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
             conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
@@ -438,7 +408,7 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
 
 def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
     _require_conditions(report.conditions[:1], "hub2 fan is not dual-orthogonal")
-    core, b_blk, c_blk = _ds_parts(spec)
+    core, b_blk, c_blk = _parts(spec)
     ad = _scalar_scale(scalar_dual_drazin(_theta(spec)), core)
     return _corner_formula(ad, b_blk, c_blk)
 
@@ -446,13 +416,13 @@ def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
 def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
     *fans, _ = report.conditions
     _require_conditions(fans, "leaf fans are not dual-orthogonal")
-    _, b_blk, c_blk = _dls_parts(spec)
+    _, b_blk, c_blk = _parts(spec)
     return _corner_formula(_gated(report.factorisations["base"]), b_blk, c_blk)
 
 
 def _dw_series(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
     """The bordered-corner series of [[D, C],[B, 0]], hub moved first."""
-    b_row, c_col, d_blk = _dw_parts(spec)
+    d_blk, c_col, b_row = _parts(spec)
     f = report.factorisations
     return _hub_first(_abco_formula(d_blk, c_col, b_row, "right", f["D"], f["W"]))
 
@@ -477,7 +447,7 @@ def _group_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
 def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
     *outer, _ = report.conditions
     _require_conditions(outer, "fan outer products are not dual-zero")
-    b_row, c_col, _ = _dw_parts(spec)
+    _, c_col, b_row = _parts(spec)
     return _hub_first(_corner_formula(_gated(report.factorisations["D"]), c_col, b_row))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .dualmat import DualMatrix, _index_and_core, dmul, dpow
-from .errors import IndexTooLarge, NotDualDrazinInvertible, ShapeMismatch
+from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch
 from .tolerances import CLUSTER_TOL, rank_tol, residual_tol
 
 __all__ = [
@@ -159,8 +159,11 @@ def _dual_m_matrix(x: DualMatrix, k: int) -> np.ndarray:
     powers = [np.eye(n, dtype=complex)]
     for _ in range(k):
         powers.append(powers[-1] @ a)
-    for i in range(1, k + 1):
-        m += powers[k - i] @ a0 @ powers[i - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, k + 1):
+            m += powers[k - i] @ a0 @ powers[i - 1]
+    if not np.isfinite(m).all():
+        raise NonFiniteEntries("the mixed series M of the existence test overflows")
     return m
 
 

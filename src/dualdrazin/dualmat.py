@@ -87,9 +87,11 @@ class DualMatrix:
     # ---- algebra -------------------------------------------------------
 
     def __add__(self, other: "DualMatrix") -> "DualMatrix":
+        _require_same_shape(self, other)
         return DualMatrix(self.std + other.std, self.inf + other.inf)
 
     def __sub__(self, other: "DualMatrix") -> "DualMatrix":
+        _require_same_shape(self, other)
         return DualMatrix(self.std - other.std, self.inf - other.inf)
 
     def __neg__(self) -> "DualMatrix":
@@ -118,6 +120,12 @@ class DualMatrix:
     def __repr__(self) -> str:
         m, n = self.shape
         return f"DualMatrix({m}x{n}, |std|={np.linalg.norm(self.std):.3g}, |inf|={np.linalg.norm(self.inf):.3g})"
+
+
+def _require_same_shape(x: DualMatrix, y: DualMatrix) -> None:
+    """Sums and differences need equal shapes; numpy would broadcast instead."""
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"cannot add or subtract {x.shape} and {y.shape}")
 
 
 def dmul(x: DualMatrix, y: DualMatrix) -> DualMatrix:
@@ -177,13 +185,16 @@ def _index_and_core(a: np.ndarray, tol: float | None = None) -> tuple[int, int]:
     n = a.shape[0]
     power = np.eye(n, dtype=complex)
     prev = n
-    for k in range(n + 1):
-        nxt = power @ a
-        r = numerical_rank(nxt, tol)
-        if r == prev:
-            return k, prev
-        power = nxt
-        prev = r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            nxt = power @ a
+            if not np.isfinite(nxt).all():
+                raise NonFiniteEntries(f"power {k + 1} of the matrix overflows")
+            r = numerical_rank(nxt, tol)
+            if r == prev:
+                return k, prev
+            power = nxt
+            prev = r
     return n, prev
 
 

@@ -34,6 +34,7 @@ from .digraphs import (
     DoubleStar,
     DutchWindmill,
     _WINDMILL_FORMS,
+    _parts,
     _theta,
     _theta_condition,
     build_adjacency,
@@ -41,7 +42,7 @@ from .digraphs import (
     graph_spec_to_doc,
 )
 from .drazin import defining_residuals, dual_drazin, dual_exists
-from .dualmat import DualMatrix, dblock, dmul
+from .dualmat import DualMatrix, dmul
 from .dualnum import DualScalar
 from .errors import (
     DualDrazinError,
@@ -548,8 +549,8 @@ def _gen_windmill(cfg, trial, rng):
     spec = DutchWindmill(m=m, n=n, blades=blades, x=tuple(x), y=tuple(y))
     # the closed form also inverts the hub product W = sum y_s x_t^T, which
     # can fall outside the class even when the assembled adjacency does not
-    hub = dmul(dblock([[ys] for ys in spec.y]), dblock([[xs.T for xs in spec.x]]))
-    ok = _in_class(build_adjacency(spec).matrix) and _in_class(hub)
+    _, fan_col, fan_row = _parts(spec)
+    ok = _in_class(build_adjacency(spec).matrix) and _in_class(dmul(fan_col, fan_row))
     return spec, ok
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from dualdrazin import (
     sum_pq_zero,
     tri_drazin,
 )
+from dualdrazin.cli import main
 from dualdrazin.errors import HypothesisViolated, ShapeMismatch
+from dualdrazin.serialize import matrix_to_doc
 
 from conftest import rand_int_dual, rel_err
 
@@ -228,6 +232,34 @@ def test_instance_validates_blocks():
         BlockInstance("NOPE", {})
     with pytest.raises(ShapeMismatch):
         BlockInstance("CLINE", {"A": DualMatrix.zeros(2)})
+
+
+# one block-size disagreement per theorem, each of a kind the theorem's
+# assembly or formula would otherwise hit later (SUM_PQ0 by broadcasting)
+NONCONFORMING = {
+    "CLINE": {"A": DualMatrix.zeros(2, 3), "B": DualMatrix.zeros(2, 3)},
+    "TRI_UPPER": {"A": dual_eye(2), "B": DualMatrix.zeros(3, 2), "D": dual_eye(2)},
+    "TRI_LOWER": {"A": DualMatrix.zeros(2, 3), "B": DualMatrix.zeros(2, 3), "D": dual_eye(3)},
+    "SUM_PQ0": {"P": DualMatrix([[1]]), "Q": dual_eye(3)},
+    "ABIO_RIGHT": {"A": dual_eye(2), "B": dual_eye(3)},
+    "ABIO_LEFT": {"A": dual_eye(2), "B": DualMatrix.zeros(2, 3)},
+    "ABCO_RIGHT": {"A": dual_eye(2), "B": DualMatrix.zeros(2, 3), "C": DualMatrix.zeros(2, 2)},
+    "ABCO_LEFT": {"A": dual_eye(2), "B": DualMatrix.zeros(3, 1), "C": DualMatrix.zeros(1, 2)},
+    "BIPARTITE": {"B": DualMatrix.zeros(2, 3), "C": DualMatrix.zeros(2, 3)},
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_nonconforming_blocks_are_rejected_where_built(theorem, tmp_path, capsys):
+    blocks = NONCONFORMING[theorem]
+    with pytest.raises(ShapeMismatch):
+        BlockInstance(theorem, blocks)
+    doc = {"theorem": theorem, "blocks": {k: matrix_to_doc(v) for k, v in blocks.items()}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "-i", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_closed_form_dispatches_every_theorem(rng):

@@ -124,6 +124,23 @@ def test_non_finite_entries_are_exit_4(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# Finite entries whose powers overflow: all 1e200 overflows A^2 in the rank
+# stabilisation, and 1.5e308 infinitesimal entries over a nilpotent standard
+# part overflow the mixed series M of the existence test.
+OVERFLOWING = {
+    "huge_std": {"rows": 2, "cols": 2, "std": [[[1e200, 0]] * 2] * 2},
+    "huge_inf": dict(NILPOTENT, inf=[[[1.5e308, 0]] * 2] * 2),
+}
+
+
+@pytest.mark.parametrize("verb", ["dual-drazin", "exists", "index"])
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_entries_are_exit_4(name, verb, write, capsys):
+    code, out, err = run(capsys, verb, "-i", write(OVERFLOWING[name], "big.json"))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_non_square_drazin_input_is_exit_4(write, capsys):
     wide = {"rows": 1, "cols": 2, "std": [[[1, 0], [0, 0]]]}
     code, _, err = run(capsys, "drazin", "-i", write(wide, "wide.json"))

@@ -1,5 +1,7 @@
 """Adjacency builders, their zero patterns, and the specialized inverses."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,48 @@ def test_validation_catches_bad_specs():
         )
     with pytest.raises(SpecInvalid):
         windmill_pattern(0, 3)
+
+
+# sha256[:16] of build_adjacency (both parts, then the vertex labels) and of
+# each family's closed form, for gen_instance(GenConfig(family, trials=3,
+# seed=5), trial).  The adjacency entries are integers; the closed forms are
+# float output, pinned bit for bit against layout rewrites.
+PINNED_LAYOUTS = {
+    "DOUBLE_STAR": [("89f5000d74fd9851", "cfa6e56114e51c93"), ("db62749ff785a720", "64d7e5bbaddd3e5b"),
+                    ("9b0678bb1dfb0fa2", "a17ab98bc528447a")],
+    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "33f0a7ed188f30b9"),
+                     ("9508e95cc4d777df", "751629dfcca57062")],
+    "WINDMILL": [("dcfb4b453eee68f5", "1a35a540b2a43f5e"), ("6bdfc08886812545", "f0286991f63750d9"),
+                 ("0af182a93d89bf9c", "69f73988ecce07c5")],
+    "WINDMILL_BC0": [("8797db4794f6339d", "7fc500d720a220c8"), ("425249e89e2a2319", "1ef2d9b592a28a83"),
+                     ("07e740ac70f89609", "b5049814da9e1169")],
+    "WINDMILL_GROUP": [("b27068c7db85cd48", "8ba80a12a1a5a224"), ("4f16e6a4318d33ee", "03356935f026ea7d"),
+                       ("1f9387b3fe68a604", "020e665644bdbfce")],
+}
+CLOSED_FORMS = {
+    "DOUBLE_STAR": ds_dual_drazin,
+    "LINKED_STARS": dls_dual_drazin,
+    "WINDMILL": dw_dual_drazin,
+    "WINDMILL_BC0": dw_bc_zero,
+    "WINDMILL_GROUP": dw_group,
+}
+
+
+def _digest(matrix, labels=()):
+    h = hashlib.sha256(matrix.std.tobytes() + matrix.inf.tobytes())
+    h.update("\n".join(labels).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_LAYOUTS))
+def test_layouts_and_closed_forms_are_pinned(family):
+    cfg = GenConfig(family, trials=3, seed=5)
+    got = []
+    for trial in range(cfg.trials):
+        spec = gen_instance(cfg, trial)
+        build = build_adjacency(spec)
+        got.append((_digest(build.matrix, build.vertex_order), _digest(CLOSED_FORMS[family](spec))))
+    assert got == PINNED_LAYOUTS[family]
 
 
 # ---- closed forms --------------------------------------------------------

@@ -26,6 +26,17 @@ def test_shapes_must_agree():
         dmul(DualMatrix.zeros(2, 3), DualMatrix.zeros(2, 3))
 
 
+def test_sums_do_not_broadcast():
+    # numpy alone would broadcast the 1x1 operand to a 3x3 result
+    one, eye = DualMatrix([[2]]), DualMatrix.identity(3)
+    with pytest.raises(ShapeMismatch):
+        one + eye
+    with pytest.raises(ShapeMismatch):
+        eye - one
+    with pytest.raises(ShapeMismatch):
+        DualMatrix.zeros(2, 3) + DualMatrix.zeros(3, 2)
+
+
 def test_entries_must_be_finite():
     with pytest.raises(ValueError):
         DualMatrix(np.array([[np.inf, 0], [0, 0]]))

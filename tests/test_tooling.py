@@ -1,10 +1,15 @@
-"""The benchmark under perfbench/ names package functions; each must exist.
+"""Checks on the source tree rather than on its behaviour.
 
+The benchmark under perfbench/ names package functions; each must exist.
 The tracer wraps every (module, attribute) in tracing.SPANS, and the
 workloads call the public closed forms named in workloads.GRAPH_FORMS, so
 removing or renaming one of them breaks the benchmark's runs.
+
+Every name a package module imports is used there or re-exported through
+its __all__, so a refactor cannot leave a stale import behind.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,7 +17,8 @@ from pathlib import Path
 
 import dualdrazin
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -37,3 +43,26 @@ def test_benchmarked_graph_forms_are_public():
     forms = _load("workloads").GRAPH_FORMS
     missing = [name for name, _ in forms.values() if not callable(getattr(dualdrazin, name, None))]
     assert forms and missing == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = getattr(node, "targets", [])
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+
+
+def test_package_modules_have_no_unused_imports():
+    modules = sorted((ROOT / "src" / "dualdrazin").glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in _unused_imports(path)] == []
