@@ -11,6 +11,7 @@ and index notions used everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +171,17 @@ def phi_embed(x: DualMatrix) -> np.ndarray:
 
 
 def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
-    """Rank via SVD with threshold max(m, n) * tol * sigma_max."""
+    """Rank via SVD with threshold max(m, n) * tol * sigma_max.
+
+    Raises NonFiniteEntries when sigma_max overflows, since every rank
+    would then read 0.
+    """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
+    if not math.isfinite(sv[0]):
+        raise NonFiniteEntries("the largest singular value overflows")
     if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > max(a.shape) * rank_tol(tol) * sv[0]))

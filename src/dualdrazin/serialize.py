@@ -1,13 +1,19 @@
 """JSON readers and writers for dual matrices, vectors and scalars.
 
 Writers render every float with 17 significant digits so a write-read cycle
-reproduces the double exactly and re-serialising gives identical bytes.
-Readers validate shapes and raise SchemaError on malformed documents.
+reproduces the double exactly and re-serialising gives identical bytes;
+-0.0 is written as 0, so equal matrices serialise identically.  A matrix
+part (a list of rows of [re, im] float pairs) is written with one format
+call per row; every other value goes through the generic branch, with the
+same bytes.  Readers validate shapes and raise SchemaError on malformed
+documents.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -41,6 +47,25 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+@functools.cache
+def _row_template(pairs: int) -> str:
+    return "[" + ", ".join(["[{:.17g}, {:.17g}]"] * pairs) + "]"
+
+
+def _is_pair_rows(obj: list) -> bool:
+    """True for a list of equally long, non-empty rows of [float, float] lists."""
+    if not (obj and type(obj[0]) is list and obj[0] and type(obj[0][0]) is list):
+        return False
+    if set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
+        return False
+    pairs = list(chain.from_iterable(obj))
+    return (
+        set(map(type, pairs)) == {list}
+        and set(map(len, pairs)) == {2}
+        and set(map(type, chain.from_iterable(pairs))) == {float}
+    )
+
+
 def _render(obj: Any) -> str:
     """JSON writer that formats bare floats via fmt17."""
     if isinstance(obj, float):
@@ -53,6 +78,11 @@ def _render(obj: Any) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if type(obj) is list and _is_pair_rows(obj):
+        # v + 0.0 turns -0.0 into 0.0, as fmt17 does
+        template = _row_template(len(obj[0]))
+        rows = (template.format(*map((0.0).__add__, chain.from_iterable(row))) for row in obj)
+        return "[" + ", ".join(rows) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -65,12 +95,17 @@ def dumps_doc(doc: dict) -> str:
     return _render(doc) + "\n"
 
 
+def _pairs(part: np.ndarray) -> list:
+    """Nested lists of [re, im] Python floats, one pair per entry."""
+    return np.stack((part.real, part.imag), axis=-1).tolist()
+
+
 def matrix_to_doc(x: DualMatrix, **extra) -> dict:
     m, n = x.shape
     doc: dict[str, Any] = {"rows": m, "cols": n}
-    doc["std"] = [[_pair(x.std[i, j]) for j in range(n)] for i in range(m)]
+    doc["std"] = _pairs(x.std)
     if np.any(x.inf != 0):
-        doc["inf"] = [[_pair(x.inf[i, j]) for j in range(n)] for i in range(m)]
+        doc["inf"] = _pairs(x.inf)
     doc.update(extra)
     return doc
 
@@ -139,12 +174,11 @@ def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
 
 
 def vector_to_doc(v: DualMatrix) -> dict:
-    m, n = v.shape
-    if n != 1:
+    if v.shape[1] != 1:
         raise SchemaError("vectors serialise as column matrices")
-    doc: dict[str, Any] = {"std": [_pair(v.std[i, 0]) for i in range(m)]}
+    doc: dict[str, Any] = {"std": _pairs(v.std[:, 0])}
     if np.any(v.inf != 0):
-        doc["inf"] = [_pair(v.inf[i, 0]) for i in range(m)]
+        doc["inf"] = _pairs(v.inf[:, 0])
     return doc
 
 

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dualdrazin import (
     DualMatrix,
@@ -14,7 +18,14 @@ from dualdrazin import (
     rank_std,
 )
 from dualdrazin.errors import ShapeMismatch
-from dualdrazin.serialize import dumps_doc, matrix_from_doc, matrix_to_doc
+from dualdrazin.serialize import (
+    dump_matrix,
+    dumps_doc,
+    fmt17,
+    matrix_from_doc,
+    matrix_to_doc,
+    vector_to_doc,
+)
 
 from conftest import rand_int_dual
 
@@ -166,3 +177,114 @@ def test_doc_omits_zero_infinitesimal_part():
     doc = matrix_to_doc(DualMatrix(np.eye(2)))
     assert "inf" not in doc
     assert matrix_from_doc(doc).inf.sum() == 0
+
+
+# Reference writer: one pair list per entry and one fmt17 call per float.
+# Every document must serialise to the same bytes under it and dumps_doc.
+def _ref_pair(z):
+    return [float(z.real), float(z.imag)]
+
+
+def _ref_matrix_doc(x):
+    doc = {"rows": x.shape[0], "cols": x.shape[1]}
+    doc["std"] = [[_ref_pair(z) for z in row] for row in x.std]
+    if np.any(x.inf != 0):
+        doc["inf"] = [[_ref_pair(z) for z in row] for row in x.inf]
+    return doc
+
+
+def _ref_render(obj):
+    if isinstance(obj, float):
+        return fmt17(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_ref_render(v) for v in obj) + "]"
+    items = (f"{json.dumps(str(k))}: {_ref_render(v)}" for k, v in obj.items())
+    return "{" + ", ".join(items) + "}"
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREMES))
+
+
+@st.composite
+def dual_matrices(draw):
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    re, im, inf_re, inf_im = (draw(arrays(np.float64, shape, elements=FINITE)) for _ in range(4))
+    std = np.empty(shape, complex)
+    std.real, std.imag = re, im
+    inf = np.empty(shape, complex)
+    inf.real, inf.imag = inf_re, inf_im
+    return DualMatrix(std, inf if draw(st.booleans()) else None)
+
+
+@st.composite
+def near_pair_rows(draw):
+    """Rows of [float, float] pairs, or the same with one entry made irregular."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[[draw(FINITE), draw(FINITE)] for _ in range(n)] for _ in range(m)]
+    i, j, k = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+    change = draw(st.sampled_from(
+        ["none", "int", "bool", "null", "np_float", "tuple_pair", "triple", "ragged", "empty_row"]
+    ))
+    if change in ("int", "bool", "null", "np_float"):
+        value = {"int": 3, "bool": True, "null": None, "np_float": np.float64(-0.0)}[change]
+        rows[i][j][k] = value
+    elif change == "tuple_pair":
+        rows[i][j] = tuple(rows[i][j])
+    elif change == "triple":
+        rows[i][j].append(1.5)
+    elif change == "ragged":
+        rows[i].append([0.5, -0.0])
+    elif change == "empty_row":
+        rows[i] = []
+    return rows
+
+
+LEAVES = st.one_of(
+    FINITE, st.integers(), st.booleans(), st.none(), st.text(max_size=3), near_pair_rows()
+)
+DOCUMENTS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), kids, max_size=3),
+), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_matrices())
+def test_matrix_documents_match_the_per_entry_writer(x):
+    doc, ref = matrix_to_doc(x), _ref_matrix_doc(x)
+    assert doc == ref and repr(doc) == repr(ref)  # repr tells -0.0 from 0.0
+    assert dumps_doc(doc) == _ref_render(ref) + "\n"
+    column = DualMatrix(x.std[:, :1], x.inf[:, :1])
+    vdoc = vector_to_doc(column)
+    ref_column = _ref_matrix_doc(column)
+    vref = {k: [row[0] for row in v] for k, v in ref_column.items() if k in ("std", "inf")}
+    assert repr(vdoc) == repr(vref)
+    assert dumps_doc(vdoc) == _ref_render(vref) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_generic_documents_match_the_per_entry_writer(doc):
+    assert dumps_doc({"doc": doc}) == _ref_render({"doc": doc}) + "\n"
+
+
+def test_large_document_bytes_are_pinned(tmp_path):
+    # sha256[:16] of the bytes written by the per-entry writer for this matrix
+    rng = np.random.default_rng(64)
+    parts = rng.standard_normal((4, 64, 64)) * 10.0 ** rng.integers(-8, 9, (4, 64, 64))
+    parts[rng.random((4, 64, 64)) < 0.05] = -0.0
+    std, inf = np.empty((64, 64), complex), np.empty((64, 64), complex)
+    std.real, std.imag, inf.real, inf.imag = parts
+    path = tmp_path / "large.json"
+    dump_matrix(DualMatrix(std, inf), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "020f96507c7ff54b"
