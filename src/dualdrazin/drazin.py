@@ -15,10 +15,18 @@ A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 with k = Ind(A), and the inverse is then A^D + eps*R with R given by a
 finite series in A, A0 and A^D.  All series run over exactly Ind terms;
 higher terms vanish identically in the algebra.
+
+Inside a _memo() scope, drazin_complex factorises each distinct matrix (its
+bytes and the rank tolerance) once and hands every later caller the same
+DrazinData, whose arrays are then read-only so a caller that writes to a
+shared array fails loudly.  Only fuzz opens that scope, one trial at a time;
+everywhere else each call computes afresh and returns writable arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,11 +91,40 @@ class DualDrazinData:
         return defining_residuals(self.source, self.inverse, self.index, self.tol)
 
 
+# None, or the dict of factorisations of the open _memo() scope
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("drazin_memo", default=None)
+
+
+@contextlib.contextmanager
+def _memo():
+    """Scope in which drazin_complex factorises each distinct matrix once."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def drazin_complex(a, tol: float | None = None) -> DrazinData:
     """Drazin inverse via a sorted complex Schur decomposition."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
+    memo = _MEMO.get()
+    if memo is None:
+        return _drazin_complex(a, tol)
+    key = (a.shape[0], a.tobytes(), tol)
+    data = memo.get(key)
+    if data is None:
+        data = _drazin_complex(a, tol)
+        for arr in (data.ad, data.proj_e, data.proj_pi):
+            arr.flags.writeable = False
+        memo[key] = data
+    return data
+
+
+def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
+    """The factorisation behind drazin_complex, on a square contiguous complex array."""
     n = a.shape[0]
     k, s = _index_and_core(a, tol)
     eye = np.eye(n, dtype=complex)

@@ -42,15 +42,19 @@ class DualMatrix:
         std = np.ascontiguousarray(std, dtype=complex)
         if std.ndim != 2:
             raise ShapeMismatch(f"expected a 2-d array, got shape {std.shape}")
+        # the float view checks real and imaginary parts at half the cost
+        # of isfinite on the complex array; zeros_like needs no check
+        finite = np.isfinite(std.view(float)).all()
         if inf is None:
             inf = np.zeros_like(std)
         else:
             inf = np.ascontiguousarray(inf, dtype=complex)
-        if inf.shape != std.shape:
-            raise ShapeMismatch(
-                f"standard part {std.shape} and infinitesimal part {inf.shape} differ"
-            )
-        if not (np.all(np.isfinite(std.view(float))) and np.all(np.isfinite(inf.view(float)))):
+            if inf.shape != std.shape:
+                raise ShapeMismatch(
+                    f"standard part {std.shape} and infinitesimal part {inf.shape} differ"
+                )
+            finite = finite and np.isfinite(inf.view(float)).all()
+        if not finite:
             raise NonFiniteEntries("dual matrix entries must be finite")
         self.std = std
         self.inf = inf

@@ -41,7 +41,7 @@ from .digraphs import (
     graph_hypotheses,
     graph_spec_to_doc,
 )
-from .drazin import defining_residuals, dual_drazin, dual_exists
+from .drazin import _memo, defining_residuals, dual_drazin, dual_exists
 from .dualmat import DualMatrix, dmul
 from .dualnum import DualScalar
 from .errors import (
@@ -874,37 +874,40 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     for trial in range(cfg.trials):
         record: dict = {"record": "trial", "family": cfg.family, "trial": trial}
         report.records.append(record)
-        try:
-            inst = gen_instance(cfg, trial)
-        except GenerationFailed as exc:
-            generation_failures += 1
-            record.update({"pass": False, "note": str(exc)})
-            continue
-        doc = _instance_doc(inst)
-        record["digest"] = hashlib.sha256(dumps_doc(doc).encode()).hexdigest()[:16]
-        try:
-            form = _FUZZ_FORMS.get(cfg.family, "drazin")
-            _verify(inst, form, tol, res_tol, cfg.max_rel_error, record)
-        except DualDrazinError as exc:
-            record.update({"pass": False, "note": f"{type(exc).__name__}: {exc}"})
-            _persist(report, cfg, trial, doc, record)
-            continue
-        if not record["hypotheses_pass"]:
-            hypothesis_failures += 1
-            record["pass"] = bool(cfg.violate)
-            if not cfg.violate:
-                record["note"] = "hypotheses failed on a non-violating draw"
-        else:
-            evaluated += 1
-            max_err = max(max_err, record["closed_form_error"])
-            max_def = max(max_def, max(record["defining_residuals"]))
-            record["pass"] = record["pass"] and not cfg.violate
-            if cfg.violate:
-                record["note"] = "closed form evaluated despite violate config"
-        if record["pass"]:
-            pass_count += 1
-        else:
-            _persist(report, cfg, trial, doc, record)
+        # one Schur split per distinct matrix of the trial: the accept
+        # filter's and _verify's factorisations of a matrix are shared
+        with _memo():
+            try:
+                inst = gen_instance(cfg, trial)
+            except GenerationFailed as exc:
+                generation_failures += 1
+                record.update({"pass": False, "note": str(exc)})
+                continue
+            doc = _instance_doc(inst)
+            record["digest"] = hashlib.sha256(dumps_doc(doc).encode()).hexdigest()[:16]
+            try:
+                form = _FUZZ_FORMS.get(cfg.family, "drazin")
+                _verify(inst, form, tol, res_tol, cfg.max_rel_error, record)
+            except DualDrazinError as exc:
+                record.update({"pass": False, "note": f"{type(exc).__name__}: {exc}"})
+                _persist(report, cfg, trial, doc, record)
+                continue
+            if not record["hypotheses_pass"]:
+                hypothesis_failures += 1
+                record["pass"] = bool(cfg.violate)
+                if not cfg.violate:
+                    record["note"] = "hypotheses failed on a non-violating draw"
+            else:
+                evaluated += 1
+                max_err = max(max_err, record["closed_form_error"])
+                max_def = max(max_def, max(record["defining_residuals"]))
+                record["pass"] = record["pass"] and not cfg.violate
+                if cfg.violate:
+                    record["note"] = "closed form evaluated despite violate config"
+            if record["pass"]:
+                pass_count += 1
+            else:
+                _persist(report, cfg, trial, doc, record)
     report.summary = {
         "record": "summary",
         "family": cfg.family,

@@ -109,6 +109,25 @@ def test_rank_skips_oracle_on_inexact_entries(write, capsys):
     assert "smith" not in json.loads(out)
 
 
+def _gaussian_int_doc(n, seed):
+    rng = np.random.default_rng(seed)
+    std, inf = rng.integers(-2, 3, (2, n, n, 2))
+    return {"rows": n, "cols": n, "std": std.tolist(), "inf": inf.tolist()}
+
+
+def test_rank_bounds_the_exact_oracle_by_order(write, capsys):
+    # the Fraction elimination runs up to order 32 and is skipped above it
+    code, out, _ = run(capsys, "rank", "-i", write(_gaussian_int_doc(12, 1), "small.json"))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["smith"]["appreciable"] == doc["rank_std"]
+    assert doc["smith"]["appreciable"] + doc["smith"]["infinitesimal"] == doc["rank_dual"]
+    code, out, _ = run(capsys, "rank", "-i", write(_gaussian_int_doc(64, 2), "large.json"))
+    doc = json.loads(out)
+    assert code == 0
+    assert sorted(doc) == ["rank_dual", "rank_std"]
+
+
 def test_schema_errors_are_exit_4(write, capsys, tmp_path):
     code, _, err = run(capsys, "dual-drazin", "-i", str(tmp_path / "missing.json"))
     assert code == 4

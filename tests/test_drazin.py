@@ -207,3 +207,48 @@ def test_existence_tests_run_through_dual_exists(monkeypatch):
     report = check_hypotheses(BlockInstance("TRI_UPPER", {"A": x, "B": x, "D": x}))
     assert len(calls) == 3
     assert [c.passed for c in report.conditions] == [False, False]
+
+
+def _counted_body(monkeypatch):
+    """Record the matrices the uncached body of drazin_complex factorises."""
+    body = dualdrazin.drazin._drazin_complex
+    calls = []
+
+    def counted(a, tol):
+        calls.append(a.tobytes())
+        return body(a, tol)
+
+    monkeypatch.setattr(dualdrazin.drazin, "_drazin_complex", counted)
+    return calls
+
+
+def test_drazin_complex_computes_every_call_outside_a_memo(monkeypatch):
+    calls = _counted_body(monkeypatch)
+    a = np.array([[1.0, 1.0], [0.0, 0.0]])
+    first, second = drazin_complex(a), drazin_complex(a)
+    assert len(calls) == 2 and first is not second
+    for data in (first, second):
+        assert all(arr.flags.writeable for arr in (data.ad, data.proj_e, data.proj_pi))
+
+
+def test_memo_shares_one_read_only_factorisation(monkeypatch):
+    calls = _counted_body(monkeypatch)
+    a = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with dualdrazin.drazin._memo():
+        first = drazin_complex(a)
+        assert drazin_complex(a.astype(complex)) is first
+        assert drazin_complex(a, 1e-10) is not first  # the tolerance is part of the key
+        with pytest.raises(ValueError):
+            first.ad[0, 0] = 0.0
+        assert not (first.proj_e.flags.writeable or first.proj_pi.flags.writeable)
+    assert len(calls) == 2
+    assert dualdrazin.drazin._MEMO.get() is None
+    drazin_complex(a)
+    assert len(calls) == 3
+
+
+def test_memo_is_closed_when_its_scope_raises():
+    with pytest.raises(RuntimeError):
+        with dualdrazin.drazin._memo():
+            raise RuntimeError("inside the scope")
+    assert dualdrazin.drazin._MEMO.get() is None

@@ -17,7 +17,7 @@ from dualdrazin import (
     rank_dual,
     rank_std,
 )
-from dualdrazin.errors import ShapeMismatch
+from dualdrazin.errors import NonFiniteEntries, ShapeMismatch
 from dualdrazin.serialize import (
     dump_matrix,
     dumps_doc,
@@ -51,6 +51,56 @@ def test_sums_do_not_broadcast():
 def test_entries_must_be_finite():
     with pytest.raises(ValueError):
         DualMatrix(np.array([[np.inf, 0], [0, 0]]))
+
+
+def _reference_finite(std, inf) -> bool:
+    """The constructor's finite check as np.all over both float views."""
+    std = np.ascontiguousarray(std, dtype=complex)
+    inf = np.zeros_like(std) if inf is None else np.ascontiguousarray(inf, dtype=complex)
+    return bool(np.all(np.isfinite(std.view(float))) and np.all(np.isfinite(inf.view(float))))
+
+
+NONFINITE = [np.nan, np.inf, -np.inf]
+ANY_FLOAT = st.one_of(
+    st.floats(-4.0, 4.0), st.sampled_from(NONFINITE + [-0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+def _complex_array(draw, shape):
+    out = np.empty(shape, complex)
+    out.real = draw(arrays(np.float64, shape, elements=ANY_FLOAT))
+    out.imag = draw(arrays(np.float64, shape, elements=ANY_FLOAT))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_finite_check_matches_the_reference(data):
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    std = _complex_array(data.draw, shape)
+    inf = _complex_array(data.draw, shape) if data.draw(st.booleans()) else None
+    if _reference_finite(std, inf):
+        x = DualMatrix(std, inf)
+        assert np.array_equal(x.std, std)
+    else:
+        with pytest.raises(NonFiniteEntries):
+            DualMatrix(std, inf)
+
+
+def test_every_nonfinite_position_raises():
+    for value in NONFINITE:
+        for part in ("std", "inf"):
+            for component in ("real", "imag"):
+                for i, j in np.ndindex(3, 2):
+                    arrs = {"std": np.zeros((3, 2), complex), "inf": np.zeros((3, 2), complex)}
+                    getattr(arrs[part], component)[i, j] = value
+                    with pytest.raises(NonFiniteEntries):
+                        DualMatrix(arrs["std"], arrs["inf"])
+    big = np.full((2, 2), 1.7976931348623157e308 - 1.7976931348623157e308j)
+    big[0, 1] = -0.0 - 0.0j
+    for inf in (None, big, -big):
+        x = DualMatrix(big, inf)
+        assert np.array_equal(x.std, big) and np.signbit(x.std[0, 1].real)
 
 
 def test_dmul_identity_and_nilpotent_eps():

@@ -1,5 +1,6 @@
 """Generator determinism, the exact elimination oracle, and fuzz reporting."""
 
+import hashlib
 import json
 import sys
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import dualdrazin.drazin
-from dualdrazin import DualMatrix, dual_exists, rank_dual, rank_std
-from dualdrazin.errors import InexactInput, SpecInvalid
+from dualdrazin import DualMatrix, dual_exists, harness, rank_dual, rank_std
+from dualdrazin.errors import InexactInput, NotDualDrazinInvertible, SpecInvalid
 from dualdrazin.harness import (
     FAMILIES,
     GRAPH_FAMILIES,
@@ -189,6 +190,42 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256[:16] of fuzz(GenConfig(family, trials=3, seed=5, violate=...)).to_jsonl():
+# unlike the instance digests these cover closed_form_error and
+# defining_residuals, floats that depend on the numpy and LAPACK build, so a
+# new build may need them taken again from a known-good commit
+PINNED_REPORTS = {
+    (False, "CLINE"): "2a6de544b959f6e5",
+    (False, "TRI_UPPER"): "507d8536431d6387",
+    (False, "TRI_LOWER"): "c7a171c8a0722d6a",
+    (False, "SUM_PQ0"): "0f5d9e56f6dde25f",
+    (False, "ABIO_RIGHT"): "724f0a34dae7a7fb",
+    (False, "ABIO_LEFT"): "48a5ec5c70d2dde2",
+    (False, "ABCO_RIGHT"): "d39edce4fe883c71",
+    (False, "ABCO_LEFT"): "ce8e01b505f76fd6",
+    (False, "BIPARTITE"): "3eec64606f8af74b",
+    (False, "DOUBLE_STAR"): "fd4a350b939dfbec",
+    (False, "LINKED_STARS"): "72f6f66d39be84f6",
+    (False, "WINDMILL"): "e9a7a3ece9c8dcca",
+    (False, "WINDMILL_BC0"): "a8d16d0c7185202b",
+    (False, "WINDMILL_GROUP"): "b9c5e29ac2039ba3",
+    (True, "CLINE"): "42eba7b5f3cff248",
+    (True, "TRI_UPPER"): "536c27ae6686f7c2",
+    (True, "TRI_LOWER"): "93803cfda33b1570",
+    (True, "SUM_PQ0"): "6d3dc24c3026c095",
+    (True, "ABIO_RIGHT"): "c18f4d3c590b8da7",
+    (True, "ABIO_LEFT"): "8b5d1e375a235c92",
+    (True, "ABCO_RIGHT"): "d999db28e7ab53d5",
+    (True, "ABCO_LEFT"): "f5775a0593e854c7",
+    (True, "BIPARTITE"): "a547a7bc1d0a7a19",
+    (True, "DOUBLE_STAR"): "17380c0a0bee7d72",
+    (True, "LINKED_STARS"): "b18a35ad9f62185d",
+    (True, "WINDMILL"): "a1b14c976a5d18e8",
+    (True, "WINDMILL_BC0"): "e054ed67768d5782",
+    (True, "WINDMILL_GROUP"): "3873bf15ee6fc841",
+}
+
+
 @pytest.mark.parametrize("violate", [False, True])
 def test_generated_instances_are_pinned(violate):
     # a generator refactor that reorders or drops an RNG draw changes these
@@ -196,6 +233,53 @@ def test_generated_instances_are_pinned(violate):
         report = fuzz(GenConfig(family, trials=3, seed=5, violate=violate))
         got = [r.get("digest") for r in report.records]
         assert got == PINNED_DIGESTS[(violate, family)], family
+        jsonl = hashlib.sha256(report.to_jsonl().encode()).hexdigest()[:16]
+        assert jsonl == PINNED_REPORTS[(violate, family)], family
+
+
+def test_fuzz_factorises_each_matrix_once_per_trial(monkeypatch):
+    body = dualdrazin.drazin._drazin_complex
+    per_trial = {}  # id(memo) -> [memo, uncached factorisations]
+
+    def counted(a, tol):
+        memo = dualdrazin.drazin._MEMO.get()
+        per_trial.setdefault(id(memo), [memo, 0])[1] += 1
+        return body(a, tol)
+
+    monkeypatch.setattr(dualdrazin.drazin, "_drazin_complex", counted)
+    public = _count_calls(monkeypatch, "drazin_complex")
+    for family in FAMILIES:
+        fuzz(GenConfig(family, trials=3, seed=4))
+    assert len(per_trial) == 3 * len(FAMILIES)
+    for memo, computed in per_trial.values():
+        assert memo is not None
+        assert computed == len(memo)  # no key was factorised twice
+    assert len(public) > sum(computed for _, computed in per_trial.values())
+    assert dualdrazin.drazin._MEMO.get() is None
+
+
+def test_memo_closes_after_failed_trials(monkeypatch):
+    seen = []
+
+    def no_draw(cfg, trial, rng):
+        seen.append(dualdrazin.drazin._MEMO.get())
+        return None, False
+
+    monkeypatch.setitem(harness._GENERATORS, "CLINE", no_draw)
+    report = fuzz(GenConfig("CLINE", trials=2, seed=1))
+    assert report.summary["generation_failures"] == 2
+    assert all(memo is not None for memo in seen)
+    assert dualdrazin.drazin._MEMO.get() is None
+
+    def failing_verify(*args):
+        seen.append(dualdrazin.drazin._MEMO.get())
+        raise NotDualDrazinInvertible("raised inside the trial")
+
+    monkeypatch.setattr(harness, "_verify", failing_verify)
+    report = fuzz(GenConfig("TRI_UPPER", trials=2, seed=1))
+    assert [r["note"] for r in report.records] == ["NotDualDrazinInvertible: raised inside the trial"] * 2
+    assert seen[-1] is not None and seen[-1] is not seen[-2]
+    assert dualdrazin.drazin._MEMO.get() is None
 
 
 def _count_calls(monkeypatch, name):
