@@ -1,12 +1,17 @@
 """Drazin inverses: complex matrices and their dual extensions.
 
-The complex Drazin inverse is computed from a sorted complex Schur form.
-The split between the invertible core and the nilpotent part is decided by
-rank stabilisation of matrix powers rather than by a fixed eigenvalue
-cutoff: computed eigenvalues of a defective nilpotent block scatter to
-magnitude roughly eps**(1/k), so thresholding |lambda| directly would
-misclassify them.  Rank stabilisation fixes the core dimension s; the
-Schur reordering threshold is then placed inside the spectral gap.
+The complex Drazin inverse is computed from one SVD staircase (Kublanovskaya
+1966; Golub & Wilkinson 1976): repeated null-space deflation gives a unitary
+Q with Q* A Q = [[N, X], [0, C]], N nilpotent and C invertible.  The number
+of deflating steps is the index k and dim C the core dimension, so index,
+core and inverse come from the same rank decisions.  Eigenvalues are never
+thresholded: computed eigenvalues of a defective nilpotent block scatter to
+magnitude roughly eps**(1/k), while its singular values at each step stay
+near zero.  In that basis
+
+    A^D = Q [[0, Z C^-1], [0, C^-1]] Q*,   Z = sum_{i<k} N^i X C^-(i+1),
+
+and A A^D = Q [[0, Z], [0, I]] Q*.
 
 A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
@@ -27,15 +32,15 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .dualmat import DualMatrix, _index_and_core, dmul, dpow
+from .dualmat import DualMatrix, _staircase, dmul, dpow
 from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch
-from .tolerances import CLUSTER_TOL, rank_tol, residual_tol
+from .tolerances import rank_tol, residual_tol
 
 __all__ = [
     "DrazinData",
@@ -58,7 +63,7 @@ class DrazinData:
 
     ad: np.ndarray
     index: int
-    proj_e: np.ndarray   # A @ ad, projects onto the invertible core
+    proj_e: np.ndarray   # A A^D, projects onto the invertible core
     proj_pi: np.ndarray  # complement, projects onto the nilpotent part
 
 
@@ -106,7 +111,7 @@ def _memo():
 
 
 def drazin_complex(a, tol: float | None = None) -> DrazinData:
-    """Drazin inverse via a sorted complex Schur decomposition."""
+    """Drazin inverse and spectral projectors from the SVD staircase of ``a``."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
@@ -126,50 +131,28 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
 def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
     """The factorisation behind drazin_complex, on a square contiguous complex array."""
     n = a.shape[0]
-    k, s = _index_and_core(a, tol)
-    eye = np.eye(n, dtype=complex)
-    if s == 0:
-        ad = np.zeros((n, n), dtype=complex)
-        return DrazinData(ad=ad, index=k, proj_e=ad.copy(), proj_pi=eye)
-
-    floor = CLUSTER_TOL * (1.0 + np.linalg.norm(a))
-    mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
-    if s == n:
-        tau = 0.5 * mags[-1] if mags[-1] > floor else floor
-    else:
-        hi, lo = mags[s - 1], mags[s]
-        tau = 0.5 * (hi + lo) if hi > lo else floor
-    t, z, sdim = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) > tau)
-    if sdim != s:
-        # Fall back to the plain magnitude cutoff; reachable only for
-        # spectra with no usable gap, where both answers are unstable.
-        t, z, sdim = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) > floor)
-        s = sdim
-
-    t11 = t[:s, :s]
-    core_inv = scipy.linalg.solve_triangular(t11, np.eye(s, dtype=complex))
-    x = np.zeros((n, n), dtype=complex)
-    x[:s, :s] = core_inv
-    if s < n:
-        t12 = t[:s, s:]
-        t22 = t[s:, s:]
-        # corner series: sum_{i<k} T11^-(i+2) T12 T22^i; T22^k is negligible
-        term = core_inv @ core_inv @ t12
-        corner = np.zeros_like(t12)
-        for _ in range(k):
-            corner += term
-            term = core_inv @ term @ t22
-        x[:s, s:] = corner
-    ad = z @ x @ z.conj().T
-    proj_e = a @ ad
-    return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=eye - proj_e)
+    k, s, q, h = _staircase(a, tol)
+    p = n - s
+    core_inv = np.linalg.inv(h[p:, p:])
+    # Z = sum_{i<k} N^i X C^-(i+1); in the staircase basis A A^D = [[0, Z], [0, I]]
+    nil = h[:p, :p]
+    term = h[:p, p:] @ core_inv
+    z = term
+    for _ in range(k - 1):
+        term = nil @ term @ core_inv
+        z = z + term
+    basis = q[:, :p] @ z + q[:, p:]
+    q_core = q[:, p:].conj().T
+    proj_e = basis @ q_core
+    ad = basis @ core_inv @ q_core
+    return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e)
 
 
 def drazin_oracle(a, tol: float | None = None) -> np.ndarray:
-    """Independent route: A^k pinv(A^(2k+1)) A^k with k from rank stabilisation."""
+    """Independent route: A^k pinv(A^(2k+1)) A^k, with k from the staircase."""
     a = np.ascontiguousarray(a, dtype=complex)
     n = a.shape[0]
-    k, _ = _index_and_core(a, tol)
+    k = _staircase(a, tol)[0]
     ak = np.linalg.matrix_power(a, k)
     mid = np.linalg.pinv(np.linalg.matrix_power(a, 2 * k + 1), rcond=max(rank_tol(tol) * n, 1e-15))
     return ak @ mid @ ak
@@ -184,9 +167,9 @@ def group_inverse(a, tol: float | None = None) -> np.ndarray:
 
 
 def matrix_index(a, tol: float | None = None) -> int:
-    """Index of a complex matrix by rank stabilisation of its powers."""
+    """Index of a complex matrix: the number of staircase deflation steps."""
     a = np.ascontiguousarray(a, dtype=complex)
-    return _index_and_core(a, tol)[0]
+    return _staircase(a, tol)[0]
 
 
 def _dual_m_matrix(x: DualMatrix, k: int) -> np.ndarray:
@@ -194,9 +177,9 @@ def _dual_m_matrix(x: DualMatrix, k: int) -> np.ndarray:
     n = a.shape[0]
     m = np.zeros((n, n), dtype=complex)
     powers = [np.eye(n, dtype=complex)]
-    for _ in range(k):
-        powers.append(powers[-1] @ a)
     with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ a)
         for i in range(1, k + 1):
             m += powers[k - i] @ a0 @ powers[i - 1]
     if not np.isfinite(m).all():
@@ -245,10 +228,12 @@ def dual_drazin_series(
     a, a0, ad, k = x.std, x.inf, data.ad, data.index
     r = -ad @ a0 @ ad
     if k > 0:
+        # the terms read A^i and (A^D)^(i+2) for i < k, and no higher power
         powers = [np.eye(n, dtype=complex)]
-        dpowers = [np.eye(n, dtype=complex)]
-        for _ in range(k + 2):
+        for _ in range(k - 1):
             powers.append(powers[-1] @ a)
+        dpowers = [np.eye(n, dtype=complex)]
+        for _ in range(k + 1):
             dpowers.append(dpowers[-1] @ ad)
         pi = data.proj_pi
         for i in range(k):
@@ -269,11 +254,14 @@ def defining_residuals(
     """
     if k is None:
         k = matrix_index(x.std, tol)
-    xk = dpow(x, k)
-    r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
-    r2 = (dmul(dmul(candidate, x), candidate) - candidate).norm() / (1.0 + candidate.norm())
-    ax = dmul(x, candidate)
-    r3 = (ax - dmul(candidate, x)).norm() / (1.0 + ax.norm())
+    with np.errstate(over="ignore", invalid="ignore"):
+        xk = dpow(x, k)
+        r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
+        r2 = (dmul(dmul(candidate, x), candidate) - candidate).norm() / (1.0 + candidate.norm())
+        ax = dmul(x, candidate)
+        r3 = (ax - dmul(candidate, x)).norm() / (1.0 + ax.norm())
+    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):
+        raise NonFiniteEntries("a defining residual overflows")
     return r1, r2, r3
 
 
@@ -295,7 +283,7 @@ def dual_drazin(
 
 
 def _factorise(x: DualMatrix, tol, res_tol) -> DualDrazinData:
-    """One Schur factorisation, the existence test and the inverse series.
+    """One staircase factorisation, the existence test and the inverse series.
 
     The series is evaluated even when ``exists`` is False: hypothesis checks
     build projectors from it for matrices that may sit outside the class,

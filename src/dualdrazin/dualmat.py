@@ -191,22 +191,38 @@ def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(sv > max(a.shape) * rank_tol(tol) * sv[0]))
 
 
-def _index_and_core(a: np.ndarray, tol: float | None = None) -> tuple[int, int]:
-    """(k, rank(a**k)) for the smallest k >= 0 with rank(a**k) == rank(a**(k+1))."""
+def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Core-nilpotent split of a square complex array by SVD null-space deflation.
+
+    Returns (k, s, q, h) with q unitary and h = q* a q = [[N, X], [0, C]]:
+    N is nilpotent and strictly block upper triangular, C is s x s and
+    invertible.  Each step takes the SVD of the trailing block and moves its
+    null vectors to the front (Kublanovskaya's staircase); singular values
+    at or below n * tol * sigma_max(a) count as zero, so the first step
+    decides rank(a) as numerical_rank does.  k, the number of deflating
+    steps, is the index, and s = rank(a**k) the core dimension.
+    """
     n = a.shape[0]
-    power = np.eye(n, dtype=complex)
-    prev = n
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            nxt = power @ a
-            if not np.isfinite(nxt).all():
-                raise NonFiniteEntries(f"power {k + 1} of the matrix overflows")
-            r = numerical_rank(nxt, tol)
-            if r == prev:
-                return k, prev
-            power = nxt
-            prev = r
-    return n, prev
+    q = np.eye(n, dtype=complex)
+    h = np.array(a, dtype=complex)
+    k = p = 0
+    while p < n:
+        _, sv, vh = np.linalg.svd(h[p:, p:])
+        if p == 0:
+            if not math.isfinite(sv[0]):
+                raise NonFiniteEntries("the largest singular value overflows")
+            floor = n * rank_tol(tol) * sv[0]
+        d = int(np.count_nonzero(sv <= floor))
+        if d == 0:
+            break
+        w = np.roll(vh.conj().T, d, axis=1)  # null vectors first
+        h[:, p:] = h[:, p:] @ w
+        h[p:, p:] = w.conj().T @ h[p:, p:]
+        h[p:, p:p + d] = 0.0
+        q[:, p:] = q[:, p:] @ w
+        p += d
+        k += 1
+    return k, n - p, q, h
 
 
 def rank_std(x: DualMatrix, tol: float | None = None) -> int:
@@ -237,8 +253,8 @@ def indices(x: DualMatrix, tol: float | None = None) -> IndexReport:
     exists the matrix has no dual Drazin inverse and None is reported.
     """
     n = x.require_square()
-    k = _index_and_core(x.std, tol)[0]
-    k_phi = _index_and_core(phi_embed(x), tol)[0]
+    k = _staircase(x.std, tol)[0]
+    k_phi = _staircase(phi_embed(x), tol)[0]
     ind_dual: int | None = None
     for t in range(k, 2 * k + 1):
         xt = dpow(x, t)

@@ -874,8 +874,8 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     for trial in range(cfg.trials):
         record: dict = {"record": "trial", "family": cfg.family, "trial": trial}
         report.records.append(record)
-        # one Schur split per distinct matrix of the trial: the accept
-        # filter's and _verify's factorisations of a matrix are shared
+        # one staircase factorisation per distinct matrix of the trial: the
+        # accept filter's and _verify's factorisations of a matrix are shared
         with _memo():
             try:
                 inst = gen_instance(cfg, trial)

@@ -8,7 +8,6 @@ quantity the residual is measured against.
 
 RANK_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
-CLUSTER_TOL = 1e-10
 APPRECIABLE_TOL = 1e-12
 
 

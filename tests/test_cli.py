@@ -143,20 +143,22 @@ def test_non_finite_entries_are_exit_4(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# Finite entries whose powers overflow: all 1e200 overflows A^2 in the rank
-# stabilisation, and 1.5e308 infinitesimal entries over a nilpotent standard
-# part overflow the mixed series M of the existence test.
+# Finite entries whose arithmetic overflows.  All 1.5e308 overflows the
+# largest singular value, which every factorisation reads first; 1.5e308
+# infinitesimal entries over a nilpotent standard part overflow the mixed
+# series M of the existence test, and the largest singular value of phi(X)
+# that `index` and `rank` read.  All 1e200 factorises (see below), but its
+# defining residuals overflow, so `dual-drazin` exits 4 on it.
 OVERFLOWING = {
     "huge_std": {"rows": 2, "cols": 2, "std": [[[1e200, 0]] * 2] * 2},
+    "huge_sv": {"rows": 2, "cols": 2, "std": [[[1.5e308, 0]] * 2] * 2},
     "huge_inf": dict(NILPOTENT, inf=[[[1.5e308, 0]] * 2] * 2),
 }
-
-
-# `rank` runs on huge_inf only: there the largest singular value of phi(X)
-# overflows, while on huge_std it stays finite and the ranks are valid.
-OVERFLOW_CASES = [
-    (name, verb) for name in sorted(OVERFLOWING) for verb in ("dual-drazin", "exists", "index")
-] + [("huge_inf", "rank")]
+OVERFLOW_CASES = (
+    [("huge_inf", verb) for verb in ("dual-drazin", "exists", "index", "rank")]
+    + [("huge_sv", verb) for verb in ("dual-drazin", "exists", "index", "drazin")]
+    + [("huge_std", "dual-drazin")]
+)
 
 
 @pytest.mark.parametrize(
@@ -166,6 +168,27 @@ def test_overflowing_entries_are_exit_4(name, verb, write, capsys):
     code, out, err = run(capsys, verb, "-i", write(OVERFLOWING[name], "big.json"))
     assert (code, out) == (4, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    if name == "huge_sv":
+        assert "the largest singular value overflows" in err
+
+
+def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):
+    # A = 1e200 * J has sigma_max 2e200, index 1 and A^D = J / 4e200
+    path = write(OVERFLOWING["huge_std"], "big.json")
+    assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 1, "ind_dual": 1, "ind_phi": 1}\n')
+    assert run(capsys, "exists", "-i", path)[:2] == (0, '{"exists": true, "residual": 0, "ind_std": 1}\n')
+    code, out, _ = run(capsys, "drazin", "-i", path)
+    got = np.array([[v[0] for v in row] for row in json.loads(out)["std"]])
+    want = np.full((2, 2), 0.25e-200)
+    assert code == 0
+    assert np.abs(got - want).max() <= 1e-15 * want.max()
+
+
+def test_tiny_invertible_standard_part_gets_its_dual_inverse(write, capsys):
+    tiny = {"rows": 2, "cols": 2, "std": [[[1e-12, 0], [0, 0]], [[0, 0], [3e-12, 0]]]}
+    code, out, _ = run(capsys, "dual-drazin", "-i", write(tiny, "tiny.json"))
+    assert code == 0
+    assert max(json.loads(out)["residuals"]) <= 1e-15
 
 
 def test_non_square_drazin_input_is_exit_4(write, capsys):

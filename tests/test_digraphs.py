@@ -145,14 +145,14 @@ def test_validation_catches_bad_specs():
 PINNED_LAYOUTS = {
     "DOUBLE_STAR": [("89f5000d74fd9851", "cfa6e56114e51c93"), ("db62749ff785a720", "64d7e5bbaddd3e5b"),
                     ("9b0678bb1dfb0fa2", "a17ab98bc528447a")],
-    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "33f0a7ed188f30b9"),
+    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "e29f26e9487ffe77"),
                      ("9508e95cc4d777df", "751629dfcca57062")],
-    "WINDMILL": [("dcfb4b453eee68f5", "1a35a540b2a43f5e"), ("6bdfc08886812545", "f0286991f63750d9"),
+    "WINDMILL": [("dcfb4b453eee68f5", "9ae9823cf3b54629"), ("6bdfc08886812545", "ae4132b4bff9ac08"),
                  ("0af182a93d89bf9c", "69f73988ecce07c5")],
-    "WINDMILL_BC0": [("8797db4794f6339d", "7fc500d720a220c8"), ("425249e89e2a2319", "1ef2d9b592a28a83"),
-                     ("07e740ac70f89609", "b5049814da9e1169")],
-    "WINDMILL_GROUP": [("b27068c7db85cd48", "8ba80a12a1a5a224"), ("4f16e6a4318d33ee", "03356935f026ea7d"),
-                       ("1f9387b3fe68a604", "020e665644bdbfce")],
+    "WINDMILL_BC0": [("8797db4794f6339d", "7fc500d720a220c8"), ("425249e89e2a2319", "95e62bbdaa8f4221"),
+                     ("07e740ac70f89609", "5a8bd725adc50603")],
+    "WINDMILL_GROUP": [("b27068c7db85cd48", "c6055b5461f13a8d"), ("4f16e6a4318d33ee", "d4f8642b1a9195b1"),
+                       ("1f9387b3fe68a604", "d3e6c9f797f1beb9")],
 }
 CLOSED_FORMS = {
     "DOUBLE_STAR": ds_dual_drazin,

@@ -23,6 +23,7 @@ from dualdrazin.errors import (
     NotDualDrazinInvertible,
     ShapeMismatch,
 )
+from dualdrazin.harness import gen_member
 
 from conftest import rand_int_dual
 
@@ -84,6 +85,23 @@ def test_matches_svd_oracle(kind, rng):
         got = drazin_complex(a).ad
         want = drazin_oracle(a)
         assert np.linalg.norm(got - want) <= 1e-9 * (1 + np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1e-11], [1e-12, 3e-12]])
+def test_tiny_invertible_diagonals_keep_their_inverse(diag):
+    # an absolute eigenvalue floor would drop 1e-11 from the core, or all of
+    # diag(1, 3) * 1e-12; the staircase decides by relative singular values
+    data = drazin_complex(np.diag(diag))
+    want = np.diag(1.0 / np.asarray(diag))
+    assert data.index == 0
+    assert np.linalg.norm(data.ad - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_members_of_order_32_have_their_inverse():
+    rng = np.random.default_rng([32, 77])
+    for draw in range(150):
+        x = gen_member(32, rng)
+        assert dual_drazin(x).exists, draw
 
 
 def test_group_inverse_gate():

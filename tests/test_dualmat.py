@@ -17,6 +17,7 @@ from dualdrazin import (
     rank_dual,
     rank_std,
 )
+from dualdrazin.dualmat import _staircase, numerical_rank
 from dualdrazin.errors import NonFiniteEntries, ShapeMismatch
 from dualdrazin.serialize import (
     dump_matrix,
@@ -26,6 +27,8 @@ from dualdrazin.serialize import (
     matrix_to_doc,
     vector_to_doc,
 )
+
+from dualdrazin.harness import gen_existence, gen_member
 
 from conftest import rand_int_dual
 
@@ -201,6 +204,59 @@ def test_indices_agree_with_matrix_index(rng):
     examples += [rand_int_dual(rng, int(rng.integers(1, 6))) for _ in range(25)]
     for x in examples:
         assert indices(x).ind_std == matrix_index(x.std)
+
+
+def _rank_of_powers(a, tol=None):
+    """(k, rank(a**k)) for the smallest k >= 0 with rank(a**k) == rank(a**(k+1)).
+
+    The index routine the staircase replaced, kept as its reference.
+    """
+    n = a.shape[0]
+    power = np.eye(n, dtype=complex)
+    prev = n
+    for k in range(n + 1):
+        nxt = power @ a
+        r = numerical_rank(nxt, tol)
+        if r == prev:
+            return k, prev
+        power = nxt
+        prev = r
+    return n, prev
+
+
+def _staircase_draws():
+    rng = np.random.default_rng([12, 5])
+    for n in range(1, 13):
+        for trial in range(6):
+            if trial % 3 == 0:
+                yield gen_member(n, rng)
+            else:
+                yield gen_existence(n, rng, positive=trial % 3 == 1)
+
+
+def test_staircase_matches_the_rank_of_powers():
+    checked = 0
+    for x in _staircase_draws():
+        for a in (x.std, phi_embed(x)):
+            k, s, q, h = _staircase(a)
+            assert (k, s) == _rank_of_powers(a), a
+            n = a.shape[0]
+            assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-13 * n
+            lower_left = (q.conj().T @ a @ q)[n - s:, :n - s]
+            assert np.linalg.norm(lower_left) <= 1e-12 * n * np.linalg.norm(a)
+            assert not h[n - s:, :n - s].any()
+            checked += 1
+    assert checked == 2 * 12 * 6
+
+
+def test_staircase_edge_cases():
+    assert _staircase(np.zeros((0, 0), dtype=complex))[:2] == (0, 0)
+    assert _staircase(np.zeros((3, 3), dtype=complex))[:2] == (1, 0)
+    k, s, q, h = _staircase(np.diag([2.0, 3.0]).astype(complex))
+    assert (k, s) == (0, 2)
+    assert np.array_equal(q, np.eye(2)) and np.array_equal(h, np.diag([2.0, 3.0]))
+    with pytest.raises(NonFiniteEntries, match="largest singular value overflows"):
+        _staircase(np.full((2, 2), 1.5e308, dtype=complex))
 
 
 def test_dblock_assembles_in_order():

@@ -195,34 +195,34 @@ PINNED_DIGESTS = {
 # defining_residuals, floats that depend on the numpy and LAPACK build, so a
 # new build may need them taken again from a known-good commit
 PINNED_REPORTS = {
-    (False, "CLINE"): "2a6de544b959f6e5",
-    (False, "TRI_UPPER"): "507d8536431d6387",
-    (False, "TRI_LOWER"): "c7a171c8a0722d6a",
-    (False, "SUM_PQ0"): "0f5d9e56f6dde25f",
-    (False, "ABIO_RIGHT"): "724f0a34dae7a7fb",
-    (False, "ABIO_LEFT"): "48a5ec5c70d2dde2",
-    (False, "ABCO_RIGHT"): "d39edce4fe883c71",
-    (False, "ABCO_LEFT"): "ce8e01b505f76fd6",
-    (False, "BIPARTITE"): "3eec64606f8af74b",
-    (False, "DOUBLE_STAR"): "fd4a350b939dfbec",
-    (False, "LINKED_STARS"): "72f6f66d39be84f6",
-    (False, "WINDMILL"): "e9a7a3ece9c8dcca",
-    (False, "WINDMILL_BC0"): "a8d16d0c7185202b",
-    (False, "WINDMILL_GROUP"): "b9c5e29ac2039ba3",
+    (False, "CLINE"): "b3a91ff4251591d2",
+    (False, "TRI_UPPER"): "45cc3ff4210009fd",
+    (False, "TRI_LOWER"): "892bf81575ec3c45",
+    (False, "SUM_PQ0"): "a59819e2d5a7ebd2",
+    (False, "ABIO_RIGHT"): "9256e4c80da9a0b0",
+    (False, "ABIO_LEFT"): "f62862f250082d8f",
+    (False, "ABCO_RIGHT"): "1dc6c13fc18d7e8e",
+    (False, "ABCO_LEFT"): "3ab58031ae8e05af",
+    (False, "BIPARTITE"): "e90de0c8ed06e843",
+    (False, "DOUBLE_STAR"): "943baef682e5d6ff",
+    (False, "LINKED_STARS"): "add6d4ba2c8ac551",
+    (False, "WINDMILL"): "76be909964bf1cba",
+    (False, "WINDMILL_BC0"): "aa9b76431afc6dc4",
+    (False, "WINDMILL_GROUP"): "1cd4a5f947d62f62",
     (True, "CLINE"): "42eba7b5f3cff248",
-    (True, "TRI_UPPER"): "536c27ae6686f7c2",
-    (True, "TRI_LOWER"): "93803cfda33b1570",
-    (True, "SUM_PQ0"): "6d3dc24c3026c095",
-    (True, "ABIO_RIGHT"): "c18f4d3c590b8da7",
-    (True, "ABIO_LEFT"): "8b5d1e375a235c92",
-    (True, "ABCO_RIGHT"): "d999db28e7ab53d5",
-    (True, "ABCO_LEFT"): "f5775a0593e854c7",
-    (True, "BIPARTITE"): "a547a7bc1d0a7a19",
+    (True, "TRI_UPPER"): "d1a10166c23d903f",
+    (True, "TRI_LOWER"): "b03cf484264ec3e8",
+    (True, "SUM_PQ0"): "a2c1b1944f24b217",
+    (True, "ABIO_RIGHT"): "71f2a1591c211eee",
+    (True, "ABIO_LEFT"): "64fa7cba8e005cb5",
+    (True, "ABCO_RIGHT"): "e3078f9c3629837a",
+    (True, "ABCO_LEFT"): "b21906971075fb3f",
+    (True, "BIPARTITE"): "dd7c773be73f3744",
     (True, "DOUBLE_STAR"): "17380c0a0bee7d72",
-    (True, "LINKED_STARS"): "b18a35ad9f62185d",
+    (True, "LINKED_STARS"): "cb0055f5b2fc8b38",
     (True, "WINDMILL"): "a1b14c976a5d18e8",
     (True, "WINDMILL_BC0"): "e054ed67768d5782",
-    (True, "WINDMILL_GROUP"): "3873bf15ee6fc841",
+    (True, "WINDMILL_GROUP"): "af94a14d4e442b32",
 }
 
 
@@ -299,7 +299,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-# Schur factorisations per ddz verify check: one per distinct matrix the
+# Staircase factorisations per ddz verify check: one per distinct matrix the
 # report tests or the formula inverts, plus the oracle on the assembled
 # matrix.  Windmills factorise D, W and the assembled matrix; the blade
 # projectors come from D's factorisation.
@@ -314,12 +314,12 @@ FACTORISATIONS = {
 def test_verify_factorises_each_matrix_once(family, monkeypatch):
     cfg = GenConfig(family, trials=3, seed=4, dim_max=4)
     instances = [gen_instance(cfg, trial) for trial in range(cfg.trials)]
-    schur = _count_calls(monkeypatch, "drazin_complex")
+    splits = _count_calls(monkeypatch, "drazin_complex")
     index = _count_calls(monkeypatch, "matrix_index")
     for inst in instances:
         record = {}
-        schur.clear()
+        splits.clear()
         _verify(inst, _FUZZ_FORMS.get(family, "drazin"), None, None, 1e-8, record)
         assert record["pass"], record
-        assert len(schur) == FACTORISATIONS[family], (family, len(schur))
+        assert len(splits) == FACTORISATIONS[family], (family, len(splits))
     assert index == []

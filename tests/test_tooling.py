@@ -6,12 +6,16 @@ workloads call the public closed forms named in workloads.GRAPH_FORMS, so
 removing or renaming one of them breaks the benchmark's runs.
 
 Every name a package module imports is used there or re-exported through
-its __all__, so a refactor cannot leave a stale import behind.
+its __all__, so a refactor cannot leave a stale import behind.  The
+package's only runtime dependency is numpy; the front end must start
+without loading scipy.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +70,10 @@ def test_package_modules_have_no_unused_imports():
     modules = sorted((ROOT / "src" / "dualdrazin").glob("*.py"))
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, dualdrazin.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
