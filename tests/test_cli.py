@@ -143,22 +143,27 @@ def test_non_finite_entries_are_exit_4(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# Finite entries whose arithmetic overflows.  All 1.5e308 overflows the
-# largest singular value, which every factorisation reads first; 1.5e308
-# infinitesimal entries over a nilpotent standard part overflow the mixed
-# series M of the existence test, and the largest singular value of phi(X)
-# that `index` and `rank` read.  All 1e200 factorises (see below), but its
-# defining residuals overflow, so `dual-drazin` exits 4 on it.
+# Finite entries whose arithmetic overflows.  All 1.5e308 in the standard
+# part overflows the largest singular value, which every factorisation reads
+# first; 1.5e308 infinitesimal entries over a nilpotent standard part
+# overflow the mixed series M of the existence test, and the largest
+# singular value of phi(X) that `index` and `rank` read.  All 1e200
+# factorises (see below), but its defining residuals overflow, so
+# `dual-drazin` exits 4 on it.
 OVERFLOWING = {
-    "huge_std": {"rows": 2, "cols": 2, "std": [[[1e200, 0]] * 2] * 2},
-    "huge_sv": {"rows": 2, "cols": 2, "std": [[[1.5e308, 0]] * 2] * 2},
+    "big_std": {"rows": 2, "cols": 2, "std": [[[1e200, 0]] * 2] * 2},
+    "huge_std": {"rows": 2, "cols": 2, "std": [[[1.5e308, 0]] * 2] * 2},
     "huge_inf": dict(NILPOTENT, inf=[[[1.5e308, 0]] * 2] * 2),
 }
 OVERFLOW_CASES = (
     [("huge_inf", verb) for verb in ("dual-drazin", "exists", "index", "rank")]
-    + [("huge_sv", verb) for verb in ("dual-drazin", "exists", "index", "drazin")]
-    + [("huge_std", "dual-drazin")]
+    + [("huge_std", verb) for verb in ("dual-drazin", "exists", "index", "drazin")]
+    + [("big_std", "dual-drazin")]
 )
+OVERFLOW_MESSAGES = {
+    "huge_std": "the largest singular value overflows",
+    "big_std": "a defining residual overflows",
+}
 
 
 @pytest.mark.parametrize(
@@ -168,13 +173,12 @@ def test_overflowing_entries_are_exit_4(name, verb, write, capsys):
     code, out, err = run(capsys, verb, "-i", write(OVERFLOWING[name], "big.json"))
     assert (code, out) == (4, "")
     assert err.startswith("error:") and err.count("\n") == 1
-    if name == "huge_sv":
-        assert "the largest singular value overflows" in err
+    assert OVERFLOW_MESSAGES.get(name, "") in err
 
 
 def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):
     # A = 1e200 * J has sigma_max 2e200, index 1 and A^D = J / 4e200
-    path = write(OVERFLOWING["huge_std"], "big.json")
+    path = write(OVERFLOWING["big_std"], "big.json")
     assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 1, "ind_dual": 1, "ind_phi": 1}\n')
     assert run(capsys, "exists", "-i", path)[:2] == (0, '{"exists": true, "residual": 0, "ind_std": 1}\n')
     code, out, _ = run(capsys, "drazin", "-i", path)
