@@ -205,6 +205,8 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
     n = a.shape[0]
     q = np.eye(n, dtype=complex)
     h = np.array(a, dtype=complex)
+    if not np.isfinite(h).all():
+        raise NonFiniteEntries("matrix entries must be finite")
     k = p = 0
     while p < n:
         _, sv, vh = np.linalg.svd(h[p:, p:])

@@ -20,6 +20,7 @@ from dualdrazin import (
 import dualdrazin.drazin
 from dualdrazin.errors import (
     IndexTooLarge,
+    NonFiniteEntries,
     NotDualDrazinInvertible,
     ShapeMismatch,
 )
@@ -95,6 +96,14 @@ def test_tiny_invertible_diagonals_keep_their_inverse(diag):
     want = np.diag(1.0 / np.asarray(diag))
     assert data.index == 0
     assert np.linalg.norm(data.ad - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", [drazin_complex, matrix_index, drazin_oracle, group_inverse])
+def test_non_finite_entries_are_rejected(route, bad):
+    a = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(NonFiniteEntries, match="entries must be finite"):
+        route(a)
 
 
 def test_members_of_order_32_have_their_inverse():
