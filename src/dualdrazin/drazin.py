@@ -139,12 +139,7 @@ def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
         q, h = _refine_nilpotent_basis(a, k, p, q)
     core_inv = np.linalg.inv(h[p:, p:])
     # Z = sum_{i<k} N^i X C^-(i+1); in the staircase basis A A^D = [[0, Z], [0, I]]
-    nil = h[:p, :p]
-    term = h[:p, p:] @ core_inv
-    z = term
-    for _ in range(k - 1):
-        term = nil @ term @ core_inv
-        z = z + term
+    z = _power_series(h[:p, p:] @ core_inv, h[:p, :p], core_inv, k)
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
     proj_e = basis @ q_core
@@ -153,26 +148,32 @@ def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
 
 
 def _refine_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two Newton steps towards the invariant subspace the staircase's first p columns approximate.
+    """Two Newton steps towards the invariant subspace of the first p columns of q.
 
     Each deflation step solves for its null vectors in a basis that carries
     the earlier steps' errors, so over k > 1 steps the discarded singular
     values grow (on an order-20, index-9 chain from 1e-16 to 3e-12 of
     sigma_max) and A^D loses digits.  With Q* A Q = [[N, X], [E, C]], the
-    Newton step for span(Q1 - Q2 P) solves C P - P N = E by the same finite
-    series as Z and re-orthonormalises.  At k = 1 the null space of one SVD
-    is already as accurate as the data allows, so the step is skipped.
+    Newton step for span(Q1 - Q2 P) solves C P - P N = E by the finite
+    series P = sum_{i<k} C^-(i+1) E N^i and re-orthonormalises.  At k = 1
+    the null space of one SVD is already as accurate as the data allows, so
+    the step is skipped.
     """
     for _ in range(2):
         h = q.conj().T @ a @ q
         core_inv = np.linalg.inv(h[p:, p:])
-        term = core_inv @ h[p:, :p]
-        corr = term
-        for _ in range(k - 1):
-            term = core_inv @ term @ h[:p, :p]
-            corr = corr + term
+        corr = _power_series(core_inv @ h[p:, :p], core_inv, h[:p, :p], k)
         q = np.linalg.qr(np.hstack([q[:, :p] - q[:, p:] @ corr, q[:, p:]]))[0]
     return q, q.conj().T @ a @ q
+
+
+def _power_series(first: np.ndarray, left: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
+    """sum_{i<k} left^i first right^i, each term formed from the one before."""
+    term = total = first
+    for _ in range(k - 1):
+        term = left @ term @ right
+        total = total + term
+    return total
 
 
 def drazin_oracle(a, tol: float | None = None) -> np.ndarray:
