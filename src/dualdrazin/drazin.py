@@ -7,9 +7,11 @@ of deflating steps is the index k and dim C the core dimension, so index,
 core and inverse come from the same rank decisions.  Eigenvalues are never
 thresholded: computed eigenvalues of a defective nilpotent block scatter to
 magnitude roughly eps**(1/k), while its singular values at each step stay
-near zero.  When k > 1 and C is not empty, two Newton steps first move the
-nilpotent columns of Q onto the invariant subspace they approximate, since
-errors build up over the deflation steps.  In that basis
+near zero.  Errors build up over the deflation steps, so when k > 1 and C
+is not empty two Newton steps move the nilpotent columns of Q onto the
+invariant subspace they approximate, and after Z below one more corrects
+the core subspace for the small block E of Q* A Q below N (C then stands
+for C + E Z).  In that basis
 
     A^D = Q [[0, Z C^-1], [0, C^-1]] Q*,   Z = sum_{i<k} N^i X C^-(i+1),
 
@@ -135,11 +137,14 @@ def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
     n = a.shape[0]
     k, s, q, h = _staircase(a, tol)
     p = n - s
-    if k > 1 and s > 0:
-        q, h = _refine_nilpotent_basis(a, k, p, q)
+    refine = k > 1 and s > 0
+    if refine:
+        q, h = _newton_nilpotent_basis(a, k, p, q)
     core_inv = np.linalg.inv(h[p:, p:])
     # Z = sum_{i<k} N^i X C^-(i+1); in the staircase basis A A^D = [[0, Z], [0, I]]
     z = _power_series(h[:p, p:] @ core_inv, h[:p, :p], core_inv, k)
+    if refine:
+        z, core_inv = _newton_core_basis(h, k, p, z)
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
     proj_e = basis @ q_core
@@ -147,17 +152,20 @@ def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
     return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e)
 
 
-def _refine_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two Newton steps towards the invariant subspace of the first p columns of q.
 
     Each deflation step solves for its null vectors in a basis that carries
     the earlier steps' errors, so over k > 1 steps the discarded singular
     values grow (on an order-20, index-9 chain from 1e-16 to 3e-12 of
     sigma_max) and A^D loses digits.  With Q* A Q = [[N, X], [E, C]], the
-    Newton step for span(Q1 - Q2 P) solves C P - P N = E by the finite
-    series P = sum_{i<k} C^-(i+1) E N^i and re-orthonormalises.  At k = 1
-    the null space of one SVD is already as accurate as the data allows, so
-    the step is skipped.
+    step for span(Q1 - Q2 P) solves C P - P N = E by the finite series
+    P = sum_{i<k} C^-(i+1) E N^i and re-orthonormalises; the dual inverse
+    series, which raises A^D to the power k + 1, needs the second step.
+    Returns the new q and the full q* a q.  At k = 1 the null space of one
+    SVD is already as accurate as the data allows, and a Newton step, whose
+    target is conditioned by the spectral separation of N and C rather than
+    by the singular-value gap, can only lose digits, so none is taken.
     """
     for _ in range(2):
         h = q.conj().T @ a @ q
@@ -165,6 +173,21 @@ def _refine_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tup
         corr = _power_series(core_inv @ h[p:, :p], core_inv, h[:p, :p], k)
         q = np.linalg.qr(np.hstack([q[:, :p] - q[:, p:] @ corr, q[:, p:]]))[0]
     return q, q.conj().T @ a @ q
+
+
+def _newton_core_basis(h: np.ndarray, k: int, p: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step for the core subspace span([Z; I]) of h = [[N, X], [E, C]].
+
+    Z from the series solves N Z + X = Z C, which drops the small block E;
+    the invariant subspace solves N Z + X = Z M with M = C + E Z.  The step
+    solves (N - Z E) dZ - dZ M = -(N Z + X - Z M) by the same kind of
+    series.  Returns Z + dZ and the inverse of the core block M it gives.
+    """
+    nil, x, e, c = h[:p, :p], h[:p, p:], h[p:, :p], h[p:, p:]
+    m = c + e @ z
+    m_inv = np.linalg.inv(m)
+    z = z + _power_series((nil @ z + x - z @ m) @ m_inv, nil - z @ e, m_inv, k)
+    return z, np.linalg.inv(c + e @ z)
 
 
 def _power_series(first: np.ndarray, left: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:

@@ -145,7 +145,7 @@ def test_validation_catches_bad_specs():
 PINNED_LAYOUTS = {
     "DOUBLE_STAR": [("89f5000d74fd9851", "cfa6e56114e51c93"), ("db62749ff785a720", "64d7e5bbaddd3e5b"),
                     ("9b0678bb1dfb0fa2", "a17ab98bc528447a")],
-    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "b0e64259182c3be7"),
+    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "d260adb8b523cf16"),
                      ("9508e95cc4d777df", "751629dfcca57062")],
     "WINDMILL": [("dcfb4b453eee68f5", "9ae9823cf3b54629"), ("6bdfc08886812545", "ae4132b4bff9ac08"),
                  ("0af182a93d89bf9c", "69f73988ecce07c5")],

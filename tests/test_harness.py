@@ -158,12 +158,13 @@ def test_abio_fuzz_passes_beyond_the_sweep_dims():
 
 def test_long_nilpotent_chain_passes():
     # order 20, index 9: the staircase alone loses digits over nine
-    # deflations (closed_form_error 2.7e-8); the refined basis keeps it small
+    # deflations (closed_form_error 2.7e-8, one Newton step 9e-10); the
+    # refined bases keep it near 2e-11
     cfg = GenConfig("TRI_UPPER", trials=2, seed=5, dim_min=6, dim_max=10)
     assert dualdrazin.drazin.matrix_index(gen_instance(cfg, 1).assembled().std) == 9
     record = fuzz(cfg).records[1]
     assert (record["order"], record["pass"]) == (20, True)
-    assert record["closed_form_error"] <= 1e-9
+    assert record["closed_form_error"] <= 1e-10
 
 
 # per-trial digests of fuzz(GenConfig(family, trials=3, seed=5, violate=...));
@@ -206,30 +207,30 @@ PINNED_DIGESTS = {
 # new build may need them taken again from a known-good commit
 PINNED_REPORTS = {
     (False, "CLINE"): "b3a91ff4251591d2",
-    (False, "TRI_UPPER"): "9a3b9e94150e73f2",
-    (False, "TRI_LOWER"): "b1e9ef469bccb6d5",
+    (False, "TRI_UPPER"): "239aea62fdc4d3dd",
+    (False, "TRI_LOWER"): "1c15a7460ff0884b",
     (False, "SUM_PQ0"): "a59819e2d5a7ebd2",
     (False, "ABIO_RIGHT"): "9256e4c80da9a0b0",
-    (False, "ABIO_LEFT"): "d078a655ab9d0689",
-    (False, "ABCO_RIGHT"): "c22a12bcbd6c92e1",
-    (False, "ABCO_LEFT"): "d502f949220c1201",
+    (False, "ABIO_LEFT"): "83441ab68148ea66",
+    (False, "ABCO_RIGHT"): "8cd02154548f6e57",
+    (False, "ABCO_LEFT"): "cb299fbc3d48a8a3",
     (False, "BIPARTITE"): "e90de0c8ed06e843",
-    (False, "DOUBLE_STAR"): "e3b5f76d2990176b",
-    (False, "LINKED_STARS"): "bd8c2348f2c997c3",
-    (False, "WINDMILL"): "a8ae6d85a792a47c",
+    (False, "DOUBLE_STAR"): "8e6745865c0a1c11",
+    (False, "LINKED_STARS"): "542876e817f182df",
+    (False, "WINDMILL"): "b8b09b5c0aca9f6f",
     (False, "WINDMILL_BC0"): "aa9b76431afc6dc4",
     (False, "WINDMILL_GROUP"): "1cd4a5f947d62f62",
     (True, "CLINE"): "42eba7b5f3cff248",
     (True, "TRI_UPPER"): "19dc4a68c6037a8d",
-    (True, "TRI_LOWER"): "b2debf3045072cf5",
+    (True, "TRI_LOWER"): "7e0d9daabf6d6f00",
     (True, "SUM_PQ0"): "a2c1b1944f24b217",
     (True, "ABIO_RIGHT"): "71f2a1591c211eee",
     (True, "ABIO_LEFT"): "64fa7cba8e005cb5",
     (True, "ABCO_RIGHT"): "e3078f9c3629837a",
     (True, "ABCO_LEFT"): "b21906971075fb3f",
-    (True, "BIPARTITE"): "a43c4a612ed35c30",
+    (True, "BIPARTITE"): "5cccb4bfcdc2cb16",
     (True, "DOUBLE_STAR"): "17380c0a0bee7d72",
-    (True, "LINKED_STARS"): "a4128113d10fddfa",
+    (True, "LINKED_STARS"): "432a5ada25375568",
     (True, "WINDMILL"): "a1b14c976a5d18e8",
     (True, "WINDMILL_BC0"): "e054ed67768d5782",
     (True, "WINDMILL_GROUP"): "af94a14d4e442b32",
