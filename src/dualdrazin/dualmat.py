@@ -200,7 +200,8 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
     null vectors to the front (Kublanovskaya's staircase); singular values
     at or below n * tol * sigma_max(a) count as zero, so the first step
     decides rank(a) as numerical_rank does.  k, the number of deflating
-    steps, is the index, and s = rank(a**k) the core dimension.
+    steps, is the index, and s = rank(a**k) the core dimension.  Raises
+    NonFiniteEntries on NaN or inf entries and when sigma_max overflows.
     """
     n = a.shape[0]
     q = np.eye(n, dtype=complex)
