@@ -8,7 +8,7 @@ abco, bipartite), digraph assembly (graph), and verification drivers
 Matrices travel as JSON documents with 17-significant-digit floats, so a
 write-read-write cycle is byte identical.  Exit codes: 0 success, 1
 verification failure, 2 violated hypotheses, 3 no dual Drazin inverse,
-4 malformed input.
+4 malformed input, including input outside the float routes' reach.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     SpecInvalid,
+    UncertainRank,
 )
 from .harness import (
     FAMILIES,
@@ -398,7 +399,7 @@ def main(argv=None) -> int:
     except (NotDualDrazinInvertible, NotAppreciable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_INVERTIBLE
-    except (SchemaError, SpecInvalid, ShapeMismatch, NonFiniteEntries, InexactInput) as exc:
+    except (SchemaError, SpecInvalid, ShapeMismatch, NonFiniteEntries, InexactInput, UncertainRank) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except DualDrazinError as exc:

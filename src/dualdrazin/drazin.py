@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .dualmat import DualMatrix, _staircase, dmul, dpow
-from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch
+from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch, UncertainRank
 from .tolerances import rank_tol, residual_tol
 
 __all__ = [
@@ -133,18 +133,26 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
 
 
 def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
-    """The factorisation behind drazin_complex, on a square contiguous complex array."""
+    """The factorisation behind drazin_complex, on a square contiguous complex array.
+
+    A singular value the staircase counts as nonzero although it belongs to
+    a null vector leaves a zero eigenvalue in the core block C, whose
+    inversion then fails; that raises UncertainRank, not numpy's LinAlgError.
+    """
     n = a.shape[0]
-    k, s, q, h = _staircase(a, tol)
-    p = n - s
-    refine = k > 1 and s > 0
-    if refine:
-        q, h = _newton_nilpotent_basis(a, k, p, q)
-    core_inv = np.linalg.inv(h[p:, p:])
-    # Z = sum_{i<k} N^i X C^-(i+1); in the staircase basis A A^D = [[0, Z], [0, I]]
-    z = _power_series(h[:p, p:] @ core_inv, h[:p, :p], core_inv, k)
-    if refine:
-        z, core_inv = _newton_core_basis(h, k, p, z)
+    try:
+        k, s, q, h = _staircase(a, tol)
+        p = n - s
+        refine = k > 1 and s > 0
+        if refine:
+            q, h = _newton_nilpotent_basis(a, k, p, q)
+        core_inv = np.linalg.inv(h[p:, p:])
+        # Z = sum_{i<k} N^i X C^-(i+1); in the staircase basis A A^D = [[0, Z], [0, I]]
+        z = _power_series(h[:p, p:] @ core_inv, h[:p, :p], core_inv, k)
+        if refine:
+            z, core_inv = _newton_core_basis(h, k, p, z)
+    except np.linalg.LinAlgError as exc:
+        raise UncertainRank(f"the staircase split is unusable in floating point ({exc})") from exc
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
     proj_e = basis @ q_core

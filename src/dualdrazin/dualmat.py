@@ -177,12 +177,14 @@ def phi_embed(x: DualMatrix) -> np.ndarray:
 def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
     """Rank via SVD with threshold max(m, n) * tol * sigma_max.
 
-    Raises NonFiniteEntries when sigma_max overflows, since every rank
-    would then read 0.
+    Raises NonFiniteEntries on NaN or inf entries, which the SVD cannot
+    take, and when sigma_max overflows, since every rank would then read 0.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
+    if not np.isfinite(a).all():
+        raise NonFiniteEntries("matrix entries must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
     if not math.isfinite(sv[0]):
         raise NonFiniteEntries("the largest singular value overflows")

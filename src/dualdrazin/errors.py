@@ -25,6 +25,10 @@ class NonFiniteEntries(DualDrazinError, ValueError):
     """A matrix entry is NaN or infinite."""
 
 
+class UncertainRank(DualDrazinError):
+    """The staircase's rank decisions give no usable split, e.g. a core singular to working precision."""
+
+
 class HypothesisViolated(DualDrazinError):
     """A closed-form theorem was invoked on inputs violating its hypotheses."""
 

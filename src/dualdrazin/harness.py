@@ -34,7 +34,6 @@ from .digraphs import (
     DoubleStar,
     DutchWindmill,
     _WINDMILL_FORMS,
-    _parts,
     _theta,
     _theta_condition,
     build_adjacency,
@@ -170,12 +169,9 @@ def _unimodular(n, rng) -> tuple[np.ndarray, np.ndarray]:
         if i == j:
             continue
         c = int(rng.choice([-1, 1]))
-        e = np.eye(n)
-        e[i, j] = c
-        ei = np.eye(n)
-        ei[i, j] = -c
-        s = s @ e
-        sinv = ei @ sinv
+        # s <- s (I + c e_i e_j^T) and sinv <- (I - c e_i e_j^T) sinv
+        s[:, j] += c * s[:, i]
+        sinv[i, :] -= c * sinv[j, :]
     return s.astype(complex), sinv.astype(complex)
 
 
@@ -515,10 +511,7 @@ def _gen_windmill(cfg, trial, rng):
     if cfg.violate:
         return _ones_fans(m, n, tuple(DualMatrix.identity(size) for _ in range(m))), True
     if rng.integers(0, 2):
-        # orthogonal stratum: invertible blades, pure infinitesimal weights
-        blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
-        x = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
-        y = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
+        blades, x, y = _eps_fanned_blades(m, size, rng, scale)
     else:
         # nilpotent stratum: weights supported on the exact kernels, so
         # every blade-pair product vanishes identically
@@ -549,9 +542,9 @@ def _gen_windmill(cfg, trial, rng):
     spec = DutchWindmill(m=m, n=n, blades=blades, x=tuple(x), y=tuple(y))
     # the closed form also inverts the hub product W = sum y_s x_t^T, which
     # can fall outside the class even when the assembled adjacency does not
-    _, fan_col, fan_row = _parts(spec)
-    ok = _in_class(build_adjacency(spec).matrix) and _in_class(dmul(fan_col, fan_row))
-    return spec, ok
+    matrix = build_adjacency(spec).matrix
+    hub, rest = slice(0, 1), slice(1, None)
+    return spec, _in_class(matrix) and _in_class(dmul(matrix.block(rest, hub), matrix.block(hub, rest)))
 
 
 def _ones_fans(m: int, n: int, blades) -> DutchWindmill:
@@ -566,6 +559,14 @@ def _unit_column(size: int, pos: int) -> DualMatrix:
     return DualMatrix(std, np.zeros((size, 1), dtype=complex))
 
 
+def _eps_fanned_blades(m, size, rng, scale) -> tuple[tuple[DualMatrix, ...], ...]:
+    """m invertible blades and pure-epsilon fans: every y_s x_t^T is eps^2 = 0."""
+    blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
+    x = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
+    y = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
+    return blades, x, y
+
+
 def _invertible_dual(n, rng, scale) -> DualMatrix:
     s, sinv = _unimodular(n, rng)
     t = _invertible_triu(n, rng, scale)
@@ -578,41 +579,62 @@ def _gen_windmill_bc0(cfg, trial, rng):
     scale = cfg.entry_scale
     if cfg.violate:
         return _ones_fans(m, n, tuple(_invertible_dual(size, rng, scale) for _ in range(m))), True
-    blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
-    x = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
-    y = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
+    blades, x, y = _eps_fanned_blades(m, size, rng, scale)
     spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
     return spec, _in_class(build_adjacency(spec).matrix)
 
 
 def _gen_windmill_group(cfg, trial, rng):
+    """A windmill from one of two strata, each blade of it from the same one.
+
+    Invertible stratum: invertible blades and pure-epsilon fans, so every
+    fan outer product y_s x_t^T is zero and so is the hub product W.
+    Singular stratum: each blade is a group frame S diag(P, 0) S^-1 with
+    epsilon part S diag(P0, 0) S^-1, y_s lies in its kernel span S[:, a:]
+    and x_s in its left kernel, the row span of S^-1[a:, :], in both parts.
+    Then D_s y_s = 0 and x_t^T D_t = 0, which meets every blade-pair
+    condition, and W = u v^T + eps(...) is rank one with standard trace
+    sum_s x_s^T y_s; a draw where that trace is zero has a nilpotent W and
+    is redrawn.
+
+    Mixing the strata gives no member.  With s invertible and t singular: if
+    x_t has a standard part, commutation_s_t needs D_s y_s x_t^T = 0, so
+    y_s = 0, which a windmill forbids; if x_t is pure epsilon, W is pure
+    epsilon and nonzero, which fails hub_membership.
+    """
     m, n = _windmill_sizes(cfg, trial, rng)
     size = 2 * n - 1
     scale = cfg.entry_scale
     if cfg.violate:
         return _ones_fans(m, n, tuple(_invertible_dual(size, rng, scale) for _ in range(m))), True
-    blades = []
-    for _ in range(m):
-        if rng.integers(0, 2):
-            blades.append(_invertible_dual(size, rng, scale))
-        else:
-            # singular index-one blade: invertible block bordered by zeros
-            blades.append(_group_frame(size, int(rng.integers(0, size)), rng, scale))
-    blades = tuple(blades)
-    x = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
-    y = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
+    if rng.integers(0, 2):
+        blades, x, y = _eps_fanned_blades(m, size, rng, scale)
+        spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
+        return spec, _in_class(build_adjacency(spec).matrix)
+    blades, x, y, traces = zip(*(_kernel_fanned_blade(size, rng, scale) for _ in range(m)))
     spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
-    return spec, _in_class(build_adjacency(spec).matrix)
+    return spec, sum(traces) != 0 and _in_class(build_adjacency(spec).matrix)
 
 
-def _group_frame(size, a, rng, scale) -> DualMatrix:
+def _kernel_fanned_blade(size, rng, scale) -> tuple[DualMatrix, DualMatrix, DualMatrix, complex]:
+    """Group-frame blade with a = dim P in [0, size), its fans (x, y), and x^T y.
+
+    The standard parts are y = S[:, a:] eta and x = S^-1[a:, :]^T xi, so the
+    standard x^T y is xi^T eta.
+    """
+    a = int(rng.integers(0, size))
     s, sinv = _unimodular(size, rng)
     std = np.zeros((size, size), dtype=complex)
     inf = np.zeros((size, size), dtype=complex)
-    if a:
-        std[:a, :a] = _invertible_triu(a, rng, scale)
-        inf[:a, :a] = _ints(rng, (a, a), scale)
-    return DualMatrix(s @ std @ sinv, s @ inf @ sinv)
+    std[:a, :a] = _invertible_triu(a, rng, scale)
+    inf[:a, :a] = _ints(rng, (a, a), scale)
+    blade = DualMatrix(s @ std @ sinv, s @ inf @ sinv)
+    kernel, left = s[:, a:], sinv[a:, :].T
+    eta = _nonzero_ints(rng, size - a, scale)
+    xi = _nonzero_ints(rng, size - a, scale)
+    y = DualMatrix.column(kernel @ eta, kernel @ _ints(rng, size - a, scale))
+    x = DualMatrix.column(left @ xi, left @ _ints(rng, size - a, scale))
+    return blade, x, y, xi @ eta
 
 
 _GENERATORS = {

@@ -18,7 +18,9 @@ from dualdrazin.digraphs import (
 )
 from dualdrazin.errors import NotDualDrazinInvertible
 from dualdrazin.harness import FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance
-from dualdrazin.serialize import dumps_doc
+from dualdrazin.serialize import dumps_doc, matrix_to_doc
+
+from conftest import MISSED_NULL_VECTOR
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
 COMPATIBLE = dict(NILPOTENT, inf=[[[0, 0], [3, 0]], [[0, 0], [0, 0]]])
@@ -174,6 +176,21 @@ def test_overflowing_entries_are_exit_4(name, verb, write, capsys):
     assert (code, out) == (4, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert OVERFLOW_MESSAGES.get(name, "") in err
+
+
+@pytest.mark.parametrize("verb", ["drazin", "dual-drazin", "exists"])
+def test_a_missed_null_vector_is_exit_4(verb, write, capsys):
+    code, out, err = run(capsys, verb, "-i", write(matrix_to_doc(DualMatrix(MISSED_NULL_VECTOR)), "a.json"))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_fuzz_reaching_a_missed_null_vector_is_exit_4(capsys):
+    # trial 27's first draw is MISSED_NULL_VECTOR; the accept filter meets it
+    code, _, err = run(capsys, "fuzz", "--theorem", "tri-lower", "--trials", "28", "--seed", "0",
+                       "--dim-min", "6", "--dim-max", "10")
+    assert code == 4
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):

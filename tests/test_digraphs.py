@@ -151,8 +151,8 @@ PINNED_LAYOUTS = {
                  ("0af182a93d89bf9c", "69f73988ecce07c5")],
     "WINDMILL_BC0": [("8797db4794f6339d", "7fc500d720a220c8"), ("425249e89e2a2319", "95e62bbdaa8f4221"),
                      ("07e740ac70f89609", "5a8bd725adc50603")],
-    "WINDMILL_GROUP": [("b27068c7db85cd48", "c6055b5461f13a8d"), ("4f16e6a4318d33ee", "d4f8642b1a9195b1"),
-                       ("1f9387b3fe68a604", "d3e6c9f797f1beb9")],
+    "WINDMILL_GROUP": [("b27068c7db85cd48", "c6055b5461f13a8d"), ("2b0249d53919c64f", "ee5701c0ae34370e"),
+                       ("58d61930b986447e", "e6204db387eddd4e")],
 }
 CLOSED_FORMS = {
     "DOUBLE_STAR": ds_dual_drazin,

@@ -18,15 +18,17 @@ from dualdrazin import (
     matrix_index,
 )
 import dualdrazin.drazin
+from dualdrazin.dualmat import numerical_rank
 from dualdrazin.errors import (
     IndexTooLarge,
     NonFiniteEntries,
     NotDualDrazinInvertible,
     ShapeMismatch,
+    UncertainRank,
 )
 from dualdrazin.harness import gen_member
 
-from conftest import rand_int_dual
+from conftest import MISSED_NULL_VECTOR, rand_int_dual
 
 
 def random_complex(rng, n, kind):
@@ -99,11 +101,22 @@ def test_tiny_invertible_diagonals_keep_their_inverse(diag):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("route", [drazin_complex, matrix_index, drazin_oracle, group_inverse])
+@pytest.mark.parametrize(
+    "route", [drazin_complex, matrix_index, drazin_oracle, group_inverse, numerical_rank]
+)
 def test_non_finite_entries_are_rejected(route, bad):
     a = np.array([[1.0, bad], [0.0, 1.0]])
     with pytest.raises(NonFiniteEntries, match="entries must be finite"):
         route(a)
+
+
+def test_a_missed_null_vector_raises_a_library_error():
+    # the singular core block fails to invert; numpy's LinAlgError must not
+    # leave drazin_complex, with or without the fuzz memo
+    with pytest.raises(UncertainRank, match="Singular matrix"):
+        drazin_complex(MISSED_NULL_VECTOR)
+    with dualdrazin.drazin._memo(), pytest.raises(UncertainRank):
+        dual_exists(DualMatrix(MISSED_NULL_VECTOR))
 
 
 def test_members_of_order_32_have_their_inverse():

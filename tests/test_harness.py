@@ -167,6 +167,21 @@ def test_long_nilpotent_chain_passes():
     assert record["closed_form_error"] <= 1e-10
 
 
+def test_windmill_group_reaches_larger_sizes_with_singular_blades():
+    # drawing each blade's kind independently left a member only when every
+    # blade came out invertible, about 2^-m of the draws: 26 of these 30
+    # trials were generation failures
+    cfg = GenConfig("WINDMILL_GROUP", trials=30, seed=1, dim_min=8, dim_max=12)
+    report = fuzz(cfg)
+    assert report.passed, [r for r in report.records if not r["pass"]]
+    assert report.summary["generation_failures"] == 0
+    singular = [
+        trial for trial in range(cfg.trials)
+        if any(rank_std(blade) < blade.shape[0] for blade in gen_instance(cfg, trial).blades)
+    ]
+    assert singular
+
+
 # per-trial digests of fuzz(GenConfig(family, trials=3, seed=5, violate=...));
 # the instance documents are integer valued, so these hold on any machine
 PINNED_DIGESTS = {
@@ -183,7 +198,7 @@ PINNED_DIGESTS = {
     (False, "LINKED_STARS"): ["b3e7d0e0cd958f49", "8445ca50b9fa3156", "c2183fcbd46ba121"],
     (False, "WINDMILL"): ["216c2bfb0aa16c25", "42171925320f69a6", "ed75e5504071dedf"],
     (False, "WINDMILL_BC0"): ["19d5f58eb49d7830", "2232d3329cb6ed2f", "965a5343ce466e03"],
-    (False, "WINDMILL_GROUP"): ["368ce3cfd574abcd", "324763601cf081bf", "e46bae0ea4564663"],
+    (False, "WINDMILL_GROUP"): ["368ce3cfd574abcd", "dd702657506f2df0", "fa6d097f9e758dcc"],
     (True, "CLINE"): ["be76604c6814930c", "68e5b504ef7e1973", "f2c905fcce880982"],
     (True, "TRI_UPPER"): ["77880d3fe7d2bcf2", "b6edc7eafc53028a", "c0d81b9b7ded3f96"],
     (True, "TRI_LOWER"): ["1b2bd867d6bb0cda", "492fd2019eca527c", "9dc0fa625652a181"],
@@ -219,7 +234,7 @@ PINNED_REPORTS = {
     (False, "LINKED_STARS"): "542876e817f182df",
     (False, "WINDMILL"): "b8b09b5c0aca9f6f",
     (False, "WINDMILL_BC0"): "aa9b76431afc6dc4",
-    (False, "WINDMILL_GROUP"): "1cd4a5f947d62f62",
+    (False, "WINDMILL_GROUP"): "1d8ac8e49f4ad5cb",
     (True, "CLINE"): "42eba7b5f3cff248",
     (True, "TRI_UPPER"): "19dc4a68c6037a8d",
     (True, "TRI_LOWER"): "7e0d9daabf6d6f00",
