@@ -2,28 +2,26 @@
 
 The complex Drazin inverse is computed from one SVD staircase (Kublanovskaya
 1966; Golub & Wilkinson 1976): repeated null-space deflation gives a unitary
-Q with Q* A Q = [[N, X], [0, C]], N nilpotent and C invertible.  The number
-of deflating steps is the index k and dim C the core dimension, so index,
-core and inverse come from the same rank decisions.  Eigenvalues are never
-thresholded: computed eigenvalues of a defective nilpotent block scatter to
-magnitude roughly eps**(1/k), while its singular values at each step stay
-near zero.  Errors build up over the deflation steps, so when k > 1 and C
-is not empty two Newton steps move the nilpotent columns of Q onto the
-invariant subspace they approximate, and after Z below one more corrects
-the core subspace for the small block E of Q* A Q below N (C then stands
-for C + E Z).  In that basis
+Q = [Q1, Q2] with Q* A Q = [[N, X], [0, C]], N nilpotent and C invertible.
+The number of deflating steps is the index k and dim C the core dimension,
+so index, core and inverse come from the same rank decisions.  Eigenvalues
+are never thresholded: computed eigenvalues of a defective nilpotent block
+scatter to magnitude roughly eps**(1/k), while its singular values at each
+step stay near zero.  When k > 1 and C is not empty, Newton steps correct
+Q1 and the core subspace for the errors the deflation steps build up.  With
+Z = sum_{i<k} N^i X C^-(i+1), the basis
 
-    A^D = Q [[0, Z C^-1], [0, C^-1]] Q*,   Z = sum_{i<k} N^i X C^-(i+1),
+    T = [Q1, Q1 Z + Q2],   T^-1 = [Q1* - Z Q2*; Q2*],   T^-1 A T = diag(N, C)
 
-and A A^D = Q [[0, Z], [0, I]] Q*.
+splits A into its nilpotent and core parts, and A^D = T diag(0, C^-1) T^-1.
 
 A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
-    (I - A A^D) M (I - A A^D) == 0,   M = sum_{i=1..k} A^(k-i) A0 A^(i-1)
+    (I - A A^D) M (I - A A^D) == 0,   M = sum_{i=1..k} A^(k-i) A0 A^(i-1),
 
-with k = Ind(A), and the inverse is then A^D + eps*R with R given by a
-finite series in A, A0 and A^D.  All series run over exactly Ind terms;
-higher terms vanish identically in the algebra.
+the eps-part of (A + eps*A0)^k with k = Ind(A).  The inverse is then
+A^D + eps*R, and R is two sums over k terms in N and C^-1 of the blocks of
+F = T^-1 A0 T (dual_drazin_series), which forms no power of A or A^D.
 
 Inside a _memo() scope, drazin_complex factorises each distinct matrix (its
 bytes and the rank tolerance) once and hands every later caller the same
@@ -37,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +67,11 @@ class DrazinData:
     index: int
     proj_e: np.ndarray   # A A^D, projects onto the invertible core
     proj_pi: np.ndarray  # complement, projects onto the nilpotent part
+    # the staircase basis T, its inverse, and N and C^-1 of T^-1 A T = diag(N, C)
+    _basis: np.ndarray = field(repr=False, compare=False)
+    _basis_inv: np.ndarray = field(repr=False, compare=False)
+    _nil: np.ndarray = field(repr=False, compare=False)
+    _core_inv: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
     data = memo.get(key)
     if data is None:
         data = _drazin_complex(a, tol)
-        for arr in (data.ad, data.proj_e, data.proj_pi):
+        for arr in (data.ad, data.proj_e, data.proj_pi, data._basis, data._basis_inv, data._nil, data._core_inv):
             arr.flags.writeable = False
         memo[key] = data
     return data
@@ -155,9 +158,12 @@ def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
         raise UncertainRank(f"the staircase split is unusable in floating point ({exc})") from exc
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
+    t = np.hstack((q[:, :p], basis))
+    t_inv = np.vstack((q[:, :p].conj().T - z @ q_core, q_core))
     proj_e = basis @ q_core
     ad = basis @ core_inv @ q_core
-    return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e)
+    return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e,
+                      _basis=t, _basis_inv=t_inv, _nil=h[:p, :p].copy(), _core_inv=core_inv)
 
 
 def _newton_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +175,7 @@ def _newton_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tup
     sigma_max) and A^D loses digits.  With Q* A Q = [[N, X], [E, C]], the
     step for span(Q1 - Q2 P) solves C P - P N = E by the finite series
     P = sum_{i<k} C^-(i+1) E N^i and re-orthonormalises; the dual inverse
-    series, which raises A^D to the power k + 1, needs the second step.
+    series, which reaches C^-(k+1), needs the second step.
     Returns the new q and the full q* a q.  At k = 1 the null space of one
     SVD is already as accurate as the data allows, and a Newton step, whose
     target is conditioned by the spectral separation of N and C rather than
@@ -232,15 +238,12 @@ def matrix_index(a, tol: float | None = None) -> int:
 
 
 def _dual_m_matrix(x: DualMatrix, k: int) -> np.ndarray:
+    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A)."""
     a, a0 = x.std, x.inf
-    n = a.shape[0]
-    m = np.zeros((n, n), dtype=complex)
-    powers = [np.eye(n, dtype=complex)]
+    p, m = np.eye(len(a), dtype=complex), np.zeros_like(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 1):
-            powers.append(powers[-1] @ a)
-        for i in range(1, k + 1):
-            m += powers[k - i] @ a0 @ powers[i - 1]
+        for _ in range(k):
+            p, m = p @ a, p @ a0 + m @ a
     if not np.isfinite(m).all():
         raise NonFiniteEntries("the mixed series M of the existence test overflows")
     return m
@@ -277,6 +280,12 @@ def dual_drazin_series(
 ) -> DualMatrix:
     """Evaluate the inverse series A^D + eps*R without the existence gate.
 
+    In the staircase basis, T^-1 A T = diag(N, C) and F = T^-1 A0 T, the
+    Meyer-Rose series for R becomes
+
+        R = T [[0, sum_{i<k} N^i F12 C^-(i+2)],
+               [sum_{i<k} C^-(i+2) F21 N^i, -C^-1 F22 C^-1]] T^-1.
+
     The result is the dual Drazin inverse exactly when dual_exists passes;
     hypothesis checks use the ungated value to form projector residuals for
     matrices that may sit outside the invertible class.
@@ -284,21 +293,15 @@ def dual_drazin_series(
     n = x.require_square()
     if data is None:
         data = drazin_complex(x.std, tol)
-    a, a0, ad, k = x.std, x.inf, data.ad, data.index
-    r = -ad @ a0 @ ad
-    if k > 0:
-        # the terms read A^i and (A^D)^(i+2) for i < k, and no higher power
-        powers = [np.eye(n, dtype=complex)]
-        for _ in range(k - 1):
-            powers.append(powers[-1] @ a)
-        dpowers = [np.eye(n, dtype=complex)]
-        for _ in range(k + 1):
-            dpowers.append(dpowers[-1] @ ad)
-        pi = data.proj_pi
-        for i in range(k):
-            r += dpowers[i + 2] @ a0 @ powers[i] @ pi
-            r += pi @ powers[i] @ a0 @ dpowers[i + 2]
-    return DualMatrix(ad, r)
+    nil, core_inv, k = data._nil, data._core_inv, data.index
+    p = nil.shape[0]
+    f = data._basis_inv @ x.inf @ data._basis
+    core_inv2 = core_inv @ core_inv
+    r = np.zeros((n, n), dtype=complex)
+    r[:p, p:] = _power_series(f[:p, p:] @ core_inv2, nil, core_inv, k)
+    r[p:, :p] = _power_series(core_inv2 @ f[p:, :p], core_inv, nil, k)
+    r[p:, p:] = -core_inv @ f[p:, p:] @ core_inv
+    return DualMatrix(data.ad, data._basis @ r @ data._basis_inv)
 
 
 def defining_residuals(
@@ -322,9 +325,6 @@ def defining_residuals(
     if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):
         raise NonFiniteEntries("a defining residual overflows")
     return r1, r2, r3
-
-
-_NO_INVERSE = "projection of the mixed series onto the nilpotent part is nonzero"
 
 
 def dual_drazin(
@@ -358,7 +358,7 @@ def _factorise(x: DualMatrix, tol, res_tol) -> DualDrazinData:
 def _gated(dd: DualDrazinData) -> DualMatrix:
     """The inverse of a factorisation, raising as dual_drazin does when none exists."""
     if not dd.exists:
-        raise NotDualDrazinInvertible(_NO_INVERSE)
+        raise NotDualDrazinInvertible("projection of the mixed series onto the nilpotent part is nonzero")
     return dd.inverse
 
 

@@ -883,8 +883,10 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
 
     Each trial runs the check of ddz verify (_verify).  The closed form is
     only evaluated when every hypothesis holds, so a config built to
-    violate them produces a report with zero evaluations.  Counterexamples
-    are kept on the report and, when artifact_dir is set, written to disk.
+    violate them produces a report with zero evaluations.  A DualDrazinError
+    while generating, from a generator or its accept filter, fails the trial
+    as a generation failure.  Counterexamples are kept on the report and,
+    when artifact_dir is set, written to disk.
     """
     report = VerifyReport(config=cfg)
     evaluated = 0
@@ -901,9 +903,10 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
         with _memo():
             try:
                 inst = gen_instance(cfg, trial)
-            except GenerationFailed as exc:
+            except DualDrazinError as exc:  # GenerationFailed, or an accept filter's error
                 generation_failures += 1
-                record.update({"pass": False, "note": str(exc)})
+                note = str(exc) if isinstance(exc, GenerationFailed) else f"{type(exc).__name__}: {exc}"
+                record.update({"pass": False, "note": note})
                 continue
             doc = _instance_doc(inst)
             record["digest"] = hashlib.sha256(dumps_doc(doc).encode()).hexdigest()[:16]

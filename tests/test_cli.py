@@ -185,12 +185,17 @@ def test_a_missed_null_vector_is_exit_4(verb, write, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_fuzz_reaching_a_missed_null_vector_is_exit_4(capsys):
-    # trial 27's first draw is MISSED_NULL_VECTOR; the accept filter meets it
-    code, _, err = run(capsys, "fuzz", "--theorem", "tri-lower", "--trials", "28", "--seed", "0",
+def test_fuzz_reaching_a_missed_null_vector_keeps_its_report(capsys):
+    # trial 27's first draw is MISSED_NULL_VECTOR; the accept filter's error
+    # fails that trial and keeps the records of the other 27
+    code, out, _ = run(capsys, "fuzz", "--theorem", "tri-lower", "--trials", "28", "--seed", "0",
                        "--dim-min", "6", "--dim-max", "10")
-    assert code == 4
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 29 and records[-1]["record"] == "summary"
+    assert records[-1]["generation_failures"] == 1
+    assert records[27]["trial"] == 27 and records[27]["pass"] is False
+    assert records[27]["note"].startswith("UncertainRank: ")
 
 
 def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):

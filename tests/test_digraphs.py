@@ -145,13 +145,13 @@ def test_validation_catches_bad_specs():
 PINNED_LAYOUTS = {
     "DOUBLE_STAR": [("89f5000d74fd9851", "cfa6e56114e51c93"), ("db62749ff785a720", "64d7e5bbaddd3e5b"),
                     ("9b0678bb1dfb0fa2", "a17ab98bc528447a")],
-    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "d260adb8b523cf16"),
+    "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "63693743082f5a29"),
                      ("9508e95cc4d777df", "751629dfcca57062")],
-    "WINDMILL": [("dcfb4b453eee68f5", "9ae9823cf3b54629"), ("6bdfc08886812545", "ae4132b4bff9ac08"),
+    "WINDMILL": [("dcfb4b453eee68f5", "2e73045bad0b765b"), ("6bdfc08886812545", "ac05019f889a6a18"),
                  ("0af182a93d89bf9c", "69f73988ecce07c5")],
     "WINDMILL_BC0": [("8797db4794f6339d", "7fc500d720a220c8"), ("425249e89e2a2319", "95e62bbdaa8f4221"),
-                     ("07e740ac70f89609", "5a8bd725adc50603")],
-    "WINDMILL_GROUP": [("b27068c7db85cd48", "c6055b5461f13a8d"), ("2b0249d53919c64f", "ee5701c0ae34370e"),
+                     ("07e740ac70f89609", "cae4abddb4ccef01")],
+    "WINDMILL_GROUP": [("b27068c7db85cd48", "c6055b5461f13a8d"), ("2b0249d53919c64f", "4776756164b687f5"),
                        ("58d61930b986447e", "e6204db387eddd4e")],
 }
 CLOSED_FORMS = {

@@ -1,5 +1,7 @@
 """Complex and dual Drazin inverses against hand values and the SVD oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dualdrazin import (
     check_hypotheses,
     defining_residuals,
     dmul,
+    dpow,
     drazin_complex,
     drazin_oracle,
     dual_drazin,
@@ -26,7 +29,7 @@ from dualdrazin.errors import (
     ShapeMismatch,
     UncertainRank,
 )
-from dualdrazin.harness import gen_member
+from dualdrazin.harness import _make_frame, gen_member
 
 from conftest import MISSED_NULL_VECTOR, rand_int_dual
 
@@ -186,6 +189,44 @@ def test_defining_equations_on_random_members(rng):
         assert max(defining_residuals(x, out.inverse)) <= 1e-8
 
 
+def test_mixed_series_is_the_eps_part_of_the_kth_power(rng):
+    # integer entries keep every product exact, so both routes agree exactly
+    for k in range(7):
+        for _ in range(5):
+            x = rand_int_dual(rng, int(rng.integers(1, 6)))
+            assert np.array_equal(dualdrazin.drazin._dual_m_matrix(x, k), dpow(x, k).inf), k
+
+
+def _frame_eps_truth(frame) -> np.ndarray:
+    """S diag(-P^-1 P0 P^-1, 0) S^-1 for a generator frame, the core block exact."""
+    a = frame.a
+
+    def exact(m):
+        assert np.array_equal(m, np.round(m.real))
+        return np.round(m.real).astype(np.int64).astype(object)
+
+    s, sinv = exact(frame.s), exact(frame.sinv)
+    p, p0 = (sinv[:a] @ exact(part) @ s[:, :a] for part in (frame.matrix.std, frame.matrix.inf))
+    # P is upper triangular: back-substitution gives P^-1 one column at a time
+    pinv = np.full((a, a), Fraction(0), dtype=object)
+    for j in range(a):
+        for i in range(j, -1, -1):
+            pinv[i, j] = (Fraction(int(i == j)) - p[i, i + 1:j + 1] @ pinv[i + 1:j + 1, j]) / p[i, i]
+    core = (pinv @ p0 @ pinv).astype(float)
+    return -(frame.s[:, :a] @ core @ frame.sinv[:a])
+
+
+def test_eps_part_matches_the_frame_truth():
+    # draws 3 and 12 of the order-64 frames, on which a series over powers
+    # of A and A^D loses the eps-part to 6.5e-5 and 3.9e-5
+    rng = np.random.default_rng([64, 5])
+    frames = [_make_frame(64, rng, 2) for _ in range(13)]
+    for draw in (3, 12):
+        want = _frame_eps_truth(frames[draw])
+        got = dual_drazin(frames[draw].matrix).inverse.inf
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), draw
+
+
 def test_power_formula_matches_repeated_product(rng):
     # (A^D + eps R)^k = (A^D)^k + eps sum_{i<k} (A^D)^i R (A^D)^(k-1-i)
     for _ in range(10):
@@ -280,7 +321,8 @@ def test_memo_shares_one_read_only_factorisation(monkeypatch):
         assert drazin_complex(a, 1e-10) is not first  # the tolerance is part of the key
         with pytest.raises(ValueError):
             first.ad[0, 0] = 0.0
-        assert not (first.proj_e.flags.writeable or first.proj_pi.flags.writeable)
+        shared = (first.proj_e, first.proj_pi, first._basis, first._basis_inv, first._nil, first._core_inv)
+        assert not any(arr.flags.writeable for arr in shared)
     assert len(calls) == 2
     assert dualdrazin.drazin._MEMO.get() is None
     drazin_complex(a)

@@ -1,7 +1,7 @@
 """Scalar dual-number algebra: arithmetic laws, inversion, the 1x1 inverse."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dualdrazin import DualScalar, scalar_dual_drazin
 from dualdrazin.errors import NotAppreciable, NotDualDrazinInvertible
@@ -48,9 +48,12 @@ def test_inverse_closed_form():
 
 
 @given(duals.filter(lambda z: abs(z.std) > 1e-3))
+@example(DualScalar(0.046875j, 546523j))
 def test_inverse_round_trips(z):
+    # the eps-part of z * z^-1 cancels two terms of size |z.inf / z.std|,
+    # up to 1e9 under this strategy, so the bound scales with that size
     w = z.inverse()
-    assert abs(z * w - DualScalar(1)) <= 1e-9
+    assert abs(z * w - DualScalar(1)) <= 1e-12 * (1 + abs(z.inf) / abs(z.std))
 
 
 def test_inverse_needs_appreciable_part():

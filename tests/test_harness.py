@@ -221,20 +221,20 @@ PINNED_DIGESTS = {
 # defining_residuals, floats that depend on the numpy and LAPACK build, so a
 # new build may need them taken again from a known-good commit
 PINNED_REPORTS = {
-    (False, "CLINE"): "b3a91ff4251591d2",
-    (False, "TRI_UPPER"): "239aea62fdc4d3dd",
-    (False, "TRI_LOWER"): "1c15a7460ff0884b",
-    (False, "SUM_PQ0"): "a59819e2d5a7ebd2",
-    (False, "ABIO_RIGHT"): "9256e4c80da9a0b0",
-    (False, "ABIO_LEFT"): "83441ab68148ea66",
-    (False, "ABCO_RIGHT"): "8cd02154548f6e57",
-    (False, "ABCO_LEFT"): "cb299fbc3d48a8a3",
-    (False, "BIPARTITE"): "e90de0c8ed06e843",
-    (False, "DOUBLE_STAR"): "8e6745865c0a1c11",
-    (False, "LINKED_STARS"): "542876e817f182df",
-    (False, "WINDMILL"): "b8b09b5c0aca9f6f",
-    (False, "WINDMILL_BC0"): "aa9b76431afc6dc4",
-    (False, "WINDMILL_GROUP"): "1d8ac8e49f4ad5cb",
+    (False, "CLINE"): "3034e12028b7f51b",
+    (False, "TRI_UPPER"): "f9375cc144de1a14",
+    (False, "TRI_LOWER"): "5785021dbc6047fc",
+    (False, "SUM_PQ0"): "94b7d65abd4dd27b",
+    (False, "ABIO_RIGHT"): "1dac48389132eb19",
+    (False, "ABIO_LEFT"): "597cbd9b91958e07",
+    (False, "ABCO_RIGHT"): "d6257f26bdb8db28",
+    (False, "ABCO_LEFT"): "262835c33869bb57",
+    (False, "BIPARTITE"): "8fc30acc7f405518",
+    (False, "DOUBLE_STAR"): "cf2a32de305c5b60",
+    (False, "LINKED_STARS"): "94f4b2f46decd1fe",
+    (False, "WINDMILL"): "c83dc24f73eca7ac",
+    (False, "WINDMILL_BC0"): "b27c10aa11df3019",
+    (False, "WINDMILL_GROUP"): "e53cc578824222ab",
     (True, "CLINE"): "42eba7b5f3cff248",
     (True, "TRI_UPPER"): "19dc4a68c6037a8d",
     (True, "TRI_LOWER"): "7e0d9daabf6d6f00",
