@@ -11,8 +11,13 @@ and raise HypothesisViolated, or NotDualDrazinInvertible for a block
 outside the invertible class, rather than return a value the identity
 does not cover.
 
-Series limits follow the standard indices of the governing blocks, with an
-empty sum whenever the limit is zero.
+Each series is one drazin._power_series call, sum_{i<k} L^i F R^i with k
+the standard index of the governing block: D and A for the two TRI sums,
+Q and P for SUM_PQ0, B for ABIO and W for ABCO.  At k = 0 the sum is
+empty.  The paper's terms are regrouped so that each one is the one before
+times a fixed left and right factor; the ABCO right sum, for instance, is
+W^pi sum_{i<k} W^i A^D ((A^D)^2)^i, and the blocks that carry higher powers
+of A^D or a trailing B or C multiply that one sum.
 
 The anti-triangular [[A,B],[I,0]] (ABIO) is the C = I case of the bordered
 [[A,B],[C,0]] (ABCO), and its report checks the ABCO conditions with
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .drazin import DualDrazinData, _factorise, _gated, _sandwich, dual_drazin
+from .drazin import DualDrazinData, _factorise, _gated, _power_series, _sandwich, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
 from .errors import HypothesisViolated, ShapeMismatch
 from .serialize import matrix_from_doc, matrix_to_doc
@@ -151,13 +156,6 @@ class BlockInstance:
         return cls(theorem, {k: matrix_from_doc(v) for k, v in raw.items()})
 
 
-def _dual_powers(x: DualMatrix, count: int) -> list[DualMatrix]:
-    out = [DualMatrix.identity(x.shape[0])]
-    for _ in range(count):
-        out.append(dmul(out[-1], x))
-    return out
-
-
 def _condition(name: str, residual: float, scale: float, res_tol) -> Condition:
     """The acceptance rule of every residual hypothesis: residual <= tol * scale."""
     return Condition(name, residual, residual <= residual_tol(res_tol) * scale)
@@ -244,21 +242,12 @@ def _cline(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
 def _tri(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     a, b, d = inst["A"], inst["B"], inst["D"]
     da, dd = report.factorisations["A"], report.factorisations["D"]
-    xa, p = _gated(da), da.index
-    xd, q = _gated(dd), dd.index
+    xa, xd = _gated(da), _gated(dd)
     m, n = a.shape[0], d.shape[0]
     d_pi = DualMatrix.identity(n) - dmul(d, xd)
     a_pi = DualMatrix.identity(m) - dmul(a, xa)
-
-    xa_pow = _dual_powers(xa, q + 2)
-    d_pow = _dual_powers(d, max(q, 1))
-    a_pow = _dual_powers(a, max(p, 1))
-    xd_pow = _dual_powers(xd, p + 2)
-    s = DualMatrix.zeros(m, n)
-    for i in range(q):
-        s = s + dmul(dmul(xa_pow[i + 2], b), dmul(d_pow[i], d_pi))
-    for i in range(p):
-        s = s + dmul(a_pi, dmul(dmul(a_pow[i], b), xd_pow[i + 2]))
+    s = dmul(_power_series(dmul(dmul(xa, xa), b), xa, d, dd.index), d_pi)
+    s = s + dmul(a_pi, _power_series(dmul(b, dmul(xd, xd)), a, xd, da.index))
     s = s - dmul(dmul(xa, b), xd)
     if inst.theorem == "TRI_UPPER":
         return dblock([[xa, s], [DualMatrix.zeros(n, m), xd]])
@@ -269,64 +258,37 @@ def _sum_pq0(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     _require_conditions(report.conditions, inst.theorem)
     p, q = inst["P"], inst["Q"]
     dp, dq = report.factorisations["P"], report.factorisations["Q"]
-    xp, r = _gated(dp), dp.index
-    xq, t = _gated(dq), dq.index
-    n = p.shape[0]
-    eye = DualMatrix.identity(n)
+    xp, xq = _gated(dp), _gated(dq)
+    eye = DualMatrix.identity(p.shape[0])
     q_pi = eye - dmul(q, xq)
     p_pi = eye - dmul(p, xp)
-    q_pow = _dual_powers(q, max(t, 1))
-    xp_pow = _dual_powers(xp, t + 1)
-    xq_pow = _dual_powers(xq, r + 1)
-    p_pow = _dual_powers(p, max(r, 1))
-    out = DualMatrix.zeros(n)
-    for i in range(t):
-        out = out + dmul(dmul(q_pi, q_pow[i]), xp_pow[i + 1])
-    for i in range(r):
-        out = out + dmul(xq_pow[i + 1], dmul(p_pow[i], p_pi))
-    return out
+    return (dmul(q_pi, _power_series(xp, q, xp, dq.index))
+            + dmul(_power_series(xq, xq, p, dp.index), p_pi))
 
 
 def _abio(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     _require_conditions(report.conditions, inst.theorem)
     a, b = inst["A"], inst["B"]
-    right = inst.theorem == "ABIO_RIGHT"
     db = report.factorisations["B"]
     xa = _gated(report.factorisations["A"])
     xb = _gated(db)
-    n = a.shape[0]
-    eye = DualMatrix.identity(n)
+    eye = DualMatrix.identity(a.shape[0])
     b_e = dmul(b, xb)
     b_pi = eye - b_e
     a_pi = eye - dmul(a, xa)
     aapi = dmul(a, a_pi)
-    limit = db.index
-    xa_pow = _dual_powers(xa, 2 * limit + 2)
-    b_pow = _dual_powers(b, max(limit, 1))
-    tl = DualMatrix.zeros(n)
-    tr = DualMatrix.zeros(n)
-    bl = DualMatrix.zeros(n)
-    br = DualMatrix.zeros(n)
-    for i in range(limit):
-        bpbi = dmul(b_pi, b_pow[i])
-        if right:
-            tl = tl + dmul(bpbi, xa_pow[2 * i + 1])
-            bl = bl + dmul(bpbi, xa_pow[2 * i + 2])
-        else:
-            bpbi1 = dmul(bpbi, b)
-            tl = tl + dmul(xa_pow[2 * i + 1], bpbi)
-            tr = tr + dmul(xa_pow[2 * i + 2], bpbi1)
-            bl = bl + dmul(xa_pow[2 * i + 2], bpbi)
-            br = br + dmul(xa_pow[2 * i + 3], bpbi1)
-    if right:
-        tr = b_e
-        bl = bl + dmul(xb, a_pi)
-        br = -dmul(aapi, xb)
-    else:
-        tr = tr + dmul(a_pi, b_e)
-        bl = bl + dmul(a_pi, xb)
-        br = br - dmul(aapi, xb) - dmul(xa, b_e)
-    return dblock([[tl, tr], [bl, br]])
+    xa2 = dmul(xa, xa)
+    if inst.theorem == "ABIO_RIGHT":
+        tl = dmul(b_pi, _power_series(xa, b, xa2, db.index))
+        bl = dmul(tl, xa) + dmul(xb, a_pi)
+        return dblock([[tl, b_e], [bl, -dmul(aapi, xb)]])
+    s = _power_series(dmul(xa, b_pi), xa2, b, db.index)
+    xas = dmul(xa, s)
+    xasb = dmul(xas, b)
+    tr = xasb + dmul(a_pi, b_e)
+    bl = xas + dmul(a_pi, xb)
+    br = dmul(xa, xasb) - dmul(aapi, xb) - dmul(xa, b_e)
+    return dblock([[s, tr], [bl, br]])
 
 
 def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
@@ -342,47 +304,26 @@ def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str,
     xa = _gated(da)
     xw = _gated(dw)
     w = dw.source
-    n = a.shape[0]
-    p = b.shape[1]
-    eye = DualMatrix.identity(n)
+    eye = DualMatrix.identity(a.shape[0])
     w_e = dmul(w, xw)
     w_pi = eye - w_e
     a_pi = eye - dmul(a, xa)
     aapi = dmul(a, a_pi)
-    limit = dw.index
-    xa_pow = _dual_powers(xa, 2 * limit + 3)
-    w_pow = _dual_powers(w, max(limit, 1))
-    tl = DualMatrix.zeros(n)
-    tr = DualMatrix.zeros(n, p)
-    bl = DualMatrix.zeros(p, n)
-    br = DualMatrix.zeros(p)
+    xa2 = dmul(xa, xa)
+    xw2 = dmul(xw, xw)
     if side == "right":
-        for i in range(limit):
-            wpwi = dmul(w_pi, w_pow[i])
-            tl = tl + dmul(wpwi, xa_pow[2 * i + 1])
-            tr = tr + dmul(dmul(wpwi, xa_pow[2 * i + 2]), b)
-            bl = bl + dmul(c, dmul(wpwi, xa_pow[2 * i + 2]))
-            br = br + dmul(c, dmul(dmul(wpwi, xa_pow[2 * i + 3]), b))
-        tr = tr + dmul(dmul(xw, a_pi), b)
-        bl = bl + dmul(c, dmul(xw, a_pi))
-        br = br - dmul(c, dmul(dmul(dpow(xw, 2), aapi), b))
-        br = br - dmul(c, dmul(dmul(xw, xa), b))
-    else:
-        for i in range(limit):
-            wpwi = dmul(w_pi, w_pow[i])
-            wpwi1 = dmul(wpwi, w)
-            tl = tl + dmul(xa_pow[2 * i + 2], dmul(wpwi, a))
-            tl = tl + dmul(xa_pow[2 * i + 3], wpwi1)
-            tr = tr + dmul(xa_pow[2 * i + 2], dmul(wpwi, b))
-            bl = bl + dmul(c, dmul(xa_pow[2 * i + 3], dmul(wpwi, a)))
-            bl = bl + dmul(c, dmul(xa_pow[2 * i + 4], wpwi1))
-            br = br + dmul(c, dmul(xa_pow[2 * i + 3], dmul(wpwi, b)))
-        tl = tl - dmul(xa, w_e)
-        tr = tr + dmul(a_pi, dmul(xw, b))
-        bl = bl - dmul(c, dmul(dpow(xa, 2), w_e))
-        bl = bl + dmul(c, dmul(a_pi, xw))
-        br = br - dmul(c, dmul(aapi, dmul(dpow(xw, 2), b)))
-        br = br - dmul(c, dmul(xa, dmul(xw, b)))
+        s = dmul(w_pi, _power_series(xa, w, xa2, dw.index))
+        mid = dmul(s, xa) + dmul(xw, a_pi)
+        br = dmul(s, xa2) - dmul(xw2, aapi) - dmul(xw, xa)
+        return dblock([[s, dmul(mid, b)], [dmul(c, mid), dmul(dmul(c, br), b)]])
+    s = _power_series(dmul(xa2, w_pi), xa2, w, dw.index)
+    # XA (S W), not (XA S) W: on fuzz ABCO_LEFT seed 0, dims 6-10, trial 43
+    # the other order lifts the largest defining residual from 4.6e-9 to 1.1e-8
+    u = dmul(s, a) + dmul(xa, dmul(s, w))
+    tl = u - dmul(xa, w_e)
+    tr = dmul(s, b) + dmul(dmul(a_pi, xw), b)
+    bl = dmul(c, dmul(xa, u) - dmul(xa2, w_e) + dmul(a_pi, xw))
+    br = dmul(dmul(c, dmul(xa, s) - dmul(aapi, xw2) - dmul(xa, xw)), b)
     return dblock([[tl, tr], [bl, br]])
 
 

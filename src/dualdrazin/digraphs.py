@@ -311,42 +311,47 @@ def _theta_condition(theta: DualScalar) -> Condition:
     return Condition("theta_membership", 0.0, True)
 
 
-def _dw_conditions(spec: DutchWindmill, inverse: DualMatrix, res_tol) -> list[Condition]:
-    """Per-blade-pair commutation and annihilation residuals.
+def _blade_pairs(spec: DutchWindmill) -> list[tuple[int, int, slice, slice]]:
+    """(s, t, rows of blade s, columns of blade t) in D for every blade pair, in report order."""
+    size = 2 * spec.n - 1
+    blades = [slice(s * size, (s + 1) * size) for s in range(spec.m)]
+    return [(s, t, rows, cols) for s, rows in enumerate(blades) for t, cols in enumerate(blades)]
 
-    inverse is the (ungated) inverse of the block-diagonal blade matrix D,
-    whose diagonal blocks are the blade inverses D_s^D.
+
+def _dw_conditions(spec: DutchWindmill, d_blk: DualMatrix, w: DualMatrix, inverse: DualMatrix,
+                   res_tol) -> list[Condition]:
+    """Per-blade-pair annihilation and commutation residuals, read from whole-matrix products.
+
+    The (s, t) block of the hub product W = C B is the fan outer product
+    y_s x_t^T.  inverse is the (ungated) inverse of the blade matrix D; its
+    diagonal blocks, the blade inverses D_s^D, give E = blockdiag(D_s D_s^D).
+    Then [D E W]_st = D_s E_s y_s x_t^T and [D W - W (D - D E)]_st =
+    D_s y_s x_t^T - y_s x_t^T D_t Pi_t, so five dual products serve every
+    pair, however many blades there are.
     """
-    projectors = []
-    for s, d in enumerate(spec.blades):
-        size = d.shape[0]
-        blade = slice(s * size, (s + 1) * size)
-        e = dmul(d, inverse.block(blade, blade))
-        projectors.append((e, DualMatrix.identity(size) - e))
+    size = 2 * spec.n - 1
+    mask = np.kron(np.eye(spec.m), np.ones((size, size)))
+    e = dmul(d_blk, DualMatrix(inverse.std * mask, inverse.inf * mask))
+    de = dmul(d_blk, e)
+    annihil = dmul(de, w)
+    commute = dmul(d_blk, w) - dmul(w, d_blk - de)
+    blade_norms = [d.norm() for d in spec.blades]
     conds = []
-    for s in range(spec.m):
-        d_s = spec.blades[s]
-        e_s = projectors[s][0]
-        for t in range(spec.m):
-            d_t = spec.blades[t]
-            pi_t = projectors[t][1]
-            outer = dmul(spec.y[s], spec.x[t].T)
-            scale = 1.0 + (d_s.norm() + d_t.norm()) * (1.0 + outer.norm())
-            annihil = dmul(dmul(d_s, e_s), outer).norm()
-            conds.append(_condition(f"annihilation_{s + 1}_{t + 1}", annihil, scale, res_tol))
-            commute = (dmul(d_s, outer) - dmul(outer, dmul(d_t, pi_t))).norm()
-            conds.append(_condition(f"commutation_{s + 1}_{t + 1}", commute, scale, res_tol))
+    for s, t, rows, cols in _blade_pairs(spec):
+        scale = 1.0 + (blade_norms[s] + blade_norms[t]) * (1.0 + w.block(rows, cols).norm())
+        for name, defect in (("annihilation", annihil), ("commutation", commute)):
+            residual = defect.block(rows, cols).norm()
+            conds.append(_condition(f"{name}_{s + 1}_{t + 1}", residual, scale, res_tol))
     return conds
 
 
-def _bc0_conditions(spec: DutchWindmill, res_tol) -> list[Condition]:
-    conds = []
-    for s in range(spec.m):
-        for t in range(spec.m):
-            outer = dmul(spec.y[s], spec.x[t].T).norm()
-            scale = 1.0 + spec.y[s].norm() * spec.x[t].norm()
-            conds.append(_condition(f"outer_zero_{s + 1}_{t + 1}", outer, scale, res_tol))
-    return conds
+def _bc0_conditions(spec: DutchWindmill, w: DualMatrix, res_tol) -> list[Condition]:
+    """outer_zero_s_t: the (s, t) block y_s x_t^T of the hub product W vanishes."""
+    return [
+        _condition(f"outer_zero_{s + 1}_{t + 1}", w.block(rows, cols).norm(),
+                   1.0 + spec.y[s].norm() * spec.x[t].norm(), res_tol)
+        for s, t, rows, cols in _blade_pairs(spec)
+    ]
 
 
 # graph_hypotheses form of each windmill variant -> the theorem of its report
@@ -387,13 +392,14 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
     d_blk, c_col, b_row = _parts(spec)
+    w = dmul(c_col, b_row)
     membership_d = membership("D", d_blk)
     if form == "bc_zero":
-        conds = [*_bc0_conditions(spec, res_tol), membership_d]
+        conds = [*_bc0_conditions(spec, w, res_tol), membership_d]
     else:
-        conds = _dw_conditions(spec, factors["D"].inverse, res_tol)
+        conds = _dw_conditions(spec, d_blk, w, factors["D"].inverse, res_tol)
         conds.append(membership_d)
-        conds.append(membership("W", dmul(c_col, b_row), "hub_membership"))
+        conds.append(membership("W", w, "hub_membership"))
     if form == "group":
         for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
             conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))

@@ -204,8 +204,15 @@ def _newton_core_basis(h: np.ndarray, k: int, p: int, z: np.ndarray) -> tuple[np
     return z, np.linalg.inv(c + e @ z)
 
 
-def _power_series(first: np.ndarray, left: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
-    """sum_{i<k} left^i first right^i, each term formed from the one before."""
+def _power_series(first, left, right, k: int):
+    """sum_{i<k} left^i first right^i, each term formed from the one before.
+
+    The operands are ndarrays or DualMatrix alike, since both spell the
+    product @ and the sum +.  At k = 0 the sum is empty: a zero of the
+    shape and type of first.
+    """
+    if k == 0:
+        return first - first
     term = total = first
     for _ in range(k - 1):
         term = left @ term @ right

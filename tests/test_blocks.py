@@ -15,6 +15,7 @@ from dualdrazin import (
     closed_form,
     dmul,
     dual_drazin,
+    matrix_index,
     sum_pq_zero,
     tri_drazin,
 )
@@ -162,6 +163,44 @@ def test_abco_zero_core_is_bipartite(rng):
     out = abco_drazin(DualMatrix.zeros(2), b, c)
     want = bipartite_drazin(b, c)
     assert rel_err(out, want) <= 1e-9
+
+
+def _abco_chain(side, index):
+    """(A, W) with A = diag(P, 0) + eps diag(P0, 0) and W nilpotent of the given index.
+
+    W shifts down the index - 1 coordinates outside the core of A and is
+    coupled to the core through its core columns (right side, zero core
+    rows) or its core rows (left side, zero core columns), so the ABCO
+    series has nonzero terms past its first.  On the left the last term,
+    i = index - 1, only ever meets A or W on its right, which annihilate
+    it; there only index 3 reaches past the first term.
+    """
+    z = index - 1
+    n = 2 + z
+    a_std, a_inf, w = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    a_std[:2, :2] = [[2, 1], [1, 1]]
+    a_inf[:2, :2] = [[1, -1], [2, 0]]
+    for i in range(z - 1):
+        w[2 + i, 3 + i] = 1
+    coupling = np.array([[1, 2], [-1, 1]])[:z]
+    if side == "right":
+        w[2:, :2] = coupling
+    else:
+        w[:2, 2:] = coupling.T
+    return DualMatrix(a_std, a_inf), DualMatrix(w)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("index", [2, 3])
+def test_abco_series_past_its_first_term(side, index):
+    a, w = _abco_chain(side, index)
+    assert matrix_index(w.std) == index
+    ad = dual_drazin(a).inverse
+    cross = dmul(w, ad) if side == "right" else dmul(ad, w)
+    assert cross.norm() > 0
+    inst = BlockInstance(f"ABCO_{side.upper()}", {"A": a, "B": w, "C": dual_eye(a.shape[0])})
+    want = dual_drazin(inst.assembled()).inverse
+    assert (closed_form(inst) - want).norm() <= 1e-12 * want.norm()
 
 
 def test_bipartite_identity_is_involution():

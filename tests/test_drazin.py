@@ -197,6 +197,20 @@ def test_mixed_series_is_the_eps_part_of_the_kth_power(rng):
             assert np.array_equal(dualdrazin.drazin._dual_m_matrix(x, k), dpow(x, k).inf), k
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_power_series_is_the_sum_of_its_first_k_terms(k, rng):
+    # rectangular first, so a sum that mixed up left and right would not conform
+    first, left, right = rand_int_dual(rng, 2, 3), rand_int_dual(rng, 2), rand_int_dual(rng, 3)
+    want = DualMatrix.zeros(2, 3)
+    for i in range(k):
+        want = want + dmul(dmul(dpow(left, i), first), dpow(right, i))
+    got = dualdrazin.drazin._power_series(first, left, right, k)
+    assert isinstance(got, DualMatrix)
+    assert np.array_equal(got.std, want.std) and np.array_equal(got.inf, want.inf)
+    got_std = dualdrazin.drazin._power_series(first.std, left.std, right.std, k)
+    assert isinstance(got_std, np.ndarray) and np.array_equal(got_std, want.std)
+
+
 def _frame_eps_truth(frame) -> np.ndarray:
     """S diag(-P^-1 P0 P^-1, 0) S^-1 for a generator frame, the core block exact."""
     a = frame.a
