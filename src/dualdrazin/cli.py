@@ -46,7 +46,7 @@ from .harness import (
     fuzz,
     smith_rank_oracle,
 )
-from .serialize import dumps_doc, matrix_from_doc, matrix_to_doc
+from .serialize import _matrix_doc, dumps_doc, matrix_from_doc
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -119,7 +119,7 @@ def _cmd_drazin(args) -> int:
     rank, _ = _tols(args)
     data = drazin_complex(x.std, rank)
     out = DualMatrix(data.ad, np.zeros_like(data.ad))
-    _emit(matrix_to_doc(out, index=data.index), args.output)
+    _emit(_matrix_doc(out, index=data.index), args.output)
     return EXIT_OK
 
 
@@ -127,7 +127,7 @@ def _cmd_dual_drazin(args) -> int:
     x = _load_matrix(args.input)
     rank, res = _tols(args)
     data = dual_drazin(x, rank, res)
-    _emit(matrix_to_doc(data.inverse, residuals=[float(v) for v in data.residuals]), args.output)
+    _emit(_matrix_doc(data.inverse, residuals=[float(v) for v in data.residuals]), args.output)
     return EXIT_OK
 
 
@@ -166,7 +166,7 @@ def _cmd_rank(args) -> int:
 def _cmd_cline(args) -> int:
     rank, res = _tols(args)
     out = cline(_load_matrix(args.a), _load_matrix(args.b), rank, res)
-    _emit(matrix_to_doc(out), args.output)
+    _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
 
@@ -180,14 +180,14 @@ def _cmd_tri(args) -> int:
         tol=rank,
         res_tol=res,
     )
-    _emit(matrix_to_doc(out), args.output)
+    _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
 
 def _cmd_abio(args) -> int:
     rank, res = _tols(args)
     out = abio_drazin(_load_matrix(args.a), _load_matrix(args.b), side=args.side, tol=rank, res_tol=res)
-    _emit(matrix_to_doc(out), args.output)
+    _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
 
@@ -201,14 +201,14 @@ def _cmd_abco(args) -> int:
         tol=rank,
         res_tol=res,
     )
-    _emit(matrix_to_doc(out), args.output)
+    _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
 
 def _cmd_bipartite(args) -> int:
     rank, res = _tols(args)
     out = bipartite_drazin(_load_matrix(args.b), _load_matrix(args.c), rank, res)
-    _emit(matrix_to_doc(out), args.output)
+    _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
 
@@ -238,11 +238,11 @@ def _cmd_graph(args) -> int:
         extras["permutation_to_bipartite"] = list(build.permutation_to_bipartite)
     if build.metadata:
         extras["metadata"] = build.metadata
-    _emit(matrix_to_doc(build.matrix, **extras), args.output)
+    _emit(_matrix_doc(build.matrix, **extras), args.output)
     if args.closed_form:
         rank, res = _tols(args)
         hyp = graph_hypotheses(spec, args.form.replace("-", "_"), rank, res)
-        _emit(matrix_to_doc(_FORMULAS[hyp.theorem](spec, hyp)), args.closed_form)
+        _emit(_matrix_doc(_FORMULAS[hyp.theorem](spec, hyp)), args.closed_form)
     return EXIT_OK
 
 

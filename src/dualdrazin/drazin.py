@@ -14,6 +14,8 @@ Z = sum_{i<k} N^i X C^-(i+1), the basis
     T = [Q1, Q1 Z + Q2],   T^-1 = [Q1* - Z Q2*; Q2*],   T^-1 A T = diag(N, C)
 
 splits A into its nilpotent and core parts, and A^D = T diag(0, C^-1) T^-1.
+At index 0 no step deflates, so Q = T = I and C = A: A^D is C^-1 itself,
+A A^D = I and I - A A^D = 0, and no product with T or T^-1 is formed.
 
 A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
@@ -21,7 +23,8 @@ A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
 the eps-part of (A + eps*A0)^k with k = Ind(A).  The inverse is then
 A^D + eps*R, and R is two sums over k terms in N and C^-1 of the blocks of
-F = T^-1 A0 T (dual_drazin_series), which forms no power of A or A^D.
+F = T^-1 A0 T (dual_drazin_series), which forms no power of A or A^D; at
+index 0 it is R = -C^-1 A0 C^-1, and the existence test holds trivially.
 
 Inside a _memo() scope, drazin_complex factorises each distinct matrix (its
 bytes and the rank tolerance) once and hands every later caller the same
@@ -156,6 +159,11 @@ def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
             z, core_inv = _newton_core_basis(h, k, p, z)
     except np.linalg.LinAlgError as exc:
         raise UncertainRank(f"the staircase split is unusable in floating point ({exc})") from exc
+    if k == 0:
+        # q = I and h = a: T = T^-1 = I, A^D = C^-1 and Pi = 0, with no product
+        ident = np.eye(n, dtype=complex)
+        return DrazinData(ad=core_inv.copy(), index=0, proj_e=ident.copy(), proj_pi=np.zeros_like(ident),
+                          _basis=ident, _basis_inv=ident, _nil=h[:0, :0].copy(), _core_inv=core_inv)
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
     t = np.hstack((q[:, :p], basis))
@@ -277,6 +285,8 @@ def dual_exists(
 
 def _sandwich(data: DrazinData, m: np.ndarray) -> float:
     """Norm of Pi M Pi, the projection dual_exists compares with zero."""
+    if data.index == 0:
+        return 0.0  # Pi = 0
     return float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
 
 
@@ -301,6 +311,8 @@ def dual_drazin_series(
     if data is None:
         data = drazin_complex(x.std, tol)
     nil, core_inv, k = data._nil, data._core_inv, data.index
+    if k == 0:  # T = I, so R = -C^-1 A0 C^-1
+        return DualMatrix(data.ad, -core_inv @ x.inf @ core_inv)
     p = nil.shape[0]
     f = data._basis_inv @ x.inf @ data._basis
     core_inv2 = core_inv @ core_inv
@@ -324,11 +336,17 @@ def defining_residuals(
     if k is None:
         k = matrix_index(x.std, tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        xk = dpow(x, k)
-        r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
-        r2 = (dmul(dmul(candidate, x), candidate) - candidate).norm() / (1.0 + candidate.norm())
+        xa = dmul(candidate, x)
+        if k == 0:
+            ident = DualMatrix.identity(x.shape[0])
+            r1 = (xa - ident).norm() / (1.0 + ident.norm())
+        else:
+            # (A^k X) A, not A^k (X A): the other association rounds differently
+            xk = dpow(x, k)
+            r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
+        r2 = (dmul(xa, candidate) - candidate).norm() / (1.0 + candidate.norm())
         ax = dmul(x, candidate)
-        r3 = (ax - dmul(candidate, x)).norm() / (1.0 + ax.norm())
+        r3 = (ax - xa).norm() / (1.0 + ax.norm())
     if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):
         raise NonFiniteEntries("a defining residual overflows")
     return r1, r2, r3

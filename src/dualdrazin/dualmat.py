@@ -124,7 +124,9 @@ class DualMatrix:
 
     def __repr__(self) -> str:
         m, n = self.shape
-        return f"DualMatrix({m}x{n}, |std|={np.linalg.norm(self.std):.3g}, |inf|={np.linalg.norm(self.inf):.3g})"
+        with np.errstate(over="ignore"):  # a norm past the float range prints as inf
+            std, inf = np.linalg.norm(self.std), np.linalg.norm(self.inf)
+        return f"DualMatrix({m}x{n}, |std|={std:.3g}, |inf|={inf:.3g})"
 
 
 def _require_same_shape(x: DualMatrix, y: DualMatrix) -> None:

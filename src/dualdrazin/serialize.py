@@ -3,8 +3,10 @@
 Writers render every float with 17 significant digits so a write-read cycle
 reproduces the double exactly and re-serialising gives identical bytes;
 -0.0 is written as 0, so equal matrices serialise identically.  A matrix
-part (a list of rows of [re, im] float pairs) is written with one format
-call per row; every other value goes through the generic branch, with the
+part is written with one format call per row, whether it is a complex
+ndarray (as the CLI and dump_matrix hand it over, never converted to
+lists) or a list of rows of [re, im] float pairs (as matrix_to_doc
+returns it); every other value goes through the generic branch, with the
 same bytes.  Readers validate shapes and raise SchemaError on malformed
 documents.
 """
@@ -78,8 +80,13 @@ def _render(obj: Any) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if type(obj) is np.ndarray and obj.dtype == np.complex128 and obj.ndim == 2:
+        # each float row holds the row's [re, im] pairs in order
+        template = _row_template(obj.shape[1])
+        rows = (np.ascontiguousarray(obj).view(float) + 0.0).tolist()
+        return "[" + ", ".join(template.format(*row) for row in rows) + "]"
     if type(obj) is list and _is_pair_rows(obj):
-        # v + 0.0 turns -0.0 into 0.0, as fmt17 does
+        # v + 0.0 turns -0.0 into 0.0, as fmt17 does, here and above
         template = _row_template(len(obj[0]))
         rows = (template.format(*map((0.0).__add__, chain.from_iterable(row))) for row in obj)
         return "[" + ", ".join(rows) + "]"
@@ -100,12 +107,21 @@ def _pairs(part: np.ndarray) -> list:
     return np.stack((part.real, part.imag), axis=-1).tolist()
 
 
-def matrix_to_doc(x: DualMatrix, **extra) -> dict:
+def _matrix_doc(x: DualMatrix, **extra) -> dict:
+    """Matrix document whose parts are the complex arrays themselves.
+
+    dumps_doc writes it to the same bytes as matrix_to_doc's list document.
+    """
     m, n = x.shape
-    doc: dict[str, Any] = {"rows": m, "cols": n}
-    doc["std"] = _pairs(x.std)
+    doc: dict[str, Any] = {"rows": m, "cols": n, "std": x.std}
     if np.any(x.inf != 0):
-        doc["inf"] = _pairs(x.inf)
+        doc["inf"] = x.inf
+    doc.update(extra)
+    return doc
+
+
+def matrix_to_doc(x: DualMatrix, **extra) -> dict:
+    doc = {key: _pairs(v) if key in ("std", "inf") else v for key, v in _matrix_doc(x).items()}
     doc.update(extra)
     return doc
 
@@ -151,7 +167,7 @@ def load_matrix(path) -> DualMatrix:
 
 def dump_matrix(x: DualMatrix, path, **extra) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_doc(matrix_to_doc(x, **extra)))
+        fh.write(dumps_doc(_matrix_doc(x, **extra)))
 
 
 def scalar_to_doc(z: DualScalar) -> dict:
@@ -176,10 +192,8 @@ def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
 def vector_to_doc(v: DualMatrix) -> dict:
     if v.shape[1] != 1:
         raise SchemaError("vectors serialise as column matrices")
-    doc: dict[str, Any] = {"std": _pairs(v.std[:, 0])}
-    if np.any(v.inf != 0):
-        doc["inf"] = _pairs(v.inf[:, 0])
-    return doc
+    doc = _matrix_doc(v)
+    return {key: _pairs(doc[key][:, 0]) for key in ("std", "inf") if key in doc}
 
 
 def vector_from_doc(doc: Any, label: str = "vector") -> DualMatrix:

@@ -1,5 +1,6 @@
 """Exit codes, output determinism and tolerance plumbing of the ddz front end."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,9 +17,10 @@ from dualdrazin.digraphs import (
     dw_group,
     graph_spec_to_doc,
 )
+from dualdrazin.drazin import matrix_index
 from dualdrazin.errors import NotDualDrazinInvertible
-from dualdrazin.harness import FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance
-from dualdrazin.serialize import dumps_doc, matrix_to_doc
+from dualdrazin.harness import FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
+from dualdrazin.serialize import dump_matrix, dumps_doc, matrix_to_doc
 
 from conftest import MISSED_NULL_VECTOR
 
@@ -446,3 +448,34 @@ def test_block_verb_hypothesis_violation(write, capsys):
     p = write(eye, "i.json")
     code, _, err = run(capsys, "abio", "-a", p, "-b", p)
     assert code == 2 and "error:" in err
+
+
+def _gaussian_integers_48():
+    parts = np.random.default_rng(48).integers(-2, 3, (4, 48, 48)).astype(float)
+    return DualMatrix(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
+
+
+# sha256[:16] of the file `ddz <verb> -i <input> -o <file>` writes; drazin is
+# given the standard part alone.  The first input has index 0, the second
+# (gen_member(10, default_rng([1, 2]), invertible=False)) index 4.
+PINNED_INVERSES = {
+    ("gaussian_integers_48", "dual-drazin"): "efb92836daf0ada5",
+    ("gaussian_integers_48", "drazin"): "28331e9242230a6c",
+    ("member_index_4", "dual-drazin"): "980d828456738a30",
+    ("member_index_4", "drazin"): "6065b93fc3de69b3",
+}
+
+
+@pytest.mark.parametrize("name, verb", sorted(PINNED_INVERSES))
+def test_inverse_outputs_are_pinned(name, verb, tmp_path):
+    if name == "gaussian_integers_48":
+        x, index = _gaussian_integers_48(), 0
+    else:
+        x, index = gen_member(10, np.random.default_rng([1, 2]), invertible=False), 4
+    assert matrix_index(x.std) == index
+    if verb == "drazin":
+        x = DualMatrix(x.std)
+    source, target = tmp_path / "in.json", tmp_path / "out.json"
+    dump_matrix(x, source)
+    assert main([verb, "-i", str(source), "-o", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest()[:16] == PINNED_INVERSES[name, verb]

@@ -1,5 +1,6 @@
 """Complex and dual Drazin inverses against hand values and the SVD oracle."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,51 @@ def test_residuals_report_failure_scale():
     bad = DualMatrix.identity(2)
     r1, r2, r3 = defining_residuals(x, bad)
     assert max(r1, r2, r3) > 0.1
+
+
+def _ref_residuals(x, candidate, k):
+    """The defining residuals with A^k formed at every k, A^0 = I included."""
+    xk = dpow(x, k)
+    r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
+    r2 = (dmul(dmul(candidate, x), candidate) - candidate).norm() / (1.0 + candidate.norm())
+    ax = dmul(x, candidate)
+    r3 = (ax - dmul(candidate, x)).norm() / (1.0 + ax.norm())
+    return r1, r2, r3
+
+
+@pytest.mark.parametrize("invertible", [True, False])
+def test_residuals_match_the_power_by_power_reference(invertible, rng):
+    # one X A serves r2 and r3, and r1 is X A - I at index 0; the norms are
+    # bit-identical because only the signs of zero entries can move
+    for n in (1, 3, 8, 16):
+        x = gen_member(n, rng, invertible=invertible)
+        out = dual_drazin(x)
+        assert (out.index == 0) is invertible
+        assert out.residuals == _ref_residuals(x, out.inverse, out.index)
+        assert defining_residuals(x, x, 0) == _ref_residuals(x, x, 0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_index_zero_is_the_plain_inverse(n):
+    # Q = I at index 0: no product with the staircase basis, and Pi = 0
+    rng = np.random.default_rng([n, 0])
+    x = DualMatrix(random_complex(rng, n, "dense"), random_complex(rng, n, "dense"))
+    inv = np.linalg.inv(x.std)
+    out = dual_drazin(x)
+    assert out.index == 0
+    assert np.array_equal(out.inverse.std, inv)
+    assert np.array_equal(out.inverse.inf, -inv @ x.inf @ inv)
+    assert max(out.residuals) < 1e-10
+    data = out.drazin
+    assert np.array_equal(data.proj_e, np.eye(n)) and not data.proj_pi.any()
+    assert dualdrazin.drazin._sandwich(data, out.m_matrix) == 0.0
+    with dualdrazin.drazin._memo():
+        shared = drazin_complex(x.std)
+        arrays = [getattr(shared, f.name) for f in dataclasses.fields(shared)]
+        arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
+        assert len(arrays) == 7 and not any(arr.flags.writeable for arr in arrays)
+    data.ad[...] = 0.0  # outside a memo the caller owns ad; the series keeps its own C^-1
+    assert np.array_equal(dualdrazin.drazin.dual_drazin_series(x, data=data).inf, -inv @ x.inf @ inv)
 
 
 def test_residuals_are_computed_once_on_first_read(monkeypatch, rng):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualdrazin import (
@@ -20,6 +20,7 @@ from dualdrazin import (
 from dualdrazin.dualmat import _staircase, numerical_rank
 from dualdrazin.errors import NonFiniteEntries, ShapeMismatch
 from dualdrazin.serialize import (
+    _matrix_doc,
     dump_matrix,
     dumps_doc,
     fmt17,
@@ -364,12 +365,28 @@ DOCUMENTS = st.recursive(LEAVES, lambda kids: st.one_of(
 ), max_leaves=12)
 
 
+def _extreme_matrix(rows, cols, with_inf):
+    """Every entry from EXTREMES, the parts' real and imaginary halves offset."""
+    values = np.resize(EXTREMES, 4 * rows * cols).reshape(4, rows, cols)
+    inf = values[2] + 1j * values[3] if with_inf else None
+    return DualMatrix(values[0] + 1j * values[1], inf)
+
+
 @settings(max_examples=150, deadline=None)
 @given(dual_matrices())
+@example(_extreme_matrix(1, 7, True))
+@example(_extreme_matrix(7, 1, True))
+@example(_extreme_matrix(1, 1, False))
+@example(_extreme_matrix(3, 5, False))
 def test_matrix_documents_match_the_per_entry_writer(x):
     doc, ref = matrix_to_doc(x), _ref_matrix_doc(x)
     assert doc == ref and repr(doc) == repr(ref)  # repr tells -0.0 from 0.0
     assert dumps_doc(doc) == _ref_render(ref) + "\n"
+    # the CLI's array document writes the same bytes, with its extras too
+    assert dumps_doc(_matrix_doc(x)) == _ref_render(ref) + "\n"
+    extras = {"residuals": [EXTREMES[0], EXTREMES[1], 1e-300], "index": 3}
+    assert dumps_doc(_matrix_doc(x, **extras)) == _ref_render({**ref, **extras}) + "\n"
+    assert matrix_to_doc(x, **extras) == {**ref, **extras}
     column = DualMatrix(x.std[:, :1], x.inf[:, :1])
     vdoc = vector_to_doc(column)
     ref_column = _ref_matrix_doc(column)
@@ -392,5 +409,8 @@ def test_large_document_bytes_are_pinned(tmp_path):
     std, inf = np.empty((64, 64), complex), np.empty((64, 64), complex)
     std.real, std.imag, inf.real, inf.imag = parts
     path = tmp_path / "large.json"
-    dump_matrix(DualMatrix(std, inf), path)
+    x = DualMatrix(std, inf)
+    dump_matrix(x, path)  # renders the arrays themselves
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "020f96507c7ff54b"
+    lists = dumps_doc(matrix_to_doc(x)).encode()
+    assert hashlib.sha256(lists).hexdigest()[:16] == "020f96507c7ff54b"
