@@ -29,12 +29,13 @@ series carries those terms as rounding error that grows with |B^D|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .drazin import DualDrazinData, _factorise, _gated, _power_series, _sandwich, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
-from .errors import HypothesisViolated, ShapeMismatch
-from .serialize import matrix_from_doc, matrix_to_doc
+from .errors import HypothesisViolated, NonFiniteEntries, ShapeMismatch
+from .serialize import _listed, _matrix_doc, matrix_from_doc
 from .tolerances import residual_tol
 
 __all__ = [
@@ -83,6 +84,8 @@ class HypothesisReport:
     conditions: tuple[Condition, ...]
     # name -> factorisation of each matrix the formula inverts, kept by the check
     factorisations: dict[str, DualDrazinData] = field(default_factory=dict, compare=False, repr=False)
+    # the adjacency matrix a digraph report was checked on; None for block reports
+    _matrix: DualMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -141,11 +144,12 @@ class BlockInstance:
         n, p = bb.shape
         return dblock([[DualMatrix.zeros(n), bb], [c, DualMatrix.zeros(p)]])
 
+    def _doc(self) -> dict:
+        """The instance document with complex array parts; to_doc lists them."""
+        return {"theorem": self.theorem, "blocks": {k: _matrix_doc(v) for k, v in self.blocks.items()}}
+
     def to_doc(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "blocks": {k: matrix_to_doc(v) for k, v in self.blocks.items()},
-        }
+        return _listed(self._doc())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BlockInstance":
@@ -157,7 +161,13 @@ class BlockInstance:
 
 
 def _condition(name: str, residual: float, scale: float, res_tol) -> Condition:
-    """The acceptance rule of every residual hypothesis: residual <= tol * scale."""
+    """The acceptance rule of every residual hypothesis: residual <= tol * scale.
+
+    A residual that is inf or NaN comes from products that overflowed, and
+    says nothing about the hypothesis, so it raises NonFiniteEntries.
+    """
+    if not math.isfinite(residual):
+        raise NonFiniteEntries(f"the {name} residual overflows")
     return Condition(name, residual, residual <= residual_tol(res_tol) * scale)
 
 

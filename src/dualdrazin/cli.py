@@ -392,7 +392,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflowing input is reported once, as the error below; numpy's
+        # floating-point warnings on the way there would add lines to stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (HypothesisViolated, IndexTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -6,8 +6,9 @@ and windmills (even cycles joined at a common hub).  Each family has a
 canonical vertex ordering, so its adjacency matrix is reproducible
 bit-for-bit, and a closed-form dual Drazin inverse built from the blocks
 of that layout.  The layout is written once per family (_layout), for the
-standard and the infinitesimal parts alike; the formula blocks are slices
-of the matrix it builds (_parts).
+standard and the infinitesimal parts alike; graph_hypotheses builds the
+matrix once, its report keeps it, and the formula blocks are slices of it
+(_parts).
 
 Weights are dual complex numbers.  Arc weights may be pure infinitesimals;
 a weight that is zero in both parts means the arc is missing, which the
@@ -16,6 +17,7 @@ builders reject.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,16 +25,17 @@ import numpy as np
 from .blocks import Condition, HypothesisReport, _abco_formula, _condition, _membership
 from .blocks import _require_conditions, bipartite_drazin
 from .drazin import _gated
-from .dualmat import DualMatrix, dblock, dmul
+from .dualmat import DualMatrix, _norm, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
-from .errors import IndexTooLarge, NotDualDrazinInvertible, SchemaError, SpecInvalid
+from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .serialize import (
+    _listed,
+    _matrix_doc,
+    _vector_doc,
     matrix_from_doc,
-    matrix_to_doc,
     scalar_from_doc,
     scalar_to_doc,
     vector_from_doc,
-    vector_to_doc,
 )
 
 __all__ = [
@@ -132,6 +135,10 @@ def _validate(spec: GraphSpec) -> None:
         for name, s in (("a", spec.a), ("b", spec.b)):
             if not isinstance(s, DualScalar) or not s.is_appreciable(scale=1.0 + abs(s)):
                 raise SpecInvalid(f"hub-to-hub weight {name} must be appreciable")
+        # the layout takes every weight unchecked; only these scalars can hold
+        # a NaN, in the infinitesimal part, which the appreciability test lets by
+        if not (cmath.isfinite(spec.a.inf) and cmath.isfinite(spec.b.inf)):
+            raise NonFiniteEntries("dual matrix entries must be finite")
     elif isinstance(spec, DLinkedStars):
         if not isinstance(spec.base, DualMatrix) or spec.base.shape[0] != spec.base.shape[1]:
             raise SpecInvalid("core adjacency must be a square dual matrix")
@@ -197,16 +204,16 @@ def _layout(spec: GraphSpec, part: str) -> np.ndarray:
 
 
 def _adjacency(spec: GraphSpec) -> DualMatrix:
-    return DualMatrix(_layout(spec, "std"), _layout(spec, "inf"))
+    """The adjacency matrix of a validated spec."""
+    return DualMatrix._of(_layout(spec, "std"), _layout(spec, "inf"))
 
 
-def _parts(spec: GraphSpec) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
-    """(A, B, C) of [[A, B], [C, 0]], sliced from the adjacency matrix.
+def _parts(spec: GraphSpec, matrix: DualMatrix) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
+    """(A, B, C) of [[A, B], [C, 0]], sliced from the spec's adjacency matrix.
 
     The windmill's hub-first [[0, B], [C, D]] gives (D, C, B): its blocks
     in the [[A, B], [C, 0]] order once the hub is moved last.
     """
-    matrix = _adjacency(spec)
     if isinstance(spec, DutchWindmill):
         hub, rest = slice(0, 1), slice(1, None)
         return matrix.block(rest, rest), matrix.block(rest, hub), matrix.block(hub, rest)
@@ -274,7 +281,7 @@ def _dual_dot(u: DualMatrix, v: DualMatrix) -> DualScalar:
 
 
 def _scalar_scale(s: DualScalar, x: DualMatrix) -> DualMatrix:
-    return DualMatrix(s.std * x.std, s.std * x.inf + s.inf * x.std)
+    return DualMatrix._of(s.std * x.std, s.std * x.inf + s.inf * x.std)
 
 
 def _corner_formula(ad: DualMatrix, b_blk: DualMatrix, c_blk: DualMatrix) -> DualMatrix:
@@ -290,7 +297,7 @@ def _corner_formula(ad: DualMatrix, b_blk: DualMatrix, c_blk: DualMatrix) -> Dua
 def _hub_first(inner: DualMatrix) -> DualMatrix:
     """Move the last row and column of a windmill inverse, the hub's, to the front."""
     order = np.roll(np.arange(inner.shape[0]), 1)
-    return DualMatrix(inner.std[np.ix_(order, order)], inner.inf[np.ix_(order, order)])
+    return DualMatrix._of(inner.std[np.ix_(order, order)], inner.inf[np.ix_(order, order)])
 
 
 def _ortho_condition(name: str, u: DualMatrix, v: DualMatrix, res_tol) -> Condition:
@@ -331,24 +338,29 @@ def _dw_conditions(spec: DutchWindmill, d_blk: DualMatrix, w: DualMatrix, invers
     """
     size = 2 * spec.n - 1
     mask = np.kron(np.eye(spec.m), np.ones((size, size)))
-    e = dmul(d_blk, DualMatrix(inverse.std * mask, inverse.inf * mask))
+    e = dmul(d_blk, DualMatrix._of(inverse.std * mask, inverse.inf * mask))
     de = dmul(d_blk, e)
     annihil = dmul(de, w)
     commute = dmul(d_blk, w) - dmul(w, d_blk - de)
     blade_norms = [d.norm() for d in spec.blades]
     conds = []
     for s, t, rows, cols in _blade_pairs(spec):
-        scale = 1.0 + (blade_norms[s] + blade_norms[t]) * (1.0 + w.block(rows, cols).norm())
+        scale = 1.0 + (blade_norms[s] + blade_norms[t]) * (1.0 + _block_norm(w, rows, cols))
         for name, defect in (("annihilation", annihil), ("commutation", commute)):
-            residual = defect.block(rows, cols).norm()
+            residual = _block_norm(defect, rows, cols)
             conds.append(_condition(f"{name}_{s + 1}_{t + 1}", residual, scale, res_tol))
     return conds
+
+
+def _block_norm(x: DualMatrix, rows: slice, cols: slice) -> float:
+    """x.block(rows, cols).norm(), read from views instead of a checked copy."""
+    return _norm(x.std[rows, cols], x.inf[rows, cols])
 
 
 def _bc0_conditions(spec: DutchWindmill, w: DualMatrix, res_tol) -> list[Condition]:
     """outer_zero_s_t: the (s, t) block y_s x_t^T of the hub product W vanishes."""
     return [
-        _condition(f"outer_zero_{s + 1}_{t + 1}", w.block(rows, cols).norm(),
+        _condition(f"outer_zero_{s + 1}_{t + 1}", _block_norm(w, rows, cols),
                    1.0 + spec.y[s].norm() * spec.x[t].norm(), res_tol)
         for s, t, rows, cols in _blade_pairs(spec)
     ]
@@ -370,8 +382,8 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     index-at-most-one requirements.  Double star and linked stars ignore
     form and report fan orthogonality; the double star also reports whether
     theta = x^T y + ab has a dual Drazin inverse, and linked stars whether
-    the core does (membership_base).  The report keeps the factorisation of
-    every matrix the family formula inverts.
+    the core does (membership_base).  The report keeps the adjacency matrix
+    and the factorisation of every matrix the family formula inverts.
     """
     _validate(spec)
     if isinstance(spec, DoubleStar):
@@ -379,7 +391,7 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
             _ortho_condition("fan_orthogonality", spec.w, spec.v, res_tol),
             _theta_condition(_theta(spec)),
         )
-        return HypothesisReport("DOUBLE_STAR", conds)
+        return HypothesisReport("DOUBLE_STAR", conds, _matrix=_adjacency(spec))
     factors: dict = {}
     membership = _membership(factors, tol, res_tol)
     if isinstance(spec, DLinkedStars):
@@ -388,10 +400,11 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
             for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
         ]
         conds.append(membership("base", spec.base))
-        return HypothesisReport("LINKED_STARS", tuple(conds), factors)
+        return HypothesisReport("LINKED_STARS", tuple(conds), factors, _adjacency(spec))
     if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
-    d_blk, c_col, b_row = _parts(spec)
+    matrix = _adjacency(spec)
+    d_blk, c_col, b_row = _parts(spec, matrix)
     w = dmul(c_col, b_row)
     membership_d = membership("D", d_blk)
     if form == "bc_zero":
@@ -403,18 +416,19 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     if form == "group":
         for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
             conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
-    return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors)
+    return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors, matrix)
 
 
 # Formula bodies: (spec, its report) -> inverse of the adjacency matrix.  A
 # body first raises as its public closed form does for a failed report, then
 # takes every matrix inverse from the report's factorisations through _gated,
-# so a failed membership condition raises NotDualDrazinInvertible.
+# so a failed membership condition raises NotDualDrazinInvertible, and its
+# blocks from the report's adjacency matrix.
 
 
 def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
     _require_conditions(report.conditions[:1], "hub2 fan is not dual-orthogonal")
-    core, b_blk, c_blk = _parts(spec)
+    core, b_blk, c_blk = _parts(spec, report._matrix)
     ad = _scalar_scale(scalar_dual_drazin(_theta(spec)), core)
     return _corner_formula(ad, b_blk, c_blk)
 
@@ -422,13 +436,13 @@ def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
 def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
     *fans, _ = report.conditions
     _require_conditions(fans, "leaf fans are not dual-orthogonal")
-    _, b_blk, c_blk = _parts(spec)
+    _, b_blk, c_blk = _parts(spec, report._matrix)
     return _corner_formula(_gated(report.factorisations["base"]), b_blk, c_blk)
 
 
 def _dw_series(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
     """The bordered-corner series of [[D, C],[B, 0]], hub moved first."""
-    d_blk, c_col, b_row = _parts(spec)
+    d_blk, c_col, b_row = _parts(spec, report._matrix)
     f = report.factorisations
     return _hub_first(_abco_formula(d_blk, c_col, b_row, "right", f["D"], f["W"]))
 
@@ -453,7 +467,7 @@ def _group_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
 def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
     *outer, _ = report.conditions
     _require_conditions(outer, "fan outer products are not dual-zero")
-    _, c_col, b_row = _parts(spec)
+    _, c_col, b_row = _parts(spec, report._matrix)
     return _hub_first(_corner_formula(_gated(report.factorisations["D"]), c_col, b_row))
 
 
@@ -593,33 +607,42 @@ def graph_spec_from_doc(doc: dict) -> GraphSpec:
     )
 
 
-def graph_spec_to_doc(spec: GraphSpec) -> dict:
-    _validate(spec)
+def _graph_doc(spec: GraphSpec) -> dict:
+    """The spec document with complex array parts (serialize._matrix_doc, _vector_doc).
+
+    graph_spec_to_doc validates the spec and lists the arrays; the fuzz
+    record digest renders this document directly.
+    """
     if isinstance(spec, DoubleStar):
         return {
             "family": "double_star",
             "m": spec.m,
             "n": spec.n,
-            "x": vector_to_doc(spec.x),
-            "y": vector_to_doc(spec.y),
-            "w": vector_to_doc(spec.w),
-            "v": vector_to_doc(spec.v),
+            "x": _vector_doc(spec.x),
+            "y": _vector_doc(spec.y),
+            "w": _vector_doc(spec.w),
+            "v": _vector_doc(spec.v),
             "a": scalar_to_doc(spec.a),
             "b": scalar_to_doc(spec.b),
         }
     if isinstance(spec, DLinkedStars):
         return {
             "family": "linked_stars",
-            "base": matrix_to_doc(spec.base),
+            "base": _matrix_doc(spec.base),
             "r": list(spec.r),
-            "x": [vector_to_doc(v) for v in spec.x],
-            "y": [vector_to_doc(v) for v in spec.y],
+            "x": [_vector_doc(v) for v in spec.x],
+            "y": [_vector_doc(v) for v in spec.y],
         }
     return {
         "family": "dutch_windmill",
         "m": spec.m,
         "n": spec.n,
-        "blades": [matrix_to_doc(d) for d in spec.blades],
-        "x": [vector_to_doc(v) for v in spec.x],
-        "y": [vector_to_doc(v) for v in spec.y],
+        "blades": [_matrix_doc(d) for d in spec.blades],
+        "x": [_vector_doc(v) for v in spec.x],
+        "y": [_vector_doc(v) for v in spec.y],
     }
+
+
+def graph_spec_to_doc(spec: GraphSpec) -> dict:
+    _validate(spec)
+    return _listed(_graph_doc(spec))

@@ -312,7 +312,7 @@ def dual_drazin_series(
         data = drazin_complex(x.std, tol)
     nil, core_inv, k = data._nil, data._core_inv, data.index
     if k == 0:  # T = I, so R = -C^-1 A0 C^-1
-        return DualMatrix(data.ad, -core_inv @ x.inf @ core_inv)
+        return DualMatrix._of(data.ad, -core_inv @ x.inf @ core_inv)
     p = nil.shape[0]
     f = data._basis_inv @ x.inf @ data._basis
     core_inv2 = core_inv @ core_inv
@@ -320,7 +320,7 @@ def dual_drazin_series(
     r[:p, p:] = _power_series(f[:p, p:] @ core_inv2, nil, core_inv, k)
     r[p:, :p] = _power_series(core_inv2 @ f[p:, :p], core_inv, nil, k)
     r[p:, p:] = -core_inv @ f[p:, p:] @ core_inv
-    return DualMatrix(data.ad, data._basis @ r @ data._basis_inv)
+    return DualMatrix._of(data.ad, data._basis @ r @ data._basis_inv)
 
 
 def defining_residuals(

@@ -7,6 +7,20 @@ A dual matrix is ``A + eps*A0`` with complex ``A`` (standard part) and
 
 is a ring homomorphism into ordinary complex matrices and drives the rank
 and index notions used everywhere else.
+
+Two constructors.  DualMatrix(std, inf) validates: it copies its input
+into contiguous complex arrays if need be, checks that both parts are 2-d
+and equally shaped, and rejects NaN and inf.  identity, zeros, column,
+block, T and every serialize reader go through it, so every matrix that
+enters from outside is well formed.  DualMatrix._of(std, inf) checks
+nothing and is for results of arithmetic on parts that are already valid,
+which are complex128 and equally shaped by construction: the sums,
+differences, products, scalings, copies and block grids below, and the
+internal results of drazin and digraphs.  At dims 1-5 the checks cost more
+than the arithmetic.  Such a result can still overflow to inf or NaN; the
+steps that read one check it instead: the staircase, the mixed series M,
+the hypothesis and defining residuals and the JSON writer each raise
+NonFiniteEntries.
 """
 
 from __future__ import annotations
@@ -59,6 +73,14 @@ class DualMatrix:
         self.std = std
         self.inf = inf
 
+    @classmethod
+    def _of(cls, std: np.ndarray, inf: np.ndarray) -> "DualMatrix":
+        """Unvalidated: std and inf must be equally shaped 2-d complex128 arrays."""
+        x = object.__new__(cls)
+        x.std = std
+        x.inf = inf
+        return x
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -93,20 +115,20 @@ class DualMatrix:
 
     def __add__(self, other: "DualMatrix") -> "DualMatrix":
         _require_same_shape(self, other)
-        return DualMatrix(self.std + other.std, self.inf + other.inf)
+        return DualMatrix._of(self.std + other.std, self.inf + other.inf)
 
     def __sub__(self, other: "DualMatrix") -> "DualMatrix":
         _require_same_shape(self, other)
-        return DualMatrix(self.std - other.std, self.inf - other.inf)
+        return DualMatrix._of(self.std - other.std, self.inf - other.inf)
 
     def __neg__(self) -> "DualMatrix":
-        return DualMatrix(-self.std, -self.inf)
+        return DualMatrix._of(-self.std, -self.inf)
 
     def __matmul__(self, other: "DualMatrix") -> "DualMatrix":
         return dmul(self, other)
 
     def scaled(self, factor: complex) -> "DualMatrix":
-        return DualMatrix(self.std * factor, self.inf * factor)
+        return DualMatrix._of(self.std * factor, self.inf * factor)
 
     @property
     def T(self) -> "DualMatrix":
@@ -114,19 +136,25 @@ class DualMatrix:
 
     def norm(self) -> float:
         """Frobenius norm of the stacked (std, inf) pair."""
-        return float(np.sqrt(np.linalg.norm(self.std) ** 2 + np.linalg.norm(self.inf) ** 2))
+        return _norm(self.std, self.inf)
 
     def copy(self) -> "DualMatrix":
-        return DualMatrix(self.std.copy(), self.inf.copy())
+        return DualMatrix._of(self.std.copy(), self.inf.copy())
 
     def block(self, rows: slice, cols: slice) -> "DualMatrix":
-        return DualMatrix(self.std[rows, cols], self.inf[rows, cols])
+        """A copy of the block, never a view: a single row slices contiguously."""
+        return DualMatrix(self.std[rows, cols].copy(), self.inf[rows, cols].copy())
 
     def __repr__(self) -> str:
         m, n = self.shape
         with np.errstate(over="ignore"):  # a norm past the float range prints as inf
             std, inf = np.linalg.norm(self.std), np.linalg.norm(self.inf)
         return f"DualMatrix({m}x{n}, |std|={std:.3g}, |inf|={inf:.3g})"
+
+
+def _norm(std: np.ndarray, inf: np.ndarray) -> float:
+    """DualMatrix.norm of a pair of parts; views of a block give the norm of its copy."""
+    return float(np.sqrt(np.linalg.norm(std) ** 2 + np.linalg.norm(inf) ** 2))
 
 
 def _require_same_shape(x: DualMatrix, y: DualMatrix) -> None:
@@ -139,15 +167,15 @@ def dmul(x: DualMatrix, y: DualMatrix) -> DualMatrix:
     """Dual matrix product: std X*Y, inf X*Y0 + X0*Y."""
     if x.shape[1] != y.shape[0]:
         raise ShapeMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    return DualMatrix(x.std @ y.std, x.std @ y.inf + x.inf @ y.std)
+    return DualMatrix._of(x.std @ y.std, x.std @ y.inf + x.inf @ y.std)
 
 
 def dblock(rows: list[list[DualMatrix]]) -> DualMatrix:
     """Assemble a dual matrix from a grid of conforming dual blocks."""
-    return DualMatrix(
-        np.block([[b.std for b in row] for row in rows]),
-        np.block([[b.inf for b in row] for row in rows]),
-    )
+    def grid(part: str) -> np.ndarray:  # np.block's result, without its argument checks
+        return np.concatenate([np.concatenate([getattr(b, part) for b in row], axis=1) for row in rows])
+
+    return DualMatrix._of(grid("std"), grid("inf"))
 
 
 def dpow(x: DualMatrix, k: int) -> DualMatrix:
@@ -248,24 +276,23 @@ def rank_dual(x: DualMatrix, tol: float | None = None) -> int:
 @dataclass(frozen=True)
 class IndexReport:
     ind_std: int
-    ind_dual: int | None
+    ind_dual: int
     ind_phi: int
 
 
 def indices(x: DualMatrix, tol: float | None = None) -> IndexReport:
     """Standard index, dual index and index of the phi embedding.
 
-    The dual index is the smallest t in [ind_std, 2*ind_std] at which the
-    dual rank of X**t collapses onto its standard rank; when no such t
-    exists the matrix has no dual Drazin inverse and None is reported.
+    The dual index is the smallest t >= ind_std at which the dual rank of
+    X**t collapses onto its standard rank, and that is ind_phi: phi(X**t) =
+    [[A**t, M_t], [0, A**t]] has rank at least 2 rank(A**t), and for
+    t >= ind_std equality holds exactly when t >= ind phi(X), which lies
+    between ind_std and 2 ind_std.  So it is never missing, and in exact
+    arithmetic it equals ind_std exactly when a dual Drazin inverse exists
+    (drazin.dual_exists); the float staircase of phi(X) can miss that when
+    the infinitesimal part is much larger than the standard part.
     """
-    n = x.require_square()
+    x.require_square()
     k = _staircase(x.std, tol)[0]
     k_phi = _staircase(phi_embed(x), tol)[0]
-    ind_dual: int | None = None
-    for t in range(k, 2 * k + 1):
-        xt = dpow(x, t)
-        if rank_dual(xt, tol) == rank_std(xt, tol):
-            ind_dual = t
-            break
-    return IndexReport(ind_std=k, ind_dual=ind_dual, ind_phi=k_phi)
+    return IndexReport(ind_std=k, ind_dual=k_phi, ind_phi=k_phi)

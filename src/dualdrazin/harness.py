@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,11 +35,11 @@ from .digraphs import (
     DoubleStar,
     DutchWindmill,
     _WINDMILL_FORMS,
+    _graph_doc,
     _theta,
     _theta_condition,
     build_adjacency,
     graph_hypotheses,
-    graph_spec_to_doc,
 )
 from .drazin import _memo, defining_residuals, dual_drazin, dual_exists
 from .dualmat import DualMatrix, dmul
@@ -47,9 +48,10 @@ from .errors import (
     DualDrazinError,
     GenerationFailed,
     InexactInput,
+    NonFiniteEntries,
     SpecInvalid,
 )
-from .serialize import dumps_doc
+from .serialize import _listed, dumps_doc
 
 logger = logging.getLogger(__name__)
 
@@ -135,12 +137,23 @@ def _in_class(x: DualMatrix, res_tol=None) -> bool:
 # integer frame building blocks
 
 
+def _choice(rng, values: tuple, size=None):
+    """rng.choice(values, size), from the same draws at a fraction of its cost.
+
+    Generator.choice takes its indices from integers(0, len(values), size)
+    but spends several times that call on checking its arguments.
+    """
+    if size is None:
+        return values[rng.integers(0, len(values))]
+    return np.asarray(values)[rng.integers(0, len(values), size)]
+
+
 def _ints(rng, shape, scale) -> np.ndarray:
     return rng.integers(-scale, scale + 1, shape).astype(complex)
 
 
 def _nonzero_ints(rng, count, scale) -> np.ndarray:
-    vals = rng.integers(1, scale + 1, count) * rng.choice([-1, 1], count)
+    vals = rng.integers(1, scale + 1, count) * _choice(rng, (-1, 1), count)
     return vals.astype(complex)
 
 
@@ -152,7 +165,7 @@ def _invertible_triu(n, rng, scale) -> np.ndarray:
     """Upper-triangular integers with a +-1/+-2 diagonal, so invertible."""
     t = np.triu(_ints(rng, (n, n), scale))
     if n:
-        np.fill_diagonal(t, rng.choice([-2, -1, 1, 2], n))
+        np.fill_diagonal(t, _choice(rng, (-2, -1, 1, 2), n))
     return t
 
 
@@ -168,7 +181,7 @@ def _unimodular(n, rng) -> tuple[np.ndarray, np.ndarray]:
         i, j = rng.integers(0, n, 2)
         if i == j:
             continue
-        c = int(rng.choice([-1, 1]))
+        c = _choice(rng, (-1, 1))
         # s <- s (I + c e_i e_j^T) and sinv <- (I - c e_i e_j^T) sinv
         s[:, j] += c * s[:, i]
         sinv[i, :] -= c * sinv[j, :]
@@ -179,7 +192,7 @@ def _superdiag_nilpotent(b, rng) -> tuple[np.ndarray, list[int]]:
     n = np.zeros((b, b), dtype=complex)
     coeffs = []
     for j in range(b - 1):
-        c = int(rng.choice([0, 1, 1, 2]))
+        c = _choice(rng, (0, 1, 1, 2))
         coeffs.append(c)
         n[j, j + 1] = c
     return n, coeffs
@@ -189,7 +202,7 @@ def _poly_of(mat, rng, unit, scale=2) -> np.ndarray:
     b = mat.shape[0]
     out = np.zeros((b, b), dtype=complex)
     if unit:
-        out += int(rng.choice([1, -1, 2])) * np.eye(b)
+        out += _choice(rng, (1, -1, 2)) * np.eye(b)
     power = mat.copy()
     for _ in range(min(b, 3)):
         out += int(rng.integers(-scale, scale + 1)) * power
@@ -468,8 +481,8 @@ def _gen_double_star(cfg, trial, rng):
     scale = cfg.entry_scale
     x = DualMatrix(_nonzero_ints(rng, m, scale).reshape(-1, 1), _ints(rng, m, scale).reshape(-1, 1))
     y = DualMatrix(_nonzero_ints(rng, m, scale).reshape(-1, 1), _ints(rng, m, scale).reshape(-1, 1))
-    a = DualScalar(int(rng.choice([-2, -1, 1, 2])), int(rng.integers(-scale, scale + 1)))
-    b = DualScalar(int(rng.choice([-2, -1, 1, 2])), int(rng.integers(-scale, scale + 1)))
+    a = DualScalar(_choice(rng, (-2, -1, 1, 2)), int(rng.integers(-scale, scale + 1)))
+    b = DualScalar(_choice(rng, (-2, -1, 1, 2)), int(rng.integers(-scale, scale + 1)))
     if cfg.violate:
         ones = _ones_column(n)
         spec = DoubleStar(m=m, n=n, x=x, y=y, w=ones, v=ones, a=a, b=b)
@@ -840,9 +853,15 @@ class VerifyReport:
 
 
 def _instance_doc(inst) -> dict:
+    """The instance document with complex array parts, rendered for the record digest.
+
+    It writes the bytes of inst.to_doc() or graph_spec_to_doc(inst), which
+    list it (serialize._listed).  A graph spec is not validated here; the
+    accept filter or _verify's graph_hypotheses does that.
+    """
     if isinstance(inst, BlockInstance):
-        return inst.to_doc()
-    return graph_spec_to_doc(inst)
+        return inst._doc()
+    return _graph_doc(inst)
 
 
 def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
@@ -862,7 +881,7 @@ def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -
         assembled = inst.assembled()
     else:
         hyp = graph_hypotheses(inst, form, tol, res_tol)
-        assembled = build_adjacency(inst).matrix
+        assembled = hyp._matrix
     record["order"] = assembled.shape[0]
     record["hypotheses_pass"] = hyp.passed
     record["hypothesis_residuals"] = {c.name: c.residual for c in hyp.conditions}
@@ -872,6 +891,8 @@ def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -
     closed = _FORMULAS[hyp.theorem](inst, hyp)
     oracle = dual_drazin(assembled, tol, res_tol)
     rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
+    if not math.isfinite(rel):  # an overflowing closed form or oracle; no record can hold it
+        raise NonFiniteEntries("the closed-form error overflows")
     defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, tol)]
     record["closed_form_error"] = rel
     record["defining_residuals"] = defres
@@ -950,7 +971,8 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
 
 
 def _persist(report: VerifyReport, cfg: GenConfig, trial: int, doc: dict, record: dict) -> None:
-    entry = {"family": cfg.family, "trial": trial, "instance": doc, "record": dict(record)}
+    """Keep a failed trial on the report, with the listed instance document."""
+    entry = {"family": cfg.family, "trial": trial, "instance": _listed(doc), "record": dict(record)}
     report.counterexamples.append(entry)
     if cfg.artifact_dir is None:
         return

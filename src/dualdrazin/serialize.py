@@ -3,18 +3,23 @@
 Writers render every float with 17 significant digits so a write-read cycle
 reproduces the double exactly and re-serialising gives identical bytes;
 -0.0 is written as 0, so equal matrices serialise identically.  A matrix
-part is written with one format call per row, whether it is a complex
-ndarray (as the CLI and dump_matrix hand it over, never converted to
-lists) or a list of rows of [re, im] float pairs (as matrix_to_doc
-returns it); every other value goes through the generic branch, with the
-same bytes.  Readers validate shapes and raise SchemaError on malformed
-documents.
+part is written with one format call per row, whether it is a 2-d complex
+ndarray (as _matrix_doc keeps it, for the CLI, dump_matrix and the fuzz
+record digest) or a list of rows of [re, im] float pairs (as matrix_to_doc
+returns it); a vector part kept as a 1-d complex ndarray (_vector_doc) is
+written with one format call.  Every other value goes through the generic
+branch, with the same bytes.  The public *_to_doc functions return the
+array documents with every array turned into nested lists (_listed).  No
+writer emits inf or NaN, which are not JSON: a non-finite number raises
+NonFiniteEntries.  Readers validate shapes and raise SchemaError on
+malformed documents.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from itertools import chain
 from typing import Any
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from .dualmat import DualMatrix
 from .dualnum import DualScalar
-from .errors import SchemaError
+from .errors import NonFiniteEntries, SchemaError
 
 __all__ = [
     "fmt17",
@@ -68,9 +73,37 @@ def _is_pair_rows(obj: list) -> bool:
     )
 
 
+def _finite(numbers: str) -> str:
+    """numbers, formatted by .17g, unless one is inf or nan: no finite one has an n."""
+    if "n" in numbers:
+        raise NonFiniteEntries("cannot write a non-finite number as JSON")
+    return numbers
+
+
+# JSON text of a string; documents repeat the same keys and names
+_string = functools.lru_cache(maxsize=4096)(json.dumps)
+
+
 def _render(obj: Any) -> str:
     """JSON writer that formats bare floats via fmt17."""
+    kind = type(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{_string(str(k))}: {_render(v)}" for k, v in obj.items()]) + "}"
+    if kind is np.ndarray and obj.dtype == np.complex128 and obj.ndim in (1, 2):
+        # a float row holds the [re, im] pairs of a vector or a matrix row in order
+        template = _row_template(obj.shape[-1])
+        rows = (np.ascontiguousarray(obj).view(float) + 0.0).tolist()
+        if obj.ndim == 1:
+            return _finite(template.format(*rows))
+        return _finite("[" + ", ".join([template.format(*row) for row in rows]) + "]")
+    if kind is list and _is_pair_rows(obj):
+        # v + 0.0 turns -0.0 into 0.0, as fmt17 does, here and above
+        template = _row_template(len(obj[0]))
+        rows = [template.format(*map((0.0).__add__, chain.from_iterable(row))) for row in obj]
+        return _finite("[" + ", ".join(rows) + "]")
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteEntries("cannot write a non-finite number as JSON")
         return fmt17(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -79,22 +112,9 @@ def _render(obj: Any) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if type(obj) is np.ndarray and obj.dtype == np.complex128 and obj.ndim == 2:
-        # each float row holds the row's [re, im] pairs in order
-        template = _row_template(obj.shape[1])
-        rows = (np.ascontiguousarray(obj).view(float) + 0.0).tolist()
-        return "[" + ", ".join(template.format(*row) for row in rows) + "]"
-    if type(obj) is list and _is_pair_rows(obj):
-        # v + 0.0 turns -0.0 into 0.0, as fmt17 does, here and above
-        template = _row_template(len(obj[0]))
-        rows = (template.format(*map((0.0).__add__, chain.from_iterable(row))) for row in obj)
-        return "[" + ", ".join(rows) + "]"
+        return _string(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+        return "[" + ", ".join([_render(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
@@ -105,6 +125,17 @@ def dumps_doc(doc: dict) -> str:
 def _pairs(part: np.ndarray) -> list:
     """Nested lists of [re, im] Python floats, one pair per entry."""
     return np.stack((part.real, part.imag), axis=-1).tolist()
+
+
+def _listed(doc: Any) -> Any:
+    """A copy of an array document with every complex array part as _pairs lists."""
+    if type(doc) is np.ndarray:
+        return _pairs(doc)
+    if isinstance(doc, dict):
+        return {key: _listed(v) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [_listed(v) for v in doc]
+    return doc
 
 
 def _matrix_doc(x: DualMatrix, **extra) -> dict:
@@ -121,7 +152,7 @@ def _matrix_doc(x: DualMatrix, **extra) -> dict:
 
 
 def matrix_to_doc(x: DualMatrix, **extra) -> dict:
-    doc = {key: _pairs(v) if key in ("std", "inf") else v for key, v in _matrix_doc(x).items()}
+    doc = _listed(_matrix_doc(x))
     doc.update(extra)
     return doc
 
@@ -189,11 +220,16 @@ def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
     return DualScalar(std, inf)
 
 
-def vector_to_doc(v: DualMatrix) -> dict:
+def _vector_doc(v: DualMatrix) -> dict:
+    """Vector document whose parts are 1-d complex arrays, the column of each part."""
     if v.shape[1] != 1:
         raise SchemaError("vectors serialise as column matrices")
     doc = _matrix_doc(v)
-    return {key: _pairs(doc[key][:, 0]) for key in ("std", "inf") if key in doc}
+    return {key: doc[key][:, 0] for key in ("std", "inf") if key in doc}
+
+
+def vector_to_doc(v: DualMatrix) -> dict:
+    return _listed(_vector_doc(v))
 
 
 def vector_from_doc(doc: Any, label: str = "vector") -> DualMatrix:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualdrazin import DualMatrix
+from dualdrazin.harness import gen_existence
 
 
 def rand_int_dual(rng, rows, cols=None, scale=3, with_inf=True):
@@ -43,3 +44,15 @@ MISSED_NULL_VECTOR = np.array([
     [-2, -2, -2, 2, -2, 2, 0, 0, 0, 0, 0, 0, -2, 0, 3],
     [2, -1, 0, -1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 2, 0],
 ], dtype=complex)
+
+
+def wrong_dual_index_draw():
+    """A 23x23 gen_existence member whose dual index read None.
+
+    indices took the dual index from fixed-floor ranks of X**t for t up to
+    2 ind_std; their entries grow with t, and at t = 9..18 the ranks never
+    settled, although the inverse exists and ind_phi = ind_std = 9.
+    """
+    rng = np.random.default_rng([17, 77])
+    n = int(rng.integers(2, 25))
+    return gen_existence(n, rng, True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dualdrazin.errors import NotDualDrazinInvertible
 from dualdrazin.harness import FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
 from dualdrazin.serialize import dump_matrix, dumps_doc, matrix_to_doc
 
-from conftest import MISSED_NULL_VECTOR
+from conftest import MISSED_NULL_VECTOR, wrong_dual_index_draw
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
 COMPATIBLE = dict(NILPOTENT, inf=[[[0, 0], [3, 0]], [[0, 0], [0, 0]]])
@@ -178,6 +179,45 @@ def test_overflowing_entries_are_exit_4(name, verb, write, capsys):
     assert (code, out) == (4, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert OVERFLOW_MESSAGES.get(name, "") in err
+
+
+def test_an_overflowing_block_product_is_one_line_exit_4(write, capsys):
+    # every entry 1e200: A B overflows to inf and NaN, which the staircase
+    # rejects; numpy's warnings on the way must not reach stderr
+    big = OVERFLOWING["big_std"]
+    path = write({"theorem": "CLINE", "blocks": {"A": big, "B": big}}, "cline.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "-i", path)
+    assert (code, out, caught) == (4, "", [])
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_an_overflowing_residual_is_not_written(write, capsys):
+    # the sandwich norm overflows; "residual": inf is not JSON
+    doc = {"rows": 2, "cols": 2, "std": [[[1, 0]] * 2] * 2, "inf": [[[1e305, 0]] * 2] * 2}
+    code, out, err = run(capsys, "exists", "-i", write(doc, "a.json"))
+    assert (code, out) == (4, "")
+    assert err == "error: cannot write a non-finite number as JSON\n"
+
+
+@pytest.mark.parametrize("verb", ["graph", "verify"])
+def test_a_nan_hub_weight_is_exit_4(verb, write, capsys):
+    spec = graph_spec_to_doc(DoubleStar(
+        m=1, n=2, x=DualMatrix([[1.0]]), y=DualMatrix([[1.0]]),
+        w=DualMatrix([[1.0], [1.0]]), v=DualMatrix([[1.0], [-1.0]]),
+        a=DualScalar(1.0), b=DualScalar(1.0),
+    ))
+    spec["a"]["inf"] = [float("nan"), 0.0]
+    path = write(spec, "spec.json")
+    code, out, err = run(capsys, verb, *(["--spec", path] if verb == "graph" else ["-i", path]))
+    assert (code, out) == (4, "")
+    assert err == "error: dual matrix entries must be finite\n"
+
+
+def test_index_reports_the_dual_index_of_a_large_member(write, capsys):
+    path = write(matrix_to_doc(wrong_dual_index_draw()), "a.json")
+    assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 9, "ind_dual": 9, "ind_phi": 9}\n')
 
 
 @pytest.mark.parametrize("verb", ["drazin", "dual-drazin", "exists"])

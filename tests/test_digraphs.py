@@ -195,7 +195,7 @@ def test_double_star_smallest_instance():
     assert (dmul(x_hat, dmul(a_hat, x_hat)) - x_hat).norm() <= 1e-14
     assert (dmul(a_hat, x_hat) - dmul(x_hat, a_hat)).norm() <= 1e-14
     rep = indices(a_hat)
-    assert rep.ind_dual is not None
+    assert (rep.ind_std, rep.ind_dual, rep.ind_phi) == (1, 2, 2)
     assert max(defining_residuals(a_hat, x_hat, k=rep.ind_dual)) <= 1e-12
 
 

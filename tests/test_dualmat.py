@@ -8,9 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from dualdrazin import (
     DualMatrix,
+    IndexReport,
     dblock,
     dmul,
     dpow,
+    dual_exists,
     indices,
     matrix_index,
     phi_embed,
@@ -21,6 +23,7 @@ from dualdrazin.dualmat import _staircase, numerical_rank
 from dualdrazin.errors import NonFiniteEntries, ShapeMismatch
 from dualdrazin.serialize import (
     _matrix_doc,
+    _vector_doc,
     dump_matrix,
     dumps_doc,
     fmt17,
@@ -31,7 +34,7 @@ from dualdrazin.serialize import (
 
 from dualdrazin.harness import gen_existence, gen_member
 
-from conftest import rand_int_dual
+from conftest import rand_int_dual, wrong_dual_index_draw
 
 
 def test_shapes_must_agree():
@@ -55,6 +58,53 @@ def test_sums_do_not_broadcast():
 def test_entries_must_be_finite():
     with pytest.raises(ValueError):
         DualMatrix(np.array([[np.inf, 0], [0, 0]]))
+
+
+def test_the_public_constructor_still_validates():
+    # arithmetic builds its results unchecked (DualMatrix._of); every matrix
+    # made through the public constructor is still checked
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteEntries):
+            DualMatrix([[1.0, bad]])
+        with pytest.raises(NonFiniteEntries):
+            DualMatrix([[1.0, 0.0]], [[0.0, bad]])
+    with pytest.raises(ShapeMismatch):
+        DualMatrix(np.zeros((2, 2)), np.zeros((2, 1)))
+    with pytest.raises(ShapeMismatch):
+        DualMatrix(np.zeros(3))
+
+
+def test_arithmetic_results_are_complex_and_contiguous(rng):
+    x, y = rand_int_dual(rng, 3), rand_int_dual(rng, 3, 2)
+    results = [dmul(x, y), x + x, x - x, -x, x.scaled(2), x.copy(), dblock([[x, y], [y.T, y.T.block(slice(0, 2), slice(0, 2))]])]
+    for z in results:
+        for part in (z.std, z.inf):
+            assert part.dtype == np.complex128 and part.ndim == 2 and part.flags.c_contiguous
+
+
+def test_overflowing_products_are_left_to_the_readers():
+    # the product overflows without raising; the staircase, the existence
+    # series and the writer each reject what it holds
+    big = DualMatrix(np.full((2, 2), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = dmul(big, big)
+    assert np.isinf(prod.std).all()
+    with pytest.raises(NonFiniteEntries):
+        _staircase(prod.std)
+    with pytest.raises(NonFiniteEntries):
+        dumps_doc(_matrix_doc(prod))
+
+
+def test_blocks_do_not_alias_their_parent(rng):
+    x = rand_int_dual(rng, 4)
+    before = x.copy()
+    # a single row, a column and an inner block; the row slices contiguously
+    for rows, cols in ((slice(0, 1), slice(1, None)), (slice(1, None), slice(0, 1)), (slice(1, 3), slice(1, 3))):
+        blk = x.block(rows, cols)
+        assert not np.shares_memory(blk.std, x.std) and not np.shares_memory(blk.inf, x.inf)
+        blk.std[...] = 99
+        blk.inf[...] = 99
+    assert np.array_equal(x.std, before.std) and np.array_equal(x.inf, before.inf)
 
 
 def _reference_finite(std, inf) -> bool:
@@ -185,6 +235,23 @@ def test_indices_pure_infinitesimal_scalar():
     assert rep.ind_std == 1
     assert rep.ind_dual == 2
     assert rep.ind_phi == 2
+
+
+def test_dual_index_of_a_large_member_is_its_phi_index():
+    x = wrong_dual_index_draw()
+    assert x.shape == (23, 23) and dual_exists(x)[0]
+    assert indices(x) == IndexReport(ind_std=9, ind_dual=9, ind_phi=9)
+
+
+def test_dual_index_agrees_with_the_labels():
+    # ind_phi == ind_std exactly on members; the dual index is ind_phi
+    for s in range(45):
+        rng = np.random.default_rng([s, 77])
+        n = int(rng.integers(2, 25))
+        x = gen_member(n, rng) if s % 3 == 2 else gen_existence(n, rng, s % 3 == 0)
+        rep = indices(x)
+        assert rep.ind_dual == rep.ind_phi
+        assert (rep.ind_phi == rep.ind_std) == (s % 3 != 1), s
 
 
 def test_index_phi_within_double_bound(rng):
@@ -393,12 +460,25 @@ def test_matrix_documents_match_the_per_entry_writer(x):
     vref = {k: [row[0] for row in v] for k, v in ref_column.items() if k in ("std", "inf")}
     assert repr(vdoc) == repr(vref)
     assert dumps_doc(vdoc) == _ref_render(vref) + "\n"
+    assert dumps_doc(_vector_doc(column)) == _ref_render(vref) + "\n"  # 1-d array parts
 
 
 @settings(max_examples=300, deadline=None)
 @given(DOCUMENTS)
 def test_generic_documents_match_the_per_entry_writer(doc):
     assert dumps_doc({"doc": doc}) == _ref_render({"doc": doc}) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_writers_reject_non_finite_numbers(bad):
+    # inf and NaN are not JSON; every branch of the writer refuses them
+    part = np.array([[1.0, 2.0 + 1j * bad]])
+    x = DualMatrix._of(part, np.zeros_like(part))
+    column = DualMatrix._of(part.T.copy(), np.zeros((2, 1), complex))
+    for doc in ({"residual": bad}, {"residuals": [0.5, bad]}, _matrix_doc(x), _vector_doc(column),
+                {"std": [[[1.0, 0.0], [2.0, bad]]]}):
+        with pytest.raises(NonFiniteEntries, match="non-finite"):
+            dumps_doc(doc)
 
 
 def test_large_document_bytes_are_pinned(tmp_path):

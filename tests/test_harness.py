@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import dualdrazin.digraphs
 import dualdrazin.drazin
-from dualdrazin import DualMatrix, dual_exists, harness, rank_dual, rank_std
+from dualdrazin import THEOREMS, DualMatrix, build_adjacency, dual_exists, graph_spec_to_doc, harness, rank_dual, rank_std
 from dualdrazin.errors import InexactInput, NotDualDrazinInvertible, SpecInvalid
 from dualdrazin.harness import (
     FAMILIES,
@@ -22,6 +23,7 @@ from dualdrazin.harness import (
     gen_member,
     smith_rank_oracle,
 )
+from dualdrazin.serialize import dumps_doc
 
 from conftest import rand_int_dual
 
@@ -349,3 +351,44 @@ def test_verify_factorises_each_matrix_once(family, monkeypatch):
         assert record["pass"], record
         assert len(splits) == FACTORISATIONS[family], (family, len(splits))
     assert index == []
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_verify_lays_out_each_adjacency_once(family, monkeypatch):
+    # the report's adjacency matrix serves its blocks, the formula's and the oracle's
+    cfg = GenConfig(family, trials=3, seed=4, dim_max=4)
+    instances = [gen_instance(cfg, trial) for trial in range(cfg.trials)]
+    layout = dualdrazin.digraphs._layout
+    parts = []
+    monkeypatch.setattr(dualdrazin.digraphs, "_layout", lambda spec, part: parts.append(part) or layout(spec, part))
+    for inst in instances:
+        record = {}
+        parts.clear()
+        _verify(inst, _FUZZ_FORMS.get(family, "drazin"), None, None, 1e-8, record)
+        assert record["pass"], record
+        assert parts == ["std", "inf"]
+        assert record["order"] == build_adjacency(inst).matrix.shape[0]
+
+
+@pytest.mark.parametrize("dims", [(1, 5), (6, 10)])
+def test_the_digest_document_writes_the_public_document_bytes(dims):
+    # fuzz digests the array document; it must write the bytes of the list one
+    for family in FAMILIES:
+        for violate in (False, True):
+            cfg = GenConfig(family, trials=3, seed=2, dim_min=dims[0], dim_max=dims[1], violate=violate)
+            for trial in range(cfg.trials):
+                inst = gen_instance(cfg, trial)
+                public = inst.to_doc() if family in THEOREMS else graph_spec_to_doc(inst)
+                assert dumps_doc(harness._instance_doc(inst)) == dumps_doc(public), (family, trial)
+
+
+@pytest.mark.parametrize("family", ["ABCO_LEFT", "LINKED_STARS", "WINDMILL_GROUP"])
+def test_counterexamples_keep_the_list_document(family):
+    # a negative error bound fails every evaluated trial, so each is kept
+    cfg = GenConfig(family, trials=2, seed=6, max_rel_error=-1.0)
+    report = fuzz(cfg)
+    assert len(report.counterexamples) == 2
+    for trial, entry in enumerate(report.counterexamples):
+        inst = gen_instance(cfg, trial)
+        public = inst.to_doc() if family in THEOREMS else graph_spec_to_doc(inst)
+        assert entry["instance"] == public and repr(entry["instance"]) == repr(public)

@@ -8,7 +8,8 @@ removing or renaming one of them breaks the benchmark's runs.
 Every name a package module imports is used there or re-exported through
 its __all__, so a refactor cannot leave a stale import behind.  The
 package's only runtime dependency is numpy; the front end must start
-without loading scipy.
+without loading scipy.  The modules that read input, serialize and cli,
+build dual matrices only through the validating constructor.
 """
 
 import ast
@@ -77,3 +78,17 @@ def test_cli_import_does_not_load_scipy():
     probe = "import sys, dualdrazin.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _unchecked_constructions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_of"]
+
+
+def test_input_modules_use_the_validating_constructor():
+    # DualMatrix._of skips the shape and finiteness checks; a document or a
+    # command line argument must never reach a matrix through it
+    package = ROOT / "src" / "dualdrazin"
+    assert _unchecked_constructions(package / "dualmat.py")  # the probe finds uses
+    assert [hit for name in ("serialize.py", "cli.py") for hit in _unchecked_constructions(package / name)] == []
