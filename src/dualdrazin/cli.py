@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import BlockInstance, abco_drazin, abio_drazin, bipartite_drazin, cline, tri_drazin
+from .blocks import _SHAPES, BlockInstance, abco_drazin, abio_drazin, bipartite_drazin, cline, tri_drazin
 from .digraphs import _WINDMILL_FORMS, build_adjacency, graph_hypotheses, graph_spec_from_doc
 from .drazin import _sandwich, drazin_complex, dual_drazin, dual_exists
 from .dualmat import DualMatrix, indices, rank_dual, rank_std
@@ -55,14 +55,36 @@ EXIT_NOT_INVERTIBLE = 3
 EXIT_SCHEMA = 4
 
 # largest row or column count `rank` runs the exact oracle on; its Fraction
-# elimination grows faster than cubically, from 0.2 s at order 16 to 1-2 s at
-# 32 and 4 s at 48 (random entries in -3..3, 2-vCPU Xeon VM)
+# elimination grows faster than cubically, from 0.11 s at order 16 to 0.9 s
+# at 32 and 3.2 s at 48 (random entries in -3..3, best of 3, 2-vCPU VM)
 _SMITH_MAX_ORDER = 32
 
 _GRAPH_FAMILY_KEYS = {
     "double-star": "double_star",
     "linked-stars": "linked_stars",
     "windmill": "dutch_windmill",
+}
+
+# block verb -> its public closed form, which takes the verb's blocks in the
+# order of its theorem's _SHAPES keys.  Each form is a bare dict value, so a
+# wrapper bound in its place wherever the name is bound also wraps the verb.
+_BLOCK_FORMS = {
+    "cline": cline,
+    "tri": tri_drazin,
+    "abio": abio_drazin,
+    "abco": abco_drazin,
+    "bipartite": bipartite_drazin,
+}
+
+# block verb -> (theorem whose lower-cased _SHAPES keys are the block
+# options, help, (variant option, its choices with the default first) or None)
+_BLOCK_VERBS = {
+    "cline": ("CLINE", "inverse of a product from the swapped product", None),
+    "tri": ("TRI_UPPER", "block triangular inverse from the diagonal blocks",
+            ("orientation", ("upper", "lower"))),
+    "abio": ("ABIO_RIGHT", "anti-triangular inverse with identity corner", ("side", ("right", "left"))),
+    "abco": ("ABCO_RIGHT", "bordered block inverse with zero corner", ("side", ("right", "left"))),
+    "bipartite": ("BIPARTITE", "inverse of an off-diagonal two-block matrix", None),
 }
 
 # --form values: the windmill variant, a graph_hypotheses form with "_" as "-"
@@ -87,10 +109,17 @@ def _tols(args) -> tuple[float | None, float | None]:
 
 
 def _read_doc(path: str):
+    # stdin is decoded here, strictly: in Python's UTF-8 mode (a C or POSIX
+    # locale) sys.stdin would let undecodable bytes through as surrogates
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -163,51 +192,12 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cline(args) -> int:
+def _cmd_block(args) -> int:
+    theorem, _, variant = _BLOCK_VERBS[args.command]
     rank, res = _tols(args)
-    out = cline(_load_matrix(args.a), _load_matrix(args.b), rank, res)
-    _emit(_matrix_doc(out), args.output)
-    return EXIT_OK
-
-
-def _cmd_tri(args) -> int:
-    rank, res = _tols(args)
-    out = tri_drazin(
-        _load_matrix(args.a),
-        _load_matrix(args.b),
-        _load_matrix(args.d),
-        orientation=args.orientation,
-        tol=rank,
-        res_tol=res,
-    )
-    _emit(_matrix_doc(out), args.output)
-    return EXIT_OK
-
-
-def _cmd_abio(args) -> int:
-    rank, res = _tols(args)
-    out = abio_drazin(_load_matrix(args.a), _load_matrix(args.b), side=args.side, tol=rank, res_tol=res)
-    _emit(_matrix_doc(out), args.output)
-    return EXIT_OK
-
-
-def _cmd_abco(args) -> int:
-    rank, res = _tols(args)
-    out = abco_drazin(
-        _load_matrix(args.a),
-        _load_matrix(args.b),
-        _load_matrix(args.c),
-        side=args.side,
-        tol=rank,
-        res_tol=res,
-    )
-    _emit(_matrix_doc(out), args.output)
-    return EXIT_OK
-
-
-def _cmd_bipartite(args) -> int:
-    rank, res = _tols(args)
-    out = bipartite_drazin(_load_matrix(args.b), _load_matrix(args.c), rank, res)
+    blocks = [_load_matrix(getattr(args, key.lower())) for key in _SHAPES[theorem]]
+    options = {variant[0]: getattr(args, variant[0])} if variant else {}
+    out = _BLOCK_FORMS[args.command](*blocks, tol=rank, res_tol=res, **options)
     _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
@@ -321,35 +311,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True)
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("cline", parents=[common], help="inverse of a product from the swapped product")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.set_defaults(func=_cmd_cline)
-
-    p = sub.add_parser("tri", parents=[common], help="block triangular inverse from the diagonal blocks")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("-d", required=True)
-    p.add_argument("--orientation", choices=["upper", "lower"], default="upper")
-    p.set_defaults(func=_cmd_tri)
-
-    p = sub.add_parser("abio", parents=[common], help="anti-triangular inverse with identity corner")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("--side", choices=["right", "left"], default="right")
-    p.set_defaults(func=_cmd_abio)
-
-    p = sub.add_parser("abco", parents=[common], help="bordered block inverse with zero corner")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("-c", required=True)
-    p.add_argument("--side", choices=["right", "left"], default="right")
-    p.set_defaults(func=_cmd_abco)
-
-    p = sub.add_parser("bipartite", parents=[common], help="inverse of an off-diagonal two-block matrix")
-    p.add_argument("-b", required=True)
-    p.add_argument("-c", required=True)
-    p.set_defaults(func=_cmd_bipartite)
+    for verb, (theorem, help_text, variant) in _BLOCK_VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_text)
+        for key in _SHAPES[theorem]:
+            p.add_argument("-" + key.lower(), required=True)
+        if variant:
+            name, choices = variant
+            p.add_argument("--" + name, choices=list(choices), default=choices[0])
+        p.set_defaults(func=_cmd_block)
 
     p = sub.add_parser("graph", parents=[common], help="assemble a dual-weighted digraph family")
     p.add_argument("family", choices=sorted(_GRAPH_FAMILY_KEYS), nargs="?",

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .dualmat import DualMatrix, _staircase, dmul, dpow
-from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch, UncertainRank
+from .errors import NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch, UncertainRank
 from .tolerances import rank_tol, residual_tol
 
 __all__ = [
@@ -52,12 +52,10 @@ __all__ = [
     "DualDrazinData",
     "drazin_complex",
     "drazin_oracle",
-    "group_inverse",
     "matrix_index",
     "dual_exists",
     "dual_drazin",
     "dual_drazin_series",
-    "dual_drazin_power",
     "defining_residuals",
 ]
 
@@ -238,14 +236,6 @@ def drazin_oracle(a, tol: float | None = None) -> np.ndarray:
     return ak @ mid @ ak
 
 
-def group_inverse(a, tol: float | None = None) -> np.ndarray:
-    """Drazin inverse restricted to Ind(A) <= 1."""
-    data = drazin_complex(a, tol)
-    if data.index > 1:
-        raise IndexTooLarge(f"group inverse needs index <= 1, got {data.index}")
-    return data.ad
-
-
 def matrix_index(a, tol: float | None = None) -> int:
     """Index of a complex matrix: the number of staircase deflation steps."""
     a = np.ascontiguousarray(a, dtype=complex)
@@ -385,15 +375,3 @@ def _gated(dd: DualDrazinData) -> DualMatrix:
     if not dd.exists:
         raise NotDualDrazinInvertible("projection of the mixed series onto the nilpotent part is nonzero")
     return dd.inverse
-
-
-def dual_drazin_power(
-    x: DualMatrix,
-    k: int,
-    tol: float | None = None,
-    res_tol: float | None = None,
-) -> DualMatrix:
-    """k-th dual power of the dual Drazin inverse, k >= 1."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    return dpow(dual_drazin(x, tol, res_tol).inverse, k)

@@ -169,10 +169,6 @@ def _invertible_triu(n, rng, scale) -> np.ndarray:
     return t
 
 
-def _ones_column(k: int) -> DualMatrix:
-    return DualMatrix(np.ones((k, 1), dtype=complex), np.zeros((k, 1), dtype=complex))
-
-
 def _unimodular(n, rng) -> tuple[np.ndarray, np.ndarray]:
     """Integer shear product with exactly known integer inverse."""
     s = np.eye(n)
@@ -300,15 +296,8 @@ def _orthogonal_pair(r, rng, scale) -> tuple[DualMatrix, DualMatrix]:
         v_inf = _ints(rng, r, scale)
         u_inf = _ints(rng, r, scale)
         u_inf[-1] = -(u_std @ v_inf) - (u_inf[:-1] @ v_std[:-1])
-        u = DualMatrix(u_std.reshape(-1, 1), u_inf.reshape(-1, 1))
-        v = DualMatrix(v_std.reshape(-1, 1), v_inf.reshape(-1, 1))
-        return u, v
+        return DualMatrix.column(u_std, u_inf), DualMatrix.column(v_std, v_inf)
     raise GenerationFailed("could not build a dual-orthogonal fan pair")
-
-
-def _pure_eps_column(rng, r, scale) -> DualMatrix:
-    inf = _nonzero_ints(rng, r, scale)
-    return DualMatrix(np.zeros((r, 1), dtype=complex), inf.reshape(-1, 1))
 
 
 def _gen_cline(cfg, trial, rng):
@@ -324,8 +313,7 @@ def _gen_cline(cfg, trial, rng):
     return BlockInstance("CLINE", {"A": a, "B": b}), ok
 
 
-def _gen_tri(cfg, trial, rng, orientation):
-    theorem = "TRI_UPPER" if orientation == "upper" else "TRI_LOWER"
+def _gen_tri(cfg, trial, rng):
     na = _dim(cfg, trial, rng)
     nd = int(rng.integers(max(1, cfg.dim_min), cfg.dim_max + 1))
     if cfg.violate:
@@ -334,13 +322,13 @@ def _gen_tri(cfg, trial, rng, orientation):
             "B": _int_dual(rng, na, nd, cfg.entry_scale),
             "D": gen_member(nd, rng, cfg.entry_scale),
         }
-        return BlockInstance(theorem, blocks), True
+        return BlockInstance(cfg.family, blocks), True
     blocks = {
         "A": gen_member(na, rng, cfg.entry_scale),
         "B": _int_dual(rng, na, nd, cfg.entry_scale),
         "D": gen_member(nd, rng, cfg.entry_scale),
     }
-    inst = BlockInstance(theorem, blocks)
+    inst = BlockInstance(cfg.family, blocks)
     return inst, _in_class(inst.assembled())
 
 
@@ -387,13 +375,12 @@ def _kernel_cols(rows, cols, kernel, rng, scale) -> np.ndarray:
     return out
 
 
-def _gen_abio(cfg, trial, rng, side):
-    theorem = "ABIO_RIGHT" if side == "right" else "ABIO_LEFT"
+def _gen_abio(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
     if cfg.violate:
         # invertible A makes A A^e B = A B, never zero against B = I
         frame = _make_frame(n, rng, cfg.entry_scale, a=n)
-        return BlockInstance(theorem, {"A": frame.matrix, "B": DualMatrix.identity(n)}), True
+        return BlockInstance(cfg.family, {"A": frame.matrix, "B": DualMatrix.identity(n)}), True
     frame = _make_frame(n, rng, cfg.entry_scale)
     a, b = frame.a, frame.b
     nil = frame.nil
@@ -406,24 +393,21 @@ def _gen_abio(cfg, trial, rng, side):
         v2t = v2 @ _poly_of(nil, rng, unit=True)
     b_std = np.zeros((n, n), dtype=complex)
     b_inf = np.zeros((n, n), dtype=complex)
-    if side == "right":
+    b_std[a:, a:] = v2
+    b_inf[a:, a:] = v2t
+    if cfg.family == "ABIO_RIGHT":
         b_std[a:, :a] = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
         b_inf[a:, :a] = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
-        b_std[a:, a:] = v2
-        b_inf[a:, a:] = v2t
     else:
         b_std[:a, a:] = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
         b_inf[:a, a:] = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
-        b_std[a:, a:] = v2
-        b_inf[a:, a:] = v2t
     bb = DualMatrix(frame.s @ b_std @ frame.sinv, frame.s @ b_inf @ frame.sinv)
-    inst = BlockInstance(theorem, {"A": frame.matrix, "B": bb})
+    inst = BlockInstance(cfg.family, {"A": frame.matrix, "B": bb})
     ok = _in_class(bb) and _in_class(inst.assembled())
     return inst, ok
 
 
-def _gen_abco(cfg, trial, rng, side):
-    theorem = "ABCO_RIGHT" if side == "right" else "ABCO_LEFT"
+def _gen_abco(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
     if cfg.violate:
         frame = _make_frame(n, rng, cfg.entry_scale, a=n)
@@ -432,7 +416,7 @@ def _gen_abco(cfg, trial, rng, side):
             "B": DualMatrix.identity(n),
             "C": DualMatrix.identity(n),
         }
-        return BlockInstance(theorem, blocks), True
+        return BlockInstance(cfg.family, blocks), True
     frame = _make_frame(n, rng, cfg.entry_scale, a=int(rng.integers(0, n)))
     a, b = frame.a, frame.b
     nil = frame.nil
@@ -441,7 +425,7 @@ def _gen_abco(cfg, trial, rng, side):
     w1t = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
     w2 = _poly_of(nil, rng, unit=True)
     w2t = _poly_of(nil, rng, unit=False)
-    if side == "right":
+    if cfg.family == "ABCO_RIGHT":
         b_std = np.zeros((n, b), dtype=complex)
         b_inf = np.zeros((n, b), dtype=complex)
         b_std[a:, :] = np.eye(b)
@@ -457,7 +441,7 @@ def _gen_abco(cfg, trial, rng, side):
         c_inf[:, a:] = shear
         cc = DualMatrix(c_std @ frame.sinv, c_inf @ frame.sinv)
         bb = DualMatrix(frame.s @ np.vstack([v1, w2]), frame.s @ np.vstack([v1t, w2t]))
-    inst = BlockInstance(theorem, {"A": frame.matrix, "B": bb, "C": cc})
+    inst = BlockInstance(cfg.family, {"A": frame.matrix, "B": bb, "C": cc})
     ok = _in_class(dmul(bb, cc)) and _in_class(inst.assembled())
     return inst, ok
 
@@ -479,12 +463,12 @@ def _gen_double_star(cfg, trial, rng):
     m = _dim(cfg, trial, rng)
     n = _dim(cfg, trial, rng, floor=2)
     scale = cfg.entry_scale
-    x = DualMatrix(_nonzero_ints(rng, m, scale).reshape(-1, 1), _ints(rng, m, scale).reshape(-1, 1))
-    y = DualMatrix(_nonzero_ints(rng, m, scale).reshape(-1, 1), _ints(rng, m, scale).reshape(-1, 1))
+    x = DualMatrix.column(_nonzero_ints(rng, m, scale), _ints(rng, m, scale))
+    y = DualMatrix.column(_nonzero_ints(rng, m, scale), _ints(rng, m, scale))
     a = DualScalar(_choice(rng, (-2, -1, 1, 2)), int(rng.integers(-scale, scale + 1)))
     b = DualScalar(_choice(rng, (-2, -1, 1, 2)), int(rng.integers(-scale, scale + 1)))
     if cfg.violate:
-        ones = _ones_column(n)
+        ones = DualMatrix.column(np.ones(n))
         spec = DoubleStar(m=m, n=n, x=x, y=y, w=ones, v=ones, a=a, b=b)
         return spec, True
     w, v = _orthogonal_pair(n, rng, scale)
@@ -503,7 +487,7 @@ def _gen_linked_stars(cfg, trial, rng):
     x = tuple(p[0] for p in pairs)
     y = tuple(p[1] for p in pairs)
     if cfg.violate:
-        ones = _ones_column(r[0])
+        ones = DualMatrix.column(np.ones(r[0]))
         x = (ones,) + x[1:]
         y = (ones,) + y[1:]
         return DLinkedStars(base=base, r=r, x=x, y=y), True
@@ -542,13 +526,13 @@ def _gen_windmill(cfg, trial, rng):
                 _kernel_cols(size, 1, kernel, rng, scale),
             )
             if y_vec.norm() == 0:
-                y_vec = _unit_column(size, kernel[0])
+                y_vec = DualMatrix.column(np.eye(size)[kernel[0]])
             x_vec = DualMatrix(
                 _kernel_cols(size, 1, left, rng, scale),
                 _kernel_cols(size, 1, left, rng, scale),
             )
             if x_vec.norm() == 0:
-                x_vec = _unit_column(size, left[0])
+                x_vec = DualMatrix.column(np.eye(size)[left[0]])
             y.append(y_vec)
             x.append(x_vec)
         blades = tuple(blades)
@@ -562,21 +546,15 @@ def _gen_windmill(cfg, trial, rng):
 
 def _ones_fans(m: int, n: int, blades) -> DutchWindmill:
     """Windmill whose every fan weight is one, for the violating draws."""
-    ones = _ones_column(2 * n - 1)
+    ones = DualMatrix.column(np.ones(2 * n - 1))
     return DutchWindmill(m=m, n=n, blades=blades, x=(ones,) * m, y=(ones,) * m)
-
-
-def _unit_column(size: int, pos: int) -> DualMatrix:
-    std = np.zeros((size, 1), dtype=complex)
-    std[pos, 0] = 1.0
-    return DualMatrix(std, np.zeros((size, 1), dtype=complex))
 
 
 def _eps_fanned_blades(m, size, rng, scale) -> tuple[tuple[DualMatrix, ...], ...]:
     """m invertible blades and pure-epsilon fans: every y_s x_t^T is eps^2 = 0."""
     blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
-    x = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
-    y = tuple(_pure_eps_column(rng, size, scale) for _ in range(m))
+    x = tuple(DualMatrix.column(np.zeros(size), _nonzero_ints(rng, size, scale)) for _ in range(m))
+    y = tuple(DualMatrix.column(np.zeros(size), _nonzero_ints(rng, size, scale)) for _ in range(m))
     return blades, x, y
 
 
@@ -652,13 +630,13 @@ def _kernel_fanned_blade(size, rng, scale) -> tuple[DualMatrix, DualMatrix, Dual
 
 _GENERATORS = {
     "CLINE": _gen_cline,
-    "TRI_UPPER": lambda cfg, trial, rng: _gen_tri(cfg, trial, rng, "upper"),
-    "TRI_LOWER": lambda cfg, trial, rng: _gen_tri(cfg, trial, rng, "lower"),
+    "TRI_UPPER": _gen_tri,
+    "TRI_LOWER": _gen_tri,
     "SUM_PQ0": _gen_sum,
-    "ABIO_RIGHT": lambda cfg, trial, rng: _gen_abio(cfg, trial, rng, "right"),
-    "ABIO_LEFT": lambda cfg, trial, rng: _gen_abio(cfg, trial, rng, "left"),
-    "ABCO_RIGHT": lambda cfg, trial, rng: _gen_abco(cfg, trial, rng, "right"),
-    "ABCO_LEFT": lambda cfg, trial, rng: _gen_abco(cfg, trial, rng, "left"),
+    "ABIO_RIGHT": _gen_abio,
+    "ABIO_LEFT": _gen_abio,
+    "ABCO_RIGHT": _gen_abco,
+    "ABCO_LEFT": _gen_abco,
     "BIPARTITE": _gen_bipartite,
     "DOUBLE_STAR": _gen_double_star,
     "LINKED_STARS": _gen_linked_stars,
@@ -774,12 +752,6 @@ def smith_rank_oracle(x: DualMatrix) -> tuple[int, int]:
                 _dsub_exact(work[i][j], _dmul_exact(factor, work[pi][j]))
                 for j in range(len(work[0]))
             ]
-        for j in range(len(work[0])):
-            if j == pj:
-                continue
-            factor = _dmul_exact(pinv, work[pi][j])
-            for i in range(len(work)):
-                work[i][j] = _dsub_exact(work[i][j], _dmul_exact(work[i][pj], factor))
         work = [
             [work[i][j] for j in range(len(work[0])) if j != pj]
             for i in range(len(work)) if i != pi
@@ -910,12 +882,6 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     when artifact_dir is set, written to disk.
     """
     report = VerifyReport(config=cfg)
-    evaluated = 0
-    hypothesis_failures = 0
-    generation_failures = 0
-    pass_count = 0
-    max_err = 0.0
-    max_def = 0.0
     for trial in range(cfg.trials):
         record: dict = {"record": "trial", "family": cfg.family, "trial": trial}
         report.records.append(record)
@@ -925,7 +891,6 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
             try:
                 inst = gen_instance(cfg, trial)
             except DualDrazinError as exc:  # GenerationFailed, or an accept filter's error
-                generation_failures += 1
                 note = str(exc) if isinstance(exc, GenerationFailed) else f"{type(exc).__name__}: {exc}"
                 record.update({"pass": False, "note": note})
                 continue
@@ -939,33 +904,31 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
                 _persist(report, cfg, trial, doc, record)
                 continue
             if not record["hypotheses_pass"]:
-                hypothesis_failures += 1
                 record["pass"] = bool(cfg.violate)
                 if not cfg.violate:
                     record["note"] = "hypotheses failed on a non-violating draw"
             else:
-                evaluated += 1
-                max_err = max(max_err, record["closed_form_error"])
-                max_def = max(max_def, max(record["defining_residuals"]))
                 record["pass"] = record["pass"] and not cfg.violate
                 if cfg.violate:
                     record["note"] = "closed form evaluated despite violate config"
-            if record["pass"]:
-                pass_count += 1
-            else:
+            if not record["pass"]:
                 _persist(report, cfg, trial, doc, record)
+    # _verify sets closed_form_error only once the closed form is evaluated
+    # and checked, so it marks an evaluated trial; a trial whose generation
+    # failed has no digest
+    evaluated = [r for r in report.records if "closed_form_error" in r]
     report.summary = {
         "record": "summary",
         "family": cfg.family,
         "seed": cfg.seed,
         "violate": cfg.violate,
         "trials": cfg.trials,
-        "evaluated": evaluated,
-        "hypothesis_failures": hypothesis_failures,
-        "generation_failures": generation_failures,
-        "pass_count": pass_count,
-        "max_closed_form_error": max_err,
-        "max_defining_residual": float(max_def),
+        "evaluated": len(evaluated),
+        "hypothesis_failures": sum(r.get("hypotheses_pass") is False for r in report.records),
+        "generation_failures": sum("digest" not in r for r in report.records),
+        "pass_count": sum(r["pass"] for r in report.records),
+        "max_closed_form_error": max([0.0, *(r["closed_form_error"] for r in evaluated)]),
+        "max_defining_residual": float(max([0.0, *(max(r["defining_residuals"]) for r in evaluated)])),
     }
     return report
 

@@ -2,15 +2,14 @@
 
 Writers render every float with 17 significant digits so a write-read cycle
 reproduces the double exactly and re-serialising gives identical bytes;
--0.0 is written as 0, so equal matrices serialise identically.  A matrix
-part is written with one format call per row, whether it is a 2-d complex
-ndarray (as _matrix_doc keeps it, for the CLI, dump_matrix and the fuzz
-record digest) or a list of rows of [re, im] float pairs (as matrix_to_doc
-returns it); a vector part kept as a 1-d complex ndarray (_vector_doc) is
-written with one format call.  Every other value goes through the generic
-branch, with the same bytes.  The public *_to_doc functions return the
-array documents with every array turned into nested lists (_listed).  No
-writer emits inf or NaN, which are not JSON: a non-finite number raises
+-0.0 is written as 0, so equal matrices serialise identically.  The writer
+has three branches.  A 2-d complex ndarray, a matrix part as _matrix_doc
+keeps it for the CLI, dump_matrix and the fuzz record digest, is written
+with one format call per row.  A 1-d complex ndarray, a vector part as
+_vector_doc keeps it, is written with one format call.  Every other value,
+the nested lists of the public *_to_doc documents (_listed) included, goes
+through the generic branch, value by value, to the same bytes.  No writer
+emits inf or NaN, which are not JSON: a non-finite number raises
 NonFiniteEntries.  Readers validate shapes and raise SchemaError on
 malformed documents.
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -59,20 +57,6 @@ def _row_template(pairs: int) -> str:
     return "[" + ", ".join(["[{:.17g}, {:.17g}]"] * pairs) + "]"
 
 
-def _is_pair_rows(obj: list) -> bool:
-    """True for a list of equally long, non-empty rows of [float, float] lists."""
-    if not (obj and type(obj[0]) is list and obj[0] and type(obj[0][0]) is list):
-        return False
-    if set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
-        return False
-    pairs = list(chain.from_iterable(obj))
-    return (
-        set(map(type, pairs)) == {list}
-        and set(map(len, pairs)) == {2}
-        and set(map(type, chain.from_iterable(pairs))) == {float}
-    )
-
-
 def _finite(numbers: str) -> str:
     """numbers, formatted by .17g, unless one is inf or nan: no finite one has an n."""
     if "n" in numbers:
@@ -90,17 +74,13 @@ def _render(obj: Any) -> str:
     if isinstance(obj, dict):
         return "{" + ", ".join([f"{_string(str(k))}: {_render(v)}" for k, v in obj.items()]) + "}"
     if kind is np.ndarray and obj.dtype == np.complex128 and obj.ndim in (1, 2):
-        # a float row holds the [re, im] pairs of a vector or a matrix row in order
+        # a float row holds the [re, im] pairs of a vector or a matrix row in
+        # order; v + 0.0 turns -0.0 into 0.0, as fmt17 does
         template = _row_template(obj.shape[-1])
         rows = (np.ascontiguousarray(obj).view(float) + 0.0).tolist()
         if obj.ndim == 1:
             return _finite(template.format(*rows))
         return _finite("[" + ", ".join([template.format(*row) for row in rows]) + "]")
-    if kind is list and _is_pair_rows(obj):
-        # v + 0.0 turns -0.0 into 0.0, as fmt17 does, here and above
-        template = _row_template(len(obj[0]))
-        rows = [template.format(*map((0.0).__add__, chain.from_iterable(row))) for row in obj]
-        return _finite("[" + ", ".join(rows) + "]")
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteEntries("cannot write a non-finite number as JSON")
@@ -187,10 +167,12 @@ def matrix_from_doc(doc: Any) -> DualMatrix:
 
 def load_matrix(path) -> DualMatrix:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return matrix_from_doc(doc)
@@ -210,7 +192,10 @@ def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
         raise SchemaError(f"{label}: dual scalar needs a 'std' [re, im] pair")
 
     def one(part, name):
-        arr = np.asarray(part, dtype=float)
+        try:
+            arr = np.asarray(part, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{label}.{name}: expected an [re, im] pair of numbers") from exc
         if arr.shape != (2,):
             raise SchemaError(f"{label}.{name}: expected an [re, im] pair")
         return complex(arr[0], arr[1])

@@ -1,15 +1,27 @@
 """Exit codes, output determinism and tolerance plumbing of the ddz front end."""
 
+import argparse
 import hashlib
+import inspect
+import io
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DualScalar, DutchWindmill
-from dualdrazin.blocks import BlockInstance
-from dualdrazin.cli import main
+from dualdrazin.blocks import (
+    _SHAPES,
+    BlockInstance,
+    abco_drazin,
+    abio_drazin,
+    bipartite_drazin,
+    cline,
+    tri_drazin,
+)
+from dualdrazin.cli import _BLOCK_FORMS, _build_parser, main
 from dualdrazin.digraphs import (
     dls_dual_drazin,
     ds_dual_drazin,
@@ -138,6 +150,38 @@ def test_schema_errors_are_exit_4(write, capsys, tmp_path):
     assert code == 4
     code, _, err = run(capsys, "dual-drazin", "-i", write({"std": "nope"}, "bad.json"))
     assert code == 4
+
+
+BAD_SCALAR_SPEC = {
+    "family": "double_star", "m": 2, "n": 2,
+    "x": {"std": [[1, 0], [1, 0]]},
+    "y": {"std": [[1, 0], [1, 0]]},
+    "w": {"std": [[1, 0], [-1, 0]]},
+    "v": {"std": [[1, 0], [1, 0]]},
+    "a": {"std": "one"},
+    "b": {"std": [1, 0]},
+}
+UNDECODABLE = [
+    # a document with a byte that is not UTF-8, and a scalar with a non-numeric part
+    (["dual-drazin", "-i"], b'{"rows": 1, "cols": 1, "std": [[[1, 0]]], "note": "\xff"}', "UTF-8"),
+    (["graph", "--spec"], json.dumps(BAD_SCALAR_SPEC).encode(), "a.std"),
+]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(("argv", "data", "message"), UNDECODABLE, ids=["non-utf8", "bad-scalar"])
+def test_undecodable_input_is_one_line_exit_4(argv, data, message, source, tmp_path, capsys, monkeypatch):
+    if source == "file":
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        target = str(path)
+    else:
+        # as in Python's UTF-8 mode, the text layer would pass a bad byte on
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape"))
+        target = "-"
+    code, out, err = run(capsys, *argv, target)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_non_finite_entries_are_exit_4(tmp_path, capsys):
@@ -488,6 +532,29 @@ def test_block_verb_hypothesis_violation(write, capsys):
     p = write(eye, "i.json")
     code, _, err = run(capsys, "abio", "-a", p, "-b", p)
     assert code == 2 and "error:" in err
+
+
+# block verb -> the theorems its variants evaluate, and the public form it calls
+BLOCK_VERBS = {
+    "cline": (("CLINE",), cline),
+    "tri": (("TRI_UPPER", "TRI_LOWER"), tri_drazin),
+    "abio": (("ABIO_RIGHT", "ABIO_LEFT"), abio_drazin),
+    "abco": (("ABCO_RIGHT", "ABCO_LEFT"), abco_drazin),
+    "bipartite": (("BIPARTITE",), bipartite_drazin),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(BLOCK_VERBS))
+def test_block_verb_options_are_the_theorem_blocks(verb):
+    theorems, form = BLOCK_VERBS[verb]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    required = [action.dest for action in sub.choices[verb]._actions if action.required]
+    for theorem in theorems:
+        assert required == [key.lower() for key in _SHAPES[theorem]]
+    # the verb loads its blocks in that order and hands them to its form,
+    # whose leading parameters are the same blocks in the same order
+    assert _BLOCK_FORMS[verb] is form
+    assert list(inspect.signature(form).parameters)[:len(required)] == required
 
 
 def _gaussian_integers_48():

@@ -1,5 +1,6 @@
 """Generator determinism, the exact elimination oracle, and fuzz reporting."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -308,6 +309,33 @@ def test_memo_closes_after_failed_trials(monkeypatch):
     assert [r["note"] for r in report.records] == ["NotDualDrazinInvertible: raised inside the trial"] * 2
     assert seen[-1] is not None and seen[-1] is not seen[-2]
     assert dualdrazin.drazin._MEMO.get() is None
+
+
+def test_summary_counts_a_trial_that_raises_after_its_hypotheses_pass(monkeypatch):
+    def passing_then_raising(inst, form, tol, res_tol, max_rel_error, record):
+        record["hypotheses_pass"] = True
+        raise NotDualDrazinInvertible("raised after the hypotheses passed")
+
+    monkeypatch.setattr(harness, "_verify", passing_then_raising)
+    summary = fuzz(GenConfig("CLINE", trials=2, seed=1)).summary
+    assert (summary["evaluated"], summary["hypothesis_failures"]) == (0, 0)
+    assert (summary["generation_failures"], summary["pass_count"]) == (0, 0)
+
+
+def test_summary_counts_a_violating_run_whose_hypotheses_pass(monkeypatch):
+    # a violating config whose generator draws members: every closed form is
+    # evaluated, and every trial fails because none should have been
+    def members(cfg, trial, rng):
+        return harness._gen_cline(dataclasses.replace(cfg, violate=False), trial, rng)
+
+    monkeypatch.setitem(harness._GENERATORS, "CLINE", members)
+    report = fuzz(GenConfig("CLINE", trials=3, seed=1, violate=True))
+    assert all(r["hypotheses_pass"] and not r["pass"] for r in report.records)
+    summary = report.summary
+    assert (summary["evaluated"], summary["hypothesis_failures"]) == (3, 0)
+    assert (summary["generation_failures"], summary["pass_count"]) == (0, 0)
+    assert summary["max_closed_form_error"] == max(r["closed_form_error"] for r in report.records)
+    assert not report.passed
 
 
 def _count_calls(monkeypatch, name):

@@ -6,7 +6,9 @@ workloads call the public closed forms named in workloads.GRAPH_FORMS, so
 removing or renaming one of them breaks the benchmark's runs.
 
 Every name a package module imports is used there or re-exported through
-its __all__, so a refactor cannot leave a stale import behind.  The
+its __all__, so a refactor cannot leave a stale import behind.  Every name a
+module exports is exported by the package too, or listed with the reason it
+is not.  A closed form the benchmark wraps is what its CLI verb calls.  The
 package's only runtime dependency is numpy; the front end must start
 without loading scipy.  The modules that read input, serialize and cli,
 build dual matrices only through the validating constructor.
@@ -71,6 +73,66 @@ def test_package_modules_have_no_unused_imports():
     modules = sorted((ROOT / "src" / "dualdrazin").glob("*.py"))
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+# Module exports the package __all__ leaves out, each with its reason.  A
+# class-only module without __all__ (errors) exports every class it defines.
+UNEXPORTED = {
+    "dualmat.numerical_rank": "the rank rule behind rank_std and rank_dual, traced by the benchmark",
+    "drazin.DrazinData": "what drazin_complex returns; callers read it, never build it",
+    "drazin.DualDrazinData": "what dual_drazin returns; callers read it, never build it",
+    "drazin.dual_drazin_series": "the ungated inverse series dual_drazin gates",
+    "blocks.abco_series": "the ungated ABCO series, for tests that run W past its first term",
+    "harness.GRAPH_FAMILIES": "the digraph part of FAMILIES",
+    "serialize.dumps_doc": "the writer behind the CLI and dump_matrix",
+    "serialize.fmt17": "the float format of dumps_doc",
+    "errors.UncertainRank": "raised to users as exit 4, caught as DualDrazinError",
+    "errors.NonFiniteEntries": "raised to users as exit 4, caught as DualDrazinError",
+}
+
+
+def _module_exports(module):
+    if hasattr(module, "__all__"):
+        return module.__all__
+    return [name for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__]
+
+
+def test_every_module_export_is_public_or_accounted_for():
+    modules = sorted(path.stem for path in (ROOT / "src" / "dualdrazin").glob("*.py"))
+    gap = {f"{name}.{export}"
+           for name in modules if name != "__init__"
+           for export in _module_exports(importlib.import_module(f"dualdrazin.{name}"))
+           if export not in dualdrazin.__all__}
+    assert gap == set(UNEXPORTED)
+
+
+def test_a_wrapped_closed_form_is_what_its_verb_calls(tmp_path, monkeypatch):
+    # the benchmark's tracer binds a wrapper wherever the function is bound:
+    # as a module attribute and as the value of a module-level dict
+    from dualdrazin import DualMatrix, blocks, cli
+    from dualdrazin.serialize import dump_matrix
+
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(len(args))
+        return original(*args, **kwargs)
+
+    original = blocks.cline
+    for name, module in list(sys.modules.items()):
+        if name == "dualdrazin" or name.startswith("dualdrazin."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+                elif isinstance(value, dict):
+                    for k, v in list(value.items()):
+                        if v is original:
+                            monkeypatch.setitem(value, k, wrapper)
+    path = tmp_path / "eye.json"
+    dump_matrix(DualMatrix.identity(2), path)
+    assert cli.main(["cline", "-a", str(path), "-b", str(path), "-o", str(tmp_path / "out.json")]) == 0
+    assert calls == [2]
 
 
 def test_cli_import_does_not_load_scipy():
