@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from .drazin import DualDrazinData, _factorise, _gated, _power_series, _sandwich, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
 from .errors import HypothesisViolated, NonFiniteEntries, ShapeMismatch
+from .families import _SHAPES, THEOREMS
 from .serialize import _listed, _matrix_doc, matrix_from_doc
 from .tolerances import residual_tol
 
@@ -53,22 +54,6 @@ __all__ = [
     "check_hypotheses",
     "closed_form",
 ]
-
-# theorem -> its blocks, each with its (rows, cols) as size letters; blocks
-# sharing a letter must agree in that size.  THEOREMS keeps this order.
-_SHAPES = {
-    "CLINE": {"A": "mn", "B": "nm"},
-    "TRI_UPPER": {"A": "mm", "B": "mn", "D": "nn"},
-    "TRI_LOWER": {"A": "mm", "B": "mn", "D": "nn"},
-    "SUM_PQ0": {"P": "nn", "Q": "nn"},
-    "ABIO_RIGHT": {"A": "nn", "B": "nn"},
-    "ABIO_LEFT": {"A": "nn", "B": "nn"},
-    "ABCO_RIGHT": {"A": "nn", "B": "np", "C": "pn"},
-    "ABCO_LEFT": {"A": "nn", "B": "np", "C": "pn"},
-    "BIPARTITE": {"B": "np", "C": "pn"},
-}
-
-THEOREMS = tuple(_SHAPES)
 
 
 @dataclass(frozen=True)

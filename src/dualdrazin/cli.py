@@ -5,6 +5,12 @@ queries (exists, index, rank), the block closed forms (cline, tri, abio,
 abco, bipartite), digraph assembly (graph), and verification drivers
 (verify for a single instance file, fuzz for randomised campaigns).
 
+Every verb reads and writes documents through serialize, which loads
+dualmat, so this module imports those two and the name tables of families.
+A verb's handler imports the rest of what it runs: drazin, dual-drazin and
+exists add drazin, rank adds exact, the block verbs add blocks, graph adds
+digraphs, and only verify and fuzz load harness.
+
 Matrices travel as JSON documents with 17-significant-digit floats, so a
 write-read-write cycle is byte identical.  Exit codes: 0 success, 1
 verification failure, 2 violated hypotheses, 3 no dual Drazin inverse,
@@ -21,9 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import _SHAPES, BlockInstance, abco_drazin, abio_drazin, bipartite_drazin, cline, tri_drazin
-from .digraphs import _WINDMILL_FORMS, build_adjacency, graph_hypotheses, graph_spec_from_doc
-from .drazin import _sandwich, drazin_complex, dual_drazin, dual_exists
 from .dualmat import DualMatrix, indices, rank_dual, rank_std
 from .errors import (
     DualDrazinError,
@@ -38,14 +41,7 @@ from .errors import (
     SpecInvalid,
     UncertainRank,
 )
-from .harness import (
-    FAMILIES,
-    GenConfig,
-    _FORMULAS,
-    _verify,
-    fuzz,
-    smith_rank_oracle,
-)
+from .families import _SHAPES, _WINDMILL_FORMS, FAMILIES
 from .serialize import _matrix_doc, dumps_doc, matrix_from_doc
 
 EXIT_OK = 0
@@ -65,15 +61,16 @@ _GRAPH_FAMILY_KEYS = {
     "windmill": "dutch_windmill",
 }
 
-# block verb -> its public closed form, which takes the verb's blocks in the
-# order of its theorem's _SHAPES keys.  Each form is a bare dict value, so a
-# wrapper bound in its place wherever the name is bound also wraps the verb.
+# block verb -> the blocks attribute holding its public closed form, which
+# takes the verb's blocks in the order of its theorem's _SHAPES keys.  The
+# verb looks the form up when it runs, so a wrapper bound in its place on
+# the blocks module also wraps the verb.
 _BLOCK_FORMS = {
-    "cline": cline,
-    "tri": tri_drazin,
-    "abio": abio_drazin,
-    "abco": abco_drazin,
-    "bipartite": bipartite_drazin,
+    "cline": "cline",
+    "tri": "tri_drazin",
+    "abio": "abio_drazin",
+    "abco": "abco_drazin",
+    "bipartite": "bipartite_drazin",
 }
 
 # block verb -> (theorem whose lower-cased _SHAPES keys are the block
@@ -139,6 +136,8 @@ def _emit(payload, path: str | None) -> None:
 
 
 def _cmd_drazin(args) -> int:
+    from .drazin import drazin_complex
+
     x = _load_matrix(args.input)
     if np.any(x.inf != 0):
         raise SchemaError(
@@ -153,6 +152,8 @@ def _cmd_drazin(args) -> int:
 
 
 def _cmd_dual_drazin(args) -> int:
+    from .drazin import dual_drazin
+
     x = _load_matrix(args.input)
     rank, res = _tols(args)
     data = dual_drazin(x, rank, res)
@@ -161,6 +162,8 @@ def _cmd_dual_drazin(args) -> int:
 
 
 def _cmd_exists(args) -> int:
+    from .drazin import _sandwich, drazin_complex, dual_exists
+
     x = _load_matrix(args.input)
     rank, res = _tols(args)
     data = drazin_complex(x.std, rank)
@@ -178,6 +181,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .exact import smith_rank_oracle
+
     x = _load_matrix(args.input)
     rank, _ = _tols(args)
     doc = {"rank_std": rank_std(x, rank), "rank_dual": rank_dual(x, rank)}
@@ -193,16 +198,21 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_block(args) -> int:
+    from . import blocks
+
     theorem, _, variant = _BLOCK_VERBS[args.command]
     rank, res = _tols(args)
-    blocks = [_load_matrix(getattr(args, key.lower())) for key in _SHAPES[theorem]]
+    operands = [_load_matrix(getattr(args, key.lower())) for key in _SHAPES[theorem]]
     options = {variant[0]: getattr(args, variant[0])} if variant else {}
-    out = _BLOCK_FORMS[args.command](*blocks, tol=rank, res_tol=res, **options)
+    form = getattr(blocks, _BLOCK_FORMS[args.command])
+    out = form(*operands, tol=rank, res_tol=res, **options)
     _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
+    from .digraphs import _FORMULAS, build_adjacency, graph_hypotheses, graph_spec_from_doc
+
     if args.spec:
         doc = _read_doc(args.spec)
         if not isinstance(doc, dict):
@@ -237,6 +247,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .blocks import BlockInstance
+    from .digraphs import graph_spec_from_doc
+    from .harness import _verify
+
     doc = _read_doc(args.input)
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -258,6 +272,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .harness import GenConfig, fuzz
+
     family = args.theorem.replace("-", "_").upper()
     cfg = GenConfig(
         family=family,

@@ -28,6 +28,7 @@ from .drazin import _gated
 from .dualmat import DualMatrix, _norm, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
+from .families import _WINDMILL_FORMS
 from .serialize import (
     _listed,
     _matrix_doc,
@@ -364,10 +365,6 @@ def _bc0_conditions(spec: DutchWindmill, w: DualMatrix, res_tol) -> list[Conditi
                    1.0 + spec.y[s].norm() * spec.x[t].norm(), res_tol)
         for s, t, rows, cols in _blade_pairs(spec)
     ]
-
-
-# graph_hypotheses form of each windmill variant -> the theorem of its report
-_WINDMILL_FORMS = {"drazin": "WINDMILL", "bc_zero": "WINDMILL_BC0", "group": "WINDMILL_GROUP"}
 
 
 def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=None) -> HypothesisReport:

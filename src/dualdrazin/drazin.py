@@ -28,8 +28,9 @@ index 0 it is R = -C^-1 A0 C^-1, and the existence test holds trivially.
 
 Inside a _memo() scope, drazin_complex factorises each distinct matrix (its
 bytes and the rank tolerance) once and hands every later caller the same
-DrazinData, whose arrays are then read-only so a caller that writes to a
-shared array fails loudly.  Only fuzz opens that scope, one trial at a time;
+DrazinData, and the mixed series M of each dual matrix and index is formed
+once; those arrays are then read-only so a caller that writes to a shared
+array fails loudly.  Only fuzz opens that scope, one trial at a time;
 everywhere else each call computes afresh and returns writable arrays.
 """
 
@@ -104,13 +105,13 @@ class DualDrazinData:
         return defining_residuals(self.source, self.inverse, self.index, self.tol)
 
 
-# None, or the dict of factorisations of the open _memo() scope
+# None, or the dict of factorisations and mixed series of the open _memo() scope
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("drazin_memo", default=None)
 
 
 @contextlib.contextmanager
 def _memo():
-    """Scope in which drazin_complex factorises each distinct matrix once."""
+    """Scope in which each distinct matrix is factorised, and its M formed, once."""
     token = _MEMO.set({})
     try:
         yield
@@ -243,7 +244,24 @@ def matrix_index(a, tol: float | None = None) -> int:
 
 
 def _dual_m_matrix(x: DualMatrix, k: int) -> np.ndarray:
-    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A)."""
+    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A).
+
+    Inside a _memo() scope, M is formed once per matrix and k and returned
+    read-only, as the factorisations are.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return _mixed_series(x, k)
+    key = ("M", len(x.std), x.std.tobytes(), x.inf.tobytes(), k)
+    m = memo.get(key)
+    if m is None:
+        m = _mixed_series(x, k)
+        m.flags.writeable = False
+        memo[key] = m
+    return m
+
+
+def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:
     a, a0 = x.std, x.inf
     p, m = np.eye(len(a), dtype=complex), np.zeros_like(a)
     with np.errstate(over="ignore", invalid="ignore"):

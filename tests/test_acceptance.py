@@ -21,6 +21,7 @@ from dualdrazin import (
     dual_exists,
     indices,
     rank_dual,
+    smith_rank_oracle,
     windmill_pattern,
 )
 from dualdrazin.blocks import THEOREMS
@@ -31,7 +32,6 @@ from dualdrazin.harness import (
     gen_existence,
     gen_instance,
     gen_member,
-    smith_rank_oracle,
 )
 
 from conftest import rand_int_dual, rel_err

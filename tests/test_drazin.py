@@ -388,6 +388,20 @@ def test_memo_shares_one_read_only_factorisation(monkeypatch):
     assert len(calls) == 3
 
 
+def test_memo_shares_one_read_only_mixed_series():
+    x = DualMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 3.0], [0.0, 0.0]]))
+    outside = dual_exists(x)[1], dual_exists(x)[1]
+    assert outside[0] is not outside[1] and all(m.flags.writeable for m in outside)
+    with dualdrazin.drazin._memo():
+        m = dual_exists(x)[1]
+        assert dualdrazin.drazin._factorise(x, None, None).m_matrix is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        other = DualMatrix(x.std, 2 * x.inf)
+        assert dual_exists(other)[1] is not m  # the infinitesimal part is part of the key
+    np.testing.assert_array_equal(m, outside[0])
+
+
 def test_memo_is_closed_when_its_scope_raises():
     with pytest.raises(RuntimeError):
         with dualdrazin.drazin._memo():

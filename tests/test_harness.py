@@ -10,7 +10,17 @@ import pytest
 
 import dualdrazin.digraphs
 import dualdrazin.drazin
-from dualdrazin import THEOREMS, DualMatrix, build_adjacency, dual_exists, graph_spec_to_doc, harness, rank_dual, rank_std
+from dualdrazin import (
+    THEOREMS,
+    DualMatrix,
+    build_adjacency,
+    dual_exists,
+    graph_spec_to_doc,
+    harness,
+    rank_dual,
+    rank_std,
+    smith_rank_oracle,
+)
 from dualdrazin.errors import InexactInput, NotDualDrazinInvertible, SpecInvalid
 from dualdrazin.harness import (
     FAMILIES,
@@ -22,7 +32,6 @@ from dualdrazin.harness import (
     gen_existence,
     gen_instance,
     gen_member,
-    smith_rank_oracle,
 )
 from dualdrazin.serialize import dumps_doc
 
@@ -282,9 +291,30 @@ def test_fuzz_factorises_each_matrix_once_per_trial(monkeypatch):
     assert len(per_trial) == 3 * len(FAMILIES)
     for memo, computed in per_trial.values():
         assert memo is not None
-        assert computed == len(memo)  # no key was factorised twice
+        factorisations = [v for v in memo.values() if isinstance(v, dualdrazin.drazin.DrazinData)]
+        assert computed == len(factorisations)  # no key was factorised twice
     assert len(public) > sum(computed for _, computed in per_trial.values())
     assert dualdrazin.drazin._MEMO.get() is None
+
+
+def test_fuzz_forms_each_mixed_series_once_per_trial(monkeypatch):
+    # the accept filter's dual_exists and _verify's factorisation share M
+    body = dualdrazin.drazin._mixed_series
+    per_trial = {}  # id(memo) -> [memo, uncached evaluations]
+
+    def counted(x, k):
+        memo = dualdrazin.drazin._MEMO.get()
+        per_trial.setdefault(id(memo), [memo, 0])[1] += 1
+        return body(x, k)
+
+    monkeypatch.setattr(dualdrazin.drazin, "_mixed_series", counted)
+    public = _count_calls(monkeypatch, "_dual_m_matrix")
+    for family in FAMILIES:
+        fuzz(GenConfig(family, trials=3, seed=4))
+    for memo, computed in per_trial.values():
+        assert memo is not None
+        assert computed == sum(isinstance(v, np.ndarray) for v in memo.values())
+    assert len(public) > sum(computed for _, computed in per_trial.values())
 
 
 def test_memo_closes_after_failed_trials(monkeypatch):

@@ -10,17 +10,22 @@ its __all__, so a refactor cannot leave a stale import behind.  Every name a
 module exports is exported by the package too, or listed with the reason it
 is not.  A closed form the benchmark wraps is what its CLI verb calls.  The
 package's only runtime dependency is numpy; the front end must start
-without loading scipy.  The modules that read input, serialize and cli,
+without loading scipy.  A cold run of each verb loads only the modules it
+runs, and the package resolves each public name from its module on first
+use.  The modules that read input, serialize and cli,
 build dual matrices only through the validating constructor.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dualdrazin
 
@@ -52,6 +57,16 @@ def test_benchmarked_graph_forms_are_public():
     assert forms and missing == []
 
 
+def _all_of(path, value):
+    """The names an __all__ assignment lists: its literal, or the list the
+    module computes (the package's, from its _EXPORTS table)."""
+    try:
+        return ast.literal_eval(value)
+    except ValueError:
+        name = "dualdrazin" if path.stem == "__init__" else f"dualdrazin.{path.stem}"
+        return importlib.import_module(name).__all__
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
@@ -65,7 +80,7 @@ def _unused_imports(path):
     for node in tree.body:
         targets = getattr(node, "targets", [])
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-            used.update(ast.literal_eval(node.value))
+            used.update(_all_of(path, node.value))
     return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
 
 
@@ -140,6 +155,94 @@ def test_cli_import_does_not_load_scipy():
     probe = "import sys, dualdrazin.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# verb -> one run of it on 2x2 documents (EYE the identity, ZERO the zero
+# matrix, INST a CLINE instance of two identities, OUT an output file), and
+# which of the modules in LATE_MODULES the run loads
+LATE_MODULES = ("blocks", "digraphs", "harness")
+VERB_RUNS = {
+    "drazin": ("drazin -i EYE", ()),
+    "dual-drazin": ("dual-drazin -i EYE", ()),
+    "exists": ("exists -i EYE", ()),
+    "index": ("index -i EYE", ()),
+    "rank": ("rank -i EYE", ()),
+    "cline": ("cline -a EYE -b EYE", ("blocks",)),
+    "tri": ("tri -a EYE -b EYE -d EYE", ("blocks",)),
+    "abio": ("abio -a ZERO -b EYE", ("blocks",)),
+    "abco": ("abco -a ZERO -b EYE -c EYE", ("blocks",)),
+    "bipartite": ("bipartite -b EYE -c EYE", ("blocks",)),
+    "graph": ("graph windmill --m 1 --n 1 --closed-form OUT", ("blocks", "digraphs")),
+    "verify": ("verify -i INST", LATE_MODULES),
+    "fuzz": ("fuzz --theorem cline --trials 1", LATE_MODULES),
+}
+
+
+def test_the_load_probe_runs_every_verb():
+    from dualdrazin.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(VERB_RUNS)
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_RUNS))
+def test_a_cold_verb_loads_only_the_modules_it_runs(verb, tmp_path):
+    from dualdrazin import DualMatrix
+    from dualdrazin.serialize import dump_matrix, dumps_doc, matrix_to_doc
+
+    files = {"EYE": tmp_path / "eye.json", "ZERO": tmp_path / "zero.json",
+             "INST": tmp_path / "inst.json", "OUT": tmp_path / "closed.json"}
+    dump_matrix(DualMatrix.identity(2), files["EYE"])
+    dump_matrix(DualMatrix.zeros(2), files["ZERO"])
+    eye = matrix_to_doc(DualMatrix.identity(2))
+    files["INST"].write_text(dumps_doc({"theorem": "CLINE", "blocks": {"A": eye, "B": eye}}))
+    command, loads = VERB_RUNS[verb]
+    argv = [str(files.get(word, word)) for word in command.split()] + ["-o", str(tmp_path / "out.json")]
+    probe = ("import json, sys; from dualdrazin.cli import main; code = main(sys.argv[1:]); "
+             "print(json.dumps([code, sorted(sys.modules)]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+                         check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert [name for name in LATE_MODULES if f"dualdrazin.{name}" in modules] == list(loads)
+
+
+def test_the_package_resolves_its_names_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import json, sys, dualdrazin; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dualdrazin'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == ["dualdrazin"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(dualdrazin)
+    for name, module in dualdrazin._EXPORTS.items():
+        assert getattr(dualdrazin, name) is getattr(importlib.import_module(f"dualdrazin.{module}"), name)
+    assert dualdrazin.__all__ == ["__version__", *dualdrazin._EXPORTS]
+    assert set(dualdrazin.__all__) <= set(listed)
+    names = {}
+    exec("from dualdrazin import *", names)
+    assert set(dualdrazin.__all__) <= set(names)
+    # the name tables keep their public paths in the modules that use them
+    from dualdrazin import blocks, harness
+
+    assert (blocks.THEOREMS, harness.FAMILIES) == (dualdrazin.THEOREMS, dualdrazin.FAMILIES)
+    assert harness.GRAPH_FAMILIES == dualdrazin.FAMILIES[len(dualdrazin.THEOREMS):]
+
+
+def test_submodules_resolve_as_package_attributes():
+    # the benchmark reads api.serialize and api.cli off the package
+    for name in ("serialize", "cli", "exact", "families"):
+        assert getattr(dualdrazin, name) is importlib.import_module(f"dualdrazin.{name}")
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_EXPORTS_", "__wrapped__", "harness_", "cli.main"])
+def test_an_unknown_package_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(dualdrazin, name)
+    assert not hasattr(dualdrazin, name)
 
 
 def _unchecked_constructions(path):
