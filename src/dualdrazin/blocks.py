@@ -6,10 +6,9 @@ entry in _SHAPES when it is built and raises ShapeMismatch there, so later
 stages take the shapes as given.  check_hypotheses evaluates the
 hypotheses and keeps the factorisation of every block it tests for
 membership; the formula bodies take their inverses from that report, so
-each block is factorised once.  The formula functions build the report
-and raise HypothesisViolated, or NotDualDrazinInvertible for a block
-outside the invertible class, rather than return a value the identity
-does not cover.
+each block is factorised once.  closed_form, behind every formula
+function, passes the report through one gate (_require), which decides
+what a failed hypothesis raises; the formula bodies only evaluate.
 
 Each series is one drazin._power_series call, sum_{i<k} L^i F R^i with k
 the standard index of the governing block: D and A for the two TRI sums,
@@ -32,9 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .drazin import DualDrazinData, _factorise, _gated, _power_series, _sandwich, dual_drazin
+from .drazin import DualDrazinData, _factorise, _power_series, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
-from .errors import HypothesisViolated, NonFiniteEntries, ShapeMismatch
+from .errors import HypothesisViolated, IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch
 from .families import _SHAPES, THEOREMS
 from .serialize import _listed, _matrix_doc, matrix_from_doc
 from .tolerances import residual_tol
@@ -165,17 +164,27 @@ def _membership(factors: dict[str, DualDrazinData], tol, res_tol):
 
     def test(key: str, x: DualMatrix, name: str | None = None) -> Condition:
         dd = factors[key] = _factorise(x, tol, res_tol)
-        return Condition(name or f"membership_{key}", _sandwich(dd.drazin, dd.m_matrix), dd.exists)
+        return Condition(name or f"membership_{key}", dd._certificate, dd.exists)
 
     return test
 
 
-def _require_conditions(conds, context: str) -> None:
-    """Raise HypothesisViolated naming every failed condition."""
-    failed = [c for c in conds if not c.passed]
-    if failed:
-        detail = ", ".join(f"{c.name}={c.residual:.3e}" for c in failed)
-        raise HypothesisViolated(f"{context}: {detail}")
+def _require(report: HypothesisReport) -> None:
+    """The gate of every closed form: raise for a failed report, naming each failed condition.
+
+    A failed *_index condition raises IndexTooLarge, any other failed
+    condition that is not a membership HypothesisViolated, and failed
+    *membership* conditions alone NotDualDrazinInvertible.
+    """
+    failed = [c for c in report.conditions if not c.passed]
+    if not failed:
+        return
+    detail = f"{report.theorem}: " + ", ".join(f"{c.name}={c.residual:.3e}" for c in failed)
+    if any(c.name.endswith("_index") for c in failed):
+        raise IndexTooLarge(detail)
+    if any("membership" not in c.name for c in failed):
+        raise HypothesisViolated(detail)
+    raise NotDualDrazinInvertible(detail)
 
 
 def check_hypotheses(
@@ -223,21 +232,20 @@ def check_hypotheses(
     return HypothesisReport(theorem=t, conditions=tuple(conds), factorisations=factors)
 
 
-# Formula bodies: (instance, its report) -> the dual Drazin inverse.  A body
-# first raises as its formula function does for a failed report: the gated
-# theorems name the failed conditions, and every inverse comes from the
-# report's factorisations through _gated.
+# Formula bodies: (instance, its passed report) -> the dual Drazin inverse.
+# A body only evaluates: closed_form gates the report first (_require), and
+# every inverse comes from the report's factorisations.
 
 
 def _cline(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    inv = _gated(report.factorisations["BA"])
+    inv = report.factorisations["BA"].inverse
     return dmul(dmul(inst["A"], dpow(inv, 2)), inst["B"])
 
 
 def _tri(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     a, b, d = inst["A"], inst["B"], inst["D"]
     da, dd = report.factorisations["A"], report.factorisations["D"]
-    xa, xd = _gated(da), _gated(dd)
+    xa, xd = da.inverse, dd.inverse
     m, n = a.shape[0], d.shape[0]
     d_pi = DualMatrix.identity(n) - dmul(d, xd)
     a_pi = DualMatrix.identity(m) - dmul(a, xa)
@@ -250,10 +258,9 @@ def _tri(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
 
 
 def _sum_pq0(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    _require_conditions(report.conditions, inst.theorem)
     p, q = inst["P"], inst["Q"]
     dp, dq = report.factorisations["P"], report.factorisations["Q"]
-    xp, xq = _gated(dp), _gated(dq)
+    xp, xq = dp.inverse, dq.inverse
     eye = DualMatrix.identity(p.shape[0])
     q_pi = eye - dmul(q, xq)
     p_pi = eye - dmul(p, xp)
@@ -262,11 +269,9 @@ def _sum_pq0(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
 
 
 def _abio(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    _require_conditions(report.conditions, inst.theorem)
     a, b = inst["A"], inst["B"]
     db = report.factorisations["B"]
-    xa = _gated(report.factorisations["A"])
-    xb = _gated(db)
+    xa, xb = report.factorisations["A"].inverse, db.inverse
     eye = DualMatrix.identity(a.shape[0])
     b_e = dmul(b, xb)
     b_pi = eye - b_e
@@ -287,7 +292,6 @@ def _abio(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
 
 
 def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    _require_conditions(report.conditions, inst.theorem)
     side = "right" if inst.theorem == "ABCO_RIGHT" else "left"
     f = report.factorisations
     return _abco_formula(inst["A"], inst["B"], inst["C"], side, f["A"], f["BC"])
@@ -296,8 +300,7 @@ def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
 def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str,
                   da: DualDrazinData, dw: DualDrazinData) -> DualMatrix:
     """The [[A,B],[C,0]] series from the factorisations of A and W = BC."""
-    xa = _gated(da)
-    xw = _gated(dw)
+    xa, xw = da.inverse, dw.inverse
     w = dw.source
     eye = DualMatrix.identity(a.shape[0])
     w_e = dmul(w, xw)
@@ -325,7 +328,7 @@ def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str,
 def _bipartite(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     b, c = inst["B"], inst["C"]
     n, p = b.shape
-    xw = _gated(report.factorisations["BC"])
+    xw = report.factorisations["BC"].inverse
     return dblock([
         [DualMatrix.zeros(n), dmul(xw, b)],
         [dmul(c, xw), DualMatrix.zeros(p)],
@@ -409,5 +412,7 @@ def bipartite_drazin(b: DualMatrix, c: DualMatrix, tol=None, res_tol=None) -> Du
 
 
 def closed_form(inst: BlockInstance, tol=None, res_tol=None) -> DualMatrix:
-    """Check an instance's hypotheses and evaluate its theorem's formula."""
-    return _FORMULAS[inst.theorem](inst, check_hypotheses(inst, tol, res_tol))
+    """Check an instance's hypotheses, gate the report and evaluate its theorem's formula."""
+    report = check_hypotheses(inst, tol, res_tol)
+    _require(report)
+    return _FORMULAS[inst.theorem](inst, report)

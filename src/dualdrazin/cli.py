@@ -162,13 +162,13 @@ def _cmd_dual_drazin(args) -> int:
 
 
 def _cmd_exists(args) -> int:
-    from .drazin import _sandwich, drazin_complex, dual_exists
+    from .drazin import drazin_complex, dual_exists
 
     x = _load_matrix(args.input)
     rank, res = _tols(args)
     data = drazin_complex(x.std, rank)
-    ok, m = dual_exists(x, rank, res, data)
-    _emit({"exists": ok, "residual": _sandwich(data, m), "ind_std": data.index}, args.output)
+    ok, _, certificate = dual_exists(x, rank, res, data, _certified=True)
+    _emit({"exists": ok, "residual": certificate, "ind_std": data.index}, args.output)
     return EXIT_OK if ok else EXIT_NOT_INVERTIBLE
 
 
@@ -211,7 +211,7 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .digraphs import _FORMULAS, build_adjacency, graph_hypotheses, graph_spec_from_doc
+    from .digraphs import _graph_closed_form, build_adjacency, graph_spec_from_doc
 
     if args.spec:
         doc = _read_doc(args.spec)
@@ -241,8 +241,8 @@ def _cmd_graph(args) -> int:
     _emit(_matrix_doc(build.matrix, **extras), args.output)
     if args.closed_form:
         rank, res = _tols(args)
-        hyp = graph_hypotheses(spec, args.form.replace("-", "_"), rank, res)
-        _emit(_matrix_doc(_FORMULAS[hyp.theorem](spec, hyp)), args.closed_form)
+        inverse = _graph_closed_form(spec, args.form.replace("-", "_"), rank, res)
+        _emit(_matrix_doc(inverse), args.closed_form)
     return EXIT_OK
 
 

@@ -10,6 +10,9 @@ standard and the infinitesimal parts alike; graph_hypotheses builds the
 matrix once, its report keeps it, and the formula blocks are slices of it
 (_parts).
 
+Every public closed form runs _graph_closed_form: the family's report,
+the gate the block closed forms use too (blocks._require), then the body.
+
 Weights are dual complex numbers.  Arc weights may be pure infinitesimals;
 a weight that is zero in both parts means the arc is missing, which the
 builders reject.
@@ -22,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Condition, HypothesisReport, _abco_formula, _condition, _membership
-from .blocks import _require_conditions, bipartite_drazin
-from .drazin import _gated
+from .blocks import Condition, HypothesisReport, _abco_formula, _condition, _membership, _require, bipartite_drazin
 from .dualmat import DualMatrix, _norm, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
-from .errors import IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
+from .errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .families import _WINDMILL_FORMS
 from .serialize import (
+    _is_count,
     _listed,
     _matrix_doc,
     _vector_doc,
@@ -416,56 +418,33 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors, matrix)
 
 
-# Formula bodies: (spec, its report) -> inverse of the adjacency matrix.  A
-# body first raises as its public closed form does for a failed report, then
-# takes every matrix inverse from the report's factorisations through _gated,
-# so a failed membership condition raises NotDualDrazinInvertible, and its
-# blocks from the report's adjacency matrix.
+# Formula bodies: (spec, its passed report) -> inverse of the adjacency
+# matrix.  A body only evaluates: _graph_closed_form gates the report first
+# (blocks._require), and a body takes every matrix inverse from the report's
+# factorisations and its blocks from the report's adjacency matrix.
 
 
 def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
-    _require_conditions(report.conditions[:1], "hub2 fan is not dual-orthogonal")
     core, b_blk, c_blk = _parts(spec, report._matrix)
     ad = _scalar_scale(scalar_dual_drazin(_theta(spec)), core)
     return _corner_formula(ad, b_blk, c_blk)
 
 
 def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
-    *fans, _ = report.conditions
-    _require_conditions(fans, "leaf fans are not dual-orthogonal")
     _, b_blk, c_blk = _parts(spec, report._matrix)
-    return _corner_formula(_gated(report.factorisations["base"]), b_blk, c_blk)
+    return _corner_formula(report.factorisations["base"].inverse, b_blk, c_blk)
 
 
-def _dw_series(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    """The bordered-corner series of [[D, C],[B, 0]], hub moved first."""
+def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
+    """The bordered-corner series of [[D, C],[B, 0]], hub moved first, for the drazin and group forms."""
     d_blk, c_col, b_row = _parts(spec, report._matrix)
     f = report.factorisations
     return _hub_first(_abco_formula(d_blk, c_col, b_row, "right", f["D"], f["W"]))
 
 
-def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    *pairs, _, hub = report.conditions
-    _require_conditions(pairs, "blade-pair conditions fail")
-    _require_conditions([hub], "hub product is not invertible")
-    return _dw_series(spec, report)
-
-
-def _group_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    *pairs, _, _, blade_index, hub_index = report.conditions
-    if not blade_index.passed:
-        raise IndexTooLarge("blade matrix is not group invertible")
-    if not hub_index.passed:
-        raise IndexTooLarge("hub product is not group invertible")
-    _require_conditions(pairs, "blade-pair conditions fail")
-    return _dw_series(spec, report)
-
-
 def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    *outer, _ = report.conditions
-    _require_conditions(outer, "fan outer products are not dual-zero")
     _, c_col, b_row = _parts(spec, report._matrix)
-    return _hub_first(_corner_formula(_gated(report.factorisations["D"]), c_col, b_row))
+    return _hub_first(_corner_formula(report.factorisations["D"].inverse, c_col, b_row))
 
 
 _FORMULAS = {
@@ -473,8 +452,15 @@ _FORMULAS = {
     "LINKED_STARS": _dls_formula,
     "WINDMILL": _dw_formula,
     "WINDMILL_BC0": _bc0_formula,
-    "WINDMILL_GROUP": _group_formula,
+    "WINDMILL_GROUP": _dw_formula,
 }
+
+
+def _graph_closed_form(spec: GraphSpec, form: str, tol, res_tol) -> DualMatrix:
+    """Check a spec's hypotheses under form, gate the report and evaluate its family's formula."""
+    report = graph_hypotheses(spec, form, tol, res_tol)
+    _require(report)
+    return _FORMULAS[report.theorem](spec, report)
 
 
 def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
@@ -484,7 +470,7 @@ def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
     parts).  The core inverts through the single dual number
     theta = x^T y + a*b; a pure-infinitesimal theta admits no inverse.
     """
-    return _ds_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
+    return _graph_closed_form(spec, "drazin", tol, res_tol)
 
 
 def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
@@ -494,7 +480,7 @@ def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
     which zeroes the fan-to-fan product and leaves the core's dual Drazin
     inverse as the only nontrivial ingredient.
     """
-    return _dls_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
+    return _graph_closed_form(spec, "drazin", tol, res_tol)
 
 
 def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -505,7 +491,7 @@ def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     blade matrices on their nilpotent parts, and when the blade matrix D
     and the hub product W = sum y_s x_t^T have dual Drazin inverses.
     """
-    return _dw_formula(spec, graph_hypotheses(spec, "drazin", tol, res_tol))
+    return _graph_closed_form(spec, "drazin", tol, res_tol)
 
 
 def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -514,7 +500,7 @@ def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     When every outer product y_s x_t^T vanishes in both parts the series
     collapses to [[B D^3D C, B D^2D],[D^2D C, D^D]].
     """
-    return _bc0_formula(spec, graph_hypotheses(spec, "bc_zero", tol, res_tol))
+    return _graph_closed_form(spec, "bc_zero", tol, res_tol)
 
 
 def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -523,13 +509,14 @@ def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     Same conditions as dw_dual_drazin, with the blade matrix and the hub
     product additionally required to have standard index at most one.
     """
-    return _group_formula(spec, graph_hypotheses(spec, "group", tol, res_tol))
+    return _graph_closed_form(spec, "group", tol, res_tol)
 
 
 def bipartite_dual(e: DualMatrix, f: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
-    """Dual Drazin inverse of [[0,E],[F,0]]; the bipartite_drazin formula.
+    """Dual Drazin inverse of [[0,E],[F,0]]: bipartite_drazin(E, F).
 
-    E (FE)^D = (EF)^D E, so this equals [[0, E (FE)^D],[(FE)^D F, 0]].
+    That is [[0, (EF)^D E],[F (EF)^D, 0]], under bipartite_drazin's
+    hypotheses and gate; only the shape check is this function's own.
     """
     n, p = e.shape
     if f.shape != (p, n):
@@ -544,6 +531,13 @@ def _vectors_from_doc(doc: dict, key: str, count: int, label: str) -> tuple[Dual
     return tuple(vector_from_doc(item, label=f"{label}[{i + 1}]") for i, item in enumerate(raw))
 
 
+def _counts_from_doc(doc: dict, family: str) -> tuple[int, int]:
+    m, n = doc.get("m"), doc.get("n")
+    if not (_is_count(m) and _is_count(n)):
+        raise SchemaError(f"{family} needs integer fields 'm' and 'n'")
+    return m, n
+
+
 def graph_spec_from_doc(doc: dict) -> GraphSpec:
     """Parse {"family": ..., ...} into a graph spec.
 
@@ -554,10 +548,7 @@ def graph_spec_from_doc(doc: dict) -> GraphSpec:
         raise SchemaError("graph spec must be a JSON object")
     family = doc.get("family")
     if family == "double_star":
-        try:
-            m, n = int(doc["m"]), int(doc["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError("double_star needs integer fields 'm' and 'n'") from exc
+        m, n = _counts_from_doc(doc, family)
         return DoubleStar(
             m=m,
             n=n,
@@ -573,10 +564,9 @@ def graph_spec_from_doc(doc: dict) -> GraphSpec:
         raw_r = doc.get("r")
         if not isinstance(raw_r, list) or not raw_r:
             raise SchemaError("linked_stars needs a nonempty list 'r' of leaf counts")
-        try:
-            r = tuple(int(v) for v in raw_r)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("leaf counts must be integers") from exc
+        if not all(_is_count(v) for v in raw_r):
+            raise SchemaError("leaf counts must be integers")
+        r = tuple(raw_r)
         return DLinkedStars(
             base=base,
             r=r,
@@ -584,10 +574,7 @@ def graph_spec_from_doc(doc: dict) -> GraphSpec:
             y=_vectors_from_doc(doc, "y", len(r), "y"),
         )
     if family == "dutch_windmill":
-        try:
-            m, n = int(doc["m"]), int(doc["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError("dutch_windmill needs integer fields 'm' and 'n'") from exc
+        m, n = _counts_from_doc(doc, family)
         pattern = windmill_pattern(m, n)
         if "blades" in doc:
             raw = doc["blades"]

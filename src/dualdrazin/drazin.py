@@ -94,6 +94,8 @@ class DualDrazinData:
     source: DualMatrix
     drazin: DrazinData
     tol: float | None
+    # the norm of Pi M Pi that the existence test compared
+    _certificate: float = field(repr=False, compare=False)
 
     @property
     def index(self) -> int:
@@ -277,18 +279,21 @@ def dual_exists(
     tol: float | None = None,
     res_tol: float | None = None,
     data: DrazinData | None = None,
-) -> tuple[bool, np.ndarray]:
+    *, _certified: bool = False,
+) -> tuple:
     """Existence test for the dual Drazin inverse.
 
     Returns (exists, M) where M is the mixed series whose projection onto
-    the nilpotent part must vanish.
+    the nilpotent part must vanish.  Inside the package, _certified also
+    returns the norm of that projection, the certificate the test compared.
     """
     x.require_square()
     if data is None:
         data = drazin_complex(x.std, tol)
     m = _dual_m_matrix(x, data.index)
-    ok = _sandwich(data, m) <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m))
-    return bool(ok), m
+    certificate = _sandwich(data, m)
+    ok = bool(certificate <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m)))
+    return (ok, m, certificate) if _certified else (ok, m)
 
 
 def _sandwich(data: DrazinData, m: np.ndarray) -> float:
@@ -370,7 +375,8 @@ def dual_drazin(
     The result's residuals are evaluated only when first read.
     """
     dd = _factorise(x, tol, res_tol)
-    _gated(dd)
+    if not dd.exists:
+        raise NotDualDrazinInvertible("projection of the mixed series onto the nilpotent part is nonzero")
     return dd
 
 
@@ -379,17 +385,12 @@ def _factorise(x: DualMatrix, tol, res_tol) -> DualDrazinData:
 
     The series is evaluated even when ``exists`` is False: hypothesis checks
     build projectors from it for matrices that may sit outside the class,
-    and dual_drazin gates it through _gated.
+    and only dual_drazin and the closed-form gate (blocks._require) raise
+    for such a matrix.
     """
     x.require_square()
     data = drazin_complex(x.std, tol)
-    exists, m = dual_exists(x, tol, res_tol, data)
+    exists, m, certificate = dual_exists(x, tol, res_tol, data, _certified=True)
     inverse = dual_drazin_series(x, tol, data)
-    return DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol)
-
-
-def _gated(dd: DualDrazinData) -> DualMatrix:
-    """The inverse of a factorisation, raising as dual_drazin does when none exists."""
-    if not dd.exists:
-        raise NotDualDrazinInvertible("projection of the mixed series onto the nilpotent part is nonzero")
-    return dd.inverse
+    return DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol,
+                          _certificate=certificate)

@@ -11,7 +11,7 @@ the nested lists of the public *_to_doc documents (_listed) included, goes
 through the generic branch, value by value, to the same bytes.  No writer
 emits inf or NaN, which are not JSON: a non-finite number raises
 NonFiniteEntries.  Readers validate shapes and raise SchemaError on
-malformed documents.
+malformed documents, counts that are not JSON integers (2.7, true, "3") among them.
 """
 
 from __future__ import annotations
@@ -149,13 +149,17 @@ def _parse_part(raw, rows: int, cols: int, label: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _is_count(value: Any) -> bool:
+    """A JSON integer: an int, and not a bool."""
+    return type(value) is int
+
+
 def matrix_from_doc(doc: Any) -> DualMatrix:
     if not isinstance(doc, dict):
         raise SchemaError("dual matrix document must be a JSON object")
-    try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("dual matrix document needs integer 'rows' and 'cols'") from exc
+    rows, cols = doc.get("rows"), doc.get("cols")
+    if not (_is_count(rows) and _is_count(cols)):
+        raise SchemaError("dual matrix document needs integer 'rows' and 'cols'")
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
     if "std" not in doc:

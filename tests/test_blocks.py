@@ -20,7 +20,8 @@ from dualdrazin import (
     tri_drazin,
 )
 from dualdrazin.cli import main
-from dualdrazin.errors import HypothesisViolated, ShapeMismatch
+from dualdrazin.blocks import Condition, HypothesisReport, _require
+from dualdrazin.errors import HypothesisViolated, IndexTooLarge, NotDualDrazinInvertible, ShapeMismatch
 from dualdrazin.serialize import matrix_to_doc
 
 from conftest import rand_int_dual, rel_err
@@ -253,6 +254,47 @@ def test_formula_functions_reject_violations(rng):
         abio_drazin(a, a)
     with pytest.raises(HypothesisViolated):
         abco_drazin(a, a, a)
+
+
+EPS = DualMatrix([[0]], [[1]])  # a pure infinitesimal: outside the class
+ONE = dual_eye(1)
+
+# theorem -> blocks whose report fails only the membership of EPS; every
+# residual hypothesis holds, because A = EPS gives A A^e = 0 and A A^pi = EPS
+MEMBERSHIP_ONLY = {
+    "SUM_PQ0": ({"P": EPS, "Q": DualMatrix.zeros(1)}, "membership_P"),
+    "ABIO_RIGHT": ({"A": EPS, "B": ONE}, "membership_A"),
+    "ABIO_LEFT": ({"A": EPS, "B": ONE}, "membership_A"),
+    "ABCO_RIGHT": ({"A": EPS, "B": ONE, "C": ONE}, "membership_A"),
+    "ABCO_LEFT": ({"A": EPS, "B": ONE, "C": ONE}, "membership_A"),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(MEMBERSHIP_ONLY))
+def test_a_block_outside_the_class_is_not_a_violated_hypothesis(theorem):
+    blocks, name = MEMBERSHIP_ONLY[theorem]
+    inst = BlockInstance(theorem, blocks)
+    assert [c.name for c in check_hypotheses(inst).conditions if not c.passed] == [name]
+    with pytest.raises(NotDualDrazinInvertible, match=f"^{theorem}: {name}="):
+        closed_form(inst)
+
+
+def _report(*failed):
+    names = ("blade_group_index", "commutation", "membership_A", "hub_membership")
+    return HypothesisReport("T", tuple(Condition(n, float(n in failed), n not in failed) for n in names))
+
+
+def test_the_gate_raises_for_an_index_then_a_residual_then_a_membership():
+    assert _require(_report()) is None
+    with pytest.raises(IndexTooLarge,
+                       match=r"^T: blade_group_index=1\.000e\+00, commutation=1\.000e\+00, membership_A=1\.000e\+00$"):
+        _require(_report("blade_group_index", "commutation", "membership_A"))
+    with pytest.raises(IndexTooLarge, match=r"^T: blade_group_index=1\.000e\+00, hub_membership="):
+        _require(_report("blade_group_index", "hub_membership"))
+    with pytest.raises(HypothesisViolated, match=r"^T: commutation=1\.000e\+00, hub_membership=1\.000e\+00$"):
+        _require(_report("commutation", "hub_membership"))
+    with pytest.raises(NotDualDrazinInvertible, match=r"^T: membership_A=1\.000e\+00, hub_membership="):
+        _require(_report("membership_A", "hub_membership"))
 
 
 def test_instance_doc_round_trip(rng):

@@ -399,21 +399,22 @@ EPS = DualMatrix([[0]], [[1]])
 # one blade whose matrix D = eps is outside the class; every fan outer
 # product is eps^2 = 0, so the pair, outer-zero, hub and index conditions hold
 EPS_WINDMILL = DutchWindmill(m=1, n=1, blades=(EPS,), x=(EPS,), y=(EPS,))
+# the hub product W = y x^T = eps is outside the class, while the blade pair
+# and (for the group form) index conditions all hold
+EPS_HUB_WINDMILL = DutchWindmill(m=1, n=1, blades=(DualMatrix([[0]]),), x=(EPS,), y=(DualMatrix([[1]]),))
 
 
-# Each spec passed its hypothesis report before the report checked the one
-# inverse it lacks; the public closed form then raised from inside.
+# Each spec fails only the membership condition of the one inverse it
+# lacks: verify reports a failed hypothesis (exit 2), and every closed form,
+# whatever its windmill form, reports a missing inverse (exit 3).
 REPORT_GAPS = {
     # theta = x^T y + ab = 1e-13 + eps is a pure infinitesimal at working
     # precision, so the double star core has no dual Drazin inverse
     "theta": ("drazin", "theta_membership", ds_dual_drazin, DoubleStar(
         m=1, n=2, x=_col(1), y=_col(-1 + 1e-13), w=_col(1, 1), v=_col(1, -1),
         a=DualScalar(1, 1), b=DualScalar(1, 0))),
-    # the hub product W = y x^T = eps is outside the class, while the blade
-    # pair and index conditions of the group form all hold
-    "group_hub": ("group", "hub_membership", dw_group, DutchWindmill(
-        m=1, n=1, blades=(DualMatrix([[0]]),), x=(DualMatrix([[0]], [[1]]),),
-        y=(DualMatrix([[1]]),))),
+    "windmill_hub": ("drazin", "hub_membership", dw_dual_drazin, EPS_HUB_WINDMILL),
+    "group_hub": ("group", "hub_membership", dw_group, EPS_HUB_WINDMILL),
     "windmill_D": ("drazin", "membership_D", dw_dual_drazin, EPS_WINDMILL),
     "bc_zero_D": ("bc-zero", "membership_D", dw_bc_zero, EPS_WINDMILL),
     "group_D": ("group", "membership_D", dw_group, EPS_WINDMILL),
@@ -440,6 +441,38 @@ def test_report_gaps_are_exit_2_and_closed_forms_stay_exit_3(gap, write, capsys,
     code, _, err = run(capsys, "graph", "--spec", path, "-o", str(tmp_path / "adj.json"),
                        "--closed-form", str(tmp_path / "inv.json"), "--form", form)
     assert code == 3 and err.startswith("error: ")
+
+
+def _identity_doc(k):
+    return {"rows": k, "cols": k, "std": [[[float(i == j), 0] for j in range(k)] for i in range(k)]}
+
+
+# count field -> (verb, a valid document built around a count k, where the
+# field holds k)
+COUNT_DOCS = {
+    "rows": ("dual-drazin", _identity_doc),
+    "cols": ("dual-drazin", _identity_doc),
+    "m": ("graph", lambda k: {"family": "dutch_windmill", "m": k, "n": 2}),
+    "n": ("graph", lambda k: {"family": "dutch_windmill", "m": 2, "n": k}),
+    "r": ("graph", lambda k: {"family": "linked_stars", "base": {"rows": 1, "cols": 1, "std": [[[1, 0]]]},
+                              "r": [k], "x": [{"std": [[1, 0]] * k}], "y": [{"std": [[1, 0]] * k}]}),
+}
+
+
+@pytest.mark.parametrize("value", [2.7, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", sorted(COUNT_DOCS))
+def test_counts_must_be_json_integers(field, value, write, capsys):
+    # int(value) is a count the document fits, so only the check that a
+    # count is a JSON integer can refuse it
+    verb, make = COUNT_DOCS[field]
+    flag = "--spec" if verb == "graph" else "-i"
+    code, _, _ = run(capsys, verb, flag, write(make(int(value)), "valid.json"))
+    assert code == 0
+    doc = make(int(value))
+    doc[field] = [value] if field == "r" else value
+    code, out, err = run(capsys, verb, flag, write(doc, "count.json"))
+    assert code == 4 and out == "" and err.startswith("error: ")
+    assert "integer" in err
 
 
 SHARED_FIELDS = ("order", "hypotheses_pass", "hypothesis_residuals",
@@ -532,6 +565,18 @@ def test_block_verb_hypothesis_violation(write, capsys):
     p = write(eye, "i.json")
     code, _, err = run(capsys, "abio", "-a", p, "-b", p)
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("verb", ["abio", "abco"])
+def test_block_verb_outside_the_class_is_exit_3(verb, side, write, capsys):
+    # A = eps has no dual Drazin inverse, while the commutation and
+    # annihilation hypotheses hold: a missing inverse, not a violated hypothesis
+    eps = write({"rows": 1, "cols": 1, "std": [[[0, 0]]], "inf": [[[1, 0]]]}, "eps.json")
+    one = write({"rows": 1, "cols": 1, "std": [[[1, 0]]]}, "one.json")
+    corner = ["-c", one] if verb == "abco" else []
+    code, _, err = run(capsys, verb, "-a", eps, "-b", one, *corner, "--side", side)
+    assert code == 3 and err.startswith(f"error: {verb.upper()}_{side.upper()}: membership_A=")
 
 
 # block verb -> the theorems its variants evaluate, and the public form it calls

@@ -13,7 +13,10 @@ package's only runtime dependency is numpy; the front end must start
 without loading scipy.  A cold run of each verb loads only the modules it
 runs, and the package resolves each public name from its module on first
 use.  The modules that read input, serialize and cli,
-build dual matrices only through the validating constructor.
+build dual matrices only through the validating constructor.  The closed
+forms' formula bodies never decide on a failed hypothesis, and every
+condition name a report gives falls in exactly one class of the one gate
+that does (blocks._require).
 """
 
 import ast
@@ -257,3 +260,72 @@ def test_input_modules_use_the_validating_constructor():
     package = ROOT / "src" / "dualdrazin"
     assert _unchecked_constructions(package / "dualmat.py")  # the probe finds uses
     assert [hit for name in ("serialize.py", "cli.py") for hit in _unchecked_constructions(package / name)] == []
+
+
+def _formula_bodies(path):
+    """The functions a module's _FORMULAS table maps to, and the module's functions they call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_FORMULAS" for t in node.targets))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    bodies = {value.id for value in table.values}
+    called = {node.func.id for name in bodies for node in ast.walk(defs[name])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs}
+    return [defs[name] for name in sorted(bodies | called)]
+
+
+def _gating(body):
+    """Where a formula body decides on a failed hypothesis: a raise, _require, or report.conditions."""
+    for node in ast.walk(body):
+        if isinstance(node, ast.Raise):
+            yield f"{body.name}:{node.lineno} raise"
+        elif isinstance(node, ast.Name) and node.id.startswith("_require"):
+            yield f"{body.name}:{node.lineno} {node.id}"
+        elif (isinstance(node, ast.Attribute) and node.attr == "conditions"
+              and isinstance(node.value, ast.Name) and node.value.id == "report"):
+            yield f"{body.name}:{node.lineno} report.conditions"
+
+
+def test_formula_bodies_only_evaluate():
+    # one gate, blocks._require, decides what a failed report raises; a
+    # body that raised for a hypothesis itself could pick another exit code
+    package = ROOT / "src" / "dualdrazin"
+    bodies = [body for name in ("blocks.py", "digraphs.py") for body in _formula_bodies(package / name)]
+    assert {"_sum_pq0", "_abco_formula", "_dw_formula", "_corner_formula"} <= {body.name for body in bodies}
+    assert [hit for body in bodies for hit in _gating(body)] == []
+
+
+def _condition_names():
+    """Every condition name the reports of the 14 fuzz families give, under every windmill form."""
+    from dualdrazin.blocks import BlockInstance, check_hypotheses
+    from dualdrazin.digraphs import DutchWindmill, graph_hypotheses
+    from dualdrazin.families import _WINDMILL_FORMS
+    from dualdrazin.harness import FAMILIES, GenConfig, gen_instance
+
+    names = set()
+    for family in FAMILIES:
+        for violate in (False, True):
+            inst = gen_instance(GenConfig(family, trials=2, seed=0, dim_max=3, violate=violate), 1)
+            if isinstance(inst, BlockInstance):
+                reports = [check_hypotheses(inst)]
+            else:
+                forms = _WINDMILL_FORMS if isinstance(inst, DutchWindmill) else ["drazin"]
+                reports = [graph_hypotheses(inst, form) for form in forms]
+            names.update(c.name for report in reports for c in report.conditions)
+    return sorted(names)
+
+
+def test_every_condition_name_falls_in_one_class_of_the_gate():
+    from dualdrazin.blocks import Condition, HypothesisReport, _require
+    from dualdrazin.errors import HypothesisViolated, IndexTooLarge, NotDualDrazinInvertible
+
+    names = _condition_names()
+    assert {"product_zero", "theta_membership", "hub_membership", "hub_group_index",
+            "outer_zero_1_1", "fan_orthogonality_1"} <= set(names)
+    for name in names:
+        # the three classes: an index, a membership, or neither (a residual)
+        index, membership = name.endswith("_index"), "membership" in name
+        assert not (index and membership), name
+        raised = IndexTooLarge if index else NotDualDrazinInvertible if membership else HypothesisViolated
+        with pytest.raises(raised):
+            _require(HypothesisReport("T", (Condition(name, 1.0, False),)))
