@@ -281,7 +281,6 @@ def _cmd_fuzz(args) -> int:
         seed=args.seed,
         dim_min=args.dim_min,
         dim_max=args.dim_max,
-        entry_scale=args.entry_scale,
         max_rel_error=args.max_rel_error,
         violate=args.violate,
         artifact_dir=args.artifacts,
@@ -362,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim-min", type=int, default=1)
     p.add_argument("--dim-max", type=int, default=5)
-    p.add_argument("--entry-scale", type=int, default=2)
     p.add_argument("--max-rel-error", type=float, default=1e-8)
     p.add_argument("--violate", action="store_true",
                    help="generate hypothesis-breaking instances instead")

@@ -204,23 +204,29 @@ def phi_embed(x: DualMatrix) -> np.ndarray:
     return out
 
 
-def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
-    """Rank via SVD with threshold max(m, n) * tol * sigma_max.
+def _svd_floor(a: np.ndarray, tol: float | None, compute_uv: bool):
+    """np.linalg.svd(a, compute_uv=compute_uv) and the rank floor max(m, n) * tol * sigma_max.
 
-    Raises NonFiniteEntries on NaN or inf entries, which the SVD cannot
-    take, and when sigma_max overflows, since every rank would then read 0.
+    Singular values at or below the floor count as zero.  Raises
+    NonFiniteEntries on NaN or inf entries, which the SVD cannot take, and
+    when sigma_max overflows, since every rank would then read 0.
     """
+    if not np.isfinite(a).all():
+        raise NonFiniteEntries("matrix entries must be finite")
+    svd = np.linalg.svd(a, compute_uv=compute_uv)
+    sigma_max = (svd[1] if compute_uv else svd)[0]
+    if not math.isfinite(sigma_max):
+        raise NonFiniteEntries("the largest singular value overflows")
+    return svd, max(a.shape) * rank_tol(tol) * sigma_max
+
+
+def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
+    """Rank via SVD with threshold max(m, n) * tol * sigma_max (_svd_floor)."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
-    if not np.isfinite(a).all():
-        raise NonFiniteEntries("matrix entries must be finite")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if not math.isfinite(sv[0]):
-        raise NonFiniteEntries("the largest singular value overflows")
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > max(a.shape) * rank_tol(tol) * sv[0]))
+    sv, floor = _svd_floor(a, tol, compute_uv=False)
+    return int(np.count_nonzero(sv > floor))
 
 
 def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -238,15 +244,12 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
     n = a.shape[0]
     q = np.eye(n, dtype=complex)
     h = np.array(a, dtype=complex)
-    if not np.isfinite(h).all():
-        raise NonFiniteEntries("matrix entries must be finite")
     k = p = 0
     while p < n:
-        _, sv, vh = np.linalg.svd(h[p:, p:])
-        if p == 0:
-            if not math.isfinite(sv[0]):
-                raise NonFiniteEntries("the largest singular value overflows")
-            floor = n * rank_tol(tol) * sv[0]
+        if p:
+            _, sv, vh = np.linalg.svd(h[p:, p:])
+        else:
+            (_, sv, vh), floor = _svd_floor(h, tol, compute_uv=True)
         d = int(np.count_nonzero(sv <= floor))
         if d == 0:
             break

@@ -53,6 +53,9 @@ logger = logging.getLogger(__name__)
 
 _MAX_ATTEMPTS = 120
 
+# generated integer entries lie in -_SCALE.._SCALE
+_SCALE = 2
+
 __all__ = [
     "FAMILIES",
     "GRAPH_FAMILIES",
@@ -81,7 +84,6 @@ class GenConfig:
     seed: int = 0
     dim_min: int = 1
     dim_max: int = 5
-    entry_scale: int = 2
     max_rel_error: float = 1e-8
     violate: bool = False
     artifact_dir: str | None = None
@@ -93,8 +95,6 @@ class GenConfig:
             raise SpecInvalid("trials must be at least 1")
         if not 1 <= self.dim_min <= self.dim_max:
             raise SpecInvalid("need 1 <= dim_min <= dim_max")
-        if self.entry_scale < 1:
-            raise SpecInvalid("entry_scale must be at least 1")
 
 
 def _trial_rng(cfg: GenConfig, trial: int) -> np.random.Generator:
@@ -134,22 +134,26 @@ def _choice(rng, values: tuple, size=None):
     return np.asarray(values)[rng.integers(0, len(values), size)]
 
 
-def _ints(rng, shape, scale) -> np.ndarray:
-    return rng.integers(-scale, scale + 1, shape).astype(complex)
+def _int(rng) -> int:
+    return int(rng.integers(-_SCALE, _SCALE + 1))
 
 
-def _nonzero_ints(rng, count, scale) -> np.ndarray:
-    vals = rng.integers(1, scale + 1, count) * _choice(rng, (-1, 1), count)
+def _ints(rng, shape) -> np.ndarray:
+    return rng.integers(-_SCALE, _SCALE + 1, shape).astype(complex)
+
+
+def _nonzero_ints(rng, count) -> np.ndarray:
+    vals = rng.integers(1, _SCALE + 1, count) * _choice(rng, (-1, 1), count)
     return vals.astype(complex)
 
 
-def _int_dual(rng, m, n, scale) -> DualMatrix:
-    return DualMatrix(_ints(rng, (m, n), scale), _ints(rng, (m, n), scale))
+def _int_dual(rng, m, n) -> DualMatrix:
+    return DualMatrix(_ints(rng, (m, n)), _ints(rng, (m, n)))
 
 
-def _invertible_triu(n, rng, scale) -> np.ndarray:
+def _invertible_triu(n, rng) -> np.ndarray:
     """Upper-triangular integers with a +-1/+-2 diagonal, so invertible."""
-    t = np.triu(_ints(rng, (n, n), scale))
+    t = np.triu(_ints(rng, (n, n)))
     if n:
         np.fill_diagonal(t, _choice(rng, (-2, -1, 1, 2), n))
     return t
@@ -170,24 +174,51 @@ def _unimodular(n, rng) -> tuple[np.ndarray, np.ndarray]:
     return s.astype(complex), sinv.astype(complex)
 
 
-def _superdiag_nilpotent(b, rng) -> tuple[np.ndarray, list[int]]:
+def _frame_draws(n, a, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """S and S^-1, then diag(P, 0) and diag(P0, 0) of order n, drawn in that order.
+
+    S is a unimodular shear, P an a x a invertible upper-triangular block
+    and P0 its eps-part: the first draws of every frame stratum.
+    """
+    s, sinv = _unimodular(n, rng)
+    std = np.zeros((n, n), dtype=complex)
+    inf = np.zeros((n, n), dtype=complex)
+    std[:a, :a] = _invertible_triu(a, rng)
+    inf[:a, :a] = _ints(rng, (a, a))
+    return s, sinv, std, inf
+
+
+def _conj(s, sinv, *parts) -> tuple[np.ndarray, ...]:
+    """S X S^-1 for each part X."""
+    return tuple(s @ x @ sinv for x in parts)
+
+
+def _superdiag_nilpotent(b, rng) -> tuple[np.ndarray, list[int], list[int]]:
+    """Nilpotent with 0/1/2 on the superdiagonal, and its kernel and left-kernel positions.
+
+    Column j + 1 and row j are zero exactly when coefficient j is, so these
+    unit vectors, with column 0 and row b - 1, span the kernel and left kernel.
+    """
     n = np.zeros((b, b), dtype=complex)
-    coeffs = []
+    zeros = []
     for j in range(b - 1):
         c = _choice(rng, (0, 1, 1, 2))
-        coeffs.append(c)
+        if c == 0:
+            zeros.append(j)
         n[j, j + 1] = c
-    return n, coeffs
+    kernel = [0] + [j + 1 for j in zeros] if b else []
+    left_kernel = [b - 1] + zeros if b else []
+    return n, kernel, left_kernel
 
 
-def _poly_of(mat, rng, unit, scale=2) -> np.ndarray:
+def _poly_of(mat, rng, unit) -> np.ndarray:
     b = mat.shape[0]
     out = np.zeros((b, b), dtype=complex)
     if unit:
         out += _choice(rng, (1, -1, 2)) * np.eye(b)
     power = mat.copy()
     for _ in range(min(b, 3)):
-        out += int(rng.integers(-scale, scale + 1)) * power
+        out += _int(rng) * power
         power = power @ mat
     return out
 
@@ -207,7 +238,7 @@ class _Frame:
         return self.nil.shape[0]
 
 
-def _make_frame(n, rng, scale, a=None, nilpotent_inf=True) -> _Frame:
+def _make_frame(n, rng, a=None, nilpotent_inf=True) -> _Frame:
     """Shear-conjugated invertible-plus-nilpotent split, a member by construction.
 
     The infinitesimal part is block diagonal in the frame: arbitrary on the
@@ -216,25 +247,15 @@ def _make_frame(n, rng, scale, a=None, nilpotent_inf=True) -> _Frame:
     """
     if a is None:
         a = int(rng.integers(0, n + 1))
-    b = n - a
-    s, sinv = _unimodular(n, rng)
-    p = _invertible_triu(a, rng, scale)
-    p0 = _ints(rng, (a, a), scale)
-    nil, coeffs = _superdiag_nilpotent(b, rng)
-    g22 = nil @ _poly_of(nil, rng, unit=bool(rng.integers(0, 2))) if nilpotent_inf else np.eye(b, dtype=complex)
-    std = np.zeros((n, n), dtype=complex)
-    inf = np.zeros((n, n), dtype=complex)
-    std[:a, :a] = p
+    s, sinv, std, inf = _frame_draws(n, a, rng)
+    nil, kernel, left_kernel = _superdiag_nilpotent(n - a, rng)
     std[a:, a:] = nil
-    inf[:a, :a] = p0
-    inf[a:, a:] = g22
-    kernel = [0] + [j + 1 for j, c in enumerate(coeffs) if c == 0] if b else []
-    left_kernel = [b - 1] + [j for j, c in enumerate(coeffs) if c == 0] if b else []
-    matrix = DualMatrix(s @ std @ sinv, s @ inf @ sinv)
+    inf[a:, a:] = nil @ _poly_of(nil, rng, unit=bool(rng.integers(0, 2))) if nilpotent_inf else np.eye(n - a)
+    matrix = DualMatrix(*_conj(s, sinv, std, inf))
     return _Frame(s, sinv, a, nil, kernel, left_kernel, matrix)
 
 
-def gen_member(dim: int, rng, entry_scale: int = 2, invertible: bool | None = None) -> DualMatrix:
+def gen_member(dim: int, rng, *, invertible: bool | None = None) -> DualMatrix:
     """Random member of the invertible class with exact integer structure.
 
     invertible=True forces a nonsingular standard part, False forces a
@@ -248,10 +269,10 @@ def gen_member(dim: int, rng, entry_scale: int = 2, invertible: bool | None = No
         a = int(rng.integers(0, dim))
     else:
         a = None
-    return _make_frame(dim, rng, entry_scale, a=a).matrix
+    return _make_frame(dim, rng, a=a).matrix
 
 
-def gen_existence(dim: int, rng, positive: bool, entry_scale: int = 2) -> DualMatrix:
+def gen_existence(dim: int, rng, positive: bool) -> DualMatrix:
     """Exact-arithmetic instance for the existence test, labelled by design.
 
     Positive instances share the member frame.  Negative ones put the
@@ -259,28 +280,28 @@ def gen_existence(dim: int, rng, positive: bool, entry_scale: int = 2) -> DualMa
     the projected mixed series an integer matrix of norm at least one.
     """
     if positive:
-        return gen_member(dim, rng, entry_scale)
+        return gen_member(dim, rng)
     a = int(rng.integers(0, dim))
-    return _make_frame(dim, rng, entry_scale, a=a, nilpotent_inf=False).matrix
+    return _make_frame(dim, rng, a=a, nilpotent_inf=False).matrix
 
 
 # ---------------------------------------------------------------------------
 # per-family generators
 
 
-def _orthogonal_pair(r, rng, scale) -> tuple[DualMatrix, DualMatrix]:
+def _orthogonal_pair(r, rng) -> tuple[DualMatrix, DualMatrix]:
     """Fan weight pair with u^T v = 0 in both parts, all standard entries nonzero."""
     if r < 2:
         raise GenerationFailed("dual-orthogonal fans need at least two leaves")
     for _ in range(_MAX_ATTEMPTS):
-        v_std = _nonzero_ints(rng, r, scale)
+        v_std = _nonzero_ints(rng, r)
         v_std[-1] = 1.0
-        u_std = _nonzero_ints(rng, r, scale)
+        u_std = _nonzero_ints(rng, r)
         u_std[-1] = -(u_std[:-1] @ v_std[:-1])
         if u_std[-1] == 0:
             continue
-        v_inf = _ints(rng, r, scale)
-        u_inf = _ints(rng, r, scale)
+        v_inf = _ints(rng, r)
+        u_inf = _ints(rng, r)
         u_inf[-1] = -(u_std @ v_inf) - (u_inf[:-1] @ v_std[:-1])
         return DualMatrix.column(u_std, u_inf), DualMatrix.column(v_std, v_inf)
     raise GenerationFailed("could not build a dual-orthogonal fan pair")
@@ -289,12 +310,12 @@ def _orthogonal_pair(r, rng, scale) -> tuple[DualMatrix, DualMatrix]:
 def _gen_cline(cfg, trial, rng):
     if cfg.violate:
         m = _dim(cfg, trial, rng)
-        bad = gen_existence(m, rng, positive=False, entry_scale=cfg.entry_scale)
+        bad = gen_existence(m, rng, positive=False)
         return BlockInstance("CLINE", {"A": DualMatrix.identity(m), "B": bad}), True
     m = _dim(cfg, trial, rng)
     n = int(rng.integers(1, m + 1))
-    a = _int_dual(rng, m, n, cfg.entry_scale)
-    b = _int_dual(rng, n, m, cfg.entry_scale)
+    a = _int_dual(rng, m, n)
+    b = _int_dual(rng, n, m)
     ok = _in_class(dmul(b, a)) and _in_class(dmul(a, b))
     return BlockInstance("CLINE", {"A": a, "B": b}), ok
 
@@ -302,50 +323,33 @@ def _gen_cline(cfg, trial, rng):
 def _gen_tri(cfg, trial, rng):
     na = _dim(cfg, trial, rng)
     nd = int(rng.integers(max(1, cfg.dim_min), cfg.dim_max + 1))
-    if cfg.violate:
-        blocks = {
-            "A": gen_existence(na, rng, positive=False, entry_scale=cfg.entry_scale),
-            "B": _int_dual(rng, na, nd, cfg.entry_scale),
-            "D": gen_member(nd, rng, cfg.entry_scale),
-        }
-        return BlockInstance(cfg.family, blocks), True
-    blocks = {
-        "A": gen_member(na, rng, cfg.entry_scale),
-        "B": _int_dual(rng, na, nd, cfg.entry_scale),
-        "D": gen_member(nd, rng, cfg.entry_scale),
-    }
-    inst = BlockInstance(cfg.family, blocks)
-    return inst, _in_class(inst.assembled())
+    a = gen_existence(na, rng, positive=False) if cfg.violate else gen_member(na, rng)
+    inst = BlockInstance(cfg.family, {"A": a, "B": _int_dual(rng, na, nd), "D": gen_member(nd, rng)})
+    return inst, cfg.violate or _in_class(inst.assembled())
 
 
 def _gen_sum(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
     a = int(rng.integers(0, n + 1))
     b = n - a
-    s, sinv = _unimodular(n, rng)
-    h1 = _invertible_triu(a, rng, cfg.entry_scale)
-    h1_inf = _ints(rng, (a, a), cfg.entry_scale)
-    p_std = np.zeros((n, n), dtype=complex)
-    p_inf = np.zeros((n, n), dtype=complex)
-    p_std[:a, :a] = h1
-    p_inf[:a, :a] = h1_inf
+    s, sinv, p_std, p_inf = _frame_draws(n, a, rng)
     q_std = np.zeros((n, n), dtype=complex)
-    q_std[a:, :a] = _ints(rng, (b, a), cfg.entry_scale)
+    q_std[a:, :a] = _ints(rng, (b, a))
     if b and rng.integers(0, 2):
-        q_std[a:, a:] = _invertible_triu(b, rng, cfg.entry_scale)
+        q_std[a:, a:] = _invertible_triu(b, rng)
         q_inf = np.zeros((n, n), dtype=complex)
-        q_inf[a:, :a] = _ints(rng, (b, a), cfg.entry_scale)
-        q_inf[a:, a:] = _ints(rng, (b, b), cfg.entry_scale)
+        q_inf[a:, :a] = _ints(rng, (b, a))
+        q_inf[a:, a:] = _ints(rng, (b, b))
     else:
-        nil, _ = _superdiag_nilpotent(b, rng)
+        nil, _, _ = _superdiag_nilpotent(b, rng)
         q_std[a:, a:] = nil
         # nilpotent stratum: the infinitesimal part is Q*g(Q), which kills
         # every term of the mixed series exactly
         q_inf = q_std @ _poly_of(q_std, rng, unit=True)
     if cfg.violate:
         q_std[:a, :a] = np.eye(a)
-    p = DualMatrix(s @ p_std @ sinv, s @ p_inf @ sinv)
-    q = DualMatrix(s @ q_std @ sinv, s @ q_inf @ sinv)
+    p = DualMatrix(*_conj(s, sinv, p_std, p_inf))
+    q = DualMatrix(*_conj(s, sinv, q_std, q_inf))
     inst = BlockInstance("SUM_PQ0", {"P": p, "Q": q})
     if cfg.violate:
         return inst, a > 0
@@ -353,21 +357,23 @@ def _gen_sum(cfg, trial, rng):
     return inst, ok
 
 
-def _kernel_cols(rows, cols, kernel, rng, scale) -> np.ndarray:
-    out = np.zeros((rows, cols), dtype=complex)
-    for col in range(cols):
-        for pos in kernel:
-            out[pos, col] = int(rng.integers(-scale, scale + 1))
-    return out
+def _kernel_cols(rows, cols, kernel, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Standard and eps-parts, drawn in that order, of a block nonzero only on the kernel rows."""
+    parts = np.zeros((2, rows, cols), dtype=complex)
+    for part in parts:
+        for col in range(cols):
+            for pos in kernel:
+                part[pos, col] = _int(rng)
+    return parts[0], parts[1]
 
 
 def _gen_abio(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
     if cfg.violate:
         # invertible A makes A A^e B = A B, never zero against B = I
-        frame = _make_frame(n, rng, cfg.entry_scale, a=n)
+        frame = _make_frame(n, rng, a=n)
         return BlockInstance(cfg.family, {"A": frame.matrix, "B": DualMatrix.identity(n)}), True
-    frame = _make_frame(n, rng, cfg.entry_scale)
+    frame = _make_frame(n, rng)
     a, b = frame.a, frame.b
     nil = frame.nil
     unit = bool(rng.integers(0, 2))
@@ -382,12 +388,10 @@ def _gen_abio(cfg, trial, rng):
     b_std[a:, a:] = v2
     b_inf[a:, a:] = v2t
     if cfg.family == "ABIO_RIGHT":
-        b_std[a:, :a] = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
-        b_inf[a:, :a] = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
+        b_std[a:, :a], b_inf[a:, :a] = _kernel_cols(b, a, frame.kernel, rng)
     else:
-        b_std[:a, a:] = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
-        b_inf[:a, a:] = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
-    bb = DualMatrix(frame.s @ b_std @ frame.sinv, frame.s @ b_inf @ frame.sinv)
+        b_std[:a, a:], b_inf[:a, a:] = (w.T for w in _kernel_cols(b, a, frame.left_kernel, rng))
+    bb = DualMatrix(*_conj(frame.s, frame.sinv, b_std, b_inf))
     inst = BlockInstance(cfg.family, {"A": frame.matrix, "B": bb})
     ok = _in_class(bb) and _in_class(inst.assembled())
     return inst, ok
@@ -396,19 +400,18 @@ def _gen_abio(cfg, trial, rng):
 def _gen_abco(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
     if cfg.violate:
-        frame = _make_frame(n, rng, cfg.entry_scale, a=n)
+        frame = _make_frame(n, rng, a=n)
         blocks = {
             "A": frame.matrix,
             "B": DualMatrix.identity(n),
             "C": DualMatrix.identity(n),
         }
         return BlockInstance(cfg.family, blocks), True
-    frame = _make_frame(n, rng, cfg.entry_scale, a=int(rng.integers(0, n)))
+    frame = _make_frame(n, rng, a=int(rng.integers(0, n)))
     a, b = frame.a, frame.b
     nil = frame.nil
     shear = _poly_of(nil, rng, unit=False)
-    w1 = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
-    w1t = _kernel_cols(b, a, frame.kernel, rng, cfg.entry_scale)
+    w1, w1t = _kernel_cols(b, a, frame.kernel, rng)
     w2 = _poly_of(nil, rng, unit=True)
     w2t = _poly_of(nil, rng, unit=False)
     if cfg.family == "ABCO_RIGHT":
@@ -419,8 +422,7 @@ def _gen_abco(cfg, trial, rng):
         bb = DualMatrix(frame.s @ b_std, frame.s @ b_inf)
         cc = DualMatrix(np.hstack([w1, w2]) @ frame.sinv, np.hstack([w1t, w2t]) @ frame.sinv)
     else:
-        v1 = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
-        v1t = _kernel_cols(b, a, frame.left_kernel, rng, cfg.entry_scale).T
+        v1, v1t = (w.T for w in _kernel_cols(b, a, frame.left_kernel, rng))
         c_std = np.zeros((b, n), dtype=complex)
         c_inf = np.zeros((b, n), dtype=complex)
         c_std[:, a:] = np.eye(b)
@@ -435,11 +437,11 @@ def _gen_abco(cfg, trial, rng):
 def _gen_bipartite(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
     if cfg.violate:
-        bad = gen_existence(n, rng, positive=False, entry_scale=cfg.entry_scale)
+        bad = gen_existence(n, rng, positive=False)
         return BlockInstance("BIPARTITE", {"B": DualMatrix.identity(n), "C": bad}), True
     p = n if rng.integers(0, 2) else int(rng.integers(n, max(cfg.dim_max, n) + 1))
-    b = _int_dual(rng, n, p, cfg.entry_scale)
-    c = _int_dual(rng, p, n, cfg.entry_scale)
+    b = _int_dual(rng, n, p)
+    c = _int_dual(rng, p, n)
     inst = BlockInstance("BIPARTITE", {"B": b, "C": c})
     ok = _in_class(dmul(b, c)) and _in_class(inst.assembled())
     return inst, ok
@@ -448,16 +450,15 @@ def _gen_bipartite(cfg, trial, rng):
 def _gen_double_star(cfg, trial, rng):
     m = _dim(cfg, trial, rng)
     n = _dim(cfg, trial, rng, floor=2)
-    scale = cfg.entry_scale
-    x = DualMatrix.column(_nonzero_ints(rng, m, scale), _ints(rng, m, scale))
-    y = DualMatrix.column(_nonzero_ints(rng, m, scale), _ints(rng, m, scale))
-    a = DualScalar(_choice(rng, (-2, -1, 1, 2)), int(rng.integers(-scale, scale + 1)))
-    b = DualScalar(_choice(rng, (-2, -1, 1, 2)), int(rng.integers(-scale, scale + 1)))
+    x = DualMatrix.column(_nonzero_ints(rng, m), _ints(rng, m))
+    y = DualMatrix.column(_nonzero_ints(rng, m), _ints(rng, m))
+    a = DualScalar(_choice(rng, (-2, -1, 1, 2)), _int(rng))
+    b = DualScalar(_choice(rng, (-2, -1, 1, 2)), _int(rng))
     if cfg.violate:
         ones = DualMatrix.column(np.ones(n))
         spec = DoubleStar(m=m, n=n, x=x, y=y, w=ones, v=ones, a=a, b=b)
         return spec, True
-    w, v = _orthogonal_pair(n, rng, scale)
+    w, v = _orthogonal_pair(n, rng)
     spec = DoubleStar(m=m, n=n, x=x, y=y, w=w, v=v, a=a, b=b)
     if not _theta_condition(_theta(spec)).passed:
         return spec, False
@@ -466,10 +467,9 @@ def _gen_double_star(cfg, trial, rng):
 
 def _gen_linked_stars(cfg, trial, rng):
     n = _dim(cfg, trial, rng)
-    scale = cfg.entry_scale
-    base = gen_member(n, rng, scale)
+    base = gen_member(n, rng)
     r = tuple(int(rng.integers(2, 5)) for _ in range(n))
-    pairs = [_orthogonal_pair(ri, rng, scale) for ri in r]
+    pairs = [_orthogonal_pair(ri, rng) for ri in r]
     x = tuple(p[0] for p in pairs)
     y = tuple(p[1] for p in pairs)
     if cfg.violate:
@@ -490,11 +490,10 @@ def _windmill_sizes(cfg, trial, rng) -> tuple[int, int]:
 def _gen_windmill(cfg, trial, rng):
     m, n = _windmill_sizes(cfg, trial, rng)
     size = 2 * n - 1
-    scale = cfg.entry_scale
     if cfg.violate:
         return _ones_fans(m, n, tuple(DualMatrix.identity(size) for _ in range(m))), True
     if rng.integers(0, 2):
-        blades, x, y = _eps_fanned_blades(m, size, rng, scale)
+        blades, x, y = _eps_fanned_blades(m, size, rng)
     else:
         # nilpotent stratum: weights supported on the exact kernels, so
         # every blade-pair product vanishes identically
@@ -502,21 +501,13 @@ def _gen_windmill(cfg, trial, rng):
         x = []
         y = []
         for _ in range(m):
-            nil, coeffs = _superdiag_nilpotent(size, rng)
+            nil, kernel, left = _superdiag_nilpotent(size, rng)
             inf = nil @ _poly_of(nil, rng, unit=True)
             blades.append(DualMatrix(nil, inf))
-            kernel = [0] + [j + 1 for j, c in enumerate(coeffs) if c == 0]
-            left = [size - 1] + [j for j, c in enumerate(coeffs) if c == 0]
-            y_vec = DualMatrix(
-                _kernel_cols(size, 1, kernel, rng, scale),
-                _kernel_cols(size, 1, kernel, rng, scale),
-            )
+            y_vec = DualMatrix(*_kernel_cols(size, 1, kernel, rng))
             if y_vec.norm() == 0:
                 y_vec = DualMatrix.column(np.eye(size)[kernel[0]])
-            x_vec = DualMatrix(
-                _kernel_cols(size, 1, left, rng, scale),
-                _kernel_cols(size, 1, left, rng, scale),
-            )
+            x_vec = DualMatrix(*_kernel_cols(size, 1, left, rng))
             if x_vec.norm() == 0:
                 x_vec = DualMatrix.column(np.eye(size)[left[0]])
             y.append(y_vec)
@@ -536,27 +527,26 @@ def _ones_fans(m: int, n: int, blades) -> DutchWindmill:
     return DutchWindmill(m=m, n=n, blades=blades, x=(ones,) * m, y=(ones,) * m)
 
 
-def _eps_fanned_blades(m, size, rng, scale) -> tuple[tuple[DualMatrix, ...], ...]:
+def _eps_fanned_blades(m, size, rng) -> tuple[tuple[DualMatrix, ...], ...]:
     """m invertible blades and pure-epsilon fans: every y_s x_t^T is eps^2 = 0."""
-    blades = tuple(_invertible_dual(size, rng, scale) for _ in range(m))
-    x = tuple(DualMatrix.column(np.zeros(size), _nonzero_ints(rng, size, scale)) for _ in range(m))
-    y = tuple(DualMatrix.column(np.zeros(size), _nonzero_ints(rng, size, scale)) for _ in range(m))
+    blades = tuple(_invertible_dual(size, rng) for _ in range(m))
+    x = tuple(DualMatrix.column(np.zeros(size), _nonzero_ints(rng, size)) for _ in range(m))
+    y = tuple(DualMatrix.column(np.zeros(size), _nonzero_ints(rng, size)) for _ in range(m))
     return blades, x, y
 
 
-def _invertible_dual(n, rng, scale) -> DualMatrix:
-    s, sinv = _unimodular(n, rng)
-    t = _invertible_triu(n, rng, scale)
-    return DualMatrix(s @ t @ sinv, _ints(rng, (n, n), scale))
+def _invertible_dual(n, rng) -> DualMatrix:
+    """S P S^-1 with eps-part P0, left unconjugated."""
+    s, sinv, std, inf = _frame_draws(n, n, rng)
+    return DualMatrix(*_conj(s, sinv, std), inf)
 
 
 def _gen_windmill_bc0(cfg, trial, rng):
     m, n = _windmill_sizes(cfg, trial, rng)
     size = 2 * n - 1
-    scale = cfg.entry_scale
     if cfg.violate:
-        return _ones_fans(m, n, tuple(_invertible_dual(size, rng, scale) for _ in range(m))), True
-    blades, x, y = _eps_fanned_blades(m, size, rng, scale)
+        return _ones_fans(m, n, tuple(_invertible_dual(size, rng) for _ in range(m))), True
+    blades, x, y = _eps_fanned_blades(m, size, rng)
     spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
     return spec, _in_class(build_adjacency(spec).matrix)
 
@@ -581,36 +571,31 @@ def _gen_windmill_group(cfg, trial, rng):
     """
     m, n = _windmill_sizes(cfg, trial, rng)
     size = 2 * n - 1
-    scale = cfg.entry_scale
     if cfg.violate:
-        return _ones_fans(m, n, tuple(_invertible_dual(size, rng, scale) for _ in range(m))), True
+        return _ones_fans(m, n, tuple(_invertible_dual(size, rng) for _ in range(m))), True
     if rng.integers(0, 2):
-        blades, x, y = _eps_fanned_blades(m, size, rng, scale)
+        blades, x, y = _eps_fanned_blades(m, size, rng)
         spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
         return spec, _in_class(build_adjacency(spec).matrix)
-    blades, x, y, traces = zip(*(_kernel_fanned_blade(size, rng, scale) for _ in range(m)))
+    blades, x, y, traces = zip(*(_kernel_fanned_blade(size, rng) for _ in range(m)))
     spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
     return spec, sum(traces) != 0 and _in_class(build_adjacency(spec).matrix)
 
 
-def _kernel_fanned_blade(size, rng, scale) -> tuple[DualMatrix, DualMatrix, DualMatrix, complex]:
+def _kernel_fanned_blade(size, rng) -> tuple[DualMatrix, DualMatrix, DualMatrix, complex]:
     """Group-frame blade with a = dim P in [0, size), its fans (x, y), and x^T y.
 
     The standard parts are y = S[:, a:] eta and x = S^-1[a:, :]^T xi, so the
     standard x^T y is xi^T eta.
     """
     a = int(rng.integers(0, size))
-    s, sinv = _unimodular(size, rng)
-    std = np.zeros((size, size), dtype=complex)
-    inf = np.zeros((size, size), dtype=complex)
-    std[:a, :a] = _invertible_triu(a, rng, scale)
-    inf[:a, :a] = _ints(rng, (a, a), scale)
-    blade = DualMatrix(s @ std @ sinv, s @ inf @ sinv)
+    s, sinv, std, inf = _frame_draws(size, a, rng)
+    blade = DualMatrix(*_conj(s, sinv, std, inf))
     kernel, left = s[:, a:], sinv[a:, :].T
-    eta = _nonzero_ints(rng, size - a, scale)
-    xi = _nonzero_ints(rng, size - a, scale)
-    y = DualMatrix.column(kernel @ eta, kernel @ _ints(rng, size - a, scale))
-    x = DualMatrix.column(left @ xi, left @ _ints(rng, size - a, scale))
+    eta = _nonzero_ints(rng, size - a)
+    xi = _nonzero_ints(rng, size - a)
+    y = DualMatrix.column(kernel @ eta, kernel @ _ints(rng, size - a))
+    x = DualMatrix.column(left @ xi, left @ _ints(rng, size - a))
     return blade, x, y, xi @ eta
 
 

@@ -11,7 +11,8 @@ the nested lists of the public *_to_doc documents (_listed) included, goes
 through the generic branch, value by value, to the same bytes.  No writer
 emits inf or NaN, which are not JSON: a non-finite number raises
 NonFiniteEntries.  Readers validate shapes and raise SchemaError on
-malformed documents, counts that are not JSON integers (2.7, true, "3") among them.
+malformed documents, counts that are not JSON integers (2.7, true, "3") and
+entries that are not JSON numbers ("2", true) among them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -137,16 +139,34 @@ def matrix_to_doc(x: DualMatrix, **extra) -> dict:
     return doc
 
 
-def _parse_part(raw, rows: int, cols: int, label: str) -> np.ndarray:
+def _number_pairs(raw, ndim: int, label: str) -> np.ndarray:
+    """Complex array of the [re, im] pairs nested ndim - 1 lists deep in raw.
+
+    Every entry must be a JSON number: a float, or an int that is not a
+    bool.  numpy alone would read "2" and true as numbers.
+    """
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{label}: entries must be [re, im] number pairs") from exc
-    if arr.shape != (rows, cols, 2):
-        raise SchemaError(
-            f"{label}: expected shape {rows}x{cols} of [re, im] pairs, got {arr.shape}"
-        )
+    except OverflowError as exc:  # an integer past the double range
+        raise NonFiniteEntries(f"{label}: an entry overflows a double") from exc
+    if arr.ndim != ndim or arr.shape[-1] != 2:
+        what = "an [re, im] pair" if ndim == 1 else "nested lists of [re, im] pairs"
+        raise SchemaError(f"{label}: expected {what}, got shape {arr.shape}")
+    entries = raw
+    for _ in range(ndim - 1):
+        entries = chain.from_iterable(entries)
+    if any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, entries))):
+        raise SchemaError(f"{label}: entries must be [re, im] number pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _parse_part(raw, rows: int, cols: int, label: str) -> np.ndarray:
+    part = _number_pairs(raw, 3, label)
+    if part.shape != (rows, cols):
+        raise SchemaError(f"{label}: expected shape {rows}x{cols} of [re, im] pairs, got {part.shape}")
+    return part
 
 
 def _is_count(value: Any) -> bool:
@@ -195,17 +215,8 @@ def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
     if not isinstance(doc, dict) or "std" not in doc:
         raise SchemaError(f"{label}: dual scalar needs a 'std' [re, im] pair")
 
-    def one(part, name):
-        try:
-            arr = np.asarray(part, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{label}.{name}: expected an [re, im] pair of numbers") from exc
-        if arr.shape != (2,):
-            raise SchemaError(f"{label}.{name}: expected an [re, im] pair")
-        return complex(arr[0], arr[1])
-
-    std = one(doc["std"], "std")
-    inf = one(doc["inf"], "inf") if "inf" in doc else 0j
+    std = complex(_number_pairs(doc["std"], 1, f"{label}.std"))
+    inf = complex(_number_pairs(doc["inf"], 1, f"{label}.inf")) if "inf" in doc else 0j
     return DualScalar(std, inf)
 
 
@@ -225,17 +236,8 @@ def vector_from_doc(doc: Any, label: str = "vector") -> DualMatrix:
     if not isinstance(doc, dict) or "std" not in doc:
         raise SchemaError(f"{label}: dual vector needs a 'std' list of [re, im] pairs")
 
-    def one(part, name):
-        try:
-            arr = np.asarray(part, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{label}.{name}: entries must be [re, im] pairs") from exc
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise SchemaError(f"{label}.{name}: expected a list of [re, im] pairs")
-        return arr[:, 0] + 1j * arr[:, 1]
-
-    std = one(doc["std"], "std")
-    inf = one(doc["inf"], "inf") if "inf" in doc else None
+    std = _number_pairs(doc["std"], 2, f"{label}.std")
+    inf = _number_pairs(doc["inf"], 2, f"{label}.inf") if "inf" in doc else None
     if inf is not None and inf.shape != std.shape:
         raise SchemaError(f"{label}: std and inf lengths differ")
     return DualMatrix.column(std, inf)

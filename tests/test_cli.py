@@ -184,6 +184,34 @@ def test_undecodable_input_is_one_line_exit_4(argv, data, message, source, tmp_p
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+GOOD_SPEC = {
+    "family": "double_star", "m": 3, "n": 2,
+    "x": {"std": [[1, 0], [1, 0], [1, 0]]},
+    "y": {"std": [[1, 0], [2, 0], [1, 0]]},
+    "w": {"std": [[1, 0], [-1, 0]]},
+    "v": {"std": [[1, 0], [1, 0]]},
+    "a": {"std": [1, 0]},
+    "b": {"std": [1, 0]},
+}
+# (argv, document with one entry replaced by the value, label the error names);
+# numpy reads "2" and true as the numbers 2 and 1, which JSON does not
+NON_NUMBER_ENTRIES = {
+    "matrix": (["dual-drazin", "-i"], lambda value: {"rows": 1, "cols": 1, "std": [[[2, value]]]}, "std"),
+    "vector": (["graph", "--spec"], lambda value: dict(GOOD_SPEC, x={"std": [[1, 0], [1, value], [1, 0]]}), "x.std"),
+    "scalar": (["graph", "--spec"], lambda value: dict(GOOD_SPEC, a={"std": [1, value]}), "a.std"),
+}
+
+
+@pytest.mark.parametrize("value", ["2", True], ids=["string", "bool"])
+@pytest.mark.parametrize("where", sorted(NON_NUMBER_ENTRIES))
+def test_non_number_entries_are_exit_4(where, value, write, capsys):
+    argv, doc, label = NON_NUMBER_ENTRIES[where]
+    assert run(capsys, *argv, write(doc(0), "good.json"))[0] == 0
+    code, out, err = run(capsys, *argv, write(doc(value), "bad.json"))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and label in err
+
+
 def test_non_finite_entries_are_exit_4(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"rows": 1, "cols": 1, "std": [[[NaN, 0]]]}')
@@ -198,20 +226,23 @@ def test_non_finite_entries_are_exit_4(tmp_path, capsys):
 # overflow the mixed series M of the existence test, and the largest
 # singular value of phi(X) that `index` and `rank` read.  All 1e200
 # factorises (see below), but its defining residuals overflow, so
-# `dual-drazin` exits 4 on it.
+# `dual-drazin` exits 4 on it.  A JSON integer past the double range
+# overflows when it is read.
 OVERFLOWING = {
     "big_std": {"rows": 2, "cols": 2, "std": [[[1e200, 0]] * 2] * 2},
     "huge_std": {"rows": 2, "cols": 2, "std": [[[1.5e308, 0]] * 2] * 2},
     "huge_inf": dict(NILPOTENT, inf=[[[1.5e308, 0]] * 2] * 2),
+    "huge_int": {"rows": 1, "cols": 1, "std": [[[10**400, 0]]]},
 }
 OVERFLOW_CASES = (
     [("huge_inf", verb) for verb in ("dual-drazin", "exists", "index", "rank")]
     + [("huge_std", verb) for verb in ("dual-drazin", "exists", "index", "drazin")]
-    + [("big_std", "dual-drazin")]
+    + [("big_std", "dual-drazin"), ("huge_int", "dual-drazin")]
 )
 OVERFLOW_MESSAGES = {
     "huge_std": "the largest singular value overflows",
     "big_std": "a defining residual overflows",
+    "huge_int": "an entry overflows a double",
 }
 
 

@@ -234,7 +234,7 @@ def test_eps_part_matches_the_frame_truth():
     # draws 3 and 12 of the order-64 frames, on which a series over powers
     # of A and A^D loses the eps-part to 6.5e-5 and 3.9e-5
     rng = np.random.default_rng([64, 5])
-    frames = [_make_frame(64, rng, 2) for _ in range(13)]
+    frames = [_make_frame(64, rng) for _ in range(13)]
     for draw in (3, 12):
         want = _frame_eps_truth(frames[draw])
         got = dual_drazin(frames[draw].matrix).inverse.inf

@@ -23,6 +23,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -52,6 +53,37 @@ def test_traced_functions_exist():
     missing = [(module, attr) for module, attr, _ in spans
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert spans and missing == []
+
+
+def test_rejected_draw_messages_match_the_tracer(monkeypatch, caplog):
+    # the tracer counts rejected draws from the harness's debug log and
+    # failed draws from GenerationFailed's text, by these two patterns
+    from dualdrazin import harness
+    from dualdrazin.errors import GenerationFailed
+
+    tracing = _load("tracing")
+    real = harness._GENERATORS["CLINE"]
+
+    def rejecting(limit):
+        draws = []
+
+        def gen(cfg, trial, rng):
+            inst, _ = real(cfg, trial, rng)
+            draws.append(inst)
+            return inst, len(draws) > limit
+        return gen
+
+    cfg = harness.GenConfig("CLINE", trials=1)
+    monkeypatch.setitem(harness._GENERATORS, "CLINE", rejecting(3))
+    with caplog.at_level(logging.DEBUG, logger="dualdrazin.harness"):
+        harness.gen_instance(cfg, 0)
+    matches = [tracing._ACCEPTED_RE.search(r.getMessage()) for r in caplog.records]
+    assert [(m[1], int(m[2])) for m in matches if m] == [("CLINE", 3)]
+
+    monkeypatch.setitem(harness._GENERATORS, "CLINE", rejecting(harness._MAX_ATTEMPTS))
+    with pytest.raises(GenerationFailed) as failed:
+        harness.gen_instance(cfg, 0)
+    assert int(tracing._FAILED_RE.search(str(failed.value))[1]) == harness._MAX_ATTEMPTS
 
 
 def test_benchmarked_graph_forms_are_public():
