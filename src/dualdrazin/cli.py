@@ -121,6 +121,8 @@ def _read_doc(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to read")
 
 
 def _load_matrix(path: str) -> DualMatrix:

@@ -26,12 +26,13 @@ A^D + eps*R, and R is two sums over k terms in N and C^-1 of the blocks of
 F = T^-1 A0 T (dual_drazin_series), which forms no power of A or A^D; at
 index 0 it is R = -C^-1 A0 C^-1, and the existence test holds trivially.
 
-Inside a _memo() scope, drazin_complex factorises each distinct matrix (its
-bytes and the rank tolerance) once and hands every later caller the same
-DrazinData, and the mixed series M of each dual matrix and index is formed
-once; those arrays are then read-only so a caller that writes to a shared
-array fails loudly.  Only fuzz opens that scope, one trial at a time;
-everywhere else each call computes afresh and returns writable arrays.
+Inside a _memo() scope, _factorise builds one DualDrazinData per distinct
+dual matrix and tolerance pair (staircase, mixed series M, certificate and
+inverse series) and hands every later caller, an accept filter or a
+hypothesis report alike, the same record.  Its arrays are then read-only,
+so a caller that writes to a shared array fails loudly.  Only fuzz opens
+that scope, one trial at a time; everywhere else each call computes afresh
+and returns writable arrays.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class DualDrazinData:
     evaluated in dual arithmetic with the computed inverse; it is computed
     on first access and cached, so callers that only need the inverse do
     not pay for it.  ``exists`` is False only in the factorisations a
-    hypothesis report keeps; ``inverse`` is then the ungated series value.
+    hypothesis report or a generator's accept filter keeps; ``inverse`` is
+    then the ungated series value.
     """
 
     inverse: DualMatrix
@@ -107,13 +109,13 @@ class DualDrazinData:
         return defining_residuals(self.source, self.inverse, self.index, self.tol)
 
 
-# None, or the dict of factorisations and mixed series of the open _memo() scope
+# None, or the dict of DualDrazinData of the open _memo() scope, read by _factorise
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("drazin_memo", default=None)
 
 
 @contextlib.contextmanager
 def _memo():
-    """Scope in which each distinct matrix is factorised, and its M formed, once."""
+    """Scope in which _factorise factorises each distinct dual matrix once."""
     token = _MEMO.set({})
     try:
         yield
@@ -122,30 +124,15 @@ def _memo():
 
 
 def drazin_complex(a, tol: float | None = None) -> DrazinData:
-    """Drazin inverse and spectral projectors from the SVD staircase of ``a``."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
-    memo = _MEMO.get()
-    if memo is None:
-        return _drazin_complex(a, tol)
-    key = (a.shape[0], a.tobytes(), tol)
-    data = memo.get(key)
-    if data is None:
-        data = _drazin_complex(a, tol)
-        for arr in (data.ad, data.proj_e, data.proj_pi, data._basis, data._basis_inv, data._nil, data._core_inv):
-            arr.flags.writeable = False
-        memo[key] = data
-    return data
-
-
-def _drazin_complex(a: np.ndarray, tol: float | None) -> DrazinData:
-    """The factorisation behind drazin_complex, on a square contiguous complex array.
+    """Drazin inverse and spectral projectors from the SVD staircase of ``a``.
 
     A singular value the staircase counts as nonzero although it belongs to
     a null vector leaves a zero eigenvalue in the core block C, whose
     inversion then fails; that raises UncertainRank, not numpy's LinAlgError.
     """
+    a = np.ascontiguousarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
     n = a.shape[0]
     try:
         k, s, q, h = _staircase(a, tol)
@@ -245,25 +232,8 @@ def matrix_index(a, tol: float | None = None) -> int:
     return _staircase(a, tol)[0]
 
 
-def _dual_m_matrix(x: DualMatrix, k: int) -> np.ndarray:
-    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A).
-
-    Inside a _memo() scope, M is formed once per matrix and k and returned
-    read-only, as the factorisations are.
-    """
-    memo = _MEMO.get()
-    if memo is None:
-        return _mixed_series(x, k)
-    key = ("M", len(x.std), x.std.tobytes(), x.inf.tobytes(), k)
-    m = memo.get(key)
-    if m is None:
-        m = _mixed_series(x, k)
-        m.flags.writeable = False
-        memo[key] = m
-    return m
-
-
 def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:
+    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A)."""
     a, a0 = x.std, x.inf
     p, m = np.eye(len(a), dtype=complex), np.zeros_like(a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,7 +260,7 @@ def dual_exists(
     x.require_square()
     if data is None:
         data = drazin_complex(x.std, tol)
-    m = _dual_m_matrix(x, data.index)
+    m = _mixed_series(x, data.index)
     certificate = _sandwich(data, m)
     ok = bool(certificate <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m)))
     return (ok, m, certificate) if _certified else (ok, m)
@@ -386,11 +356,24 @@ def _factorise(x: DualMatrix, tol, res_tol) -> DualDrazinData:
     The series is evaluated even when ``exists`` is False: hypothesis checks
     build projectors from it for matrices that may sit outside the class,
     and only dual_drazin and the closed-form gate (blocks._require) raise
-    for such a matrix.
+    for such a matrix.  Inside a _memo() scope one read-only result is
+    shared per (x, tol, res_tol).
     """
     x.require_square()
+    memo = _MEMO.get()
+    if memo is not None:
+        key = (len(x.std), x.std.tobytes(), x.inf.tobytes(), tol, res_tol)
+        dd = memo.get(key)
+        if dd is not None:
+            return dd
     data = drazin_complex(x.std, tol)
     exists, m, certificate = dual_exists(x, tol, res_tol, data, _certified=True)
     inverse = dual_drazin_series(x, tol, data)
-    return DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol,
-                          _certificate=certificate)
+    dd = DualDrazinData(inverse=inverse, m_matrix=m, exists=exists, source=x, drazin=data, tol=tol,
+                        _certificate=certificate)
+    if memo is not None:
+        for arr in (inverse.std, inverse.inf, m, data.ad, data.proj_e, data.proj_pi,
+                    data._basis, data._basis_inv, data._nil, data._core_inv):
+            arr.flags.writeable = False
+        memo[key] = dd
+    return dd

@@ -5,8 +5,9 @@ A dual matrix is ``A + eps*A0`` with complex ``A`` (standard part) and
 
     phi(A + eps*A0) = [[A, A0], [0, A]]
 
-is a ring homomorphism into ordinary complex matrices and drives the rank
-and index notions used everywhere else.
+is a ring homomorphism into ordinary complex matrices and drives the index
+notions used everywhere else; rank_dual reads rank phi(X) from the two
+parts, each at its own scale.
 
 Two constructors.  DualMatrix(std, inf) validates: it copies its input
 into contiguous complex arrays if need be, checks that both parts are 2-d
@@ -268,12 +269,20 @@ def rank_std(x: DualMatrix, tol: float | None = None) -> int:
 
 
 def rank_dual(x: DualMatrix, tol: float | None = None) -> int:
-    """rank(phi(X)) - rank(std X).
+    """rank(phi(X)) - rank(A) = rank(A) + rank(U2* A0 V2), U2 and V2 spanning A's null spaces.
 
-    This counts unit pivots plus eps pivots of the dual Smith form, which
-    the exact elimination oracle in the harness reproduces independently.
+    This counts the unit plus eps pivots of the dual Smith form (Meyer 1973;
+    exact.smith_rank_oracle).  Each rank is counted against its own part's
+    floor (_svd_floor), so a large A0 cannot swamp A's singular values as it
+    does in one SVD of phi(X).
     """
-    return numerical_rank(phi_embed(x), tol) - numerical_rank(x.std, tol)
+    if x.std.size == 0:
+        return 0
+    (u, sv, vh), floor = _svd_floor(x.std, tol, compute_uv=True)
+    r = int(np.count_nonzero(sv > floor))
+    floor0 = _svd_floor(x.inf, tol, compute_uv=False)[1]
+    proj = u[:, r:].conj().T @ x.inf @ vh[r:].conj().T
+    return r + int(np.count_nonzero(np.linalg.svd(proj, compute_uv=False) > floor0))
 
 
 @dataclass(frozen=True)

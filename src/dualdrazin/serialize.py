@@ -195,6 +195,8 @@ def load_matrix(path) -> DualMatrix:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: nests too deeply to read") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:

@@ -162,14 +162,16 @@ BAD_SCALAR_SPEC = {
     "b": {"std": [1, 0]},
 }
 UNDECODABLE = [
-    # a document with a byte that is not UTF-8, and a scalar with a non-numeric part
+    # a document with a byte that is not UTF-8, a scalar with a non-numeric
+    # part, and arrays nested past the JSON reader's recursion limit
     (["dual-drazin", "-i"], b'{"rows": 1, "cols": 1, "std": [[[1, 0]]], "note": "\xff"}', "UTF-8"),
     (["graph", "--spec"], json.dumps(BAD_SCALAR_SPEC).encode(), "a.std"),
+    (["dual-drazin", "-i"], b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
 ]
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize(("argv", "data", "message"), UNDECODABLE, ids=["non-utf8", "bad-scalar"])
+@pytest.mark.parametrize(("argv", "data", "message"), UNDECODABLE, ids=["non-utf8", "bad-scalar", "deep-nesting"])
 def test_undecodable_input_is_one_line_exit_4(argv, data, message, source, tmp_path, capsys, monkeypatch):
     if source == "file":
         path = tmp_path / "doc.json"

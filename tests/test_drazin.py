@@ -117,7 +117,7 @@ def test_a_missed_null_vector_raises_a_library_error():
     with pytest.raises(UncertainRank, match="Singular matrix"):
         drazin_complex(MISSED_NULL_VECTOR)
     with dualdrazin.drazin._memo(), pytest.raises(UncertainRank):
-        dual_exists(DualMatrix(MISSED_NULL_VECTOR))
+        dual_drazin(DualMatrix(MISSED_NULL_VECTOR))
 
 
 def test_members_of_order_32_have_their_inverse():
@@ -194,7 +194,7 @@ def test_mixed_series_is_the_eps_part_of_the_kth_power(rng):
     for k in range(7):
         for _ in range(5):
             x = rand_int_dual(rng, int(rng.integers(1, 6)))
-            assert np.array_equal(dualdrazin.drazin._dual_m_matrix(x, k), dpow(x, k).inf), k
+            assert np.array_equal(dualdrazin.drazin._mixed_series(x, k), dpow(x, k).inf), k
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -300,10 +300,11 @@ def test_index_zero_is_the_plain_inverse(n):
     assert np.array_equal(data.proj_e, np.eye(n)) and not data.proj_pi.any()
     assert dualdrazin.drazin._sandwich(data, out.m_matrix) == 0.0
     with dualdrazin.drazin._memo():
-        shared = drazin_complex(x.std)
-        arrays = [getattr(shared, f.name) for f in dataclasses.fields(shared)]
-        arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
-        assert len(arrays) == 7 and not any(arr.flags.writeable for arr in arrays)
+        shared = dualdrazin.drazin._factorise(x, None, None)
+        assert shared.inverse.std is shared.drazin.ad
+        arrays = [getattr(shared.drazin, f.name) for f in dataclasses.fields(shared.drazin)]
+        arrays = [shared.inverse.inf, shared.m_matrix, *(arr for arr in arrays if isinstance(arr, np.ndarray))]
+        assert len(arrays) == 9 and not any(arr.flags.writeable for arr in arrays)
     data.ad[...] = 0.0  # outside a memo the caller owns ad; the series keeps its own C^-1
     assert np.array_equal(dualdrazin.drazin.dual_drazin_series(x, data=data).inf, -inv @ x.inf @ inv)
 
@@ -349,57 +350,69 @@ def test_existence_tests_run_through_dual_exists(monkeypatch):
     assert [c.passed for c in report.conditions] == [False, False]
 
 
-def _counted_body(monkeypatch):
-    """Record the matrices the uncached body of drazin_complex factorises."""
-    body = dualdrazin.drazin._drazin_complex
+def _counted_staircases(monkeypatch):
+    """Record the standard parts drazin_complex factorises."""
+    body = dualdrazin.drazin.drazin_complex
     calls = []
 
-    def counted(a, tol):
-        calls.append(a.tobytes())
+    def counted(a, tol=None):
+        calls.append(np.asarray(a).tobytes())
         return body(a, tol)
 
-    monkeypatch.setattr(dualdrazin.drazin, "_drazin_complex", counted)
+    monkeypatch.setattr(dualdrazin.drazin, "drazin_complex", counted)
     return calls
 
 
-def test_drazin_complex_computes_every_call_outside_a_memo(monkeypatch):
-    calls = _counted_body(monkeypatch)
-    a = np.array([[1.0, 1.0], [0.0, 0.0]])
-    first, second = drazin_complex(a), drazin_complex(a)
+# A = [[1, 1], [0, 0]] is idempotent, so Pi = I - A and Pi A0 Pi = 0: a member
+IDEMPOTENT_MEMBER = DualMatrix([[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_factorise_computes_every_call_outside_a_memo(monkeypatch):
+    calls = _counted_staircases(monkeypatch)
+    x = IDEMPOTENT_MEMBER
+    first, second = dual_drazin(x), dual_drazin(x)
     assert len(calls) == 2 and first is not second
-    for data in (first, second):
-        assert all(arr.flags.writeable for arr in (data.ad, data.proj_e, data.proj_pi))
+    for dd in (first, second):
+        arrays = (dd.inverse.std, dd.inverse.inf, dd.m_matrix, dd.drazin.proj_e, dd.drazin.proj_pi)
+        assert all(arr.flags.writeable for arr in arrays)
 
 
 def test_memo_shares_one_read_only_factorisation(monkeypatch):
-    calls = _counted_body(monkeypatch)
-    a = np.array([[1.0, 1.0], [0.0, 0.0]])
+    calls = _counted_staircases(monkeypatch)
+    x = IDEMPOTENT_MEMBER
+    factorise = dualdrazin.drazin._factorise
     with dualdrazin.drazin._memo():
-        first = drazin_complex(a)
-        assert drazin_complex(a.astype(complex)) is first
-        assert drazin_complex(a, 1e-10) is not first  # the tolerance is part of the key
+        first = dual_drazin(x)
+        assert factorise(DualMatrix(x.std.copy(), x.inf.copy()), None, None) is first  # keyed by bytes
+        assert len(calls) == 1
+        # the tolerances and the infinitesimal part are all part of the key
+        others = [factorise(x, 1e-10, None), factorise(x, None, 1e-6),
+                  factorise(DualMatrix(x.std, 2 * x.inf), None, None)]
+        assert all(dd is not first for dd in others) and len(calls) == 4
         with pytest.raises(ValueError):
-            first.ad[0, 0] = 0.0
-        shared = (first.proj_e, first.proj_pi, first._basis, first._basis_inv, first._nil, first._core_inv)
+            first.inverse.inf[0, 0] = 0.0
+        shared = (first.inverse.std, first.m_matrix, first.drazin.proj_pi, first.drazin._core_inv)
         assert not any(arr.flags.writeable for arr in shared)
-    assert len(calls) == 2
     assert dualdrazin.drazin._MEMO.get() is None
-    drazin_complex(a)
-    assert len(calls) == 3
+    fresh = dual_drazin(x)
+    assert fresh is not first and len(calls) == 5
+    np.testing.assert_array_equal(fresh.inverse.inf, first.inverse.inf)
 
 
 def test_memo_shares_one_read_only_mixed_series():
     x = DualMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 3.0], [0.0, 0.0]]))
-    outside = dual_exists(x)[1], dual_exists(x)[1]
+    factorise = dualdrazin.drazin._factorise
+    outside = factorise(x, None, None).m_matrix, factorise(x, None, None).m_matrix
     assert outside[0] is not outside[1] and all(m.flags.writeable for m in outside)
     with dualdrazin.drazin._memo():
-        m = dual_exists(x)[1]
-        assert dualdrazin.drazin._factorise(x, None, None).m_matrix is m
+        m = factorise(x, None, None).m_matrix
+        assert factorise(x, None, None).m_matrix is m
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
         other = DualMatrix(x.std, 2 * x.inf)
-        assert dual_exists(other)[1] is not m  # the infinitesimal part is part of the key
+        assert factorise(other, None, None).m_matrix is not m  # the infinitesimal part is part of the key
     np.testing.assert_array_equal(m, outside[0])
+    np.testing.assert_array_equal(m, dual_exists(x)[1])
 
 
 def test_memo_is_closed_when_its_scope_raises():

@@ -18,15 +18,17 @@ from dualdrazin import (
     phi_embed,
     rank_dual,
     rank_std,
+    smith_rank_oracle,
 )
 from dualdrazin.dualmat import _staircase, numerical_rank
-from dualdrazin.errors import NonFiniteEntries, ShapeMismatch
+from dualdrazin.errors import NonFiniteEntries, SchemaError, ShapeMismatch
 from dualdrazin.serialize import (
     _matrix_doc,
     _vector_doc,
     dump_matrix,
     dumps_doc,
     fmt17,
+    load_matrix,
     matrix_from_doc,
     matrix_to_doc,
     vector_to_doc,
@@ -216,6 +218,34 @@ def test_rank_dual_counts_eps_pivots():
 def test_rank_dual_reduces_to_rank_without_inf(rng):
     x = DualMatrix(rand_int_dual(rng, 4).std)
     assert rank_dual(x) == rank_std(x)
+
+
+@pytest.mark.parametrize("scale", [10.0**e for e in range(0, 15, 2)])
+def test_rank_dual_keeps_the_standard_rank_under_a_large_eps_part(scale):
+    # J + eps*sJ has exact Smith ranks (1, 0) for every s; one SVD of phi(X)
+    # counted J's singular value below a floor set by s and read rank 0
+    j = np.ones((2, 2))
+    x = DualMatrix(j, scale * j)
+    assert smith_rank_oracle(x) == (1, 0)
+    assert (rank_std(x), rank_dual(x)) == (1, 1)
+
+
+def test_rank_dual_matches_the_smith_oracle_at_every_eps_scale():
+    # Gaussian-integer parts of random rank, the eps-part scaled up to 1e12
+    rng = np.random.default_rng([9, 12])
+    wrong = []
+    for draw in range(400):
+        m, n = (int(v) for v in rng.integers(1, 9, 2))
+        ranks = rng.integers(0, min(m, n) + 1, 2)
+        std, inf = (
+            (rng.integers(-2, 3, (m, r)) + 1j * rng.integers(-2, 3, (m, r)))
+            @ (rng.integers(-2, 3, (r, n)) + 1j * rng.integers(-2, 3, (r, n)))
+            for r in ranks
+        )
+        x = DualMatrix(std, 10.0 ** (3 * (draw % 5)) * inf)
+        if sum(smith_rank_oracle(x)) != rank_dual(x):
+            wrong.append(draw)
+    assert wrong == []
 
 
 def test_indices_nilpotent_standard_part():
@@ -494,3 +524,15 @@ def test_large_document_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "020f96507c7ff54b"
     lists = dumps_doc(matrix_to_doc(x)).encode()
     assert hashlib.sha256(lists).hexdigest()[:16] == "020f96507c7ff54b"
+
+
+def test_load_matrix_round_trips_and_rejects_deep_nesting(tmp_path):
+    x = DualMatrix([[1.0, 2.0j]], [[0.5, -1.0]])
+    path = tmp_path / "x.json"
+    dump_matrix(x, path)
+    back = load_matrix(path)
+    assert np.array_equal(back.std, x.std) and np.array_equal(back.inf, x.inf)
+    # past the JSON reader's recursion limit: a schema error, not RecursionError
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(SchemaError, match="nests too deeply"):
+        load_matrix(path)

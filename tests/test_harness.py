@@ -1,5 +1,6 @@
 """Generator determinism, the exact elimination oracle, and fuzz reporting."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -294,29 +295,36 @@ def test_member_and_existence_draws_are_pinned(n):
 
 
 def test_fuzz_factorises_each_matrix_once_per_trial(monkeypatch):
-    body = dualdrazin.drazin._drazin_complex
-    per_trial = {}  # id(memo) -> [memo, uncached factorisations]
+    # accept filters and hypothesis reports share one factorisation record per
+    # distinct matrix, so the staircase and the certificate run once per entry
+    trials = []  # [memo, staircases, certificates] per trial
+    scope = harness._memo
 
-    def counted(a, tol):
-        memo = dualdrazin.drazin._MEMO.get()
-        per_trial.setdefault(id(memo), [memo, 0])[1] += 1
-        return body(a, tol)
+    @contextlib.contextmanager
+    def recorded():
+        with scope():
+            trials.append([dualdrazin.drazin._MEMO.get(), 0, 0])
+            yield
 
-    monkeypatch.setattr(dualdrazin.drazin, "_drazin_complex", counted)
-    public = _count_calls(monkeypatch, "drazin_complex")
+    monkeypatch.setattr(harness, "_memo", recorded)
+    for slot, name in enumerate(("drazin_complex", "_sandwich"), start=1):
+        def counted(*args, _body=getattr(dualdrazin.drazin, name), _slot=slot):
+            trials[-1][_slot] += 1
+            return _body(*args)
+
+        monkeypatch.setattr(dualdrazin.drazin, name, counted)
+    public = _count_calls(monkeypatch, "_factorise")
     for family in FAMILIES:
         fuzz(GenConfig(family, trials=3, seed=4))
-    assert len(per_trial) == 3 * len(FAMILIES)
-    for memo, computed in per_trial.values():
-        assert memo is not None
-        factorisations = [v for v in memo.values() if isinstance(v, dualdrazin.drazin.DrazinData)]
-        assert computed == len(factorisations)  # no key was factorised twice
-    assert len(public) > sum(computed for _, computed in per_trial.values())
+    assert len(trials) == 3 * len(FAMILIES)
+    for memo, staircases, certificates in trials:
+        assert staircases == certificates == len(memo) > 0
+    assert len(public) > sum(len(memo) for memo, _, _ in trials)
     assert dualdrazin.drazin._MEMO.get() is None
 
 
 def test_fuzz_forms_each_mixed_series_once_per_trial(monkeypatch):
-    # the accept filter's dual_exists and _verify's factorisation share M
+    # the accept filter's factorisation and the hypothesis report's share M
     body = dualdrazin.drazin._mixed_series
     per_trial = {}  # id(memo) -> [memo, uncached evaluations]
 
@@ -326,12 +334,12 @@ def test_fuzz_forms_each_mixed_series_once_per_trial(monkeypatch):
         return body(x, k)
 
     monkeypatch.setattr(dualdrazin.drazin, "_mixed_series", counted)
-    public = _count_calls(monkeypatch, "_dual_m_matrix")
+    public = _count_calls(monkeypatch, "_factorise")
     for family in FAMILIES:
         fuzz(GenConfig(family, trials=3, seed=4))
     for memo, computed in per_trial.values():
         assert memo is not None
-        assert computed == sum(isinstance(v, np.ndarray) for v in memo.values())
+        assert computed == len(memo)  # one M per memoised factorisation
     assert len(public) > sum(computed for _, computed in per_trial.values())
 
 

@@ -16,7 +16,8 @@ use.  The modules that read input, serialize and cli,
 build dual matrices only through the validating constructor.  The closed
 forms' formula bodies never decide on a failed hypothesis, and every
 condition name a report gives falls in exactly one class of the one gate
-that does (blocks._require).
+that does (blocks._require).  One function reads the trial memo
+(drazin._factorise) and one opens it (harness.fuzz).
 """
 
 import ast
@@ -128,7 +129,7 @@ def test_package_modules_have_no_unused_imports():
 # Module exports the package __all__ leaves out, each with its reason.  A
 # class-only module without __all__ (errors) exports every class it defines.
 UNEXPORTED = {
-    "dualmat.numerical_rank": "the rank rule behind rank_std and rank_dual, traced by the benchmark",
+    "dualmat.numerical_rank": "the rank rule behind rank_std, traced by the benchmark",
     "drazin.DrazinData": "what drazin_complex returns; callers read it, never build it",
     "drazin.DualDrazinData": "what dual_drazin returns; callers read it, never build it",
     "drazin.dual_drazin_series": "the ungated inverse series dual_drazin gates",
@@ -361,3 +362,32 @@ def test_every_condition_name_falls_in_one_class_of_the_gate():
         raised = IndexTooLarge if index else NotDualDrazinInvertible if membership else HypothesisViolated
         with pytest.raises(raised):
             _require(HypothesisReport("T", (Condition(name, 1.0, False),)))
+
+
+def _memo_sites(path):
+    """The functions of a module that read _MEMO (_MEMO.get) and that call _memo()."""
+    reads, opens = [], []
+
+    def named(node, name):
+        return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "get" and named(node.value, "_MEMO"):
+            reads.append(where)
+        if isinstance(node, ast.Call) and named(node.func, "_memo"):
+            opens.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return reads, opens
+
+
+def test_one_function_reads_the_trial_memo_and_one_opens_it():
+    # a second reader would be a second memo path with its own key and its
+    # own read-only rule; a second opener would share results across trials
+    sites = [_memo_sites(path) for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py"))]
+    assert [where for reads, _ in sites for where in reads] == ["drazin._factorise"]
+    assert [where for _, opens in sites for where in opens] == ["harness.fuzz"]
