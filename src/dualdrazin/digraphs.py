@@ -299,7 +299,8 @@ def _corner_formula(ad: DualMatrix, b_blk: DualMatrix, c_blk: DualMatrix) -> Dua
 
 def _hub_first(inner: DualMatrix) -> DualMatrix:
     """Move the last row and column of a windmill inverse, the hub's, to the front."""
-    order = np.roll(np.arange(inner.shape[0]), 1)
+    n = inner.shape[0]
+    order = np.concatenate(([n - 1], np.arange(n - 1)))
     return DualMatrix._of(inner.std[np.ix_(order, order)], inner.inf[np.ix_(order, order)])
 
 

@@ -21,10 +21,12 @@ A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
     (I - A A^D) M (I - A A^D) == 0,   M = sum_{i=1..k} A^(k-i) A0 A^(i-1),
 
-the eps-part of (A + eps*A0)^k with k = Ind(A).  The inverse is then
-A^D + eps*R, and R is two sums over k terms in N and C^-1 of the blocks of
-F = T^-1 A0 T (dual_drazin_series), which forms no power of A or A^D; at
-index 0 it is R = -C^-1 A0 C^-1, and the existence test holds trivially.
+the eps-part of (A + eps*A0)^k with k = Ind(A), built as M_1 = A0,
+M_(i+1) = A^i A0 + M_i A (_mixed_series), which forms no power of A past
+A^(k-1); at index 0, M = 0.  The inverse is then A^D + eps*R, and R is
+two sums over k terms in N and C^-1 of the blocks of F = T^-1 A0 T
+(dual_drazin_series), which forms no power of A or A^D; at index 0 it is
+R = -C^-1 A0 C^-1, and the existence test holds trivially.
 
 Inside a _memo() scope, _factorise builds one DualDrazinData per distinct
 dual matrix and tolerance pair (staircase, mixed series M, certificate and
@@ -154,8 +156,8 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
                           _basis=ident, _basis_inv=ident, _nil=h[:0, :0].copy(), _core_inv=core_inv)
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
-    t = np.hstack((q[:, :p], basis))
-    t_inv = np.vstack((q[:, :p].conj().T - z @ q_core, q_core))
+    t = np.concatenate((q[:, :p], basis), axis=1)
+    t_inv = np.concatenate((q[:, :p].conj().T - z @ q_core, q_core))
     proj_e = basis @ q_core
     ad = basis @ core_inv @ q_core
     return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e,
@@ -181,7 +183,7 @@ def _newton_nilpotent_basis(a: np.ndarray, k: int, p: int, q: np.ndarray) -> tup
         h = q.conj().T @ a @ q
         core_inv = np.linalg.inv(h[p:, p:])
         corr = _power_series(core_inv @ h[p:, :p], core_inv, h[:p, :p], k)
-        q = np.linalg.qr(np.hstack([q[:, :p] - q[:, p:] @ corr, q[:, p:]]))[0]
+        q = np.linalg.qr(np.concatenate((q[:, :p] - q[:, p:] @ corr, q[:, p:]), axis=1))[0]
     return q, q.conj().T @ a @ q
 
 
@@ -233,12 +235,21 @@ def matrix_index(a, tol: float | None = None) -> int:
 
 
 def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:
-    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A)."""
+    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A).
+
+    It starts from x itself, (P, M) = (A, A0), so k - 1 passes follow, and
+    P = A^i is formed only while a later pass reads it.  M is a new array
+    even at k = 1, never a view of x.inf.
+    """
     a, a0 = x.std, x.inf
-    p, m = np.eye(len(a), dtype=complex), np.zeros_like(a)
+    if k == 0:
+        return np.zeros_like(a)
+    p, m = a, a0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            p, m = p @ a, p @ a0 + m @ a
+        for i in range(1, k):
+            m = p @ a0 + m @ a
+            if i < k - 1:
+                p = p @ a
     if not np.isfinite(m).all():
         raise NonFiniteEntries("the mixed series M of the existence test overflows")
     return m

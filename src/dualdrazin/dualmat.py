@@ -180,18 +180,25 @@ def dblock(rows: list[list[DualMatrix]]) -> DualMatrix:
 
 
 def dpow(x: DualMatrix, k: int) -> DualMatrix:
-    """k-th dual power of a square matrix, k >= 0."""
+    """k-th dual power of a square matrix, k >= 0, by binary powering.
+
+    The product starts from the lowest power x^(2^j) the binary expansion
+    of k uses, not from the identity, so only k = 0 builds one.  The result
+    never shares memory with x: at k = 1 it is a copy.
+    """
     n = x.require_square()
     if k < 0:
         raise ValueError("negative powers are not defined for dual matrices")
-    result = DualMatrix.identity(n)
+    if k == 0:
+        return DualMatrix.identity(n)
     base = x
-    while k:
+    while not k & 1:
+        base, k = dmul(base, base), k >> 1
+    result = base.copy() if base is x else base
+    while k := k >> 1:
+        base = dmul(base, base)
         if k & 1:
             result = dmul(result, base)
-        k >>= 1
-        if k:
-            base = dmul(base, base)
     return result
 
 
@@ -254,10 +261,14 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
         d = int(np.count_nonzero(sv <= floor))
         if d == 0:
             break
-        w = np.roll(vh.conj().T, d, axis=1)  # null vectors first
+        w = np.concatenate((vh[-d:], vh[:-d])).conj().T  # null vectors first
         h[:, p:] = h[:, p:] @ w
         h[p:, p:] = w.conj().T @ h[p:, p:]
         h[p:, p:p + d] = 0.0
+        # At p = 0 this is I @ w, yet the product stays: it leaves q C-ordered
+        # with +0.0 where w holds -0.0, and the Householder signs of the Newton
+        # steps' QR read both.  q = w, its C-ordered copy and w + 0.0 each
+        # change the computed inverses; only the C-ordered copy plus 0.0 does not.
         q[:, p:] = q[:, p:] @ w
         p += d
         k += 1
