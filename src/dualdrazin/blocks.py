@@ -68,8 +68,6 @@ class HypothesisReport:
     conditions: tuple[Condition, ...]
     # name -> factorisation of each matrix the formula inverts, kept by the check
     factorisations: dict[str, DualDrazinData] = field(default_factory=dict, compare=False, repr=False)
-    # the adjacency matrix a digraph report was checked on; None for block reports
-    _matrix: DualMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:

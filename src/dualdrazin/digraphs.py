@@ -6,9 +6,9 @@ and windmills (even cycles joined at a common hub).  Each family has a
 canonical vertex ordering, so its adjacency matrix is reproducible
 bit-for-bit, and a closed-form dual Drazin inverse built from the blocks
 of that layout.  The layout is written once per family (_layout), for the
-standard and the infinitesimal parts alike; graph_hypotheses builds the
-matrix once, its report keeps it, and the formula blocks are slices of it
-(_parts).
+standard and the infinitesimal parts alike.  A spec is checked when it is
+built (_validate); it lays its matrix out on first use and keeps it
+read-only for every reader, and a double star keeps theta and its inverse.
 
 Every public closed form runs _graph_closed_form: the family's report,
 the gate the block closed forms use too (blocks._require), then the body.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,21 @@ __all__ = [
 ]
 
 
+class _Spec:
+    """A graph spec: checked when it is built; its adjacency matrix is laid out once, read-only."""
+
+    def __post_init__(self):
+        _validate(self)
+
+    @cached_property
+    def _adjacency(self) -> DualMatrix:
+        std, inf = _layout(self, "std"), _layout(self, "inf")
+        std.flags.writeable = inf.flags.writeable = False
+        return DualMatrix._of(std, inf)
+
+
 @dataclass(frozen=True)
-class DoubleStar:
+class DoubleStar(_Spec):
     """Two bidirectionally joined hubs with m and n weighted leaf pairs.
 
     x and y weigh the arcs hub1->leaf and leaf->hub1, w and v the same
@@ -77,9 +91,18 @@ class DoubleStar:
     a: DualScalar
     b: DualScalar
 
+    @cached_property
+    def _theta(self) -> tuple[DualScalar, DualScalar | None]:
+        """theta = x^T y + ab, which the core inverts through, and its inverse (None if it has none)."""
+        theta = _dual_dot(self.x, self.y) + self.a * self.b
+        try:
+            return theta, scalar_dual_drazin(theta)
+        except NotDualDrazinInvertible:
+            return theta, None
+
 
 @dataclass(frozen=True)
-class DLinkedStars:
+class DLinkedStars(_Spec):
     """A core digraph whose i-th vertex carries r[i] weighted leaf pairs."""
 
     base: DualMatrix
@@ -89,7 +112,7 @@ class DLinkedStars:
 
 
 @dataclass(frozen=True)
-class DutchWindmill:
+class DutchWindmill(_Spec):
     """m cycles of length 2n sharing one hub.
 
     Blade s owns 2n-1 non-hub vertices; blades[s] is the weighted adjacency
@@ -153,7 +176,7 @@ def _validate(spec: GraphSpec) -> None:
                 raise SpecInvalid(f"core vertex {i + 1} needs a positive leaf count")
             _check_vector(xi, ri, f"x[{i + 1}]", entries_nonzero=True)
             _check_vector(yi, ri, f"y[{i + 1}]", entries_nonzero=True)
-    elif isinstance(spec, DutchWindmill):
+    else:
         if spec.m < 1 or spec.n < 1:
             raise SpecInvalid("windmill needs at least one blade and cycle length at least 2")
         size = 2 * spec.n - 1
@@ -164,7 +187,11 @@ def _validate(spec: GraphSpec) -> None:
                 raise SpecInvalid(f"blade {s + 1} must be a {size}x{size} dual matrix")
             _check_vector(xs, size, f"x[{s + 1}]", entries_nonzero=False)
             _check_vector(ys, size, f"y[{s + 1}]", entries_nonzero=False)
-    else:
+
+
+def _known(spec) -> None:
+    """Refuse anything but a graph spec; a spec was checked when it was built."""
+    if not isinstance(spec, _Spec):
         raise SpecInvalid(f"unknown graph spec {type(spec).__name__}")
 
 
@@ -206,17 +233,13 @@ def _layout(spec: GraphSpec, part: str) -> np.ndarray:
     return out
 
 
-def _adjacency(spec: GraphSpec) -> DualMatrix:
-    """The adjacency matrix of a validated spec."""
-    return DualMatrix._of(_layout(spec, "std"), _layout(spec, "inf"))
-
-
-def _parts(spec: GraphSpec, matrix: DualMatrix) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
+def _parts(spec: GraphSpec) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
     """(A, B, C) of [[A, B], [C, 0]], sliced from the spec's adjacency matrix.
 
     The windmill's hub-first [[0, B], [C, D]] gives (D, C, B): its blocks
     in the [[A, B], [C, 0]] order once the hub is moved last.
     """
+    matrix = spec._adjacency
     if isinstance(spec, DutchWindmill):
         hub, rest = slice(0, 1), slice(1, None)
         return matrix.block(rest, rest), matrix.block(rest, hub), matrix.block(hub, rest)
@@ -227,8 +250,7 @@ def _parts(spec: GraphSpec, matrix: DualMatrix) -> tuple[DualMatrix, DualMatrix,
 
 def build_adjacency(spec: GraphSpec) -> AdjacencyBuild:
     """Canonical adjacency matrix, vertex labels and family metadata."""
-    _validate(spec)
-    matrix = _adjacency(spec)
+    _known(spec)
     if isinstance(spec, DoubleStar):
         labels = (
             ["hub1"]
@@ -236,12 +258,12 @@ def build_adjacency(spec: GraphSpec) -> AdjacencyBuild:
             + ["hub2"]
             + [f"hub2_leaf{j + 1}" for j in range(spec.n)]
         )
-        return AdjacencyBuild(matrix, tuple(labels))
+        return AdjacencyBuild(spec._adjacency, tuple(labels))
     if isinstance(spec, DLinkedStars):
         labels = [f"core{i + 1}" for i in range(len(spec.r))]
         for i, ri in enumerate(spec.r):
             labels += [f"core{i + 1}_leaf{j + 1}" for j in range(ri)]
-        return AdjacencyBuild(matrix, tuple(labels))
+        return AdjacencyBuild(spec._adjacency, tuple(labels))
     size = 2 * spec.n - 1
     labels = ["hub"]
     for s in range(spec.m):
@@ -252,7 +274,7 @@ def build_adjacency(spec: GraphSpec) -> AdjacencyBuild:
     part_other = [1 + s * size + j for s in range(spec.m) for j in range(0, size, 2)]
     perm = tuple(part_hub + part_other)
     kappa = 2 * spec.m * spec.n - spec.m + 1
-    return AdjacencyBuild(matrix, tuple(labels), perm, {"kappa": kappa})
+    return AdjacencyBuild(spec._adjacency, tuple(labels), perm, {"kappa": kappa})
 
 
 def windmill_pattern(m: int, n: int) -> DutchWindmill:
@@ -306,20 +328,6 @@ def _hub_first(inner: DualMatrix) -> DualMatrix:
 
 def _ortho_condition(name: str, u: DualMatrix, v: DualMatrix, res_tol) -> Condition:
     return _condition(name, float(abs(_dual_dot(u, v))), 1.0 + u.norm() * v.norm(), res_tol)
-
-
-def _theta(spec: DoubleStar) -> DualScalar:
-    """theta = x^T y + ab, the dual number the double star core inverts through."""
-    return _dual_dot(spec.x, spec.y) + spec.a * spec.b
-
-
-def _theta_condition(theta: DualScalar) -> Condition:
-    """theta has a dual Drazin inverse; a failure's residual is its infinitesimal part."""
-    try:
-        scalar_dual_drazin(theta)
-    except NotDualDrazinInvertible:
-        return Condition("theta_membership", abs(theta.inf), False)
-    return Condition("theta_membership", 0.0, True)
 
 
 def _blade_pairs(spec: DutchWindmill) -> list[tuple[int, int, slice, slice]]:
@@ -382,16 +390,17 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     index-at-most-one requirements.  Double star and linked stars ignore
     form and report fan orthogonality; the double star also reports whether
     theta = x^T y + ab has a dual Drazin inverse, and linked stars whether
-    the core does (membership_base).  The report keeps the adjacency matrix
-    and the factorisation of every matrix the family formula inverts.
+    the core does (membership_base).  The report keeps the factorisation of
+    every matrix the family formula inverts.
     """
-    _validate(spec)
+    _known(spec)
     if isinstance(spec, DoubleStar):
+        theta, inverse = spec._theta
         conds = (
             _ortho_condition("fan_orthogonality", spec.w, spec.v, res_tol),
-            _theta_condition(_theta(spec)),
+            Condition("theta_membership", abs(theta.inf) if inverse is None else 0.0, inverse is not None),
         )
-        return HypothesisReport("DOUBLE_STAR", conds, _matrix=_adjacency(spec))
+        return HypothesisReport("DOUBLE_STAR", conds)
     factors: dict = {}
     membership = _membership(factors, tol, res_tol)
     if isinstance(spec, DLinkedStars):
@@ -400,11 +409,10 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
             for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
         ]
         conds.append(membership("base", spec.base))
-        return HypothesisReport("LINKED_STARS", tuple(conds), factors, _adjacency(spec))
+        return HypothesisReport("LINKED_STARS", tuple(conds), factors)
     if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
-    matrix = _adjacency(spec)
-    d_blk, c_col, b_row = _parts(spec, matrix)
+    d_blk, c_col, b_row = _parts(spec)
     w = dmul(c_col, b_row)
     membership_d = membership("D", d_blk)
     if form == "bc_zero":
@@ -416,35 +424,35 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     if form == "group":
         for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
             conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
-    return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors, matrix)
+    return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors)
 
 
 # Formula bodies: (spec, its passed report) -> inverse of the adjacency
 # matrix.  A body only evaluates: _graph_closed_form gates the report first
 # (blocks._require), and a body takes every matrix inverse from the report's
-# factorisations and its blocks from the report's adjacency matrix.
+# factorisations and its blocks and theta's inverse from the spec.
 
 
 def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
-    core, b_blk, c_blk = _parts(spec, report._matrix)
-    ad = _scalar_scale(scalar_dual_drazin(_theta(spec)), core)
+    core, b_blk, c_blk = _parts(spec)
+    ad = _scalar_scale(spec._theta[1], core)
     return _corner_formula(ad, b_blk, c_blk)
 
 
 def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
-    _, b_blk, c_blk = _parts(spec, report._matrix)
+    _, b_blk, c_blk = _parts(spec)
     return _corner_formula(report.factorisations["base"].inverse, b_blk, c_blk)
 
 
 def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
     """The bordered-corner series of [[D, C],[B, 0]], hub moved first, for the drazin and group forms."""
-    d_blk, c_col, b_row = _parts(spec, report._matrix)
+    d_blk, c_col, b_row = _parts(spec)
     f = report.factorisations
     return _hub_first(_abco_formula(d_blk, c_col, b_row, "right", f["D"], f["W"]))
 
 
 def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    _, c_col, b_row = _parts(spec, report._matrix)
+    _, c_col, b_row = _parts(spec)
     return _hub_first(_corner_formula(report.factorisations["D"].inverse, c_col, b_row))
 
 
@@ -593,11 +601,7 @@ def graph_spec_from_doc(doc: dict) -> GraphSpec:
 
 
 def _graph_doc(spec: GraphSpec) -> dict:
-    """The spec document with complex array parts (serialize._matrix_doc, _vector_doc).
-
-    graph_spec_to_doc validates the spec and lists the arrays; the fuzz
-    record digest renders this document directly.
-    """
+    """The spec document with complex array parts, which graph_spec_to_doc lists and the fuzz digest renders."""
     if isinstance(spec, DoubleStar):
         return {
             "family": "double_star",
@@ -629,5 +633,5 @@ def _graph_doc(spec: GraphSpec) -> dict:
 
 
 def graph_spec_to_doc(spec: GraphSpec) -> dict:
-    _validate(spec)
+    _known(spec)
     return _listed(_graph_doc(spec))

@@ -265,11 +265,11 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
         h[:, p:] = h[:, p:] @ w
         h[p:, p:] = w.conj().T @ h[p:, p:]
         h[p:, p:p + d] = 0.0
-        # At p = 0 this is I @ w, yet the product stays: it leaves q C-ordered
-        # with +0.0 where w holds -0.0, and the Householder signs of the Newton
-        # steps' QR read both.  q = w, its C-ordered copy and w + 0.0 each
-        # change the computed inverses; only the C-ordered copy plus 0.0 does not.
-        q[:, p:] = q[:, p:] @ w
+        # the Newton steps' QR reads q's layout and its signed zeros: C order, and +0.0 for w's -0.0
+        if p:
+            q[:, p:] = q[:, p:] @ w
+        else:
+            q = np.ascontiguousarray(w) + 0.0
         p += d
         k += 1
     return k, n - p, q, h

@@ -32,8 +32,6 @@ from .digraphs import (
     DoubleStar,
     DutchWindmill,
     _graph_doc,
-    _theta,
-    _theta_condition,
     build_adjacency,
     graph_hypotheses,
 )
@@ -460,9 +458,7 @@ def _gen_double_star(cfg, trial, rng):
         return spec, True
     w, v = _orthogonal_pair(n, rng)
     spec = DoubleStar(m=m, n=n, x=x, y=y, w=w, v=v, a=a, b=b)
-    if not _theta_condition(_theta(spec)).passed:
-        return spec, False
-    return spec, _in_class(build_adjacency(spec).matrix)
+    return spec, spec._theta[1] is not None and _in_class(build_adjacency(spec).matrix)
 
 
 def _gen_linked_stars(cfg, trial, rng):
@@ -681,8 +677,7 @@ def _instance_doc(inst) -> dict:
     """The instance document with complex array parts, rendered for the record digest.
 
     It writes the bytes of inst.to_doc() or graph_spec_to_doc(inst), which
-    list it (serialize._listed).  A graph spec is not validated here; the
-    accept filter or _verify's graph_hypotheses does that.
+    list it (serialize._listed).  A graph spec was checked when it was built.
     """
     if isinstance(inst, BlockInstance):
         return inst._doc()
@@ -706,7 +701,7 @@ def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -
         assembled = inst.assembled()
     else:
         hyp = graph_hypotheses(inst, form, tol, res_tol)
-        assembled = hyp._matrix
+        assembled = inst._adjacency
     record["order"] = assembled.shape[0]
     record["hypotheses_pass"] = hyp.passed
     record["hypothesis_residuals"] = {c.name: c.residual for c in hyp.conditions}

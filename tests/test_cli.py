@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DualScalar, DutchWindmill, blocks
+from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DualScalar, DutchWindmill, blocks, digraphs
 from dualdrazin.blocks import (
     _SHAPES,
     BlockInstance,
@@ -32,7 +32,7 @@ from dualdrazin.digraphs import (
 )
 from dualdrazin.drazin import matrix_index
 from dualdrazin.errors import NotDualDrazinInvertible
-from dualdrazin.harness import FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
+from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
 from dualdrazin.serialize import dump_matrix, dumps_doc, matrix_to_doc
 
 from conftest import MISSED_NULL_VECTOR, wrong_dual_index_draw
@@ -365,6 +365,19 @@ def test_graph_build_writes_sidecars(write, capsys, tmp_path):
     assert inverse["rows"] == 7
 
 
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_graph_closed_form_lays_its_spec_out_once(family, write, capsys, tmp_path, monkeypatch):
+    # the adjacency document and the closed form share the spec's one layout
+    inst = gen_instance(GenConfig(family, trials=1, seed=3, dim_max=3), 0)
+    path = write(graph_spec_to_doc(inst), "spec.json")
+    layout, parts = digraphs._layout, []
+    monkeypatch.setattr(digraphs, "_layout", lambda spec, part: parts.append(part) or layout(spec, part))
+    form = _FUZZ_FORMS.get(family, "drazin").replace("_", "-")
+    code, _, _ = run(capsys, "graph", "--spec", path, "-o", str(tmp_path / "adj.json"),
+                     "--closed-form", str(tmp_path / "inv.json"), "--form", form)
+    assert code == 0 and parts == ["std", "inf"]
+
+
 def test_graph_flags_build_windmill(capsys):
     code, out, _ = run(capsys, "graph", "windmill", "--m", "4", "--n", "2")
     assert code == 0
@@ -474,6 +487,41 @@ def test_report_gaps_are_exit_2_and_closed_forms_stay_exit_3(gap, write, capsys,
     code, _, err = run(capsys, "graph", "--spec", path, "-o", str(tmp_path / "adj.json"),
                        "--closed-form", str(tmp_path / "inv.json"), "--form", form)
     assert code == 3 and err.startswith("error: ")
+
+
+# The ABCO report gap (ROADMAP, known defects): A = 0 and B = C = eps pass
+# every ABCO condition, yet [[0, eps], [eps, 0]] has no dual Drazin
+# inverse.  The windmill with D = 0 and eps fans is the same matrix through
+# _dw_formula.  These cases assert what a mended report gives: verify
+# reports a failed hypothesis (exit 2) and no closed form exits 0.
+ABCO_GAPS = {
+    "abco_right": BlockInstance("ABCO_RIGHT", {"A": DualMatrix([[0]]), "B": EPS, "C": EPS}),
+    "abco_left": BlockInstance("ABCO_LEFT", {"A": DualMatrix([[0]]), "B": EPS, "C": EPS}),
+    **{f"windmill_{form}": DutchWindmill(m=1, n=1, blades=(DualMatrix([[0]]),), x=(EPS,), y=(EPS,))
+       for form in ("drazin", "bc-zero", "group")},
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the ABCO report passes on a non-member (ROADMAP known defects)")
+@pytest.mark.parametrize("gap", sorted(ABCO_GAPS))
+def test_abco_gaps_are_exit_2_and_no_closed_form_exits_0(gap, write, capsys, tmp_path):
+    inst = ABCO_GAPS[gap]
+    if isinstance(inst, BlockInstance):
+        code, _, _ = run(capsys, "verify", "-i", write(inst.to_doc(), "inst.json"))
+        assert code == 2
+        blocks_argv = [arg for key, block in inst.blocks.items()
+                       for arg in ("-" + key.lower(), write(matrix_to_doc(block), f"{key}.json"))]
+        code, _, _ = run(capsys, "abco", *blocks_argv, "--side", inst.theorem.split("_")[1].lower())
+        assert code != 0
+    else:
+        form = gap.removeprefix("windmill_")
+        path = write(graph_spec_to_doc(inst), "spec.json")
+        code, _, _ = run(capsys, "verify", "-i", path, "--form", form)
+        assert code == 2
+        code, _, _ = run(capsys, "graph", "--spec", path, "-o", str(tmp_path / "adj.json"),
+                         "--closed-form", str(tmp_path / "inv.json"), "--form", form)
+        assert code != 0
 
 
 def _identity_doc(k):

@@ -1,10 +1,13 @@
 """Adjacency builders, their zero patterns, and the specialized inverses."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+import dualdrazin.digraphs
+import dualdrazin.harness
 from dualdrazin import (
     DoubleStar,
     DLinkedStars,
@@ -28,7 +31,7 @@ from dualdrazin import (
     windmill_pattern,
 )
 from dualdrazin.errors import HypothesisViolated, IndexTooLarge, SpecInvalid
-from dualdrazin.harness import GenConfig, gen_instance
+from dualdrazin.harness import _FORMULAS, _FUZZ_FORMS, GRAPH_FAMILIES, GenConfig, _verify, gen_instance
 
 from conftest import rand_int_dual, rel_err
 
@@ -121,21 +124,63 @@ def test_windmill_bipartition_is_exact():
 
 
 def test_validation_catches_bad_specs():
-    with pytest.raises(SpecInvalid):
-        build_adjacency(unit_star(0, 2))
+    # a spec is checked when it is built, however it is built
     spec = unit_star(2, 2)
     with pytest.raises(SpecInvalid):
-        build_adjacency(
-            DoubleStar(m=2, n=2, x=col([1.0, 0.0]), y=spec.y, w=spec.w, v=spec.v,
-                       a=spec.a, b=spec.b)
-        )
+        unit_star(0, 2)
     with pytest.raises(SpecInvalid):
-        build_adjacency(
-            DoubleStar(m=2, n=2, x=spec.x, y=spec.y, w=spec.w, v=spec.v,
-                       a=DualScalar(0, 1), b=spec.b)
-        )
+        DoubleStar(m=2, n=2, x=col([1.0, 0.0]), y=spec.y, w=spec.w, v=spec.v, a=spec.a, b=spec.b)
+    with pytest.raises(SpecInvalid):
+        dataclasses.replace(spec, a=DualScalar(0, 1))
+    with pytest.raises(SpecInvalid):
+        dataclasses.replace(spec, m=3)  # x and y keep two entries
     with pytest.raises(SpecInvalid):
         windmill_pattern(0, 3)
+    wm = windmill_pattern(2, 2)
+    with pytest.raises(SpecInvalid):
+        dataclasses.replace(wm, blades=wm.blades[:1])
+    with pytest.raises(SpecInvalid):
+        DLinkedStars(base=DualMatrix.identity(2), r=(2,), x=(col([1.0, 1.0]),), y=(col([1.0, 1.0]),))
+    doc = graph_spec_to_doc(spec)
+    for bad in ({**doc, "m": 3}, {**doc, "x": {"std": [[1, 0], [0, 0]]}}):
+        with pytest.raises(SpecInvalid):
+            graph_spec_from_doc(bad)
+    with pytest.raises(SpecInvalid):
+        graph_spec_from_doc({**graph_spec_to_doc(wm), "n": 3})  # 3x3 blades, 5 wanted
+    # anything but a spec is refused by every public graph function
+    for public in (build_adjacency, graph_hypotheses, graph_spec_to_doc, ds_dual_drazin, dw_group):
+        with pytest.raises(SpecInvalid):
+            public(DualMatrix.identity(3))
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_the_kept_adjacency_is_read_only_and_shared(family, monkeypatch):
+    # build_adjacency, the formula body and _verify all read the one matrix
+    # the spec laid out; none lays it out again
+    spec = gen_instance(GenConfig(family, trials=1, seed=3, dim_max=3), 0)
+    matrix = build_adjacency(spec).matrix
+    assert not matrix.std.flags.writeable and not matrix.inf.flags.writeable
+    with pytest.raises(ValueError):
+        matrix.inf[0, 0] = 1.0
+    assert build_adjacency(spec).matrix is matrix
+
+    def no_layout(spec, part):
+        raise AssertionError("laid out again")
+
+    monkeypatch.setattr(dualdrazin.digraphs, "_layout", no_layout)
+    sliced, oracle_inputs = [], []
+    block = DualMatrix.block
+    monkeypatch.setattr(DualMatrix, "block", lambda self, rows, cols: sliced.append(self) or block(self, rows, cols))
+    oracle = dualdrazin.harness.dual_drazin
+    monkeypatch.setattr(dualdrazin.harness, "dual_drazin", lambda x, *args: oracle_inputs.append(x) or oracle(x, *args))
+    form = _FUZZ_FORMS.get(family, "drazin")
+    report = graph_hypotheses(spec, form)
+    sliced.clear()
+    _FORMULAS[report.theorem](spec, report)
+    assert sliced and all(x is matrix for x in sliced)
+    record = {}
+    _verify(spec, form, None, None, 1e-8, record)
+    assert record["pass"] and len(oracle_inputs) == 1 and oracle_inputs[0] is matrix
 
 
 # sha256[:16] of build_adjacency (both parts, then the vertex labels) and of

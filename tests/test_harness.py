@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -439,19 +440,50 @@ def test_verify_factorises_each_matrix_once(family, monkeypatch):
 
 @pytest.mark.parametrize("family", GRAPH_FAMILIES)
 def test_verify_lays_out_each_adjacency_once(family, monkeypatch):
-    # the report's adjacency matrix serves its blocks, the formula's and the oracle's
-    cfg = GenConfig(family, trials=3, seed=4, dim_max=4)
-    instances = [gen_instance(cfg, trial) for trial in range(cfg.trials)]
-    layout = dualdrazin.digraphs._layout
-    parts = []
-    monkeypatch.setattr(dualdrazin.digraphs, "_layout", lambda spec, part: parts.append(part) or layout(spec, part))
-    for inst in instances:
+    # a graph trial checks its spec once, when it is built, and lays it out
+    # once: the accept filter, the report, the formula and the oracle share it
+    layout, validate = dualdrazin.digraphs._layout, dualdrazin.digraphs._validate
+    parts, checked = [], []
+    monkeypatch.setattr(dualdrazin.digraphs, "_layout",
+                        lambda spec, part: parts.append((spec, part)) or layout(spec, part))
+    monkeypatch.setattr(dualdrazin.digraphs, "_validate", lambda spec: checked.append(spec) or validate(spec))
+    for violate in (False, True):
+        cfg = GenConfig(family, trials=3, seed=4, dim_max=4, violate=violate)
+        for trial in range(cfg.trials):
+            record = {}
+            parts.clear()
+            checked.clear()
+            inst = gen_instance(cfg, trial)
+            _verify(inst, _FUZZ_FORMS.get(family, "drazin"), None, None, 1e-8, record)
+            assert record["pass"] is not violate, record
+            assert [part for spec, part in parts if spec is inst] == ["std", "inf"]
+            assert sum(spec is inst for spec in checked) == 1
+            # a rejected draw is laid out at most once and checked once too
+            assert all(n == 2 for n in Counter(id(spec) for spec, _ in parts).values())
+            assert all(n == 1 for n in Counter(id(spec) for spec in checked).values())
+            assert record["order"] == build_adjacency(inst).matrix.shape[0]
+
+
+@pytest.mark.parametrize("violate", [False, True])
+def test_a_double_star_trial_forms_theta_once(violate, monkeypatch):
+    # theta = x^T y + ab and its inverse serve the accept filter, the report
+    # and the formula body
+    dot, inverse = dualdrazin.digraphs._dual_dot, dualdrazin.digraphs.scalar_dual_drazin
+    dots, inverses = [], []
+    monkeypatch.setattr(dualdrazin.digraphs, "_dual_dot", lambda u, v: dots.append(u) or dot(u, v))
+    monkeypatch.setattr(dualdrazin.digraphs, "scalar_dual_drazin", lambda z: inverses.append(z) or inverse(z))
+    cfg = GenConfig("DOUBLE_STAR", trials=4, seed=4, violate=violate)
+    for trial in range(cfg.trials):
         record = {}
-        parts.clear()
-        _verify(inst, _FUZZ_FORMS.get(family, "drazin"), None, None, 1e-8, record)
-        assert record["pass"], record
-        assert parts == ["std", "inf"]
-        assert record["order"] == build_adjacency(inst).matrix.shape[0]
+        dots.clear()
+        inverses.clear()
+        inst = gen_instance(cfg, trial)
+        _verify(inst, "drazin", None, None, 1e-8, record)
+        assert ("closed_form_error" in record) is not violate
+        assert sum(u is inst.x for u in dots) == 1
+        # each theta formed, a rejected draw's too, is inverted once; the
+        # one other dot is the report's fan check w^T v
+        assert len(inverses) == sum(u is not inst.w for u in dots)
 
 
 @pytest.mark.parametrize("dims", [(1, 5), (6, 10)])

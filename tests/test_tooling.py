@@ -17,7 +17,8 @@ build dual matrices only through the validating constructor.  The closed
 forms' formula bodies never decide on a failed hypothesis, and every
 condition name a report gives falls in exactly one class of the one gate
 that does (blocks._require).  One function reads the trial memo
-(drazin._factorise) and one opens it (harness.fuzz).
+(drazin._factorise) and one opens it (harness.fuzz).  One function checks
+a graph spec (when it is built) and one lays it out.
 """
 
 import ast
@@ -391,3 +392,29 @@ def test_one_function_reads_the_trial_memo_and_one_opens_it():
     sites = [_memo_sites(path) for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py"))]
     assert [where for reads, _ in sites for where in reads] == ["drazin._factorise"]
     assert [where for _, opens in sites for where in opens] == ["harness.fuzz"]
+
+
+def _callers(name):
+    """The package functions that call name, as module.function (or module.Class.function)."""
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, ast.ClassDef):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(set(callers))
+
+
+def test_one_function_checks_a_graph_spec_and_one_lays_it_out():
+    # a spec is checked when it is built and keeps the one layout it makes;
+    # a second caller would check or lay out the same spec again
+    assert _callers("_validate") == ["digraphs._Spec.__post_init__"]
+    assert _callers("_layout") == ["digraphs._Spec._adjacency"]
