@@ -167,6 +167,23 @@ def _membership(factors: dict[str, DualDrazinData], tol, res_tol):
     return test
 
 
+def _abco_conditions(a: DualMatrix, w: DualMatrix, a_inverse: DualMatrix, side: str,
+                     res_tol) -> list[Condition]:
+    """commutation and annihilation of [[A, B], [C, 0]] with W = BC, from A's ungated inverse.
+
+    The report of every anti-triangular form: ABIO (W = B), ABCO, and the
+    windmill, which is [[D, C], [B, 0]] once its hub is moved last.
+    """
+    ae = dmul(a, a_inverse)
+    aapi = dmul(a, DualMatrix.identity(a.shape[0]) - ae)
+    aae = dmul(a, ae)
+    annihil = dmul(aae, w) if side == "right" else dmul(w, aae)
+    return [
+        _residual_condition("commutation", dmul(aapi, w) - dmul(w, aapi), (a, w), res_tol),
+        _residual_condition("annihilation", annihil, (a, w), res_tol),
+    ]
+
+
 def _require(report: HypothesisReport) -> None:
     """The gate of every closed form: raise for a failed report, naming each failed condition.
 
@@ -216,13 +233,8 @@ def check_hypotheses(
         # ABIO couples A with W = B itself, ABCO with the product W = BC
         key, w = ("B", b["B"]) if t.startswith("ABIO") else ("BC", dmul(b["B"], b["C"]))
         membership_a = membership("A", a)
-        ae = dmul(a, factors["A"].inverse)  # projectors from the ungated series
-        aapi = dmul(a, DualMatrix.identity(a.shape[0]) - ae)
-        aae = dmul(a, ae)
-        conds.append(_residual_condition(
-            "commutation", dmul(aapi, w) - dmul(w, aapi), (a, w), res_tol))
-        annihil = dmul(aae, w) if t.endswith("RIGHT") else dmul(w, aae)
-        conds.append(_residual_condition("annihilation", annihil, (a, w), res_tol))
+        side = "right" if t.endswith("RIGHT") else "left"
+        conds += _abco_conditions(a, w, factors["A"].inverse, side, res_tol)
         conds.append(membership_a)
         conds.append(membership(key, w))
     else:  # BIPARTITE

@@ -20,7 +20,6 @@ verification failure, 2 violated hypotheses, 3 no dual Drazin inverse,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -42,7 +41,7 @@ from .errors import (
     UncertainRank,
 )
 from .families import _SHAPES, _WINDMILL_FORMS, FAMILIES
-from .serialize import _matrix_doc, dumps_doc, matrix_from_doc
+from .serialize import _matrix_doc, _read_json, dumps_doc, matrix_from_doc
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -106,23 +105,8 @@ def _tols(args) -> tuple[float | None, float | None]:
 
 
 def _read_doc(path: str):
-    # stdin is decoded here, strictly: in Python's UTF-8 mode (a C or POSIX
-    # locale) sys.stdin would let undecodable bytes through as surrogates
-    try:
-        if path == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:
-            text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}")
-    except RecursionError:
-        raise SchemaError(f"{path} nests too deeply to read")
+    """The document an input option names, on stdin for "-", read as load_matrix reads a file."""
+    return _read_json(path, sys.stdin.buffer.read if path == "-" else Path(path).read_bytes)
 
 
 def _load_matrix(path: str) -> DualMatrix:

@@ -7,8 +7,9 @@ canonical vertex ordering, so its adjacency matrix is reproducible
 bit-for-bit, and a closed-form dual Drazin inverse built from the blocks
 of that layout.  The layout is written once per family (_layout), for the
 standard and the infinitesimal parts alike.  A spec is checked when it is
-built (_validate); it lays its matrix out on first use and keeps it
-read-only for every reader, and a double star keeps theta and its inverse.
+built (_validate), which also makes its weights read-only; it lays its
+matrix out on first use and keeps it read-only for every reader, and a
+double star keeps theta and its inverse.
 
 Every public closed form runs _graph_closed_form: the family's report,
 the gate the block closed forms use too (blocks._require), then the body.
@@ -26,8 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import Condition, HypothesisReport, _abco_formula, _condition, _membership, _require, bipartite_drazin
-from .dualmat import DualMatrix, _norm, dblock, dmul
+from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _condition, _membership,
+                     _require, bipartite_drazin)
+from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .families import _WINDMILL_FORMS
@@ -62,10 +64,16 @@ __all__ = [
 
 
 class _Spec:
-    """A graph spec: checked when it is built; its adjacency matrix is laid out once, read-only."""
+    """A graph spec, checked when it is built, with read-only weights and a read-only adjacency laid out once."""
 
     def __post_init__(self):
         _validate(self)
+        # the check and the kept layout read each weight once, so a later
+        # write into one would go unseen: freeze the parts of every weight
+        for value in vars(self).values():
+            for weight in value if isinstance(value, tuple) else (value,):
+                if isinstance(weight, DualMatrix):
+                    weight.std.flags.writeable = weight.inf.flags.writeable = False
 
     @cached_property
     def _adjacency(self) -> DualMatrix:
@@ -330,64 +338,18 @@ def _ortho_condition(name: str, u: DualMatrix, v: DualMatrix, res_tol) -> Condit
     return _condition(name, float(abs(_dual_dot(u, v))), 1.0 + u.norm() * v.norm(), res_tol)
 
 
-def _blade_pairs(spec: DutchWindmill) -> list[tuple[int, int, slice, slice]]:
-    """(s, t, rows of blade s, columns of blade t) in D for every blade pair, in report order."""
-    size = 2 * spec.n - 1
-    blades = [slice(s * size, (s + 1) * size) for s in range(spec.m)]
-    return [(s, t, rows, cols) for s, rows in enumerate(blades) for t, cols in enumerate(blades)]
-
-
-def _dw_conditions(spec: DutchWindmill, d_blk: DualMatrix, w: DualMatrix, inverse: DualMatrix,
-                   res_tol) -> list[Condition]:
-    """Per-blade-pair annihilation and commutation residuals, read from whole-matrix products.
-
-    The (s, t) block of the hub product W = C B is the fan outer product
-    y_s x_t^T.  inverse is the (ungated) inverse of the blade matrix D; its
-    diagonal blocks, the blade inverses D_s^D, give E = blockdiag(D_s D_s^D).
-    Then [D E W]_st = D_s E_s y_s x_t^T and [D W - W (D - D E)]_st =
-    D_s y_s x_t^T - y_s x_t^T D_t Pi_t, so five dual products serve every
-    pair, however many blades there are.
-    """
-    size = 2 * spec.n - 1
-    mask = np.kron(np.eye(spec.m), np.ones((size, size)))
-    e = dmul(d_blk, DualMatrix._of(inverse.std * mask, inverse.inf * mask))
-    de = dmul(d_blk, e)
-    annihil = dmul(de, w)
-    commute = dmul(d_blk, w) - dmul(w, d_blk - de)
-    blade_norms = [d.norm() for d in spec.blades]
-    conds = []
-    for s, t, rows, cols in _blade_pairs(spec):
-        scale = 1.0 + (blade_norms[s] + blade_norms[t]) * (1.0 + _block_norm(w, rows, cols))
-        for name, defect in (("annihilation", annihil), ("commutation", commute)):
-            residual = _block_norm(defect, rows, cols)
-            conds.append(_condition(f"{name}_{s + 1}_{t + 1}", residual, scale, res_tol))
-    return conds
-
-
-def _block_norm(x: DualMatrix, rows: slice, cols: slice) -> float:
-    """x.block(rows, cols).norm(), read from views instead of a checked copy."""
-    return _norm(x.std[rows, cols], x.inf[rows, cols])
-
-
-def _bc0_conditions(spec: DutchWindmill, w: DualMatrix, res_tol) -> list[Condition]:
-    """outer_zero_s_t: the (s, t) block y_s x_t^T of the hub product W vanishes."""
-    return [
-        _condition(f"outer_zero_{s + 1}_{t + 1}", _block_norm(w, rows, cols),
-                   1.0 + spec.y[s].norm() * spec.x[t].norm(), res_tol)
-        for s, t, rows, cols in _blade_pairs(spec)
-    ]
-
-
 def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=None) -> HypothesisReport:
     """Residual report for the conditions the family formulas rely on.
 
-    form selects the windmill variant: "drazin" and "group" check the
-    blade-pair annihilation and commutation conditions ("bc_zero" instead
-    checks that every outer product of fan weights vanishes), then whether
-    the block-diagonal blade matrix D has a dual Drazin inverse
-    (membership_D), then, except for "bc_zero", whether the hub product
-    W = sum y_s x_t^T has one (hub_membership); "group" adds the two
-    index-at-most-one requirements.  Double star and linked stars ignore
+    form selects the windmill variant.  The windmill is [[D, C], [B, 0]]
+    once its hub is moved last, with D the block-diagonal blade matrix, C
+    the hub's fan column and B its fan row.  "drazin" and "group" check it
+    as the ABCO right form does (blocks._abco_conditions): commutation and
+    annihilation of D with the hub product W = CB, whose (s, t) block is
+    y_s x_t^T, then whether D and W have dual Drazin inverses
+    (membership_D, hub_membership); "group" adds the two
+    index-at-most-one requirements.  "bc_zero" checks that W vanishes
+    (outer_zero) and membership_D.  Double star and linked stars ignore
     form and report fan orthogonality; the double star also reports whether
     theta = x^T y + ab has a dual Drazin inverse, and linked stars whether
     the core does (membership_base).  The report keeps the factorisation of
@@ -416,9 +378,9 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     w = dmul(c_col, b_row)
     membership_d = membership("D", d_blk)
     if form == "bc_zero":
-        conds = [*_bc0_conditions(spec, w, res_tol), membership_d]
+        conds = [_condition("outer_zero", w.norm(), 1.0 + c_col.norm() * b_row.norm(), res_tol), membership_d]
     else:
-        conds = _dw_conditions(spec, d_blk, w, factors["D"].inverse, res_tol)
+        conds = _abco_conditions(d_blk, w, factors["D"].inverse, "right", res_tol)
         conds.append(membership_d)
         conds.append(membership("W", w, "hub_membership"))
     if form == "group":
@@ -495,10 +457,9 @@ def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
 def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     """Closed-form dual Drazin inverse of a windmill adjacency matrix.
 
-    Valid when, for every blade pair (s,t), the outer product y_s x_t^T is
-    annihilated by the core-range part of blade s and intertwines the
-    blade matrices on their nilpotent parts, and when the blade matrix D
-    and the hub product W = sum y_s x_t^T have dual Drazin inverses.
+    The ABCO right form of [[D, C], [B, 0]], the adjacency with its hub
+    moved last: valid when D D^pi commutes with the hub product W = CB,
+    D D D^D W = 0, and the blade matrix D and W have dual Drazin inverses.
     """
     return _graph_closed_form(spec, "drazin", tol, res_tol)
 
@@ -524,12 +485,9 @@ def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
 def bipartite_dual(e: DualMatrix, f: DualMatrix, tol=None, res_tol=None) -> DualMatrix:
     """Dual Drazin inverse of [[0,E],[F,0]]: bipartite_drazin(E, F).
 
-    That is [[0, (EF)^D E],[F (EF)^D, 0]], under bipartite_drazin's
-    hypotheses and gate; only the shape check is this function's own.
+    That is [[0, (EF)^D E],[F (EF)^D, 0]], under bipartite_drazin's shape
+    check, hypotheses and gate.
     """
-    n, p = e.shape
-    if f.shape != (p, n):
-        raise SpecInvalid(f"blocks {e.shape} and {f.shape} do not form a square matrix")
     return bipartite_drazin(e, f, tol, res_tol)
 
 

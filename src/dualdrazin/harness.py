@@ -492,7 +492,7 @@ def _gen_windmill(cfg, trial, rng):
         blades, x, y = _eps_fanned_blades(m, size, rng)
     else:
         # nilpotent stratum: weights supported on the exact kernels, so
-        # every blade-pair product vanishes identically
+        # D W and W D vanish identically for the hub product W
         blades = []
         x = []
         y = []
@@ -555,15 +555,17 @@ def _gen_windmill_group(cfg, trial, rng):
     Singular stratum: each blade is a group frame S diag(P, 0) S^-1 with
     epsilon part S diag(P0, 0) S^-1, y_s lies in its kernel span S[:, a:]
     and x_s in its left kernel, the row span of S^-1[a:, :], in both parts.
-    Then D_s y_s = 0 and x_t^T D_t = 0, which meets every blade-pair
-    condition, and W = u v^T + eps(...) is rank one with standard trace
+    Then D_s y_s = 0 and x_t^T D_t = 0, so the hub product W, whose (s, t)
+    block is y_s x_t^T, has D W = W D = 0, which meets commutation and
+    annihilation.  W = u v^T + eps(...) is rank one with standard trace
     sum_s x_s^T y_s; a draw where that trace is zero has a nilpotent W and
     is redrawn.
 
     Mixing the strata gives no member.  With s invertible and t singular: if
-    x_t has a standard part, commutation_s_t needs D_s y_s x_t^T = 0, so
-    y_s = 0, which a windmill forbids; if x_t is pure epsilon, W is pure
-    epsilon and nonzero, which fails hub_membership.
+    x_t has a standard part, the (s, t) block of the annihilation defect
+    D D D^D W is D_s y_s x_t^T, which must vanish, so y_s = 0, which a
+    windmill forbids; if x_t is pure epsilon, W is pure epsilon and
+    nonzero, which fails hub_membership.
     """
     m, n = _windmill_sizes(cfg, trial, rng)
     size = 2 * n - 1

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 from itertools import chain
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -189,19 +190,30 @@ def matrix_from_doc(doc: Any) -> DualMatrix:
     return DualMatrix(std, inf)
 
 
-def load_matrix(path) -> DualMatrix:
+def _read_json(path, read) -> Any:
+    """The JSON document in the bytes read() returns, with path naming them in errors.
+
+    The one reader of JSON input: bytes that cannot be read, are not UTF-8
+    text, are not JSON or nest too deeply for the parser raise SchemaError.
+    The bytes are decoded here, strictly: in Python's UTF-8 mode (a C or
+    POSIX locale) sys.stdin would let undecodable bytes through as surrogates.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"{path}: nests too deeply to read") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+        text = read().decode("utf-8")
     except OSError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    return matrix_from_doc(doc)
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} nests too deeply to read") from exc
+
+
+def load_matrix(path) -> DualMatrix:
+    return matrix_from_doc(_read_json(path, Path(path).read_bytes))
 
 
 def dump_matrix(x: DualMatrix, path, **extra) -> None:

@@ -137,7 +137,7 @@ def test_criterion_4_graph_formulas_100_instances_each():
         if not report.passed or report.summary["evaluated"] != 100:
             failures.append((family, report.summary))
 
-    # bipartite_dual is bipartite_drazin behind a shape check; check it
+    # bipartite_dual is bipartite_drazin under its digraph name; check it
     # against the direct inverse of the assembled matrix as well
     cfg = GenConfig(family="BIPARTITE", trials=100, seed=406)
     for trial in range(100):

@@ -31,9 +31,9 @@ from dualdrazin.digraphs import (
     graph_spec_to_doc,
 )
 from dualdrazin.drazin import matrix_index
-from dualdrazin.errors import NotDualDrazinInvertible
+from dualdrazin.errors import NotDualDrazinInvertible, SchemaError
 from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
-from dualdrazin.serialize import dump_matrix, dumps_doc, matrix_to_doc
+from dualdrazin.serialize import dump_matrix, dumps_doc, load_matrix, matrix_to_doc
 
 from conftest import MISSED_NULL_VECTOR, wrong_dual_index_draw
 
@@ -184,6 +184,18 @@ def test_undecodable_input_is_one_line_exit_4(argv, data, message, source, tmp_p
     code, out, err = run(capsys, *argv, target)
     assert code == 4 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("data", [b'{"rows": 1,', b'{"note": "\xff"}', None], ids=["bad-json", "non-utf8", "missing"])
+def test_load_matrix_and_the_cli_word_a_bad_file_alike(data, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(SchemaError) as caught:
+        load_matrix(str(path))
+    code, out, err = run(capsys, "dual-drazin", "-i", str(path))
+    assert code == 4 and out == ""
+    assert err == f"error: {caught.value}\n"
 
 
 GOOD_SPEC = {
@@ -419,7 +431,7 @@ def test_verify_reports_violation_as_exit_2(write, capsys):
 
 def test_verify_windmill_hub_outside_class_is_exit_2(write, capsys):
     # fuzz draw WINDMILL seed 0 trial 3 before the generator filtered on the
-    # hub product: every blade-pair condition holds, but W = y x^T is a
+    # hub product: commutation and annihilation hold, but W = y x^T is a
     # nonzero pure infinitesimal and has no dual Drazin inverse
     zero = [0, 0]
     spec = {
@@ -433,7 +445,7 @@ def test_verify_windmill_hub_outside_class_is_exit_2(write, capsys):
     code, out, _ = run(capsys, "verify", "-i", write(spec, "spec.json"))
     assert code == 2
     residuals = json.loads(out)["hypothesis_residuals"]
-    assert residuals["annihilation_1_1"] == 0 and residuals["commutation_1_1"] == 0
+    assert residuals["annihilation"] == 0 and residuals["commutation"] == 0
     assert residuals["hub_membership"] > 0
 
 
@@ -442,11 +454,12 @@ def _col(*values):
 
 
 EPS = DualMatrix([[0]], [[1]])
-# one blade whose matrix D = eps is outside the class; every fan outer
-# product is eps^2 = 0, so the pair, outer-zero, hub and index conditions hold
+# one blade whose matrix D = eps is outside the class; the hub product
+# W = y x^T is eps^2 = 0, so the commutation, annihilation, outer-zero, hub
+# and index conditions hold
 EPS_WINDMILL = DutchWindmill(m=1, n=1, blades=(EPS,), x=(EPS,), y=(EPS,))
-# the hub product W = y x^T = eps is outside the class, while the blade pair
-# and (for the group form) index conditions all hold
+# the hub product W = y x^T = eps is outside the class, while commutation,
+# annihilation and (for the group form) the index conditions all hold
 EPS_HUB_WINDMILL = DutchWindmill(m=1, n=1, blades=(DualMatrix([[0]]),), x=(EPS,), y=(DualMatrix([[1]]),))
 
 

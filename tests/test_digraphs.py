@@ -9,6 +9,7 @@ import pytest
 import dualdrazin.digraphs
 import dualdrazin.harness
 from dualdrazin import (
+    BlockInstance,
     DoubleStar,
     DLinkedStars,
     DualMatrix,
@@ -16,6 +17,7 @@ from dualdrazin import (
     DutchWindmill,
     bipartite_dual,
     build_adjacency,
+    check_hypotheses,
     defining_residuals,
     dls_dual_drazin,
     dmul,
@@ -30,7 +32,7 @@ from dualdrazin import (
     indices,
     windmill_pattern,
 )
-from dualdrazin.errors import HypothesisViolated, IndexTooLarge, SpecInvalid
+from dualdrazin.errors import HypothesisViolated, IndexTooLarge, ShapeMismatch, SpecInvalid
 from dualdrazin.harness import _FORMULAS, _FUZZ_FORMS, GRAPH_FAMILIES, GenConfig, _verify, gen_instance
 
 from conftest import rand_int_dual, rel_err
@@ -151,6 +153,24 @@ def test_validation_catches_bad_specs():
     for public in (build_adjacency, graph_hypotheses, graph_spec_to_doc, ds_dual_drazin, dw_group):
         with pytest.raises(SpecInvalid):
             public(DualMatrix.identity(3))
+
+
+def test_a_built_spec_s_weights_are_read_only():
+    # the check and the kept adjacency have read the weights; a write that
+    # neither would see raises instead, even before the adjacency is laid out
+    spec = windmill_pattern(2, 2)
+    with pytest.raises(ValueError):
+        spec.x[0].std[0, 0] = 7
+    with pytest.raises(ValueError):
+        spec.y[1].inf[0, 0] = 1
+    with pytest.raises(ValueError):
+        spec.blades[0].std[0, 1] = 0
+    star = unit_star(2, 2)
+    links = DLinkedStars(base=DualMatrix.identity(2), r=(1, 1), x=(col([1.0]), col([2.0])),
+                         y=(col([1.0]), col([3.0])))
+    weights = [star.x, star.y, star.w, star.v, links.base, *links.x, *links.y]
+    assert not any(part.flags.writeable for w in weights for part in (w.std, w.inf))
+    assert build_adjacency(spec).matrix.std[0, 1] == 1
 
 
 @pytest.mark.parametrize("family", GRAPH_FAMILIES)
@@ -343,12 +363,13 @@ def test_windmill_group_rejects_higher_index():
 
 
 @pytest.mark.parametrize("form", ["drazin", "group"])
-def test_windmill_pair_conditions_name_the_pair_in_order(form):
+def test_windmill_report_is_the_abco_report_of_the_whole_matrix(form):
     # blade 1 is invertible with pure-eps fans x_1 = eps v and y_1 = eps u,
     # so y_1 x_1^T = 0; blade 2 is nilpotent with y_2 in its kernel and x_2
-    # in its left kernel.  Only the pair (1, 2) then breaks: D_1 y_1 x_2^T =
-    # eps D_1 u x_2^T is nonzero, while the pair (2, 1) meets D_2 y_2 = 0
-    # and Pi_1 = 0.
+    # in its left kernel.  Only the (1, 2) block of D D D^D W, eps D_1 u x_2^T,
+    # is nonzero, so annihilation fails.  Commutation, D D^pi W = W D D^pi,
+    # holds and leaves that defect out: D D^pi is zero on blade 1, and
+    # D_2 y_2 = 0 and x_2^T D_2 = 0 on blade 2.
     nil = np.zeros((3, 3), dtype=complex)
     nil[0, 2] = 1.0
     spec = DutchWindmill(
@@ -357,10 +378,33 @@ def test_windmill_pair_conditions_name_the_pair_in_order(form):
         x=(col(np.zeros(3), [1.0, 2.0, 1.0]), col([0.0, 1.0, 1.0])),
         y=(col(np.zeros(3), [1.0, 1.0, 2.0]), col([1.0, 1.0, 0.0])),
     )
-    failed = {c.name for c in graph_hypotheses(spec, form).conditions if not c.passed}
+    report = graph_hypotheses(spec, form)
+    group = ["blade_group_index", "hub_group_index"] if form == "group" else []
+    assert [c.name for c in report.conditions] == [
+        "commutation", "annihilation", "membership_D", "hub_membership", *group]
     # blade 2 has index 2, which the group form rejects on its own
-    extra = {"blade_group_index"} if form == "group" else set()
-    assert failed == {"annihilation_1_2", "commutation_1_2"} | extra
+    assert {c.name for c in report.conditions if not c.passed} == {"annihilation", *group[:1]}
+    assert report.residual("commutation") <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["WINDMILL", "WINDMILL_GROUP"])
+@pytest.mark.parametrize("violate", [False, True])
+def test_windmill_residuals_are_those_of_the_abco_right_report(family, violate):
+    for trial in range(6):
+        spec = gen_instance(GenConfig(family, trials=6, seed=1, dim_max=4, violate=violate), trial)
+        d_blk, c_col, b_row = dualdrazin.digraphs._parts(spec)
+        abco = check_hypotheses(BlockInstance("ABCO_RIGHT", {"A": d_blk, "B": c_col, "C": b_row}))
+        report = graph_hypotheses(spec)
+        for name in ("commutation", "annihilation"):
+            assert report.residual(name) == abco.residual(name), (trial, name)
+
+
+def test_windmill_bc_zero_checks_the_whole_hub_product():
+    spec = windmill_pattern(2, 2)
+    report = graph_hypotheses(spec, "bc_zero")
+    assert [c.name for c in report.conditions] == ["outer_zero", "membership_D"]
+    _, c_col, b_row = dualdrazin.digraphs._parts(spec)
+    assert report.residual("outer_zero") == dmul(c_col, b_row).norm() > 0
 
 
 def test_windmill_rejects_skew_fans():
@@ -379,6 +423,14 @@ def test_bipartite_dual_factorization():
     )
     want = dual_drazin(assembled).inverse
     assert rel_err(bipartite_dual(e, f), want) <= 1e-9
+
+
+def test_bipartite_dual_refuses_blocks_that_do_not_conform():
+    # the BIPARTITE instance checks the shapes, as for bipartite_drazin;
+    # ShapeMismatch is an exit-4 error, as SpecInvalid was
+    rng = np.random.default_rng(4)
+    with pytest.raises(ShapeMismatch, match=r"BIPARTITE needs B nxp, C pxn, got B 2x3, C 2x2"):
+        bipartite_dual(rand_int_dual(rng, 2, 3), rand_int_dual(rng, 2, 2))
 
 
 def test_graph_hypotheses_reports():

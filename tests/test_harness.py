@@ -244,9 +244,9 @@ PINNED_REPORTS = {
     (False, "BIPARTITE"): "8fc30acc7f405518",
     (False, "DOUBLE_STAR"): "cf2a32de305c5b60",
     (False, "LINKED_STARS"): "94f4b2f46decd1fe",
-    (False, "WINDMILL"): "c83dc24f73eca7ac",
-    (False, "WINDMILL_BC0"): "b27c10aa11df3019",
-    (False, "WINDMILL_GROUP"): "92b9d847ef425a0a",
+    (False, "WINDMILL"): "d992649e94fe9698",
+    (False, "WINDMILL_BC0"): "1ec47bb10942f64c",
+    (False, "WINDMILL_GROUP"): "c22f7148d8cd399d",
     (True, "CLINE"): "42eba7b5f3cff248",
     (True, "TRI_UPPER"): "19dc4a68c6037a8d",
     (True, "TRI_LOWER"): "7e0d9daabf6d6f00",
@@ -258,9 +258,9 @@ PINNED_REPORTS = {
     (True, "BIPARTITE"): "5cccb4bfcdc2cb16",
     (True, "DOUBLE_STAR"): "17380c0a0bee7d72",
     (True, "LINKED_STARS"): "432a5ada25375568",
-    (True, "WINDMILL"): "a1b14c976a5d18e8",
-    (True, "WINDMILL_BC0"): "e054ed67768d5782",
-    (True, "WINDMILL_GROUP"): "746f4078eeca6f1d",
+    (True, "WINDMILL"): "e46ce8b3238b6efb",
+    (True, "WINDMILL_BC0"): "af78b7ddad8d7f92",
+    (True, "WINDMILL_GROUP"): "af45effb4c3e9d06",
 }
 
 

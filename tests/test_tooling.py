@@ -18,7 +18,8 @@ forms' formula bodies never decide on a failed hypothesis, and every
 condition name a report gives falls in exactly one class of the one gate
 that does (blocks._require).  One function reads the trial memo
 (drazin._factorise) and one opens it (harness.fuzz).  One function checks
-a graph spec (when it is built) and one lays it out.
+a graph spec (when it is built) and one lays it out.  One function forms
+the commutation and annihilation conditions.
 """
 
 import ast
@@ -355,7 +356,7 @@ def test_every_condition_name_falls_in_one_class_of_the_gate():
 
     names = _condition_names()
     assert {"product_zero", "theta_membership", "hub_membership", "hub_group_index",
-            "outer_zero_1_1", "fan_orthogonality_1"} <= set(names)
+            "commutation", "annihilation", "outer_zero", "fan_orthogonality_1"} <= set(names)
     for name in names:
         # the three classes: an index, a membership, or neither (a residual)
         index, membership = name.endswith("_index"), "membership" in name
@@ -418,3 +419,27 @@ def test_one_function_checks_a_graph_spec_and_one_lays_it_out():
     # a second caller would check or lay out the same spec again
     assert _callers("_validate") == ["digraphs._Spec.__post_init__"]
     assert _callers("_layout") == ["digraphs._Spec._adjacency"]
+
+
+def _literal_sites(value):
+    """The package functions whose bodies hold the string literal value, as module.function."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Constant) and node.value == value:
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(set(sites))
+
+
+def test_one_function_forms_the_commutation_and_annihilation_conditions():
+    # the ABCO, ABIO and windmill reports share them; a second site would be
+    # a second copy of the rule, free to drift in its scale or its form
+    assert _literal_sites("commutation") == ["blocks._abco_conditions"]
+    assert _literal_sites("annihilation") == ["blocks._abco_conditions"]
