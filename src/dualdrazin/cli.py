@@ -12,15 +12,17 @@ exists add drazin, rank adds exact, the block verbs add blocks, graph adds
 digraphs, and only verify and fuzz load harness.
 
 Matrices travel as JSON documents with 17-significant-digit floats, so a
-write-read-write cycle is byte identical.  Exit codes: 0 success, 1
+write-read-write cycle is byte identical.  graph reads the digraph it builds
+from one graph spec document (--spec, "-" for stdin), and the tolerances
+come only from --rank-tol and --residual-tol.  Exit codes: 0 success, 1
 verification failure, 2 violated hypotheses, 3 no dual Drazin inverse,
-4 malformed input, including input outside the float routes' reach.
+4 malformed input, including input outside the float routes' reach, a
+command line that does not parse and an output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -54,12 +56,6 @@ EXIT_SCHEMA = 4
 # at 32 and 3.2 s at 48 (random entries in -3..3, best of 3, 2-vCPU VM)
 _SMITH_MAX_ORDER = 32
 
-_GRAPH_FAMILY_KEYS = {
-    "double-star": "double_star",
-    "linked-stars": "linked_stars",
-    "windmill": "dutch_windmill",
-}
-
 # block verb -> the blocks attribute holding its public closed form, which
 # takes the verb's blocks in the order of its theorem's _SHAPES keys.  The
 # verb looks the form up when it runs, so a wrapper bound in its place on
@@ -87,23 +83,6 @@ _BLOCK_VERBS = {
 _FORM_CHOICES = sorted(form.replace("_", "-") for form in _WINDMILL_FORMS)
 
 
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise SchemaError(f"environment variable {name} must be a float, got {raw!r}")
-
-
-def _tols(args) -> tuple[float | None, float | None]:
-    """Tolerance overrides: command line wins over the environment."""
-    rank = args.rank_tol if args.rank_tol is not None else _env_float("DDZ_RANK_TOL")
-    res = args.residual_tol if args.residual_tol is not None else _env_float("DDZ_RESIDUAL_TOL")
-    return rank, res
-
-
 def _read_doc(path: str):
     """The document an input option names, on stdin for "-", read as load_matrix reads a file."""
     return _read_json(path, sys.stdin.buffer.read if path == "-" else Path(path).read_bytes)
@@ -116,7 +95,10 @@ def _load_matrix(path: str) -> DualMatrix:
 def _emit(payload, path: str | None) -> None:
     text = payload if isinstance(payload, str) else dumps_doc(payload)
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -130,8 +112,7 @@ def _cmd_drazin(args) -> int:
             "drazin inverts the standard part only; the document carries a"
             " nonzero infinitesimal part, use dual-drazin instead"
         )
-    rank, _ = _tols(args)
-    data = drazin_complex(x.std, rank)
+    data = drazin_complex(x.std, args.rank_tol)
     out = DualMatrix(data.ad, np.zeros_like(data.ad))
     _emit(_matrix_doc(out, index=data.index), args.output)
     return EXIT_OK
@@ -141,8 +122,7 @@ def _cmd_dual_drazin(args) -> int:
     from .drazin import dual_drazin
 
     x = _load_matrix(args.input)
-    rank, res = _tols(args)
-    data = dual_drazin(x, rank, res)
+    data = dual_drazin(x, args.rank_tol, args.residual_tol)
     _emit(_matrix_doc(data.inverse, residuals=[float(v) for v in data.residuals]), args.output)
     return EXIT_OK
 
@@ -151,17 +131,15 @@ def _cmd_exists(args) -> int:
     from .drazin import drazin_complex, dual_exists
 
     x = _load_matrix(args.input)
-    rank, res = _tols(args)
-    data = drazin_complex(x.std, rank)
-    ok, _, certificate = dual_exists(x, rank, res, data, _certified=True)
+    data = drazin_complex(x.std, args.rank_tol)
+    ok, _, certificate = dual_exists(x, args.rank_tol, args.residual_tol, data, _certified=True)
     _emit({"exists": ok, "residual": certificate, "ind_std": data.index}, args.output)
     return EXIT_OK if ok else EXIT_NOT_INVERTIBLE
 
 
 def _cmd_index(args) -> int:
     x = _load_matrix(args.input)
-    rank, _ = _tols(args)
-    rep = indices(x, rank)
+    rep = indices(x, args.rank_tol)
     _emit({"ind_std": rep.ind_std, "ind_dual": rep.ind_dual, "ind_phi": rep.ind_phi}, args.output)
     return EXIT_OK
 
@@ -170,8 +148,7 @@ def _cmd_rank(args) -> int:
     from .exact import smith_rank_oracle
 
     x = _load_matrix(args.input)
-    rank, _ = _tols(args)
-    doc = {"rank_std": rank_std(x, rank), "rank_dual": rank_dual(x, rank)}
+    doc = {"rank_std": rank_std(x, args.rank_tol), "rank_dual": rank_dual(x, args.rank_tol)}
     if max(x.shape) <= _SMITH_MAX_ORDER:
         try:
             r, s = smith_rank_oracle(x)
@@ -187,11 +164,10 @@ def _cmd_block(args) -> int:
     from . import blocks
 
     theorem, _, variant = _BLOCK_VERBS[args.command]
-    rank, res = _tols(args)
     operands = [_load_matrix(getattr(args, key.lower())) for key in _SHAPES[theorem]]
     options = {variant[0]: getattr(args, variant[0])} if variant else {}
     form = getattr(blocks, _BLOCK_FORMS[args.command])
-    out = form(*operands, tol=rank, res_tol=res, **options)
+    out = form(*operands, tol=args.rank_tol, res_tol=args.residual_tol, **options)
     _emit(_matrix_doc(out), args.output)
     return EXIT_OK
 
@@ -199,25 +175,7 @@ def _cmd_block(args) -> int:
 def _cmd_graph(args) -> int:
     from .digraphs import _graph_closed_form, build_adjacency, graph_spec_from_doc
 
-    if args.spec:
-        doc = _read_doc(args.spec)
-        if not isinstance(doc, dict):
-            raise SchemaError("graph spec document must be a JSON object")
-    else:
-        if args.family is None:
-            raise SchemaError("graph needs a family argument or a --spec document")
-        doc = {}
-        if args.weights:
-            weights = _read_doc(args.weights)
-            if not isinstance(weights, dict):
-                raise SchemaError("weights document must be a JSON object")
-            doc.update(weights)
-        doc["family"] = _GRAPH_FAMILY_KEYS[args.family]
-        if args.m is not None:
-            doc["m"] = args.m
-        if args.n is not None:
-            doc["n"] = args.n
-    spec = graph_spec_from_doc(doc)
+    spec = graph_spec_from_doc(_read_doc(args.spec))
     build = build_adjacency(spec)
     extras = {"vertex_order": list(build.vertex_order)}
     if build.permutation_to_bipartite is not None:
@@ -226,8 +184,7 @@ def _cmd_graph(args) -> int:
         extras["metadata"] = build.metadata
     _emit(_matrix_doc(build.matrix, **extras), args.output)
     if args.closed_form:
-        rank, res = _tols(args)
-        inverse = _graph_closed_form(spec, args.form.replace("-", "_"), rank, res)
+        inverse = _graph_closed_form(spec, args.form.replace("-", "_"), args.rank_tol, args.residual_tol)
         _emit(_matrix_doc(inverse), args.closed_form)
     return EXIT_OK
 
@@ -240,7 +197,6 @@ def _cmd_verify(args) -> int:
     doc = _read_doc(args.input)
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
-    rank, res = _tols(args)
     if "theorem" in doc:
         inst = BlockInstance.from_doc(doc)
         label = inst.theorem
@@ -250,7 +206,7 @@ def _cmd_verify(args) -> int:
     else:
         raise SchemaError("instance document needs a 'theorem' or 'family' field")
     record = {"record": "verify", "instance": label}
-    _verify(inst, args.form.replace("-", "_"), rank, res, args.max_rel_error, record)
+    _verify(inst, args.form.replace("-", "_"), args.rank_tol, args.residual_tol, args.max_rel_error, record)
     _emit(dumps_doc(record), args.output)
     if not record["hypotheses_pass"]:
         return EXIT_HYPOTHESIS
@@ -271,8 +227,10 @@ def _cmd_fuzz(args) -> int:
         violate=args.violate,
         artifact_dir=args.artifacts,
     )
-    rank, res = _tols(args)
-    report = fuzz(cfg, rank, res)
+    try:
+        report = fuzz(cfg, args.rank_tol, args.residual_tol)
+    except OSError as exc:  # a counterexample document --artifacts cannot hold
+        raise SchemaError(f"cannot write to {args.artifacts}: {exc}") from exc
     _emit(report.to_jsonl(), args.output)
     return EXIT_OK if report.passed else EXIT_FAILURE
 
@@ -280,9 +238,9 @@ def _cmd_fuzz(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-tol", type=float, default=None,
-                        help="numerical rank threshold (overrides DDZ_RANK_TOL)")
+                        help="numerical rank threshold")
     common.add_argument("--residual-tol", type=float, default=None,
-                        help="residual acceptance threshold (overrides DDZ_RESIDUAL_TOL)")
+                        help="residual acceptance threshold")
     common.add_argument("-o", "--output", default=None,
                         help="output file (default: stdout)")
 
@@ -322,12 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_block)
 
     p = sub.add_parser("graph", parents=[common], help="assemble a dual-weighted digraph family")
-    p.add_argument("family", choices=sorted(_GRAPH_FAMILY_KEYS), nargs="?",
-                   help="family to build; omit when --spec carries the family")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--weights", default=None, help="JSON file with the weight fields")
-    p.add_argument("--spec", default=None, help="complete graph spec document")
+    p.add_argument("--spec", required=True, metavar="PATH",
+                   help="graph spec document, or - for standard input")
     p.add_argument("--closed-form", default=None, metavar="PATH",
                    help="also write the closed-form inverse to PATH")
     p.add_argument("--form", choices=_FORM_CHOICES, default="drazin",
@@ -358,8 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # -h exits 0; a command line argparse cannot parse is malformed input,
+        # and argparse has already written its usage and message to stderr
+        return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
         # an overflowing input is reported once, as the error below; numpy's
         # floating-point warnings on the way there would add lines to stderr

@@ -150,6 +150,8 @@ def test_schema_errors_are_exit_4(write, capsys, tmp_path):
     assert code == 4
     code, _, err = run(capsys, "dual-drazin", "-i", write({"std": "nope"}, "bad.json"))
     assert code == 4
+    code, _, err = run(capsys, "graph", "--spec", write([{"family": "dutch_windmill"}], "list.json"))
+    assert code == 4 and "JSON object" in err
 
 
 BAD_SCALAR_SPEC = {
@@ -390,9 +392,15 @@ def test_graph_closed_form_lays_its_spec_out_once(family, write, capsys, tmp_pat
     assert code == 0 and parts == ["std", "inf"]
 
 
-def test_graph_flags_build_windmill(capsys):
-    code, out, _ = run(capsys, "graph", "windmill", "--m", "4", "--n", "2")
+def test_graph_spec_without_weights_builds_the_windmill_pattern(capsys, monkeypatch):
+    # a windmill spec that omits its blades and weights is the unweighted
+    # pattern; the digest is that of the adjacency document it has always had
+    spec = b'{"family": "dutch_windmill", "m": 4, "n": 2}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(spec)))
+    code, out, _ = run(capsys, "graph", "--spec", "-")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f9bd83074dd5a462ec286dd2c5e8651875045b3bbd0941ed18b541ce7a904fe1")
     doc = json.loads(out)
     assert doc["rows"] == 13
     assert doc["metadata"]["kappa"] == 13
@@ -401,7 +409,41 @@ def test_graph_flags_build_windmill(capsys):
 
 def test_graph_needs_some_spec(capsys):
     code, _, err = run(capsys, "graph")
-    assert code == 4 and "family" in err
+    assert code == 4 and "--spec" in err
+
+
+@pytest.mark.parametrize("argv", [["dual-drazin"], ["fuzz", "--theorem", "cline", "--trials", "abc"],
+                                  ["nosuchverb"], ["graph", "windmill", "--m", "4", "--n", "2"]],
+                         ids=["missing-option", "bad-value", "unknown-verb", "graph-family"])
+def test_a_command_line_that_does_not_parse_is_exit_4(argv, capsys):
+    # exit 2 is kept for violated hypotheses; usage errors are malformed input
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == "" and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and out.startswith("usage: ddz")
+
+
+@pytest.mark.parametrize("where", ["output", "closed-form", "artifacts"])
+def test_an_output_that_cannot_be_written_is_one_line_exit_4(where, write, capsys, tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    missing = str(tmp_path / "missing_dir" / "out.json")
+    if where == "output":
+        argv = ["dual-drazin", "-i", write(INVERTIBLE, "a.json"), "-o", missing]
+    elif where == "closed-form":
+        argv = ["graph", "--spec", write({"family": "dutch_windmill", "m": 1, "n": 1}, "spec.json"),
+                "-o", str(tmp_path / "adj.json"), "--closed-form", missing]
+    else:
+        # a failing campaign keeps its counterexamples in a directory, here a file
+        argv = ["fuzz", "--theorem", "cline", "--trials", "2", "--max-rel-error", "-1",
+                "--artifacts", str(blocker), "-o", str(tmp_path / "out.jsonl")]
+        missing = str(blocker)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and missing in err
 
 
 def test_verify_block_instance(write, capsys):
@@ -627,19 +669,35 @@ def test_output_round_trip_is_byte_identical(write, capsys, tmp_path):
     assert first == third
 
 
-def test_tolerance_flag_beats_environment(write, capsys, monkeypatch):
-    monkeypatch.setenv("DDZ_RESIDUAL_TOL", "not-a-float")
-    code, _, err = run(capsys, "index", "-i", write(INVERTIBLE, "a.json"))
-    assert code == 4 and "DDZ_RESIDUAL_TOL" in err
-    code, out, _ = run(capsys, "index", "-i", write(INVERTIBLE, "a.json"),
-                       "--residual-tol", "1e-9")
-    assert code == 0 and json.loads(out)["ind_std"] == 0
-
-
-def test_environment_tolerance_is_used(write, capsys, monkeypatch):
-    monkeypatch.setenv("DDZ_RANK_TOL", "1e-6")
-    code, out, _ = run(capsys, "rank", "-i", write(INVERTIBLE, "a.json"))
+def test_rank_tol_flag_sets_the_rank_threshold(write, capsys):
+    # the smallest singular value, 1e-8, lies above the default threshold
+    # 2 * 1e-12 and below 2 * 1e-6
+    path = write({"rows": 2, "cols": 2, "std": [[[1, 0], [0, 0]], [[0, 0], [1e-8, 0]]]}, "d.json")
+    code, out, _ = run(capsys, "rank", "-i", path)
     assert code == 0 and json.loads(out)["rank_std"] == 2
+    code, out, _ = run(capsys, "rank", "-i", path, "--rank-tol", "1e-6")
+    assert code == 0 and json.loads(out)["rank_std"] == 1
+
+
+def test_residual_tol_flag_sets_the_hypothesis_gate(write, capsys):
+    # P Q has norm 1e-8, above the default gate 1e-9 * (1 + |P| + |Q|) and
+    # below the gate at 1e-6
+    p = {"rows": 2, "cols": 2, "std": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    q = {"rows": 2, "cols": 2, "std": [[[0, 0], [1e-8, 0]], [[0, 0], [1, 0]]]}
+    path = write({"theorem": "SUM_PQ0", "blocks": {"P": p, "Q": q}}, "inst.json")
+    code, out, _ = run(capsys, "verify", "-i", path)
+    assert code == 2 and json.loads(out)["hypotheses_pass"] is False
+    code, out, _ = run(capsys, "verify", "-i", path, "--residual-tol", "1e-6")
+    assert code == 0 and json.loads(out)["hypotheses_pass"] is True
+
+
+@pytest.mark.parametrize("verb", ["index", "rank"])
+def test_tolerances_are_not_read_from_the_environment(verb, write, capsys, monkeypatch):
+    path = write(INVERTIBLE, "a.json")
+    before = run(capsys, verb, "-i", path)
+    monkeypatch.setenv("DDZ_RANK_TOL", "junk")
+    monkeypatch.setenv("DDZ_RESIDUAL_TOL", "junk")
+    assert run(capsys, verb, "-i", path) == before
 
 
 def test_block_verbs_round_trip(write, capsys):

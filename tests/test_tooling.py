@@ -19,7 +19,8 @@ condition name a report gives falls in exactly one class of the one gate
 that does (blocks._require).  One function reads the trial memo
 (drazin._factorise) and one opens it (harness.fuzz).  One function checks
 a graph spec (when it is built) and one lays it out.  One function forms
-the commutation and annihilation conditions.
+the commutation and annihilation conditions.  No module reads the
+environment, so each setting is given one way: on the command line.
 """
 
 import ast
@@ -196,7 +197,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 # verb -> one run of it on 2x2 documents (EYE the identity, ZERO the zero
-# matrix, INST a CLINE instance of two identities, OUT an output file), and
+# matrix, INST a CLINE instance of two identities, SPEC the m = n = 1 windmill
+# pattern, OUT an output file), and
 # which of the modules in LATE_MODULES the run loads
 LATE_MODULES = ("blocks", "digraphs", "harness")
 VERB_RUNS = {
@@ -210,7 +212,7 @@ VERB_RUNS = {
     "abio": ("abio -a ZERO -b EYE", ("blocks",)),
     "abco": ("abco -a ZERO -b EYE -c EYE", ("blocks",)),
     "bipartite": ("bipartite -b EYE -c EYE", ("blocks",)),
-    "graph": ("graph windmill --m 1 --n 1 --closed-form OUT", ("blocks", "digraphs")),
+    "graph": ("graph --spec SPEC --closed-form OUT", ("blocks", "digraphs")),
     "verify": ("verify -i INST", LATE_MODULES),
     "fuzz": ("fuzz --theorem cline --trials 1", LATE_MODULES),
 }
@@ -229,11 +231,12 @@ def test_a_cold_verb_loads_only_the_modules_it_runs(verb, tmp_path):
     from dualdrazin.serialize import dump_matrix, dumps_doc, matrix_to_doc
 
     files = {"EYE": tmp_path / "eye.json", "ZERO": tmp_path / "zero.json",
-             "INST": tmp_path / "inst.json", "OUT": tmp_path / "closed.json"}
+             "INST": tmp_path / "inst.json", "SPEC": tmp_path / "spec.json", "OUT": tmp_path / "closed.json"}
     dump_matrix(DualMatrix.identity(2), files["EYE"])
     dump_matrix(DualMatrix.zeros(2), files["ZERO"])
     eye = matrix_to_doc(DualMatrix.identity(2))
     files["INST"].write_text(dumps_doc({"theorem": "CLINE", "blocks": {"A": eye, "B": eye}}))
+    files["SPEC"].write_text(dumps_doc({"family": "dutch_windmill", "m": 1, "n": 1}))
     command, loads = VERB_RUNS[verb]
     argv = [str(files.get(word, word)) for word in command.split()] + ["-o", str(tmp_path / "out.json")]
     probe = ("import json, sys; from dualdrazin.cli import main; code = main(sys.argv[1:]); "
@@ -443,3 +446,15 @@ def test_one_function_forms_the_commutation_and_annihilation_conditions():
     # a second copy of the rule, free to drift in its scale or its form
     assert _literal_sites("commutation") == ["blocks._abco_conditions"]
     assert _literal_sites("annihilation") == ["blocks._abco_conditions"]
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from the command line or the caller's arguments;
+    # an environment fallback would be a second, untested way to set one
+    reads = []
+    for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
+                    or isinstance(node, ast.alias) and node.name in ("environ", "environb", "getenv")):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
