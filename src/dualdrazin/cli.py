@@ -12,12 +12,20 @@ exists add drazin, rank adds exact, the block verbs add blocks, graph adds
 digraphs, and only verify and fuzz load harness.
 
 Matrices travel as JSON documents with 17-significant-digit floats, so a
-write-read-write cycle is byte identical.  graph reads the digraph it builds
-from one graph spec document (--spec, "-" for stdin), and the tolerances
-come only from --rank-tol and --residual-tol.  Exit codes: 0 success, 1
-verification failure, 2 violated hypotheses, 3 no dual Drazin inverse,
-4 malformed input, including input outside the float routes' reach, a
-command line that does not parse and an output that cannot be written.
+write-read-write cycle is byte identical.  A verb computes and renders all
+its outputs before it writes any (_emit), and drazin and dual-drazin drop
+the input matrix and its factorisation before they write, so a large run
+holds its input only as arrays and its output only once, as text pieces.
+Files are written before stdout, and a run that stops on an error (one
+"error:" line on stderr) leaves no output file and nothing on stdout, but
+the counterexamples fuzz --artifacts stored during its campaign; the
+verdicts of exists, verify and fuzz are written whatever their exit code.
+graph reads the digraph it builds from one graph spec document (--spec,
+"-" for stdin), and the tolerances come only from --rank-tol and
+--residual-tol.  Exit codes: 0 success, 1 verification failure, 2 violated
+hypotheses, 3 no dual Drazin inverse, 4 malformed input, including input
+outside the float routes' reach, a command line that does not parse and an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .errors import (
     UncertainRank,
 )
 from .families import _SHAPES, _WINDMILL_FORMS, FAMILIES
-from .serialize import _matrix_doc, _read_json, dumps_doc, matrix_from_doc
+from .serialize import _matrix_doc, _pieces, _read_json, matrix_from_doc
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -92,15 +100,30 @@ def _load_matrix(path: str) -> DualMatrix:
     return matrix_from_doc(_read_doc(path))
 
 
-def _emit(payload, path: str | None) -> None:
-    text = payload if isinstance(payload, str) else dumps_doc(payload)
-    if path:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise SchemaError(f"cannot write {path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple) -> None:
+    """Write each (document or text, path) output, stdout for a None path.
+
+    Every output is rendered before any is written, so a document that
+    cannot be written as JSON raises with nothing written.  Files go first
+    and stdout last; a file that cannot be written removes the files
+    written before it, so a run that fails here leaves no output.
+    """
+    rendered = [([payload] if isinstance(payload, str) else _pieces(payload), path)
+                for payload, path in outputs]
+    written = []
+    try:
+        for pieces, path in rendered:
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    written.append(path)
+                    fh.writelines(pieces)
+    except OSError as exc:
+        for done in written:
+            Path(done).unlink(missing_ok=True)
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+    for pieces, path in rendered:
+        if not path:
+            sys.stdout.writelines(pieces)
 
 
 def _cmd_drazin(args) -> int:
@@ -113,8 +136,9 @@ def _cmd_drazin(args) -> int:
             " nonzero infinitesimal part, use dual-drazin instead"
         )
     data = drazin_complex(x.std, args.rank_tol)
-    out = DualMatrix(data.ad, np.zeros_like(data.ad))
-    _emit(_matrix_doc(out, index=data.index), args.output)
+    doc = _matrix_doc(DualMatrix(data.ad), index=data.index)
+    del x, data  # the output document is all the write needs
+    _emit((doc, args.output))
     return EXIT_OK
 
 
@@ -123,7 +147,9 @@ def _cmd_dual_drazin(args) -> int:
 
     x = _load_matrix(args.input)
     data = dual_drazin(x, args.rank_tol, args.residual_tol)
-    _emit(_matrix_doc(data.inverse, residuals=[float(v) for v in data.residuals]), args.output)
+    doc = _matrix_doc(data.inverse, residuals=[float(v) for v in data.residuals])
+    del x, data  # the output document is all the write needs
+    _emit((doc, args.output))
     return EXIT_OK
 
 
@@ -133,14 +159,14 @@ def _cmd_exists(args) -> int:
     x = _load_matrix(args.input)
     data = drazin_complex(x.std, args.rank_tol)
     ok, _, certificate = dual_exists(x, args.rank_tol, args.residual_tol, data, _certified=True)
-    _emit({"exists": ok, "residual": certificate, "ind_std": data.index}, args.output)
+    _emit(({"exists": ok, "residual": certificate, "ind_std": data.index}, args.output))
     return EXIT_OK if ok else EXIT_NOT_INVERTIBLE
 
 
 def _cmd_index(args) -> int:
     x = _load_matrix(args.input)
     rep = indices(x, args.rank_tol)
-    _emit({"ind_std": rep.ind_std, "ind_dual": rep.ind_dual, "ind_phi": rep.ind_phi}, args.output)
+    _emit(({"ind_std": rep.ind_std, "ind_dual": rep.ind_dual, "ind_phi": rep.ind_phi}, args.output))
     return EXIT_OK
 
 
@@ -156,7 +182,7 @@ def _cmd_rank(args) -> int:
             pass  # numerical ranks still apply; the exact oracle needs integers
         else:
             doc["smith"] = {"appreciable": r, "infinitesimal": s}
-    _emit(doc, args.output)
+    _emit((doc, args.output))
     return EXIT_OK
 
 
@@ -168,7 +194,7 @@ def _cmd_block(args) -> int:
     options = {variant[0]: getattr(args, variant[0])} if variant else {}
     form = getattr(blocks, _BLOCK_FORMS[args.command])
     out = form(*operands, tol=args.rank_tol, res_tol=args.residual_tol, **options)
-    _emit(_matrix_doc(out), args.output)
+    _emit((_matrix_doc(out), args.output))
     return EXIT_OK
 
 
@@ -182,10 +208,11 @@ def _cmd_graph(args) -> int:
         extras["permutation_to_bipartite"] = list(build.permutation_to_bipartite)
     if build.metadata:
         extras["metadata"] = build.metadata
-    _emit(_matrix_doc(build.matrix, **extras), args.output)
+    outputs = [(_matrix_doc(build.matrix, **extras), args.output)]
     if args.closed_form:
         inverse = _graph_closed_form(spec, args.form.replace("-", "_"), args.rank_tol, args.residual_tol)
-        _emit(_matrix_doc(inverse), args.closed_form)
+        outputs.append((_matrix_doc(inverse), args.closed_form))
+    _emit(*outputs)
     return EXIT_OK
 
 
@@ -207,7 +234,7 @@ def _cmd_verify(args) -> int:
         raise SchemaError("instance document needs a 'theorem' or 'family' field")
     record = {"record": "verify", "instance": label}
     _verify(inst, args.form.replace("-", "_"), args.rank_tol, args.residual_tol, args.max_rel_error, record)
-    _emit(dumps_doc(record), args.output)
+    _emit((record, args.output))
     if not record["hypotheses_pass"]:
         return EXIT_HYPOTHESIS
     return EXIT_OK if record["pass"] else EXIT_FAILURE
@@ -231,7 +258,7 @@ def _cmd_fuzz(args) -> int:
         report = fuzz(cfg, args.rank_tol, args.residual_tol)
     except OSError as exc:  # a counterexample document --artifacts cannot hold
         raise SchemaError(f"cannot write to {args.artifacts}: {exc}") from exc
-    _emit(report.to_jsonl(), args.output)
+    _emit((report.to_jsonl(), args.output))
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dualmat import DualMatrix, _staircase, dmul, dpow
+from .dualmat import DualMatrix, _norm, _staircase, dmul, dpow
 from .errors import NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch, UncertainRank
 from .tolerances import rank_tol, residual_tol
 
@@ -278,10 +278,18 @@ def dual_exists(
 
 
 def _sandwich(data: DrazinData, m: np.ndarray) -> float:
-    """Norm of Pi M Pi, the projection dual_exists compares with zero."""
+    """Norm of Pi M Pi, the projection dual_exists compares with zero.
+
+    A norm past the float range decides nothing, so it raises, as an
+    overflowing M does in _mixed_series.
+    """
     if data.index == 0:
         return 0.0  # Pi = 0
-    return float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        certificate = float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
+    if not math.isfinite(certificate):
+        raise NonFiniteEntries("the existence certificate |Pi M Pi| overflows")
+    return certificate
 
 
 def dual_drazin_series(
@@ -332,8 +340,12 @@ def defining_residuals(
     with np.errstate(over="ignore", invalid="ignore"):
         xa = dmul(candidate, x)
         if k == 0:
-            ident = DualMatrix.identity(x.shape[0])
-            r1 = (xa - ident).norm() / (1.0 + ident.norm())
+            # X A - I with no identity matrix: only the diagonal of the
+            # standard part changes, and |I| = sqrt(n) rounds as _norm rounds it
+            n = x.shape[0]
+            diff = xa.std.copy()
+            diff.flat[:: n + 1] -= 1
+            r1 = _norm(diff, xa.inf) / (1.0 + math.sqrt(math.sqrt(n) ** 2))
         else:
             # (A^k X) A, not A^k (X A): the other association rounds differently
             xk = dpow(x, k)

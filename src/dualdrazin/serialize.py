@@ -2,17 +2,25 @@
 
 Writers render every float with 17 significant digits so a write-read cycle
 reproduces the double exactly and re-serialising gives identical bytes;
--0.0 is written as 0, so equal matrices serialise identically.  The writer
-has three branches.  A 2-d complex ndarray, a matrix part as _matrix_doc
-keeps it for the CLI, dump_matrix and the fuzz record digest, is written
-with one format call per row.  A 1-d complex ndarray, a vector part as
-_vector_doc keeps it, is written with one format call.  Every other value,
-the nested lists of the public *_to_doc documents (_listed) included, goes
-through the generic branch, value by value, to the same bytes.  No writer
-emits inf or NaN, which are not JSON: a non-finite number raises
-NonFiniteEntries.  Readers validate shapes and raise SchemaError on
-malformed documents, counts that are not JSON integers (2.7, true, "3") and
-entries that are not JSON numbers ("2", true) among them.
+-0.0 is written as 0, so equal matrices serialise identically.  One
+renderer, _pieces, turns a document into a list of text pieces: one per
+key, scalar and separator, one per row of a 2-d complex ndarray (a matrix
+part as _matrix_doc keeps it for the CLI, dump_matrix and the fuzz record
+digest) and one per 1-d complex ndarray (a vector part as _vector_doc keeps
+it).  The nested lists of the public *_to_doc documents (_listed) render
+value by value to the same bytes.  dumps_doc joins the pieces; dump_matrix
+and the CLI write them one by one, so a large document is held once, as
+its pieces, and never as one string as well.  Every piece is rendered
+before any is written, and no writer emits inf or NaN, which are not JSON:
+a non-finite number raises NonFiniteEntries with nothing written.
+
+Readers validate shapes and raise SchemaError on malformed documents,
+counts that are not JSON integers (2.7, true, "3") and entries that are
+not JSON numbers ("2", true) among them.  The [re, im] pairs of a part are
+checked level by level with C-level set(map(...)) scans (every container a
+list of its length, every entry a number), and their numbers are then
+converted in one flat pass (np.fromiter), so a reader lists the pairs once
+and the numbers never, and builds no float array of the nested lists.
 """
 
 from __future__ import annotations
@@ -56,8 +64,8 @@ def _pair(z: complex) -> list[float]:
 
 
 @functools.cache
-def _row_template(pairs: int) -> str:
-    return "[" + ", ".join(["[{:.17g}, {:.17g}]"] * pairs) + "]"
+def _row_template(pairs: int, lead: str = "") -> str:
+    return lead + "[" + ", ".join(["[{:.17g}, {:.17g}]"] * pairs) + "]"
 
 
 def _finite(numbers: str) -> str:
@@ -71,38 +79,63 @@ def _finite(numbers: str) -> str:
 _string = functools.lru_cache(maxsize=4096)(json.dumps)
 
 
-def _render(obj: Any) -> str:
-    """JSON writer that formats bare floats via fmt17."""
+def _render(obj: Any, out: list) -> None:
+    """Append the JSON text of obj to out, bare floats formatted as fmt17 formats them."""
     kind = type(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join([f"{_string(str(k))}: {_render(v)}" for k, v in obj.items()]) + "}"
-    if kind is np.ndarray and obj.dtype == np.complex128 and obj.ndim in (1, 2):
+        out.append("{")
+        sep = ""
+        for key, value in obj.items():
+            out.append(f"{sep}{_string(str(key))}: ")
+            _render(value, out)
+            sep = ", "
+        out.append("}")
+    elif kind is np.ndarray and obj.dtype == np.complex128 and obj.ndim in (1, 2):
         # a float row holds the [re, im] pairs of a vector or a matrix row in
         # order; v + 0.0 turns -0.0 into 0.0, as fmt17 does
-        template = _row_template(obj.shape[-1])
-        rows = (np.ascontiguousarray(obj).view(float) + 0.0).tolist()
+        floats = np.ascontiguousarray(obj).view(float) + 0.0
         if obj.ndim == 1:
-            return _finite(template.format(*rows))
-        return _finite("[" + ", ".join([template.format(*row) for row in rows]) + "]")
-    if isinstance(obj, float):
+            out.append(_finite(_row_template(obj.shape[0]).format(*floats.tolist())))
+        else:
+            out.append("[")
+            lead = ""
+            for row in floats:  # one row's Python floats at a time
+                out.append(_finite(_row_template(obj.shape[1], lead).format(*row.tolist())))
+                lead = ", "
+            out.append("]")
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteEntries("cannot write a non-finite number as JSON")
-        return fmt17(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return _string(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([_render(v) for v in obj]) + "]"
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
+        out.append(fmt17(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(", ")
+            _render(value, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+def _pieces(doc: Any) -> list[str]:
+    """The text of dumps_doc(doc), as the list of pieces _render gives, newline last."""
+    out: list[str] = []
+    _render(doc, out)
+    out.append("\n")
+    return out
 
 
 def dumps_doc(doc: dict) -> str:
-    return _render(doc) + "\n"
+    return "".join(_pieces(doc))
 
 
 def _pairs(part: np.ndarray) -> list:
@@ -140,33 +173,42 @@ def matrix_to_doc(x: DualMatrix, **extra) -> dict:
     return doc
 
 
-def _number_pairs(raw, ndim: int, label: str) -> np.ndarray:
-    """Complex array of the [re, im] pairs nested ndim - 1 lists deep in raw.
+def _nesting(lengths: tuple) -> str:
+    if len(lengths) == 2:
+        return f"{lengths[0]}x{lengths[1]} nested lists of [re, im] pairs"
+    return "a list of [re, im] pairs" if lengths else "an [re, im] pair"
 
-    Every entry must be a JSON number: a float, or an int that is not a
-    bool.  numpy alone would read "2" and true as numbers.
+
+def _number_pairs(raw, lengths: tuple, label: str) -> np.ndarray:
+    """Complex array of shape lengths from the [re, im] pairs nested in raw.
+
+    Each level of raw must be lists of its length in lengths, a None length
+    being the list's own, and the pairs below them lists of two JSON
+    numbers: floats, or ints that are not bools (numpy alone would read "2"
+    and true as numbers).  The checks scan a level at a time with
+    set(map(...)); the numbers are then converted in one flat pass, to the
+    bits arr[..., 0] + 1j * arr[..., 1] gives for arr = np.asarray(raw).
     """
+    level, shape = [raw], []
+    for depth, length in enumerate((*lengths, 2)):
+        if depth:
+            level = list(chain.from_iterable(level))
+        if set(map(type, level)) != {list}:
+            raise SchemaError(f"{label}: expected {_nesting(lengths)}")
+        if length is None:  # a vector's own length
+            length = len(raw)
+        if set(map(len, level)) != {length}:
+            raise SchemaError(f"{label}: expected {_nesting(lengths)}")
+        shape.append(length)
+    # level holds the pairs; their numbers are read twice, never listed
+    if any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, chain.from_iterable(level)))):
+        raise SchemaError(f"{label}: entries must be [re, im] number pairs")
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{label}: entries must be [re, im] number pairs") from exc
+        pairs = np.fromiter(chain.from_iterable(level), float, 2 * len(level)).reshape(shape)
     except OverflowError as exc:  # an integer past the double range
         raise NonFiniteEntries(f"{label}: an entry overflows a double") from exc
-    if arr.ndim != ndim or arr.shape[-1] != 2:
-        what = "an [re, im] pair" if ndim == 1 else "nested lists of [re, im] pairs"
-        raise SchemaError(f"{label}: expected {what}, got shape {arr.shape}")
-    entries = raw
-    for _ in range(ndim - 1):
-        entries = chain.from_iterable(entries)
-    if any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, entries))):
-        raise SchemaError(f"{label}: entries must be [re, im] number pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _parse_part(raw, rows: int, cols: int, label: str) -> np.ndarray:
-    part = _number_pairs(raw, 3, label)
-    if part.shape != (rows, cols):
-        raise SchemaError(f"{label}: expected shape {rows}x{cols} of [re, im] pairs, got {part.shape}")
+    part = 1j * pairs[..., 1]
+    part += pairs[..., 0]  # addition commutes, signed zeros included
     return part
 
 
@@ -185,8 +227,8 @@ def matrix_from_doc(doc: Any) -> DualMatrix:
         raise SchemaError("matrix dimensions must be positive")
     if "std" not in doc:
         raise SchemaError("dual matrix document needs a 'std' field")
-    std = _parse_part(doc["std"], rows, cols, "std")
-    inf = _parse_part(doc["inf"], rows, cols, "inf") if "inf" in doc else None
+    std = _number_pairs(doc["std"], (rows, cols), "std")
+    inf = _number_pairs(doc["inf"], (rows, cols), "inf") if "inf" in doc else None
     return DualMatrix(std, inf)
 
 
@@ -217,8 +259,9 @@ def load_matrix(path) -> DualMatrix:
 
 
 def dump_matrix(x: DualMatrix, path, **extra) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_doc(_matrix_doc(x, **extra)))
+    pieces = _pieces(_matrix_doc(x, **extra))  # all of them, so a non-finite entry writes nothing
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def scalar_to_doc(z: DualScalar) -> dict:
@@ -229,8 +272,8 @@ def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
     if not isinstance(doc, dict) or "std" not in doc:
         raise SchemaError(f"{label}: dual scalar needs a 'std' [re, im] pair")
 
-    std = complex(_number_pairs(doc["std"], 1, f"{label}.std"))
-    inf = complex(_number_pairs(doc["inf"], 1, f"{label}.inf")) if "inf" in doc else 0j
+    std = complex(_number_pairs(doc["std"], (), f"{label}.std"))
+    inf = complex(_number_pairs(doc["inf"], (), f"{label}.inf")) if "inf" in doc else 0j
     return DualScalar(std, inf)
 
 
@@ -250,8 +293,8 @@ def vector_from_doc(doc: Any, label: str = "vector") -> DualMatrix:
     if not isinstance(doc, dict) or "std" not in doc:
         raise SchemaError(f"{label}: dual vector needs a 'std' list of [re, im] pairs")
 
-    std = _number_pairs(doc["std"], 2, f"{label}.std")
-    inf = _number_pairs(doc["inf"], 2, f"{label}.inf") if "inf" in doc else None
+    std = _number_pairs(doc["std"], (None,), f"{label}.std")
+    inf = _number_pairs(doc["inf"], (None,), f"{label}.inf") if "inf" in doc else None
     if inf is not None and inf.shape != std.shape:
         raise SchemaError(f"{label}: std and inf lengths differ")
     return DualMatrix.column(std, inf)

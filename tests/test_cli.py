@@ -6,12 +6,15 @@ import inspect
 import io
 import json
 import sys
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DualScalar, DutchWindmill, blocks, digraphs
+import dualdrazin.drazin
 from dualdrazin.blocks import (
     _SHAPES,
     BlockInstance,
@@ -21,7 +24,7 @@ from dualdrazin.blocks import (
     cline,
     tri_drazin,
 )
-from dualdrazin.cli import _BLOCK_FORMS, _build_parser, main
+from dualdrazin.cli import _BLOCK_FORMS, _build_parser, _emit, main
 from dualdrazin.digraphs import (
     dls_dual_drazin,
     ds_dual_drazin,
@@ -31,9 +34,9 @@ from dualdrazin.digraphs import (
     graph_spec_to_doc,
 )
 from dualdrazin.drazin import matrix_index
-from dualdrazin.errors import NotDualDrazinInvertible, SchemaError
+from dualdrazin.errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError
 from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
-from dualdrazin.serialize import dump_matrix, dumps_doc, load_matrix, matrix_to_doc
+from dualdrazin.serialize import _matrix_doc, dump_matrix, dumps_doc, load_matrix, matrix_to_doc
 
 from conftest import MISSED_NULL_VECTOR, wrong_dual_index_draw
 
@@ -285,11 +288,12 @@ def test_an_overflowing_block_product_is_one_line_exit_4(write, capsys):
 
 
 def test_an_overflowing_residual_is_not_written(write, capsys):
-    # the sandwich norm overflows; "residual": inf is not JSON
+    # the sandwich norm overflows; an infinite certificate decides nothing,
+    # and "residual": inf would not be JSON
     doc = {"rows": 2, "cols": 2, "std": [[[1, 0]] * 2] * 2, "inf": [[[1e305, 0]] * 2] * 2}
     code, out, err = run(capsys, "exists", "-i", write(doc, "a.json"))
     assert (code, out) == (4, "")
-    assert err == "error: cannot write a non-finite number as JSON\n"
+    assert err == "error: the existence certificate |Pi M Pi| overflows\n"
 
 
 @pytest.mark.parametrize("verb", ["graph", "verify"])
@@ -444,6 +448,103 @@ def test_an_output_that_cannot_be_written_is_one_line_exit_4(where, write, capsy
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and missing in err
+
+
+@pytest.mark.parametrize("with_output", [True, False], ids=["file", "stdout"])
+@pytest.mark.parametrize("case", ["violated", "unwritable"])
+def test_a_failed_graph_run_leaves_no_output(case, with_output, write, capsys, tmp_path):
+    # both documents are rendered before either is written: the m = n = 2
+    # windmill pattern violates its hypotheses (exit 2), and a closed form
+    # that cannot be written removes the adjacency written before it (exit 4)
+    m, code_wanted = (2, 2) if case == "violated" else (1, 4)
+    adjacency = tmp_path / "adj.json"
+    closed = tmp_path / ("inv.json" if case == "violated" else "missing_dir/inv.json")
+    argv = ["graph", "--spec", write({"family": "dutch_windmill", "m": m, "n": m}, "spec.json"),
+            "--closed-form", str(closed)]
+    code, out, err = run(capsys, *argv, *(["-o", str(adjacency)] if with_output else []))
+    assert (code, out) == (code_wanted, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not adjacency.exists() and not closed.exists()
+
+
+def test_written_bytes_are_the_text_of_dumps_doc(tmp_path, capsys):
+    # dump_matrix and the CLI write the rendered pieces one by one; they
+    # must add up to the one string dumps_doc joins.  A 64x64 matrix with
+    # -0.0, 1e-300 and +-1e300 entries among random ones
+    rng = np.random.default_rng([64, 26])
+    parts = rng.standard_normal((4, 64, 64))
+    for value in (-0.0, 1e-300, 1e300, -1e300):
+        parts[rng.random((4, 64, 64)) < 0.05] = value
+    x = DualMatrix(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
+    doc = _matrix_doc(x, residuals=[0.0, -0.0, 1e-300])
+    text = dumps_doc(doc)
+    assert "1e+300" in text and "1e-300" in text and "-0," not in text
+    dump_matrix(x, tmp_path / "dumped.json", residuals=[0.0, -0.0, 1e-300])
+    _emit((doc, str(tmp_path / "emitted.json")), (doc, None))
+    assert capsys.readouterr().out == text
+    assert (tmp_path / "dumped.json").read_bytes() == text.encode()
+    assert (tmp_path / "emitted.json").read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("with_output", [True, False], ids=["file", "stdout"])
+def test_a_non_finite_last_row_writes_nothing(with_output, write, capsys, tmp_path, monkeypatch):
+    # the writer meets the inf only in the last row it renders; every piece
+    # is rendered before any is written, so no partial document is left
+    std = np.ones((40, 40), complex)
+    std[-1, -1] = np.inf
+    inverse = DualMatrix._of(std, np.zeros_like(std))
+    record = types.SimpleNamespace(inverse=inverse, residuals=(0.0, 0.0, 0.0))
+    monkeypatch.setattr(dualdrazin.drazin, "dual_drazin", lambda *args: record)
+    target = tmp_path / "out.json"
+    argv = ["dual-drazin", "-i", write(INVERTIBLE, "a.json"), *(["-o", str(target)] if with_output else [])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "error: cannot write a non-finite number as JSON\n"
+    assert not target.exists()
+    with pytest.raises(NonFiniteEntries):
+        dump_matrix(inverse, target)
+    assert not target.exists()
+
+
+def _malformed(part, kind):
+    """A 3x2 matrix document whose part has ragged rows, a 3-number entry or a row that is no list."""
+    rows = [[[1, 0], [2, 0]], [[3, 0], [4, 0]], [[5, 0], [6, 0]]]
+    if kind == "ragged":
+        rows[1] = rows[1][:1]
+    elif kind == "triple":
+        rows[2][1] = [6, 0, 0]
+    else:
+        rows[0] = {"re": 1, "im": 0}
+    doc = {"rows": 3, "cols": 2, "std": [[[1, 0], [0, 0]]] * 3}
+    doc[part] = rows
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["ragged", "triple", "non-list-row"])
+@pytest.mark.parametrize("part", ["std", "inf"])
+def test_a_malformed_part_is_exit_4_and_named(part, kind, write, capsys):
+    code, out, err = run(capsys, "dual-drazin", "-i", write(_malformed(part, kind), "bad.json"))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {part}: expected 3x2 nested lists") and err.count("\n") == 1
+
+
+def test_dual_drazin_holds_its_documents_once(tmp_path):
+    # the traced peak of a 128x128 run stays below 3x the bytes it writes:
+    # the input is held as arrays once read, the input and its factorisation
+    # are released before the write, and the output is held once, as its
+    # pieces.  A whole-document copy of the output, or the input's nested
+    # lists kept as a float array too, brings it past the bound.
+    source, target = tmp_path / "in.json", tmp_path / "out.json"
+    source.write_text(json.dumps(_gaussian_int_doc(128, 26)))
+    argv = ["dual-drazin", "-i", str(source), "-o", str(target)]
+    assert main(argv) == 0  # imports and caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * target.stat().st_size, (peak, target.stat().st_size)
 
 
 def test_verify_block_instance(write, capsys):

@@ -31,6 +31,8 @@ from dualdrazin.serialize import (
     load_matrix,
     matrix_from_doc,
     matrix_to_doc,
+    scalar_from_doc,
+    vector_from_doc,
     vector_to_doc,
 )
 
@@ -524,6 +526,38 @@ def test_large_document_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "020f96507c7ff54b"
     lists = dumps_doc(matrix_to_doc(x)).encode()
     assert hashlib.sha256(lists).hexdigest()[:16] == "020f96507c7ff54b"
+
+
+# [re, im] pairs whose signed zeros and integers past 2**53 the reader must
+# turn into the bits np.asarray(raw, float) and arr[..., 0] + 1j * arr[..., 1]
+# have always given: 1j * -0.0 has a +0.0 imaginary part, for one
+READER_PAIRS = [
+    [-0.0, 1], [-0.0, -1], [1, -0.0], [-0.0, -0.0], [0, -0.0],
+    [2**53 + 1, -(2**53 + 3)], [2**63 + 2**11 + 1, 3], [-(2**64 + 1), 2**70 + 12345], [5e-324, -0.0],
+]
+
+
+def _reference_part(raw):
+    arr = np.asarray(raw, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _bits(part):
+    return np.atleast_1d(np.asarray(part, dtype=complex)).view(np.uint64).tolist()
+
+
+def test_readers_give_the_bits_of_the_nested_array_reader():
+    n = len(READER_PAIRS)
+    rows = [[READER_PAIRS[(i + j) % n] for j in range(n)] for i in range(3)]
+    x = matrix_from_doc({"rows": 3, "cols": n, "std": rows, "inf": rows[::-1]})
+    assert _bits(x.std) == _bits(_reference_part(rows))
+    assert _bits(x.inf) == _bits(_reference_part(rows[::-1]))
+    v = vector_from_doc({"std": READER_PAIRS, "inf": READER_PAIRS[::-1]})
+    assert _bits(v.std[:, 0]) == _bits(_reference_part(READER_PAIRS))
+    assert _bits(v.inf[:, 0]) == _bits(_reference_part(READER_PAIRS[::-1]))
+    for pair in READER_PAIRS:
+        z = scalar_from_doc({"std": pair, "inf": pair})
+        assert _bits(z.std) == _bits(z.inf) == _bits(_reference_part(pair))
 
 
 def test_load_matrix_round_trips_and_rejects_deep_nesting(tmp_path):
