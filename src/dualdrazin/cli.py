@@ -13,13 +13,17 @@ digraphs, and only verify and fuzz load harness.
 
 Matrices travel as JSON documents with 17-significant-digit floats, so a
 write-read-write cycle is byte identical.  A verb computes and renders all
-its outputs before it writes any (_emit), and drazin and dual-drazin drop
-the input matrix and its factorisation before they write, so a large run
+its outputs before it writes any (_emit).  dual-drazin drops its
+factorisation record once it has the inverse and the index, so the residual
+check runs on the input and the inverse alone, and drazin and dual-drazin
+drop the input matrix and the inverse before they write, so a large run
 holds its input only as arrays and its output only once, as text pieces.
 Files are written before stdout, and a run that stops on an error (one
-"error:" line on stderr) leaves no output file and nothing on stdout, but
-the counterexamples fuzz --artifacts stored during its campaign; the
-verdicts of exists, verify and fuzz are written whatever their exit code.
+"error:" line on stderr) leaves no output file and nothing on stdout; a
+fuzz run whose report cannot be written also removes the counterexamples
+--artifacts stored during its campaign (one that stops because an artifact
+cannot be written keeps those stored before it).  The verdicts of exists,
+verify and fuzz are written whatever their exit code.
 graph reads the digraph it builds from one graph spec document (--spec,
 "-" for stdin), and the tolerances come only from --rank-tol and
 --residual-tol.  Exit codes: 0 success, 1 verification failure, 2 violated
@@ -143,12 +147,15 @@ def _cmd_drazin(args) -> int:
 
 
 def _cmd_dual_drazin(args) -> int:
-    from .drazin import dual_drazin
+    from .drazin import defining_residuals, dual_drazin
 
     x = _load_matrix(args.input)
     data = dual_drazin(x, args.rank_tol, args.residual_tol)
-    doc = _matrix_doc(data.inverse, residuals=[float(v) for v in data.residuals])
-    del x, data  # the output document is all the write needs
+    inverse, index = data.inverse, data.index
+    del data  # the residual check reads only the input and the inverse
+    residuals = defining_residuals(x, inverse, index, args.rank_tol)
+    doc = _matrix_doc(inverse, residuals=[float(v) for v in residuals])
+    del x, inverse  # the output document is all the write needs
     _emit((doc, args.output))
     return EXIT_OK
 
@@ -258,7 +265,14 @@ def _cmd_fuzz(args) -> int:
         report = fuzz(cfg, args.rank_tol, args.residual_tol)
     except OSError as exc:  # a counterexample document --artifacts cannot hold
         raise SchemaError(f"cannot write to {args.artifacts}: {exc}") from exc
-    _emit((report.to_jsonl(), args.output))
+    try:
+        _emit((report.to_jsonl(), args.output))
+    except DualDrazinError:
+        # a report that cannot be written leaves no counterexample behind either
+        for record in report.records:
+            if "artifact" in record:
+                Path(record["artifact"]).unlink(missing_ok=True)
+        raise
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 

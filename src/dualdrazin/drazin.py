@@ -346,16 +346,29 @@ def defining_residuals(
             diff = xa.std.copy()
             diff.flat[:: n + 1] -= 1
             r1 = _norm(diff, xa.inf) / (1.0 + math.sqrt(math.sqrt(n) ** 2))
+            del diff
         else:
             # (A^k X) A, not A^k (X A): the other association rounds differently
             xk = dpow(x, k)
-            r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
-        r2 = (dmul(xa, candidate) - candidate).norm() / (1.0 + candidate.norm())
+            r1 = _residual(dmul(dmul(xk, candidate), x), xk, xk.norm())
+            del xk
+        r2 = _residual(dmul(xa, candidate), candidate, candidate.norm())
         ax = dmul(x, candidate)
-        r3 = (ax - xa).norm() / (1.0 + ax.norm())
+        r3 = _residual(ax, xa, ax.norm())
     if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):
         raise NonFiniteEntries("a defining residual overflows")
     return r1, r2, r3
+
+
+def _residual(lhs: DualMatrix, rhs: DualMatrix, scale: float) -> float:
+    """|lhs - rhs| / (1 + scale), subtracting rhs in lhs's own arrays.
+
+    lhs must be a product no one else holds; scale is taken before the
+    subtraction, so it may be lhs's own norm.
+    """
+    np.subtract(lhs.std, rhs.std, out=lhs.std)
+    np.subtract(lhs.inf, rhs.inf, out=lhs.inf)
+    return lhs.norm() / (1.0 + scale)
 
 
 def dual_drazin(

@@ -21,7 +21,9 @@ internal results of drazin and digraphs.  At dims 1-5 the checks cost more
 than the arithmetic.  Such a result can still overflow to inf or NaN; the
 steps that read one check it instead: the staircase, the mixed series M,
 the hypothesis and defining residuals and the JSON writer each raise
-NonFiniteEntries.
+NonFiniteEntries.  Once built, a DualMatrix's parts cannot be rebound or
+deleted: its __setattr__ and __delattr__ raise AttributeError, and both
+constructors set the slots through object.__setattr__.
 """
 
 from __future__ import annotations
@@ -71,16 +73,22 @@ class DualMatrix:
             finite = finite and np.isfinite(inf.view(float)).all()
         if not finite:
             raise NonFiniteEntries("dual matrix entries must be finite")
-        self.std = std
-        self.inf = inf
+        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "inf", inf)
 
     @classmethod
     def _of(cls, std: np.ndarray, inf: np.ndarray) -> "DualMatrix":
         """Unvalidated: std and inf must be equally shaped 2-d complex128 arrays."""
         x = object.__new__(cls)
-        x.std = std
-        x.inf = inf
+        object.__setattr__(x, "std", std)
+        object.__setattr__(x, "inf", inf)
         return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a DualMatrix's parts cannot be rebound ({name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a DualMatrix's parts cannot be deleted ({name!r})")
 
     # ---- constructors -------------------------------------------------
 
@@ -168,7 +176,9 @@ def dmul(x: DualMatrix, y: DualMatrix) -> DualMatrix:
     """Dual matrix product: std X*Y, inf X*Y0 + X0*Y."""
     if x.shape[1] != y.shape[0]:
         raise ShapeMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    return DualMatrix._of(x.std @ y.std, x.std @ y.inf + x.inf @ y.std)
+    inf = x.std @ y.inf
+    inf += x.inf @ y.std
+    return DualMatrix._of(x.std @ y.std, inf)
 
 
 def dblock(rows: list[list[DualMatrix]]) -> DualMatrix:
@@ -246,32 +256,39 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
     null vectors to the front (Kublanovskaya's staircase); singular values
     at or below n * tol * sigma_max(a) count as zero, so the first step
     decides rank(a) as numerical_rank does.  k, the number of deflating
-    steps, is the index, and s = rank(a**k) the core dimension.  Raises
+    steps, is the index, and s = rank(a**k) the core dimension.  a is not
+    copied: h is a new array from the first deflating step on, but at k = 0
+    it is a itself (and q = I), so callers must not write into h.  Raises
     NonFiniteEntries on NaN or inf entries and when sigma_max overflows.
     """
+    # the C layout a copy would have: the first step's a @ w reads it
+    a = np.ascontiguousarray(a, dtype=complex)
     n = a.shape[0]
-    q = np.eye(n, dtype=complex)
-    h = np.array(a, dtype=complex)
+    h, q = a, None
     k = p = 0
     while p < n:
         if p:
             _, sv, vh = np.linalg.svd(h[p:, p:])
         else:
             (_, sv, vh), floor = _svd_floor(h, tol, compute_uv=True)
+        del _  # U is never read
         d = int(np.count_nonzero(sv <= floor))
         if d == 0:
             break
         w = np.concatenate((vh[-d:], vh[:-d])).conj().T  # null vectors first
-        h[:, p:] = h[:, p:] @ w
-        h[p:, p:] = w.conj().T @ h[p:, p:]
-        h[p:, p:p + d] = 0.0
-        # the Newton steps' QR reads q's layout and its signed zeros: C order, and +0.0 for w's -0.0
         if p:
+            h[:, p:] = h[:, p:] @ w
             q[:, p:] = q[:, p:] @ w
         else:
+            h = a @ w
+            # the Newton steps' QR reads q's layout and its signed zeros: C order, and +0.0 for w's -0.0
             q = np.ascontiguousarray(w) + 0.0
+        h[p:, p:] = w.conj().T @ h[p:, p:]
+        h[p:, p:p + d] = 0.0
         p += d
         k += 1
+    if q is None:
+        q = np.eye(n, dtype=complex)
     return k, n - p, q, h
 
 

@@ -1,6 +1,7 @@
 """Exit codes, output determinism and tolerance plumbing of the ddz front end."""
 
 import argparse
+import gc
 import hashlib
 import inspect
 import io
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from dualdrazin.blocks import (
     cline,
     tri_drazin,
 )
-from dualdrazin.cli import _BLOCK_FORMS, _build_parser, _emit, main
+from dualdrazin.cli import _BLOCK_FORMS, _BLOCK_VERBS, _build_parser, _emit, main
 from dualdrazin.digraphs import (
     dls_dual_drazin,
     ds_dual_drazin,
@@ -33,7 +35,7 @@ from dualdrazin.digraphs import (
     dw_group,
     graph_spec_to_doc,
 )
-from dualdrazin.drazin import matrix_index
+from dualdrazin.drazin import DualDrazinData, matrix_index
 from dualdrazin.errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError
 from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
 from dualdrazin.serialize import _matrix_doc, dump_matrix, dumps_doc, load_matrix, matrix_to_doc
@@ -450,6 +452,20 @@ def test_an_output_that_cannot_be_written_is_one_line_exit_4(where, write, capsy
     assert err.startswith("error:") and err.count("\n") == 1 and missing in err
 
 
+def test_a_fuzz_report_that_cannot_be_written_leaves_no_artifacts(capsys, tmp_path, monkeypatch):
+    # both trials fail the negative gate and store a counterexample during
+    # the campaign; the report cannot be written, so the run removes them
+    monkeypatch.chdir(tmp_path)
+    argv = ["fuzz", "--theorem", "cline", "--trials", "2", "--max-rel-error", "-1", "--artifacts", "art"]
+    code, out, err = run(capsys, *argv, "-o", "missing_dir/out.jsonl")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cannot write missing_dir/out.jsonl") and err.count("\n") == 1
+    assert list(Path("art").glob("cline_*.json")) == []
+    code, _, _ = run(capsys, *argv, "-o", "out.jsonl")
+    assert code == 1
+    assert sorted(path.name for path in Path("art").glob("cline_*.json")) == ["cline_0000.json", "cline_0001.json"]
+
+
 @pytest.mark.parametrize("with_output", [True, False], ids=["file", "stdout"])
 @pytest.mark.parametrize("case", ["violated", "unwritable"])
 def test_a_failed_graph_run_leaves_no_output(case, with_output, write, capsys, tmp_path):
@@ -493,8 +509,9 @@ def test_a_non_finite_last_row_writes_nothing(with_output, write, capsys, tmp_pa
     std = np.ones((40, 40), complex)
     std[-1, -1] = np.inf
     inverse = DualMatrix._of(std, np.zeros_like(std))
-    record = types.SimpleNamespace(inverse=inverse, residuals=(0.0, 0.0, 0.0))
+    record = types.SimpleNamespace(inverse=inverse, index=0)
     monkeypatch.setattr(dualdrazin.drazin, "dual_drazin", lambda *args: record)
+    monkeypatch.setattr(dualdrazin.drazin, "defining_residuals", lambda *args: (0.0, 0.0, 0.0))
     target = tmp_path / "out.json"
     argv = ["dual-drazin", "-i", write(INVERTIBLE, "a.json"), *(["-o", str(target)] if with_output else [])]
     code, out, err = run(capsys, *argv)
@@ -545,6 +562,26 @@ def test_dual_drazin_holds_its_documents_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * target.stat().st_size, (peak, target.stat().st_size)
+
+
+def test_dual_drazin_checks_its_residuals_without_the_record(write, capsys, monkeypatch):
+    # the factorisation record (M, the projectors, the basis and, at index 0,
+    # a second A^D) is dropped before the residual check, which reads only
+    # the input and the inverse
+    check = dualdrazin.drazin.defining_residuals
+    alive = []
+
+    def counted(*args):
+        alive.append(sum(isinstance(obj, DualDrazinData) for obj in gc.get_objects()))
+        return check(*args)
+
+    monkeypatch.setattr(dualdrazin.drazin, "defining_residuals", counted)
+    for doc in (INVERTIBLE, COMPATIBLE):  # index 0 and index 2
+        gc.collect()
+        before = sum(isinstance(obj, DualDrazinData) for obj in gc.get_objects())
+        code, out, _ = run(capsys, "dual-drazin", "-i", write(doc, "a.json"))
+        assert code == 0 and len(json.loads(out)["residuals"]) == 3
+        assert alive.pop() == before and not alive
 
 
 def test_verify_block_instance(write, capsys):
@@ -648,13 +685,16 @@ def test_report_gaps_are_exit_2_and_closed_forms_stay_exit_3(gap, write, capsys,
 # The ABCO report gap (ROADMAP, known defects): A = 0 and B = C = eps pass
 # every ABCO condition, yet [[0, eps], [eps, 0]] has no dual Drazin
 # inverse.  The windmill with D = 0 and eps fans is the same matrix through
-# _dw_formula.  These cases assert what a mended report gives: verify
+# _dw_formula, BIPARTITE is ABCO with A = 0, and the linked-star body is
+# ABCO with W = 0.  These cases assert what a mended report gives: verify
 # reports a failed hypothesis (exit 2) and no closed form exits 0.
 ABCO_GAPS = {
     "abco_right": BlockInstance("ABCO_RIGHT", {"A": DualMatrix([[0]]), "B": EPS, "C": EPS}),
     "abco_left": BlockInstance("ABCO_LEFT", {"A": DualMatrix([[0]]), "B": EPS, "C": EPS}),
+    "bipartite": BlockInstance("BIPARTITE", {"B": EPS, "C": EPS}),
     **{f"windmill_{form}": DutchWindmill(m=1, n=1, blades=(DualMatrix([[0]]),), x=(EPS,), y=(EPS,))
        for form in ("drazin", "bc-zero", "group")},
+    "linked_stars": DLinkedStars(base=DualMatrix([[0]]), r=(1,), x=(EPS,), y=(EPS,)),
 }
 
 
@@ -668,10 +708,12 @@ def test_abco_gaps_are_exit_2_and_no_closed_form_exits_0(gap, write, capsys, tmp
         assert code == 2
         blocks_argv = [arg for key, block in inst.blocks.items()
                        for arg in ("-" + key.lower(), write(matrix_to_doc(block), f"{key}.json"))]
-        code, _, _ = run(capsys, "abco", *blocks_argv, "--side", inst.theorem.split("_")[1].lower())
+        verb, *side = inst.theorem.lower().split("_")
+        variant = _BLOCK_VERBS[verb][2]  # bipartite takes no --side
+        code, _, _ = run(capsys, verb, *blocks_argv, *(["--" + variant[0], *side] if variant else []))
         assert code != 0
     else:
-        form = gap.removeprefix("windmill_")
+        form = gap.removeprefix("windmill_") if gap.startswith("windmill_") else "drazin"
         path = write(graph_spec_to_doc(inst), "spec.json")
         code, _, _ = run(capsys, "verify", "-i", path, "--form", form)
         assert code == 2

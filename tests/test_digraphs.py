@@ -173,6 +173,21 @@ def test_a_built_spec_s_weights_are_read_only():
     assert build_adjacency(spec).matrix.std[0, 1] == 1
 
 
+def test_a_built_spec_s_weights_cannot_be_rebound():
+    # the read-only flags stop writes into a part; rebinding the part would
+    # leave the kept adjacency reading the old one, so it raises as well
+    spec = windmill_pattern(2, 2)
+    matrix = build_adjacency(spec).matrix
+    before = matrix.std.copy(), matrix.inf.copy()
+    with pytest.raises(AttributeError):
+        spec.x[0].std = np.full((3, 1), 7 + 0j)
+    with pytest.raises(AttributeError):
+        del spec.y[0].inf
+    assert build_adjacency(spec).matrix is matrix
+    assert np.array_equal(matrix.std, before[0]) and np.array_equal(matrix.inf, before[1])
+    assert matrix.std[0, 1] == 1
+
+
 @pytest.mark.parametrize("family", GRAPH_FAMILIES)
 def test_the_kept_adjacency_is_read_only_and_shared(family, monkeypatch):
     # build_adjacency, the formula body and _verify all read the one matrix

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import warnings
 from fractions import Fraction
 
@@ -308,6 +309,47 @@ def test_residuals_match_the_power_by_power_reference(invertible, rng):
         assert (out.index == 0) is invertible
         assert out.residuals == _ref_residuals(x, out.inverse, out.index)
         assert defining_residuals(x, x, 0) == _ref_residuals(x, x, 0)
+
+
+def _out_of_place_residuals(x, candidate, k):
+    """The defining residuals as each difference used to be formed: into new arrays."""
+    xa = dmul(candidate, x)
+    if k == 0:
+        n = x.shape[0]
+        diff = xa.std.copy()
+        diff.flat[:: n + 1] -= 1
+        r1 = DualMatrix._of(diff, xa.inf).norm() / (1.0 + math.sqrt(math.sqrt(n) ** 2))
+    else:
+        xk = dpow(x, k)
+        r1 = (dmul(dmul(xk, candidate), x) - xk).norm() / (1.0 + xk.norm())
+    r2 = (dmul(xa, candidate) - candidate).norm() / (1.0 + candidate.norm())
+    ax = dmul(x, candidate)
+    r3 = (ax - xa).norm() / (1.0 + ax.norm())
+    return r1, r2, r3
+
+
+@pytest.mark.parametrize("invertible", [True, False])
+def test_in_place_residuals_are_the_out_of_place_bits(invertible, rng):
+    # each difference is taken in the arrays of the product just formed;
+    # the inputs are read-only here, so a write into either would raise
+    checked = set()
+    for n in (1, 2, 5, 9, 16):
+        x = gen_member(n, rng, invertible=invertible)
+        out = dual_drazin(x)
+        candidates = (out.inverse, x, DualMatrix(rng.normal(size=(n, n)), rng.normal(size=(n, n))))
+        for candidate in candidates:
+            for k in {0, out.index, out.index + 1}:
+                parts = (x.std, x.inf, candidate.std, candidate.inf)
+                before = [part.tobytes() for part in parts]
+                for part in parts:
+                    part.flags.writeable = False
+                got = defining_residuals(x, candidate, k)
+                for part in parts:
+                    part.flags.writeable = True
+                assert got == _out_of_place_residuals(x, candidate, k)
+                assert [part.tobytes() for part in parts] == before
+                checked.add(k > 0)
+    assert checked == {False, True}
 
 
 @pytest.mark.parametrize("n", [2, 7, 130])

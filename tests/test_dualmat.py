@@ -432,6 +432,50 @@ def dual_matrices(draw):
 
 
 @st.composite
+def conforming_pairs(draw):
+    """x (m x k) and y (k x n) with entries from FINITE, so dmul(x, y) is defined."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+
+    def part(shape):
+        out = np.empty(shape, complex)
+        out.real, out.imag = (draw(arrays(np.float64, shape, elements=FINITE)) for _ in range(2))
+        return out
+
+    return DualMatrix(part((m, k)), part((m, k))), DualMatrix(part((k, n)), part((k, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conforming_pairs())
+def test_dmul_eps_part_is_the_out_of_place_sum_bit_for_bit(pair):
+    # the eps-part accumulates in the first product's array; the bits,
+    # signed zeros and overflows included, are those of the plain sum
+    x, y = pair
+    parts = [part.copy() for part in (x.std, x.inf, y.std, y.inf)]
+    with np.errstate(all="ignore"):
+        got = dmul(x, y)
+        want_std, want_inf = x.std @ y.std, x.std @ y.inf + x.inf @ y.std
+    assert got.std.tobytes() == want_std.tobytes()
+    assert got.inf.tobytes() == want_inf.tobytes()
+    for before, after in zip(parts, (x.std, x.inf, y.std, y.inf)):
+        assert before.tobytes() == after.tobytes()
+
+
+def test_a_dual_matrix_s_parts_cannot_be_rebound():
+    x = DualMatrix([[1, 2]], [[3, 4]])
+    y = dmul(x.T, x)  # built by _of
+    for z in (x, y):
+        std, inf = z.std, z.inf
+        for name in ("std", "inf", "other"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, np.zeros((1, 1), complex))
+            with pytest.raises(AttributeError):
+                delattr(z, name)
+        assert z.std is std and z.inf is inf
+    x.std[0, 0] = 5  # writes into a part are not refused
+    assert x.std[0, 0] == 5
+
+
+@st.composite
 def near_pair_rows(draw):
     """Rows of [float, float] pairs, or the same with one entry made irregular."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
