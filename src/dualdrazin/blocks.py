@@ -18,12 +18,18 @@ times a fixed left and right factor; the ABCO right sum, for instance, is
 W^pi sum_{i<k} W^i A^D ((A^D)^2)^i, and the blocks that carry higher powers
 of A^D or a trailing B or C multiply that one sum.
 
-The anti-triangular [[A,B],[I,0]] (ABIO) is the C = I case of the bordered
-[[A,B],[C,0]] (ABCO), and its report checks the ABCO conditions with
-W = BC = B.  It keeps a series of its own: with C = I the conditions also
-give A^D B = 0 (right) or B A^D = 0 (left), so several ABCO terms vanish
-and the (W^D)^2 term needs one factor B^D.  Evaluated at C = I, the ABCO
-series carries those terms as rounding error that grows with |B^D|^2.
+Every [[A,B],[C,0]] closed form runs the right series of _abco_formula,
+from A^D, W = BC, W^D and k = Ind(W): BIPARTITE at A = A^D = 0, the BC = 0
+digraph bodies at W = W^D = 0, k = 1, and ABCO_LEFT on (A^T, C^T, B^T),
+transposed, since (X^T)^D = (X^D)^T.  The left report stays native: it
+factorises BC, as the fuzz accept filter does, and so shares its record.
+
+ABIO, the C = I case, keeps its own series: its conditions also give
+A^D B = 0 (right) or B A^D = 0 (left), which drops terms.  Through the ABCO
+series the 1e-8 gate sweep (300 trials, seed 0, dims 6-10) fails one trial
+a side against none, its worst defining residual going 1.8e-9 -> 1.0e-7
+(right) and 3.9e-10 -> 5.3e-8 (left).  TRI_LOWER lays the TRI_UPPER sum
+out as a block permutation, which the transpose route cannot improve on.
 """
 
 from __future__ import annotations
@@ -302,47 +308,37 @@ def _abio(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
 
 
 def _abco(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    side = "right" if inst.theorem == "ABCO_RIGHT" else "left"
     f = report.factorisations
-    return _abco_formula(inst["A"], inst["B"], inst["C"], side, f["A"], f["BC"])
+    return _abco_sided(inst.theorem, inst["A"], inst["B"], inst["C"], f["A"], f["BC"])
 
 
-def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str,
-                  da: DualDrazinData, dw: DualDrazinData) -> DualMatrix:
-    """The [[A,B],[C,0]] series from the factorisations of A and W = BC."""
-    xa, xw = da.inverse, dw.inverse
-    w = dw.source
+def _abco_sided(theorem: str, a: DualMatrix, b: DualMatrix, c: DualMatrix,
+                da: DualDrazinData, dw: DualDrazinData) -> DualMatrix:
+    """[[A,B],[C,0]] from the factorisations of A and W = BC; the left form is the transposed right one."""
+    xa, w, xw = da.inverse, dw.source, dw.inverse
+    if theorem == "ABCO_RIGHT":
+        return _abco_formula(a, b, c, xa, w, xw, dw.index)
+    return _abco_formula(a.T, c.T, b.T, xa.T, w.T, xw.T, dw.index).T
+
+
+def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, xa: DualMatrix,
+                  w: DualMatrix, xw: DualMatrix, k: int) -> DualMatrix:
+    """The right [[A,B],[C,0]] series from A^D, W = BC, W^D and k = Ind(W)."""
     eye = DualMatrix.identity(a.shape[0])
-    w_e = dmul(w, xw)
-    w_pi = eye - w_e
+    w_pi = eye - dmul(w, xw)
     a_pi = eye - dmul(a, xa)
     aapi = dmul(a, a_pi)
     xa2 = dmul(xa, xa)
-    xw2 = dmul(xw, xw)
-    if side == "right":
-        s = dmul(w_pi, _power_series(xa, w, xa2, dw.index))
-        mid = dmul(s, xa) + dmul(xw, a_pi)
-        br = dmul(s, xa2) - dmul(xw2, aapi) - dmul(xw, xa)
-        return dblock([[s, dmul(mid, b)], [dmul(c, mid), dmul(dmul(c, br), b)]])
-    s = _power_series(dmul(xa2, w_pi), xa2, w, dw.index)
-    # XA (S W), not (XA S) W: on fuzz ABCO_LEFT seed 0, dims 6-10, trial 43
-    # the other order lifts the largest defining residual from 4.6e-9 to 1.1e-8
-    u = dmul(s, a) + dmul(xa, dmul(s, w))
-    tl = u - dmul(xa, w_e)
-    tr = dmul(s, b) + dmul(dmul(a_pi, xw), b)
-    bl = dmul(c, dmul(xa, u) - dmul(xa2, w_e) + dmul(a_pi, xw))
-    br = dmul(dmul(c, dmul(xa, s) - dmul(aapi, xw2) - dmul(xa, xw)), b)
-    return dblock([[tl, tr], [bl, br]])
+    s = dmul(w_pi, _power_series(xa, w, xa2, k))
+    mid = dmul(s, xa) + dmul(xw, a_pi)
+    br = dmul(s, xa2) - dmul(dmul(xw, xw), aapi) - dmul(xw, xa)
+    return dblock([[s, dmul(mid, b)], [dmul(c, mid), dmul(dmul(c, br), b)]])
 
 
 def _bipartite(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
-    b, c = inst["B"], inst["C"]
-    n, p = b.shape
-    xw = report.factorisations["BC"].inverse
-    return dblock([
-        [DualMatrix.zeros(n), dmul(xw, b)],
-        [dmul(c, xw), DualMatrix.zeros(p)],
-    ])
+    dw = report.factorisations["BC"]
+    zero = DualMatrix.zeros(inst["B"].shape[0])
+    return _abco_formula(zero, inst["B"], inst["C"], zero, dw.source, dw.inverse, dw.index)
 
 
 _FORMULAS = {
@@ -377,6 +373,13 @@ def sum_pq_zero(p: DualMatrix, q: DualMatrix, tol=None, res_tol=None) -> DualMat
     return closed_form(BlockInstance("SUM_PQ0", {"P": p, "Q": q}), tol, res_tol)
 
 
+def _sided(family: str, side: str) -> str:
+    """The theorem of family on side, which must be 'right' or 'left'."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return f"{family}_{side.upper()}"
+
+
 def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
                 tol=None, res_tol=None) -> DualMatrix:
     """Dual Drazin inverse of [[A,B],[I,0]] under the one-sided conditions.
@@ -384,10 +387,7 @@ def abio_drazin(a: DualMatrix, b: DualMatrix, side: str = "right",
     side selects which product must vanish: 'right' demands A A^e B = 0,
     'left' demands B A A^e = 0; both demand A A^pi to commute with B.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    theorem = "ABIO_RIGHT" if side == "right" else "ABIO_LEFT"
-    return closed_form(BlockInstance(theorem, {"A": a, "B": b}), tol, res_tol)
+    return closed_form(BlockInstance(_sided("ABIO", side), {"A": a, "B": b}), tol, res_tol)
 
 
 def abco_drazin(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right",
@@ -398,10 +398,7 @@ def abco_drazin(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right"
     A A^e W = 0, 'left' demands W A A^e = 0; both demand A A^pi to commute
     with W.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    theorem = "ABCO_RIGHT" if side == "right" else "ABCO_LEFT"
-    return closed_form(BlockInstance(theorem, {"A": a, "B": b, "C": c}), tol, res_tol)
+    return closed_form(BlockInstance(_sided("ABCO", side), {"A": a, "B": b, "C": c}), tol, res_tol)
 
 
 def abco_series(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right",
@@ -412,8 +409,9 @@ def abco_series(a: DualMatrix, b: DualMatrix, c: DualMatrix, side: str = "right"
     outside the class raises NotDualDrazinInvertible; the commutation and
     annihilation conditions are left to the caller.
     """
+    theorem = _sided("ABCO", side)
     w = dmul(b, c)
-    return _abco_formula(a, b, c, side, dual_drazin(a, tol, res_tol), dual_drazin(w, tol, res_tol))
+    return _abco_sided(theorem, a, b, c, dual_drazin(a, tol, res_tol), dual_drazin(w, tol, res_tol))
 
 
 def bipartite_drazin(b: DualMatrix, c: DualMatrix, tol=None, res_tol=None) -> DualMatrix:

@@ -13,6 +13,8 @@ double star keeps theta and its inverse.
 
 Every public closed form runs _graph_closed_form: the family's report,
 the gate the block closed forms use too (blocks._require), then the body.
+Each body is the [[A, B], [C, 0]] series blocks._abco_formula on the
+blocks _parts slices, at W = BC = 0 (_bc_zero) where the report gives it.
 
 Weights are dual complex numbers.  Arc weights may be pure infinitesimals;
 a weight that is zero in both parts means the arc is missing, which the
@@ -29,7 +31,7 @@ import numpy as np
 
 from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _condition, _membership,
                      _require, bipartite_drazin)
-from .dualmat import DualMatrix, dblock, dmul
+from .dualmat import DualMatrix, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .families import _WINDMILL_FORMS
@@ -317,16 +319,6 @@ def _scalar_scale(s: DualScalar, x: DualMatrix) -> DualMatrix:
     return DualMatrix._of(s.std * x.std, s.std * x.inf + s.inf * x.std)
 
 
-def _corner_formula(ad: DualMatrix, b_blk: DualMatrix, c_blk: DualMatrix) -> DualMatrix:
-    """[[A^D, A^2D B],[C A^2D, C A^3D B]], the leaf-bordered inverse layout."""
-    ad2 = dmul(ad, ad)
-    ad3 = dmul(ad2, ad)
-    return dblock([
-        [ad, dmul(ad2, b_blk)],
-        [dmul(c_blk, ad2), dmul(c_blk, dmul(ad3, b_blk))],
-    ])
-
-
 def _hub_first(inner: DualMatrix) -> DualMatrix:
     """Move the last row and column of a windmill inverse, the hub's, to the front."""
     n = inner.shape[0]
@@ -395,27 +387,35 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
 # factorisations and its blocks and theta's inverse from the spec.
 
 
+def _bc_zero(a: DualMatrix, b: DualMatrix, c: DualMatrix, xa: DualMatrix) -> DualMatrix:
+    """The series at W = BC = 0 (W^D = 0, Ind(W) = 1): [[A^D, A^2D B], [C A^2D, C A^3D B]]."""
+    zero = DualMatrix.zeros(a.shape[0])
+    return _abco_formula(a, b, c, xa, zero, zero, 1)
+
+
 def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
+    """[[A, B], [C, 0]] at BC = 0, the core A inverted through theta: A^D = theta^D A."""
     core, b_blk, c_blk = _parts(spec)
-    ad = _scalar_scale(spec._theta[1], core)
-    return _corner_formula(ad, b_blk, c_blk)
+    return _bc_zero(core, b_blk, c_blk, _scalar_scale(spec._theta[1], core))
 
 
 def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
-    _, b_blk, c_blk = _parts(spec)
-    return _corner_formula(report.factorisations["base"].inverse, b_blk, c_blk)
+    """[[A, B], [C, 0]] at BC = 0, with A^D the base's inverse from the report."""
+    core, b_blk, c_blk = _parts(spec)
+    return _bc_zero(core, b_blk, c_blk, report.factorisations["base"].inverse)
 
 
 def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    """The bordered-corner series of [[D, C],[B, 0]], hub moved first, for the drazin and group forms."""
+    """The ABCO right series of [[D, C],[B, 0]], hub moved first, for the drazin and group forms."""
     d_blk, c_col, b_row = _parts(spec)
-    f = report.factorisations
-    return _hub_first(_abco_formula(d_blk, c_col, b_row, "right", f["D"], f["W"]))
+    xd, dw = report.factorisations["D"].inverse, report.factorisations["W"]
+    return _hub_first(_abco_formula(d_blk, c_col, b_row, xd, dw.source, dw.inverse, dw.index))
 
 
 def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    _, c_col, b_row = _parts(spec)
-    return _hub_first(_corner_formula(report.factorisations["D"].inverse, c_col, b_row))
+    """The ABCO series of [[D, C],[B, 0]] at W = CB = 0, hub moved first."""
+    d_blk, c_col, b_row = _parts(spec)
+    return _hub_first(_bc_zero(d_blk, c_col, b_row, report.factorisations["D"].inverse))
 
 
 _FORMULAS = {

@@ -20,8 +20,9 @@ from dualdrazin import (
     tri_drazin,
 )
 from dualdrazin.cli import main
-from dualdrazin.blocks import Condition, HypothesisReport, _require
+from dualdrazin.blocks import Condition, HypothesisReport, _require, abco_series
 from dualdrazin.errors import HypothesisViolated, IndexTooLarge, NotDualDrazinInvertible, ShapeMismatch
+from dualdrazin.harness import GenConfig, gen_instance
 from dualdrazin.serialize import matrix_to_doc
 
 from conftest import rand_int_dual, rel_err
@@ -202,6 +203,31 @@ def test_abco_series_past_its_first_term(side, index):
     inst = BlockInstance(f"ABCO_{side.upper()}", {"A": a, "B": w, "C": dual_eye(a.shape[0])})
     want = dual_drazin(inst.assembled()).inverse
     assert (closed_form(inst) - want).norm() <= 1e-12 * want.norm()
+
+
+def test_abco_series_rejects_an_unknown_side():
+    a = dual_eye(2)
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        abco_series(a, a, a, side="up")
+
+
+@pytest.mark.parametrize("violate", [False, True])
+def test_the_left_abco_report_is_the_right_report_of_the_transpose(violate):
+    # the left body is the right series of (A^T, C^T, B^T), transposed; the
+    # left report, kept native, must give the verdict the right report of
+    # that triple gives
+    verdicts = set()
+    for seed in range(3):
+        cfg = GenConfig("ABCO_LEFT", trials=20, seed=seed, violate=violate)
+        for trial in range(cfg.trials):
+            inst = gen_instance(cfg, trial)
+            a, b, c = inst["A"], inst["B"], inst["C"]
+            left = check_hypotheses(inst)
+            right = check_hypotheses(BlockInstance("ABCO_RIGHT", {"A": a.T, "B": c.T, "C": b.T}))
+            flags = [[(x.name, x.passed) for x in rep.conditions] for rep in (left, right)]
+            assert flags[0] == flags[1]
+            verdicts.add(left.passed)
+    assert verdicts == {not violate}
 
 
 def test_bipartite_identity_is_involution():

@@ -32,7 +32,7 @@ from dualdrazin.errors import (
 )
 from dualdrazin.harness import _make_frame, gen_existence, gen_member
 
-from conftest import MISSED_NULL_VECTOR, rand_int_dual
+from conftest import MISSED_NULL_VECTOR, rand_int_dual, rel_err
 
 
 def random_complex(rng, n, kind):
@@ -190,6 +190,21 @@ def test_defining_equations_on_random_members(rng):
         out = dual_drazin(x)
         assert out.exists
         assert max(defining_residuals(x, out.inverse)) <= 1e-8
+
+
+def test_transposition_commutes_with_the_dual_drazin_inverse():
+    # (X^T)^D = (X^D)^T, the law the left anti-triangular forms are evaluated by
+    verdicts = []
+    for n in range(2, 17):
+        rng = np.random.default_rng([n, 17])
+        for x in (gen_member(n, rng), gen_existence(n, rng, False)):
+            dx = dualdrazin.drazin._factorise(x, None, None)
+            dt = dualdrazin.drazin._factorise(x.T, None, None)
+            assert (dt.exists, dt.index) == (dx.exists, dx.index)
+            if dx.exists:
+                assert rel_err(dt.inverse, dx.inverse.T) <= 1e-10
+            verdicts.append(dx.exists)
+    assert verdicts == [True, False] * 15
 
 
 def test_mixed_series_is_the_eps_part_of_the_kth_power(rng):

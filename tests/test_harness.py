@@ -240,10 +240,10 @@ PINNED_REPORTS = {
     (False, "ABIO_RIGHT"): "41b01bfaf5d36eb7",
     (False, "ABIO_LEFT"): "3b1e5d1e6a7b1ad3",
     (False, "ABCO_RIGHT"): "9ba0a63d29ea82ac",
-    (False, "ABCO_LEFT"): "51f542a9489df9c2",
+    (False, "ABCO_LEFT"): "2c0f9fe828601eef",
     (False, "BIPARTITE"): "8fc30acc7f405518",
     (False, "DOUBLE_STAR"): "cf2a32de305c5b60",
-    (False, "LINKED_STARS"): "94f4b2f46decd1fe",
+    (False, "LINKED_STARS"): "fa0b8d65466e724a",
     (False, "WINDMILL"): "d992649e94fe9698",
     (False, "WINDMILL_BC0"): "1ec47bb10942f64c",
     (False, "WINDMILL_GROUP"): "c22f7148d8cd399d",

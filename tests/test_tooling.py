@@ -329,7 +329,7 @@ def test_formula_bodies_only_evaluate():
     # body that raised for a hypothesis itself could pick another exit code
     package = ROOT / "src" / "dualdrazin"
     bodies = [body for name in ("blocks.py", "digraphs.py") for body in _formula_bodies(package / name)]
-    assert {"_sum_pq0", "_abco_formula", "_dw_formula", "_corner_formula"} <= {body.name for body in bodies}
+    assert {"_sum_pq0", "_abco_formula", "_dw_formula"} <= {body.name for body in bodies}
     assert [hit for body in bodies for hit in _gating(body)] == []
 
 
