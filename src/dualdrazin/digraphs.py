@@ -11,10 +11,13 @@ built (_validate), which also makes its weights read-only; it lays its
 matrix out on first use and keeps it read-only for every reader, and a
 double star keeps theta and its inverse.
 
-Every public closed form runs _graph_closed_form: the family's report,
-the gate the block closed forms use too (blocks._require), then the body.
-Each body is the [[A, B], [C, 0]] series blocks._abco_formula on the
-blocks _parts slices, at W = BC = 0 (_bc_zero) where the report gives it.
+Every family is [[A, B], [C, 0]] on the blocks _parts slices (the
+windmill's once its hub is moved last), and is checked (graph_hypotheses)
+and inverted (blocks._abco_formula) on them.  Every public closed form
+runs _graph_closed_form: the report, the gate the block closed forms use
+too (blocks._require), then the body.  The double star, linked stars and
+the bc_zero windmill share one report, BC = 0 and a membership of A, and
+one body, the series at BC = 0 (_bc_zero).
 
 Weights are dual complex numbers.  Arc weights may be pure infinitesimals;
 a weight that is zero in both parts means the arc is missing, which the
@@ -326,59 +329,46 @@ def _hub_first(inner: DualMatrix) -> DualMatrix:
     return DualMatrix._of(inner.std[np.ix_(order, order)], inner.inf[np.ix_(order, order)])
 
 
-def _ortho_condition(name: str, u: DualMatrix, v: DualMatrix, res_tol) -> Condition:
-    return _condition(name, float(abs(_dual_dot(u, v))), 1.0 + u.norm() * v.norm(), res_tol)
-
-
 def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=None) -> HypothesisReport:
-    """Residual report for the conditions the family formulas rely on.
+    """Residual report of the family formula, on the blocks of [[A, B], [C, 0]].
 
-    form selects the windmill variant.  The windmill is [[D, C], [B, 0]]
-    once its hub is moved last, with D the block-diagonal blade matrix, C
-    the hub's fan column and B its fan row.  "drazin" and "group" check it
-    as the ABCO right form does (blocks._abco_conditions): commutation and
-    annihilation of D with the hub product W = CB, whose (s, t) block is
-    y_s x_t^T, then whether D and W have dual Drazin inverses
-    (membership_D, hub_membership); "group" adds the two
-    index-at-most-one requirements.  "bc_zero" checks that W vanishes
-    (outer_zero) and membership_D.  Double star and linked stars ignore
-    form and report fan orthogonality; the double star also reports whether
-    theta = x^T y + ab has a dual Drazin inverse, and linked stars whether
-    the core does (membership_base).  The report keeps the factorisation of
-    every matrix the family formula inverts.
+    The blocks are those _parts slices, the windmill's once its hub is
+    moved last (A the blade matrix D, B and C the hub's fan column and
+    row), and W = BC.  form selects the windmill variant; any other form
+    is refused for every family.  The double star, linked stars and the
+    "bc_zero" windmill report that W vanishes (outer_zero; on a double star
+    W has the one entry w^T v, on linked stars it is diag(x_i^T y_i)) and
+    that A has a dual Drazin inverse (theta_membership, through
+    theta = x^T y + ab; membership_base; membership_D).  The windmill's
+    "drazin" and "group" forms give the ABCO right report
+    (blocks._abco_conditions), membership_D and W's hub_membership;
+    "group" adds the two index-at-most-one requirements.  The
+    factorisations of A and W are kept under those keys.
     """
     _known(spec)
-    if isinstance(spec, DoubleStar):
-        theta, inverse = spec._theta
-        conds = (
-            _ortho_condition("fan_orthogonality", spec.w, spec.v, res_tol),
-            Condition("theta_membership", abs(theta.inf) if inverse is None else 0.0, inverse is not None),
-        )
-        return HypothesisReport("DOUBLE_STAR", conds)
-    factors: dict = {}
-    membership = _membership(factors, tol, res_tol)
-    if isinstance(spec, DLinkedStars):
-        conds = [
-            _ortho_condition(f"fan_orthogonality_{i + 1}", xi, yi, res_tol)
-            for i, (xi, yi) in enumerate(zip(spec.x, spec.y))
-        ]
-        conds.append(membership("base", spec.base))
-        return HypothesisReport("LINKED_STARS", tuple(conds), factors)
     if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
-    d_blk, c_col, b_row = _parts(spec)
-    w = dmul(c_col, b_row)
-    membership_d = membership("D", d_blk)
-    if form == "bc_zero":
-        conds = [_condition("outer_zero", w.norm(), 1.0 + c_col.norm() * b_row.norm(), res_tol), membership_d]
+    a, b, c = _parts(spec)
+    w = dmul(b, c)
+    factors: dict = {}
+    membership = _membership(factors, tol, res_tol)
+    if isinstance(spec, DoubleStar):
+        theta, inverse = spec._theta
+        member = Condition("theta_membership", abs(theta.inf) if inverse is None else 0.0, inverse is not None)
+        theorem = "DOUBLE_STAR"
+    elif isinstance(spec, DLinkedStars):
+        member, theorem = membership("A", a, "membership_base"), "LINKED_STARS"
     else:
-        conds = _abco_conditions(d_blk, w, factors["D"].inverse, "right", res_tol)
-        conds.append(membership_d)
-        conds.append(membership("W", w, "hub_membership"))
-    if form == "group":
-        for name, dd in (("blade_group_index", factors["D"]), ("hub_group_index", factors["W"])):
+        member, theorem = membership("A", a, "membership_D"), _WINDMILL_FORMS[form]
+    if theorem not in ("WINDMILL", "WINDMILL_GROUP"):
+        conds = [_condition("outer_zero", w.norm(), 1.0 + b.norm() * c.norm(), res_tol), member]
+        return HypothesisReport(theorem, tuple(conds), factors)
+    conds = _abco_conditions(a, w, factors["A"].inverse, "right", res_tol)
+    conds += [member, membership("W", w, "hub_membership")]
+    if theorem == "WINDMILL_GROUP":
+        for name, dd in (("blade_group_index", factors["A"]), ("hub_group_index", factors["W"])):
             conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
-    return HypothesisReport(_WINDMILL_FORMS[form], tuple(conds), factors)
+    return HypothesisReport(theorem, tuple(conds), factors)
 
 
 # Formula bodies: (spec, its passed report) -> inverse of the adjacency
@@ -387,42 +377,31 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
 # factorisations and its blocks and theta's inverse from the spec.
 
 
-def _bc_zero(a: DualMatrix, b: DualMatrix, c: DualMatrix, xa: DualMatrix) -> DualMatrix:
-    """The series at W = BC = 0 (W^D = 0, Ind(W) = 1): [[A^D, A^2D B], [C A^2D, C A^3D B]]."""
+def _bc_zero(spec: GraphSpec, report: HypothesisReport) -> DualMatrix:
+    """The series at W = BC = 0 (W^D = 0, Ind(W) = 1): [[A^D, A^2D B], [C A^2D, C A^3D B]].
+
+    A^D is theta^D A on the double star and the report's otherwise; a
+    windmill's hub is moved back to the front.
+    """
+    a, b, c = _parts(spec)
+    xa = _scalar_scale(spec._theta[1], a) if isinstance(spec, DoubleStar) else report.factorisations["A"].inverse
     zero = DualMatrix.zeros(a.shape[0])
-    return _abco_formula(a, b, c, xa, zero, zero, 1)
-
-
-def _ds_formula(spec: DoubleStar, report: HypothesisReport) -> DualMatrix:
-    """[[A, B], [C, 0]] at BC = 0, the core A inverted through theta: A^D = theta^D A."""
-    core, b_blk, c_blk = _parts(spec)
-    return _bc_zero(core, b_blk, c_blk, _scalar_scale(spec._theta[1], core))
-
-
-def _dls_formula(spec: DLinkedStars, report: HypothesisReport) -> DualMatrix:
-    """[[A, B], [C, 0]] at BC = 0, with A^D the base's inverse from the report."""
-    core, b_blk, c_blk = _parts(spec)
-    return _bc_zero(core, b_blk, c_blk, report.factorisations["base"].inverse)
+    inverse = _abco_formula(a, b, c, xa, zero, zero, 1)
+    return _hub_first(inverse) if isinstance(spec, DutchWindmill) else inverse
 
 
 def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    """The ABCO right series of [[D, C],[B, 0]], hub moved first, for the drazin and group forms."""
-    d_blk, c_col, b_row = _parts(spec)
-    xd, dw = report.factorisations["D"].inverse, report.factorisations["W"]
-    return _hub_first(_abco_formula(d_blk, c_col, b_row, xd, dw.source, dw.inverse, dw.index))
-
-
-def _bc0_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
-    """The ABCO series of [[D, C],[B, 0]] at W = CB = 0, hub moved first."""
-    d_blk, c_col, b_row = _parts(spec)
-    return _hub_first(_bc_zero(d_blk, c_col, b_row, report.factorisations["D"].inverse))
+    """The ABCO right series of the windmill's blocks, hub moved first, for the drazin and group forms."""
+    a, b, c = _parts(spec)
+    xa, dw = report.factorisations["A"].inverse, report.factorisations["W"]
+    return _hub_first(_abco_formula(a, b, c, xa, dw.source, dw.inverse, dw.index))
 
 
 _FORMULAS = {
-    "DOUBLE_STAR": _ds_formula,
-    "LINKED_STARS": _dls_formula,
+    "DOUBLE_STAR": _bc_zero,
+    "LINKED_STARS": _bc_zero,
     "WINDMILL": _dw_formula,
-    "WINDMILL_BC0": _bc0_formula,
+    "WINDMILL_BC0": _bc_zero,
     "WINDMILL_GROUP": _dw_formula,
 }
 
@@ -437,9 +416,10 @@ def _graph_closed_form(spec: GraphSpec, form: str, tol, res_tol) -> DualMatrix:
 def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
     """Closed-form dual Drazin inverse of a double star adjacency matrix.
 
-    Requires the hub2 fan to be dual-orthogonal (w^T v vanishes in both
-    parts).  The core inverts through the single dual number
-    theta = x^T y + a*b; a pure-infinitesimal theta admits no inverse.
+    The [[A, B], [C, 0]] form at BC = 0: BC has the one entry w^T v, at
+    (hub2, hub2), so the hub2 fan must be dual-orthogonal.  The core A
+    inverts through the single dual number theta = x^T y + a*b, as
+    A^D = theta^D A; a pure-infinitesimal theta admits no inverse.
     """
     return _graph_closed_form(spec, "drazin", tol, res_tol)
 
@@ -447,9 +427,10 @@ def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
 def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
     """Closed-form dual Drazin inverse of a linked stars adjacency matrix.
 
-    Requires every leaf fan to be dual-orthogonal to its return weights,
-    which zeroes the fan-to-fan product and leaves the core's dual Drazin
-    inverse as the only nontrivial ingredient.
+    The [[A, B], [C, 0]] form at BC = 0, with A the core: BC is
+    diag(x_i^T y_i), so every leaf fan must be dual-orthogonal to its
+    return weights, and the core's dual Drazin inverse is the only
+    nontrivial ingredient.
     """
     return _graph_closed_form(spec, "drazin", tol, res_tol)
 

@@ -689,9 +689,10 @@ def _instance_doc(inst) -> dict:
 def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
     """Check one instance: hypotheses, closed form, oracle, defining residuals.
 
-    form is the graph_hypotheses form a windmill is checked under; block
-    instances, double stars and linked stars ignore it.  The formula body
-    is the _FORMULAS entry of the report's theorem.
+    form is the graph_hypotheses form a windmill is checked under; a double
+    star or linked stars takes "drazin", its one BC = 0 report, and block
+    instances ignore it.  The formula body is the _FORMULAS entry of the
+    report's theorem.
 
     Fills record with order, hypotheses_pass and hypothesis_residuals, then,
     when every hypothesis holds, closed_form_error (the relative gap to the

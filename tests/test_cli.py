@@ -686,7 +686,10 @@ def test_report_gaps_are_exit_2_and_closed_forms_stay_exit_3(gap, write, capsys,
 # every ABCO condition, yet [[0, eps], [eps, 0]] has no dual Drazin
 # inverse.  The windmill with D = 0 and eps fans is the same matrix through
 # _dw_formula, BIPARTITE is ABCO with A = 0, and the linked-star body is
-# ABCO with W = 0.  These cases assert what a mended report gives: verify
+# ABCO with W = 0.  The double star with eps fans on hub2 has W = eps^2 = 0
+# and an invertible theta = 2, yet no inverse: verify's oracle raises
+# (exit 3) and the closed form writes a non-inverse whose first defining
+# residual is 0.29.  These cases assert what a mended report gives: verify
 # reports a failed hypothesis (exit 2) and no closed form exits 0.
 ABCO_GAPS = {
     "abco_right": BlockInstance("ABCO_RIGHT", {"A": DualMatrix([[0]]), "B": EPS, "C": EPS}),
@@ -695,6 +698,7 @@ ABCO_GAPS = {
     **{f"windmill_{form}": DutchWindmill(m=1, n=1, blades=(DualMatrix([[0]]),), x=(EPS,), y=(EPS,))
        for form in ("drazin", "bc-zero", "group")},
     "linked_stars": DLinkedStars(base=DualMatrix([[0]]), r=(1,), x=(EPS,), y=(EPS,)),
+    "double_star": DoubleStar(m=1, n=1, x=_col(1), y=_col(1), w=EPS, v=EPS, a=DualScalar(1), b=DualScalar(1)),
 }
 
 

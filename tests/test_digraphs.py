@@ -414,12 +414,20 @@ def test_windmill_residuals_are_those_of_the_abco_right_report(family, violate):
             assert report.residual(name) == abco.residual(name), (trial, name)
 
 
-def test_windmill_bc_zero_checks_the_whole_hub_product():
-    spec = windmill_pattern(2, 2)
-    report = graph_hypotheses(spec, "bc_zero")
-    assert [c.name for c in report.conditions] == ["outer_zero", "membership_D"]
-    _, c_col, b_row = dualdrazin.digraphs._parts(spec)
-    assert report.residual("outer_zero") == dmul(c_col, b_row).norm() > 0
+# the one BC = 0 report: outer_zero, then the membership of A of each family
+BC_ZERO_MEMBERSHIP = {"DOUBLE_STAR": "theta_membership", "LINKED_STARS": "membership_base",
+                      "WINDMILL_BC0": "membership_D"}
+
+
+@pytest.mark.parametrize("family", sorted(BC_ZERO_MEMBERSHIP))
+def test_bc_zero_reports_check_the_whole_product_bc(family):
+    # a violating draw has all-ones fans, so BC is nonzero on the blocks
+    spec = gen_instance(GenConfig(family, trials=1, seed=0, violate=True), 0)
+    report = graph_hypotheses(spec, _FUZZ_FORMS.get(family, "drazin"))
+    assert report.theorem == family
+    assert [c.name for c in report.conditions] == ["outer_zero", BC_ZERO_MEMBERSHIP[family]]
+    _, b, c = dualdrazin.digraphs._parts(spec)
+    assert report.residual("outer_zero") == dmul(b, c).norm() > 0
 
 
 def test_windmill_rejects_skew_fans():
@@ -456,8 +464,10 @@ def test_graph_hypotheses_reports():
                       w=col([1.0, 1.0]), v=col([1.0, 1.0]),
                       a=good.a, b=good.b)
     assert not graph_hypotheses(skew).passed
-    with pytest.raises(SpecInvalid):
-        graph_hypotheses(windmill_pattern(2, 2), form="sideways")
+    linked = DLinkedStars(base=DualMatrix([[1]]), r=(2,), x=(col([1.0, 1.0]),), y=(col([1.0, -1.0]),))
+    for spec in (good, linked, windmill_pattern(2, 2)):
+        with pytest.raises(SpecInvalid, match="unknown windmill form 'sideways'"):
+            graph_hypotheses(spec, form="sideways")
 
 
 def test_permutation_similarity_of_inverse():

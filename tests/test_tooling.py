@@ -359,7 +359,7 @@ def test_every_condition_name_falls_in_one_class_of_the_gate():
 
     names = _condition_names()
     assert {"product_zero", "theta_membership", "hub_membership", "hub_group_index",
-            "commutation", "annihilation", "outer_zero", "fan_orthogonality_1"} <= set(names)
+            "commutation", "annihilation", "outer_zero", "membership_base"} <= set(names)
     for name in names:
         # the three classes: an index, a membership, or neither (a residual)
         index, membership = name.endswith("_index"), "membership" in name
