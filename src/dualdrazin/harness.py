@@ -690,8 +690,8 @@ def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -
     """Check one instance: hypotheses, closed form, oracle, defining residuals.
 
     form is the graph_hypotheses form a windmill is checked under; a double
-    star or linked stars takes "drazin", its one BC = 0 report, and block
-    instances ignore it.  The formula body is the _FORMULAS entry of the
+    star or linked stars accepts any of the three forms and ignores it (its
+    one report is the BC = 0 report), and block instances ignore it.  The formula body is the _FORMULAS entry of the
     report's theorem.
 
     Fills record with order, hypotheses_pass and hypothesis_residuals, then,

@@ -430,6 +430,30 @@ def test_bc_zero_reports_check_the_whole_product_bc(family):
     assert report.residual("outer_zero") == dmul(b, c).norm() > 0
 
 
+def _fans(*fans):
+    cols = [DualMatrix(np.array(v, dtype=float).reshape(-1, 1)) for v in fans]
+    return tuple(cols[0::2]), tuple(cols[1::2])
+
+
+def test_outer_zero_weighs_each_fan_against_the_whole_fan_scale():
+    # outer_zero is normwise: BC = diag(x_i^T y_i) is weighed against
+    # 1 + ||B|| ||C|| of all fans, not each dot against 1 + ||x_i|| ||y_i||.
+    # Fan 1's dot of 1e-3 therefore passes beside a fan 2 of scale 2e6 ...
+    x, y = _fans([1], [1e-3], [1e3, 1e3], [1e3, -1e3])
+    spec = DLinkedStars(base=DualMatrix(np.eye(2)), r=(1, 2), x=x, y=y)
+    report = graph_hypotheses(spec)
+    assert report.residual("outer_zero") == pytest.approx(1e-3, rel=1e-12)
+    assert report.passed
+    # ... so verify evaluates the closed form, and finds it off the oracle
+    record: dict = {}
+    _verify(spec, "drazin", None, None, 1e-8, record)
+    assert record["hypotheses_pass"] and not record["pass"]
+    assert 1e-4 < record["closed_form_error"] < 1e-3
+    # ... and fails beside a fan 2 of unit scale
+    x, y = _fans([1], [1e-3], [1, 1], [1, -1])
+    assert not graph_hypotheses(DLinkedStars(base=DualMatrix(np.eye(2)), r=(1, 2), x=x, y=y)).passed
+
+
 def test_windmill_rejects_skew_fans():
     spec = windmill_pattern(2, 2)
     with pytest.raises(HypothesisViolated):
