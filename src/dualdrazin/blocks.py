@@ -178,7 +178,7 @@ def _abco_conditions(a: DualMatrix, w: DualMatrix, a_inverse: DualMatrix, side: 
     """commutation and annihilation of [[A, B], [C, 0]] with W = BC, from A's ungated inverse.
 
     The report of every anti-triangular form: ABIO (W = B), ABCO, and the
-    windmill, which is [[D, C], [B, 0]] once its hub is moved last.
+    windmill, which is [[D, B], [C, 0]] once its hub is moved last.
     """
     ae = dmul(a, a_inverse)
     aapi = dmul(a, DualMatrix.identity(a.shape[0]) - ae)

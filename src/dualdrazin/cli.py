@@ -68,27 +68,21 @@ EXIT_SCHEMA = 4
 # at 32 and 3.2 s at 48 (random entries in -3..3, best of 3, 2-vCPU VM)
 _SMITH_MAX_ORDER = 32
 
-# block verb -> the blocks attribute holding its public closed form, which
-# takes the verb's blocks in the order of its theorem's _SHAPES keys.  The
+# block verb -> (theorem whose lower-cased _SHAPES keys are the block
+# options, help, (variant option, its choices with the default first) or
+# None, the blocks attribute holding its public closed form).  The form
+# takes the verb's blocks in the order of the theorem's _SHAPES keys.  The
 # verb looks the form up when it runs, so a wrapper bound in its place on
 # the blocks module also wraps the verb.
-_BLOCK_FORMS = {
-    "cline": "cline",
-    "tri": "tri_drazin",
-    "abio": "abio_drazin",
-    "abco": "abco_drazin",
-    "bipartite": "bipartite_drazin",
-}
-
-# block verb -> (theorem whose lower-cased _SHAPES keys are the block
-# options, help, (variant option, its choices with the default first) or None)
 _BLOCK_VERBS = {
-    "cline": ("CLINE", "inverse of a product from the swapped product", None),
+    "cline": ("CLINE", "inverse of a product from the swapped product", None, "cline"),
     "tri": ("TRI_UPPER", "block triangular inverse from the diagonal blocks",
-            ("orientation", ("upper", "lower"))),
-    "abio": ("ABIO_RIGHT", "anti-triangular inverse with identity corner", ("side", ("right", "left"))),
-    "abco": ("ABCO_RIGHT", "bordered block inverse with zero corner", ("side", ("right", "left"))),
-    "bipartite": ("BIPARTITE", "inverse of an off-diagonal two-block matrix", None),
+            ("orientation", ("upper", "lower")), "tri_drazin"),
+    "abio": ("ABIO_RIGHT", "anti-triangular inverse with identity corner", ("side", ("right", "left")),
+             "abio_drazin"),
+    "abco": ("ABCO_RIGHT", "bordered block inverse with zero corner", ("side", ("right", "left")),
+             "abco_drazin"),
+    "bipartite": ("BIPARTITE", "inverse of an off-diagonal two-block matrix", None, "bipartite_drazin"),
 }
 
 # --form values: the windmill variant, a graph_hypotheses form with "_" as "-"
@@ -196,10 +190,10 @@ def _cmd_rank(args) -> int:
 def _cmd_block(args) -> int:
     from . import blocks
 
-    theorem, _, variant = _BLOCK_VERBS[args.command]
+    theorem, _, variant, form_name = _BLOCK_VERBS[args.command]
     operands = [_load_matrix(getattr(args, key.lower())) for key in _SHAPES[theorem]]
     options = {variant[0]: getattr(args, variant[0])} if variant else {}
-    form = getattr(blocks, _BLOCK_FORMS[args.command])
+    form = getattr(blocks, form_name)
     out = form(*operands, tol=args.rank_tol, res_tol=args.residual_tol, **options)
     _emit((_matrix_doc(out), args.output))
     return EXIT_OK
@@ -311,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True)
     p.set_defaults(func=_cmd_rank)
 
-    for verb, (theorem, help_text, variant) in _BLOCK_VERBS.items():
+    for verb, (theorem, help_text, variant, _) in _BLOCK_VERBS.items():
         p = sub.add_parser(verb, parents=[common], help=help_text)
         for key in _SHAPES[theorem]:
             p.add_argument("-" + key.lower(), required=True)

@@ -5,15 +5,15 @@ fans), linked stars (a core digraph whose vertices each carry a leaf fan),
 and windmills (even cycles joined at a common hub).  Each family has a
 canonical vertex ordering, so its adjacency matrix is reproducible
 bit-for-bit, and a closed-form dual Drazin inverse built from the blocks
-of that layout.  The layout is written once per family (_layout), for the
-standard and the infinitesimal parts alike.  A spec is checked when it is
-built (_validate), which also makes its weights read-only; it lays its
-matrix out on first use and keeps it read-only for every reader, and a
-double star keeps theta and its inverse.
+of that layout.  A spec is checked when it is built (_validate), which
+also makes its weights read-only, and a double star keeps theta and its
+inverse.
 
-Every family is [[A, B], [C, 0]] on the blocks _parts slices (the
-windmill's once its hub is moved last), and is checked (graph_hypotheses)
-and inverted (blocks._abco_formula) on them.  Every public closed form
+Every family is [[A, B], [C, 0]], the windmill once its hub is moved
+last: _blocks places every weight straight into A, B and C.  A spec keeps
+them (_Spec._parts) and the adjacency built from them (_Spec._adjacency),
+read-only and made once.  Each family is checked (graph_hypotheses) and
+inverted (blocks._abco_formula) on its blocks.  Every public closed form
 runs _graph_closed_form: the report, the gate the block closed forms use
 too (blocks._require), then the body.  The double star, linked stars and
 the bc_zero windmill share one report, BC = 0 and a membership of A, and
@@ -34,7 +34,7 @@ import numpy as np
 
 from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _condition, _membership,
                      _require, bipartite_drazin)
-from .dualmat import DualMatrix, dmul
+from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import DualScalar, scalar_dual_drazin
 from .errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .families import _WINDMILL_FORMS
@@ -69,11 +69,11 @@ __all__ = [
 
 
 class _Spec:
-    """A graph spec, checked when it is built, with read-only weights and a read-only adjacency laid out once."""
+    """A graph spec, checked when it is built, with read-only weights, blocks and adjacency, each made once."""
 
     def __post_init__(self):
         _validate(self)
-        # the check and the kept layout read each weight once, so a later
+        # the check and the kept blocks read each weight once, so a later
         # write into one would go unseen: freeze the parts of every weight
         for value in vars(self).values():
             for weight in value if isinstance(value, tuple) else (value,):
@@ -81,10 +81,23 @@ class _Spec:
                     weight.std.flags.writeable = weight.inf.flags.writeable = False
 
     @cached_property
+    def _parts(self) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
+        """(A, B, C) of [[A, B], [C, 0]], as _blocks places them."""
+        parts = []
+        for std, inf in zip(_blocks(self, "std"), _blocks(self, "inf")):
+            std.flags.writeable = inf.flags.writeable = False
+            parts.append(DualMatrix._of(std, inf))
+        return tuple(parts)
+
+    @cached_property
     def _adjacency(self) -> DualMatrix:
-        std, inf = _layout(self, "std"), _layout(self, "inf")
-        std.flags.writeable = inf.flags.writeable = False
-        return DualMatrix._of(std, inf)
+        """[[A, B], [C, 0]] of the kept blocks, the windmill's hub moved to the front."""
+        a, b, c = self._parts
+        matrix = dblock([[a, b], [c, DualMatrix.zeros(c.shape[0])]])
+        if isinstance(self, DutchWindmill):
+            matrix = _hub_first(matrix)
+        matrix.std.flags.writeable = matrix.inf.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -174,7 +187,7 @@ def _validate(spec: GraphSpec) -> None:
         for name, s in (("a", spec.a), ("b", spec.b)):
             if not isinstance(s, DualScalar) or not s.is_appreciable(scale=1.0 + abs(s)):
                 raise SpecInvalid(f"hub-to-hub weight {name} must be appreciable")
-        # the layout takes every weight unchecked; only these scalars can hold
+        # _blocks takes every weight unchecked; only these scalars can hold
         # a NaN, in the infinitesimal part, which the appreciability test lets by
         if not (cmath.isfinite(spec.a.inf) and cmath.isfinite(spec.b.inf)):
             raise NonFiniteEntries("dual matrix entries must be finite")
@@ -208,57 +221,42 @@ def _known(spec) -> None:
         raise SpecInvalid(f"unknown graph spec {type(spec).__name__}")
 
 
-def _layout(spec: GraphSpec, part: str) -> np.ndarray:
-    """One part ("std" or "inf") of every weight, placed in the adjacency matrix.
+def _blocks(spec: GraphSpec, part: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One part ("std" or "inf") of every weight, placed in the blocks (A, B, C) of [[A, B], [C, 0]].
 
-    Double star: [[A, B], [C, 0]] with A the hub1 star plus hub2, B hub2's
-    leaf row and C hub2's leaf column.  Linked stars: the same with A the
-    core.  Windmill: [[0, B], [C, D]] with the hub first, B its fan row, C
-    its fan column and D the block-diagonal blade matrix.
+    Double star: A is the hub1 star plus hub2 (x, y, a and b), B hub2's
+    leaf row w and C hub2's leaf column v.  Linked stars: A is the core,
+    row i of B the fan x_i and column i of C the return weights y_i.
+    Windmill, its hub last: A is the block-diagonal blade matrix D, B the
+    hub's fan column (the blade->hub weights y) and C its fan row (the
+    hub->blade weights x).
     """
     if isinstance(spec, DoubleStar):
-        m = spec.m
-        out = np.zeros((m + spec.n + 2,) * 2, dtype=complex)
-        out[0, 1 : m + 1] = getattr(spec.x, part)[:, 0]
-        out[1 : m + 1, 0] = getattr(spec.y, part)[:, 0]
-        out[0, m + 1] = getattr(spec.a, part)
-        out[m + 1, 0] = getattr(spec.b, part)
-        out[m + 1, m + 2 :] = getattr(spec.w, part)[:, 0]
-        out[m + 2 :, m + 1] = getattr(spec.v, part)[:, 0]
-        return out
+        k = spec.m + 2
+        a, b, c = (np.zeros(shape, dtype=complex) for shape in ((k, k), (k, spec.n), (spec.n, k)))
+        a[0, 1 : k - 1] = getattr(spec.x, part)[:, 0]
+        a[1 : k - 1, 0] = getattr(spec.y, part)[:, 0]
+        a[0, k - 1] = getattr(spec.a, part)
+        a[k - 1, 0] = getattr(spec.b, part)
+        b[k - 1] = getattr(spec.w, part)[:, 0]
+        c[:, k - 1] = getattr(spec.v, part)[:, 0]
+        return a, b, c
     if isinstance(spec, DLinkedStars):
-        n = spec.base.shape[0]
-        offset = n
-        out = np.zeros((n + sum(spec.r),) * 2, dtype=complex)
-        out[:n, :n] = getattr(spec.base, part)
+        n, leaves = spec.base.shape[0], sum(spec.r)
+        b, c = np.zeros((n, leaves), dtype=complex), np.zeros((leaves, n), dtype=complex)
+        offset = 0
         for i, ri in enumerate(spec.r):
-            out[i, offset : offset + ri] = getattr(spec.x[i], part)[:, 0]
-            out[offset : offset + ri, i] = getattr(spec.y[i], part)[:, 0]
+            b[i, offset : offset + ri] = getattr(spec.x[i], part)[:, 0]
+            c[offset : offset + ri, i] = getattr(spec.y[i], part)[:, 0]
             offset += ri
-        return out
+        return getattr(spec.base, part), b, c
     size = 2 * spec.n - 1
-    out = np.zeros((1 + spec.m * size,) * 2, dtype=complex)
-    for s in range(spec.m):
-        blade = slice(1 + s * size, 1 + (s + 1) * size)
-        out[0, blade] = getattr(spec.x[s], part)[:, 0]
-        out[blade, 0] = getattr(spec.y[s], part)[:, 0]
-        out[blade, blade] = getattr(spec.blades[s], part)
-    return out
-
-
-def _parts(spec: GraphSpec) -> tuple[DualMatrix, DualMatrix, DualMatrix]:
-    """(A, B, C) of [[A, B], [C, 0]], sliced from the spec's adjacency matrix.
-
-    The windmill's hub-first [[0, B], [C, D]] gives (D, C, B): its blocks
-    in the [[A, B], [C, 0]] order once the hub is moved last.
-    """
-    matrix = spec._adjacency
-    if isinstance(spec, DutchWindmill):
-        hub, rest = slice(0, 1), slice(1, None)
-        return matrix.block(rest, rest), matrix.block(rest, hub), matrix.block(hub, rest)
-    k = spec.m + 2 if isinstance(spec, DoubleStar) else spec.base.shape[0]
-    core, leaves = slice(0, k), slice(k, None)
-    return matrix.block(core, core), matrix.block(core, leaves), matrix.block(leaves, core)
+    a = np.zeros((spec.m * size,) * 2, dtype=complex)
+    for s, blade in enumerate(spec.blades):
+        a[s * size : (s + 1) * size, s * size : (s + 1) * size] = getattr(blade, part)
+    b = np.concatenate([getattr(ys, part) for ys in spec.y])
+    c = np.concatenate([getattr(xs, part) for xs in spec.x]).reshape(1, -1)
+    return a, b, c
 
 
 def build_adjacency(spec: GraphSpec) -> AdjacencyBuild:
@@ -322,22 +320,22 @@ def _scalar_scale(s: DualScalar, x: DualMatrix) -> DualMatrix:
     return DualMatrix._of(s.std * x.std, s.std * x.inf + s.inf * x.std)
 
 
-def _hub_first(inner: DualMatrix) -> DualMatrix:
-    """Move the last row and column of a windmill inverse, the hub's, to the front."""
-    n = inner.shape[0]
+def _hub_first(x: DualMatrix) -> DualMatrix:
+    """Move the last row and column, the hub's, to the front: a windmill's adjacency and inverse are hub first."""
+    n = x.shape[0]
     order = np.concatenate(([n - 1], np.arange(n - 1)))
-    return DualMatrix._of(inner.std[np.ix_(order, order)], inner.inf[np.ix_(order, order)])
+    return DualMatrix._of(x.std[np.ix_(order, order)], x.inf[np.ix_(order, order)])
 
 
 def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=None) -> HypothesisReport:
     """Residual report of the family formula, on the blocks of [[A, B], [C, 0]].
 
-    The blocks are those _parts slices, the windmill's once its hub is
-    moved last (A the blade matrix D, B and C the hub's fan column and
-    row), and W = BC.  form selects the windmill variant; any other form
-    is refused for every family.  The double star, linked stars and the
-    "bc_zero" windmill report that W vanishes (outer_zero; on a double star
-    W has the one entry w^T v, on linked stars it is diag(x_i^T y_i)) and
+    The blocks are the spec's _parts (a windmill's, its hub last: A the
+    blade matrix D, B the hub's fan column y, C its fan row x), and W = BC.
+    form selects the windmill variant; any other form is refused for every
+    family.  The double star, linked stars and the "bc_zero" windmill
+    report that W vanishes, each entry W_ij against 1 + ||B_i,:|| ||C_:,j||
+    (outer_zero; w^T v on a double star, x_i^T y_i on linked stars), and
     that A has a dual Drazin inverse (theta_membership, through
     theta = x^T y + ab; membership_base; membership_D).  The windmill's
     "drazin" and "group" forms give the ABCO right report
@@ -348,7 +346,7 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     _known(spec)
     if form not in _WINDMILL_FORMS:
         raise SpecInvalid(f"unknown windmill form {form!r}")
-    a, b, c = _parts(spec)
+    a, b, c = spec._parts
     w = dmul(b, c)
     factors: dict = {}
     membership = _membership(factors, tol, res_tol)
@@ -361,7 +359,11 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     else:
         member, theorem = membership("A", a, "membership_D"), _WINDMILL_FORMS[form]
     if theorem not in ("WINDMILL", "WINDMILL_GROUP"):
-        conds = [_condition("outer_zero", w.norm(), 1.0 + b.norm() * c.norm(), res_tol), member]
+        # the largest W_ij against 1 + ||B_i,:|| ||C_:,j||: each fan's dot at its own scale
+        rows = np.linalg.norm(np.hstack((b.std, b.inf)), axis=1)
+        cols = np.linalg.norm(np.vstack((c.std, c.inf)), axis=0)
+        ratio = np.hypot(abs(w.std), abs(w.inf)) / (1.0 + np.outer(rows, cols))
+        conds = [_condition("outer_zero", float(ratio.max()), 1.0, res_tol), member]
         return HypothesisReport(theorem, tuple(conds), factors)
     conds = _abco_conditions(a, w, factors["A"].inverse, "right", res_tol)
     conds += [member, membership("W", w, "hub_membership")]
@@ -383,7 +385,7 @@ def _bc_zero(spec: GraphSpec, report: HypothesisReport) -> DualMatrix:
     A^D is theta^D A on the double star and the report's otherwise; a
     windmill's hub is moved back to the front.
     """
-    a, b, c = _parts(spec)
+    a, b, c = spec._parts
     xa = _scalar_scale(spec._theta[1], a) if isinstance(spec, DoubleStar) else report.factorisations["A"].inverse
     zero = DualMatrix.zeros(a.shape[0])
     inverse = _abco_formula(a, b, c, xa, zero, zero, 1)
@@ -392,7 +394,7 @@ def _bc_zero(spec: GraphSpec, report: HypothesisReport) -> DualMatrix:
 
 def _dw_formula(spec: DutchWindmill, report: HypothesisReport) -> DualMatrix:
     """The ABCO right series of the windmill's blocks, hub moved first, for the drazin and group forms."""
-    a, b, c = _parts(spec)
+    a, b, c = spec._parts
     xa, dw = report.factorisations["A"].inverse, report.factorisations["W"]
     return _hub_first(_abco_formula(a, b, c, xa, dw.source, dw.inverse, dw.index))
 
@@ -438,9 +440,10 @@ def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
 def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     """Closed-form dual Drazin inverse of a windmill adjacency matrix.
 
-    The ABCO right form of [[D, C], [B, 0]], the adjacency with its hub
-    moved last: valid when D D^pi commutes with the hub product W = CB,
-    D D D^D W = 0, and the blade matrix D and W have dual Drazin inverses.
+    The ABCO right form of [[D, B], [C, 0]], the adjacency with its hub
+    moved last (B the hub's fan column y, C its fan row x): valid when
+    D D^pi commutes with the hub product W = BC, D D D^D W = 0, and the
+    blade matrix D and W have dual Drazin inverses.
     """
     return _graph_closed_form(spec, "drazin", tol, res_tol)
 
@@ -448,8 +451,9 @@ def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
 def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     """Windmill inverse in the fully dual-orthogonal case.
 
-    When every outer product y_s x_t^T vanishes in both parts the series
-    collapses to [[B D^3D C, B D^2D],[D^2D C, D^D]].
+    When every outer product y_s x_t^T vanishes in both parts, W = BC = 0
+    and the series collapses to [[C D^3D B, C D^2D], [D^2D B, D^D]], hub
+    first, with B and C as in dw_dual_drazin.
     """
     return _graph_closed_form(spec, "bc_zero", tol, res_tol)
 

@@ -512,9 +512,8 @@ def _gen_windmill(cfg, trial, rng):
     spec = DutchWindmill(m=m, n=n, blades=blades, x=tuple(x), y=tuple(y))
     # the closed form also inverts the hub product W = sum y_s x_t^T, which
     # can fall outside the class even when the assembled adjacency does not
-    matrix = build_adjacency(spec).matrix
-    hub, rest = slice(0, 1), slice(1, None)
-    return spec, _in_class(matrix) and _in_class(dmul(matrix.block(rest, hub), matrix.block(hub, rest)))
+    _, b, c = spec._parts
+    return spec, _in_class(build_adjacency(spec).matrix) and _in_class(dmul(b, c))
 
 
 def _ones_fans(m: int, n: int, blades) -> DutchWindmill:
@@ -689,10 +688,11 @@ def _instance_doc(inst) -> dict:
 def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
     """Check one instance: hypotheses, closed form, oracle, defining residuals.
 
-    form is the graph_hypotheses form a windmill is checked under; a double
-    star or linked stars accepts any of the three forms and ignores it (its
-    one report is the BC = 0 report), and block instances ignore it.  The formula body is the _FORMULAS entry of the
-    report's theorem.
+    form is the graph_hypotheses form a windmill is checked under; a
+    double star or linked stars accepts any of the three forms and ignores
+    it (its one report is the BC = 0 report), and block instances ignore
+    it.  The formula body is the _FORMULAS entry of the report's theorem.
+    A graph spec's report and body read its kept blocks, the oracle its kept adjacency.
 
     Fills record with order, hypotheses_pass and hypothesis_residuals, then,
     when every hypothesis holds, closed_form_error (the relative gap to the

@@ -26,7 +26,7 @@ from dualdrazin.blocks import (
     cline,
     tri_drazin,
 )
-from dualdrazin.cli import _BLOCK_FORMS, _BLOCK_VERBS, _build_parser, _emit, main
+from dualdrazin.cli import _BLOCK_VERBS, _build_parser, _emit, main
 from dualdrazin.digraphs import (
     dls_dual_drazin,
     ds_dual_drazin,
@@ -390,8 +390,8 @@ def test_graph_closed_form_lays_its_spec_out_once(family, write, capsys, tmp_pat
     # the adjacency document and the closed form share the spec's one layout
     inst = gen_instance(GenConfig(family, trials=1, seed=3, dim_max=3), 0)
     path = write(graph_spec_to_doc(inst), "spec.json")
-    layout, parts = digraphs._layout, []
-    monkeypatch.setattr(digraphs, "_layout", lambda spec, part: parts.append(part) or layout(spec, part))
+    blocks_of, parts = digraphs._blocks, []
+    monkeypatch.setattr(digraphs, "_blocks", lambda spec, part: parts.append(part) or blocks_of(spec, part))
     form = _FUZZ_FORMS.get(family, "drazin").replace("_", "-")
     code, _, _ = run(capsys, "graph", "--spec", path, "-o", str(tmp_path / "adj.json"),
                      "--closed-form", str(tmp_path / "inv.json"), "--form", form)
@@ -631,6 +631,21 @@ def test_verify_windmill_hub_outside_class_is_exit_2(write, capsys):
 
 def _col(*values):
     return DualMatrix(np.array(values, dtype=complex).reshape(-1, 1))
+
+
+def test_a_small_fan_beside_a_large_one_is_exit_2_and_writes_nothing(write, capsys, tmp_path):
+    # fan 1's dot x_1^T y_1 = 1e-3 is far above rounding at fan 1's own
+    # scale; weighed against the scale 2e6 of both fans it passed, and
+    # --closed-form wrote a matrix 7e-4 off the inverse
+    spec = DLinkedStars(base=DualMatrix(np.eye(2)), r=(1, 2), x=(_col(1), _col(1e3, 1e3)),
+                        y=(_col(1e-3), _col(1e3, -1e3)))
+    path = write(graph_spec_to_doc(spec), "spec.json")
+    adj, inv = tmp_path / "adj.json", tmp_path / "inv.json"
+    code, out, err = run(capsys, "graph", "--spec", path, "-o", str(adj), "--closed-form", str(inv))
+    assert code == 2 and out == "" and "outer_zero=9.990e-04" in err
+    assert not adj.exists() and not inv.exists()
+    code, out, _ = run(capsys, "verify", "-i", path)
+    assert code == 2 and json.loads(out)["hypotheses_pass"] is False
 
 
 EPS = DualMatrix([[0]], [[1]])
@@ -898,7 +913,7 @@ def test_block_verb_options_are_the_theorem_blocks(verb):
     # the verb loads its blocks in that order and hands them to its form,
     # which it looks up on the blocks module when it runs, and whose leading
     # parameters are the same blocks in the same order
-    assert getattr(blocks, _BLOCK_FORMS[verb]) is form
+    assert getattr(blocks, _BLOCK_VERBS[verb][3]) is form
     assert list(inspect.signature(form).parameters)[:len(required)] == required
 
 

@@ -190,19 +190,25 @@ def test_a_built_spec_s_weights_cannot_be_rebound():
 
 @pytest.mark.parametrize("family", GRAPH_FAMILIES)
 def test_the_kept_adjacency_is_read_only_and_shared(family, monkeypatch):
-    # build_adjacency, the formula body and _verify all read the one matrix
-    # the spec laid out; none lays it out again
+    # build_adjacency and _verify read the one matrix the spec laid out, and
+    # the report and the formula body the blocks it was built from; none
+    # lays them out again or slices them back out of the matrix
     spec = gen_instance(GenConfig(family, trials=1, seed=3, dim_max=3), 0)
     matrix = build_adjacency(spec).matrix
     assert not matrix.std.flags.writeable and not matrix.inf.flags.writeable
     with pytest.raises(ValueError):
         matrix.inf[0, 0] = 1.0
     assert build_adjacency(spec).matrix is matrix
+    parts = spec._parts
+    assert all(not x.std.flags.writeable and not x.inf.flags.writeable for x in parts)
+    with pytest.raises(ValueError):
+        parts[1].std[0, 0] = 1.0
+    assert spec._parts is parts
 
     def no_layout(spec, part):
         raise AssertionError("laid out again")
 
-    monkeypatch.setattr(dualdrazin.digraphs, "_layout", no_layout)
+    monkeypatch.setattr(dualdrazin.digraphs, "_blocks", no_layout)
     sliced, oracle_inputs = [], []
     block = DualMatrix.block
     monkeypatch.setattr(DualMatrix, "block", lambda self, rows, cols: sliced.append(self) or block(self, rows, cols))
@@ -210,9 +216,8 @@ def test_the_kept_adjacency_is_read_only_and_shared(family, monkeypatch):
     monkeypatch.setattr(dualdrazin.harness, "dual_drazin", lambda x, *args: oracle_inputs.append(x) or oracle(x, *args))
     form = _FUZZ_FORMS.get(family, "drazin")
     report = graph_hypotheses(spec, form)
-    sliced.clear()
     _FORMULAS[report.theorem](spec, report)
-    assert sliced and all(x is matrix for x in sliced)
+    assert sliced == []
     record = {}
     _verify(spec, form, None, None, 1e-8, record)
     assert record["pass"] and len(oracle_inputs) == 1 and oracle_inputs[0] is matrix
@@ -407,8 +412,8 @@ def test_windmill_report_is_the_abco_report_of_the_whole_matrix(form):
 def test_windmill_residuals_are_those_of_the_abco_right_report(family, violate):
     for trial in range(6):
         spec = gen_instance(GenConfig(family, trials=6, seed=1, dim_max=4, violate=violate), trial)
-        d_blk, c_col, b_row = dualdrazin.digraphs._parts(spec)
-        abco = check_hypotheses(BlockInstance("ABCO_RIGHT", {"A": d_blk, "B": c_col, "C": b_row}))
+        d_blk, b_col, c_row = spec._parts
+        abco = check_hypotheses(BlockInstance("ABCO_RIGHT", {"A": d_blk, "B": b_col, "C": c_row}))
         report = graph_hypotheses(spec)
         for name in ("commutation", "annihilation"):
             assert report.residual(name) == abco.residual(name), (trial, name)
@@ -421,13 +426,20 @@ BC_ZERO_MEMBERSHIP = {"DOUBLE_STAR": "theta_membership", "LINKED_STARS": "member
 
 @pytest.mark.parametrize("family", sorted(BC_ZERO_MEMBERSHIP))
 def test_bc_zero_reports_check_the_whole_product_bc(family):
-    # a violating draw has all-ones fans, so BC is nonzero on the blocks
+    # a violating draw has all-ones fans, so BC is nonzero on the blocks;
+    # outer_zero is the largest entry of W = BC, both parts, each weighed
+    # against 1 + ||B_i,:|| ||C_:,j||
     spec = gen_instance(GenConfig(family, trials=1, seed=0, violate=True), 0)
     report = graph_hypotheses(spec, _FUZZ_FORMS.get(family, "drazin"))
     assert report.theorem == family
     assert [c.name for c in report.conditions] == ["outer_zero", BC_ZERO_MEMBERSHIP[family]]
-    _, b, c = dualdrazin.digraphs._parts(spec)
-    assert report.residual("outer_zero") == dmul(b, c).norm() > 0
+    _, b, c = spec._parts
+    w = dmul(b, c)
+    ratios = [w.block(slice(i, i + 1), slice(j, j + 1)).norm()
+              / (1.0 + b.block(slice(i, i + 1), slice(None)).norm() * c.block(slice(None), slice(j, j + 1)).norm())
+              for i in range(w.shape[0]) for j in range(w.shape[1])]
+    assert report.residual("outer_zero") == pytest.approx(max(ratios), rel=1e-14)
+    assert max(ratios) > 0
 
 
 def _fans(*fans):
@@ -435,21 +447,22 @@ def _fans(*fans):
     return tuple(cols[0::2]), tuple(cols[1::2])
 
 
-def test_outer_zero_weighs_each_fan_against_the_whole_fan_scale():
-    # outer_zero is normwise: BC = diag(x_i^T y_i) is weighed against
-    # 1 + ||B|| ||C|| of all fans, not each dot against 1 + ||x_i|| ||y_i||.
-    # Fan 1's dot of 1e-3 therefore passes beside a fan 2 of scale 2e6 ...
+def test_outer_zero_weighs_each_fan_against_its_own_scale():
+    # outer_zero weighs each entry of W = BC against 1 + ||B_i,:|| ||C_:,j||;
+    # on linked stars W = diag(x_i^T y_i), so each dot is weighed against
+    # 1 + ||x_i|| ||y_i||.  Fan 1's dot of 1e-3 therefore fails beside a fan 2
+    # of scale 2e6 (a normwise 1 + ||B|| ||C|| of 2e6 would let it pass, and
+    # the closed form would be 7e-4 off the oracle) ...
     x, y = _fans([1], [1e-3], [1e3, 1e3], [1e3, -1e3])
     spec = DLinkedStars(base=DualMatrix(np.eye(2)), r=(1, 2), x=x, y=y)
     report = graph_hypotheses(spec)
-    assert report.residual("outer_zero") == pytest.approx(1e-3, rel=1e-12)
-    assert report.passed
-    # ... so verify evaluates the closed form, and finds it off the oracle
+    assert report.residual("outer_zero") == pytest.approx(1e-3 / (1 + 1e-3), rel=1e-12)
+    assert not report.passed
+    # ... so verify evaluates no closed form
     record: dict = {}
     _verify(spec, "drazin", None, None, 1e-8, record)
-    assert record["hypotheses_pass"] and not record["pass"]
-    assert 1e-4 < record["closed_form_error"] < 1e-3
-    # ... and fails beside a fan 2 of unit scale
+    assert not record["hypotheses_pass"] and not record["pass"] and "closed_form_error" not in record
+    # ... just as beside a fan 2 of unit scale
     x, y = _fans([1], [1e-3], [1, 1], [1, -1])
     assert not graph_hypotheses(DLinkedStars(base=DualMatrix(np.eye(2)), r=(1, 2), x=x, y=y)).passed
 

@@ -419,9 +419,11 @@ def _callers(name):
 
 def test_one_function_checks_a_graph_spec_and_one_lays_it_out():
     # a spec is checked when it is built and keeps the one layout it makes;
-    # a second caller would check or lay out the same spec again
+    # a second caller would check or lay out the same spec again, and a
+    # slice of a laid-out matrix would be a second copy of its block bounds
     assert _callers("_validate") == ["digraphs._Spec.__post_init__"]
-    assert _callers("_layout") == ["digraphs._Spec._adjacency"]
+    assert _callers("_blocks") == ["digraphs._Spec._parts"]
+    assert _callers("block") == []
 
 
 def _literal_sites(value):
