@@ -11,13 +11,13 @@ parts, each at its own scale.
 
 Two constructors.  DualMatrix(std, inf) validates: it copies its input
 into contiguous complex arrays if need be, checks that both parts are 2-d
-and equally shaped, and rejects NaN and inf.  identity, zeros, column,
-block, T and every serialize reader go through it, so every matrix that
-enters from outside is well formed.  DualMatrix._of(std, inf) checks
-nothing and is for results of arithmetic on parts that are already valid,
-which are complex128 and equally shaped by construction: the sums,
-differences, products, scalings, copies and block grids below, and the
-internal results of drazin and digraphs.  At dims 1-5 the checks cost more
+and equally shaped, and rejects NaN and inf.  identity, zeros, column, T
+and every serialize reader go through it, so every matrix that enters
+from outside is well formed.  DualMatrix._of(std, inf) checks nothing and
+is for results of arithmetic on parts that are already valid, which are
+complex128 and equally shaped by construction: the sums, differences,
+products, copies and block grids below, and the internal results of
+drazin and digraphs.  At dims 1-5 the checks cost more
 than the arithmetic.  Such a result can still overflow to inf or NaN; the
 steps that read one check it instead: the staircase, the mixed series M,
 the hypothesis and defining residuals and the JSON writer each raise
@@ -136,9 +136,6 @@ class DualMatrix:
     def __matmul__(self, other: "DualMatrix") -> "DualMatrix":
         return dmul(self, other)
 
-    def scaled(self, factor: complex) -> "DualMatrix":
-        return DualMatrix._of(self.std * factor, self.inf * factor)
-
     @property
     def T(self) -> "DualMatrix":
         return DualMatrix(self.std.T, self.inf.T)
@@ -149,10 +146,6 @@ class DualMatrix:
 
     def copy(self) -> "DualMatrix":
         return DualMatrix._of(self.std.copy(), self.inf.copy())
-
-    def block(self, rows: slice, cols: slice) -> "DualMatrix":
-        """A copy of the block, never a view: a single row slices contiguously."""
-        return DualMatrix(self.std[rows, cols].copy(), self.inf[rows, cols].copy())
 
     def __repr__(self) -> str:
         m, n = self.shape

@@ -58,9 +58,6 @@ class DualScalar:
         """True when the standard part is nonzero at the working precision."""
         return abs(self.std) > tol * scale
 
-    def is_zero(self, tol: float = APPRECIABLE_TOL, scale: float = 1.0) -> bool:
-        return abs(self.std) <= tol * scale and abs(self.inf) <= tol * scale
-
     def inverse(self) -> "DualScalar":
         """Multiplicative inverse ``1/a - eps*b/a**2``; needs ``a != 0``."""
         if self.std == 0:

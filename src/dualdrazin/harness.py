@@ -32,7 +32,6 @@ from .digraphs import (
     DoubleStar,
     DutchWindmill,
     _graph_doc,
-    build_adjacency,
     graph_hypotheses,
 )
 from .drazin import _factorise, _memo, defining_residuals, dual_drazin
@@ -458,7 +457,7 @@ def _gen_double_star(cfg, trial, rng):
         return spec, True
     w, v = _orthogonal_pair(n, rng)
     spec = DoubleStar(m=m, n=n, x=x, y=y, w=w, v=v, a=a, b=b)
-    return spec, spec._theta[1] is not None and _in_class(build_adjacency(spec).matrix)
+    return spec, spec._theta[1] is not None and _in_class(spec._adjacency)
 
 
 def _gen_linked_stars(cfg, trial, rng):
@@ -474,7 +473,7 @@ def _gen_linked_stars(cfg, trial, rng):
         y = (ones,) + y[1:]
         return DLinkedStars(base=base, r=r, x=x, y=y), True
     spec = DLinkedStars(base=base, r=r, x=x, y=y)
-    return spec, _in_class(build_adjacency(spec).matrix)
+    return spec, _in_class(spec._adjacency)
 
 
 def _windmill_sizes(cfg, trial, rng) -> tuple[int, int]:
@@ -513,7 +512,7 @@ def _gen_windmill(cfg, trial, rng):
     # the closed form also inverts the hub product W = sum y_s x_t^T, which
     # can fall outside the class even when the assembled adjacency does not
     _, b, c = spec._parts
-    return spec, _in_class(build_adjacency(spec).matrix) and _in_class(dmul(b, c))
+    return spec, _in_class(spec._adjacency) and _in_class(dmul(b, c))
 
 
 def _ones_fans(m: int, n: int, blades) -> DutchWindmill:
@@ -543,7 +542,7 @@ def _gen_windmill_bc0(cfg, trial, rng):
         return _ones_fans(m, n, tuple(_invertible_dual(size, rng) for _ in range(m))), True
     blades, x, y = _eps_fanned_blades(m, size, rng)
     spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
-    return spec, _in_class(build_adjacency(spec).matrix)
+    return spec, _in_class(spec._adjacency)
 
 
 def _gen_windmill_group(cfg, trial, rng):
@@ -573,10 +572,10 @@ def _gen_windmill_group(cfg, trial, rng):
     if rng.integers(0, 2):
         blades, x, y = _eps_fanned_blades(m, size, rng)
         spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
-        return spec, _in_class(build_adjacency(spec).matrix)
+        return spec, _in_class(spec._adjacency)
     blades, x, y, traces = zip(*(_kernel_fanned_blade(size, rng) for _ in range(m)))
     spec = DutchWindmill(m=m, n=n, blades=blades, x=x, y=y)
-    return spec, sum(traces) != 0 and _in_class(build_adjacency(spec).matrix)
+    return spec, sum(traces) != 0 and _in_class(spec._adjacency)
 
 
 def _kernel_fanned_blade(size, rng) -> tuple[DualMatrix, DualMatrix, DualMatrix, complex]:

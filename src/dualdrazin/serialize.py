@@ -21,11 +21,16 @@ checked level by level with C-level set(map(...)) scans (every container a
 list of its length, every entry a number), and their numbers are then
 converted in one flat pass (np.fromiter), so a reader lists the pairs once
 and the numbers never, and builds no float array of the nested lists.
+json parses with the cyclic garbage collector paused (_read_json), which is
+then left as it was found: a parse builds no cycles, yet each [re, im] list
+it makes counts towards the collector's next pass, and every pass rescans
+the lists built so far, 15 of 46 ms for a 256x256 dual document (one core).
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 from itertools import chain
@@ -239,6 +244,7 @@ def _read_json(path, read) -> Any:
     text, are not JSON or nest too deeply for the parser raise SchemaError.
     The bytes are decoded here, strictly: in Python's UTF-8 mode (a C or
     POSIX locale) sys.stdin would let undecodable bytes through as surrogates.
+    json parses with the cyclic collector paused (see the module docstring).
     """
     try:
         text = read().decode("utf-8")
@@ -246,12 +252,17 @@ def _read_json(path, read) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path} nests too deeply to read") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_matrix(path) -> DualMatrix:

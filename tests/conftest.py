@@ -5,6 +5,17 @@ from dualdrazin import DualMatrix
 from dualdrazin.harness import gen_existence
 
 
+def sub(x, rows, cols):
+    """The dual block x[rows, cols], sliced from both parts."""
+    return DualMatrix(x.std[rows, cols], x.inf[rows, cols])
+
+
+def gaussian_integers(n):
+    """Dual n x n matrix of Gaussian integers in -2..2 from seed n; index 0 at the orders used."""
+    parts = np.random.default_rng(n).integers(-2, 3, (4, n, n)).astype(float)
+    return DualMatrix(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
+
+
 def rand_int_dual(rng, rows, cols=None, scale=3, with_inf=True):
     """Small-integer dual matrix; exact in floating point."""
     cols = rows if cols is None else cols

@@ -40,7 +40,7 @@ from dualdrazin.errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaE
 from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
 from dualdrazin.serialize import _matrix_doc, dump_matrix, dumps_doc, load_matrix, matrix_to_doc
 
-from conftest import MISSED_NULL_VECTOR, wrong_dual_index_draw
+from conftest import MISSED_NULL_VECTOR, gaussian_integers, wrong_dual_index_draw
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
 COMPATIBLE = dict(NILPOTENT, inf=[[[0, 0], [3, 0]], [[0, 0], [0, 0]]])
@@ -296,6 +296,26 @@ def test_an_overflowing_residual_is_not_written(write, capsys):
     code, out, err = run(capsys, "exists", "-i", write(doc, "a.json"))
     assert (code, out) == (4, "")
     assert err == "error: the existence certificate |Pi M Pi| overflows\n"
+
+
+def _order_64(bad):
+    """An order-64 document, the order from which drazin_complex tries LU first."""
+    std = np.eye(64)
+    if bad == "overflow":  # invertible, and its largest singular value overflows
+        std = 1.5e308 * np.triu(np.ones((64, 64)))
+    else:
+        std[3, 5] = bad
+    return {"rows": 64, "cols": 64, "std": np.stack((std, np.zeros_like(std)), axis=-1).tolist()}
+
+
+@pytest.mark.parametrize("verb", ["drazin", "dual-drazin", "exists"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "overflow"], ids=["nan", "inf", "overflow"])
+def test_order_64_entries_that_are_not_finite_or_overflow_are_exit_4(bad, verb, write, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, verb, "-i", write(_order_64(bad), "big.json"))
+    assert (code, out, caught) == (4, "", [])
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("verb", ["graph", "verify"])
@@ -917,17 +937,17 @@ def test_block_verb_options_are_the_theorem_blocks(verb):
     assert list(inspect.signature(form).parameters)[:len(required)] == required
 
 
-def _gaussian_integers_48():
-    parts = np.random.default_rng(48).integers(-2, 3, (4, 48, 48)).astype(float)
-    return DualMatrix(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
-
-
 # sha256[:16] of the file `ddz <verb> -i <input> -o <file>` writes; drazin is
-# given the standard part alone.  The first input has index 0, the second
-# (gen_member(10, default_rng([1, 2]), invertible=False)) index 4.
+# given the standard part alone.  The Gaussian-integer inputs have index 0:
+# order 48 goes through the staircase, order 96 through the LU inverse that
+# certifies index 0 (pinned before that route existed, so the bytes are the
+# staircase's).  member_index_4 is gen_member(10, default_rng([1, 2]),
+# invertible=False), of index 4.
 PINNED_INVERSES = {
     ("gaussian_integers_48", "dual-drazin"): "efb92836daf0ada5",
     ("gaussian_integers_48", "drazin"): "28331e9242230a6c",
+    ("gaussian_integers_96", "dual-drazin"): "e0ad2acfe337dd50",
+    ("gaussian_integers_96", "drazin"): "f3f0611f348ce0ce",
     ("member_index_4", "dual-drazin"): "980d828456738a30",
     ("member_index_4", "drazin"): "6065b93fc3de69b3",
 }
@@ -935,8 +955,8 @@ PINNED_INVERSES = {
 
 @pytest.mark.parametrize("name, verb", sorted(PINNED_INVERSES))
 def test_inverse_outputs_are_pinned(name, verb, tmp_path):
-    if name == "gaussian_integers_48":
-        x, index = _gaussian_integers_48(), 0
+    if name.startswith("gaussian_integers_"):
+        x, index = gaussian_integers(int(name.rsplit("_", 1)[1])), 0
     else:
         x, index = gen_member(10, np.random.default_rng([1, 2]), invertible=False), 4
     assert matrix_index(x.std) == index

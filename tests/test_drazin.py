@@ -32,7 +32,7 @@ from dualdrazin.errors import (
 )
 from dualdrazin.harness import _make_frame, gen_existence, gen_member
 
-from conftest import MISSED_NULL_VECTOR, rand_int_dual, rel_err
+from conftest import MISSED_NULL_VECTOR, gaussian_integers, rand_int_dual, rel_err
 
 
 def random_complex(rng, n, kind):
@@ -419,6 +419,86 @@ def test_index_zero_is_the_plain_inverse(n):
         assert len(arrays) == 9 and not any(arr.flags.writeable for arr in arrays)
     data.ad[...] = 0.0  # outside a memo the caller owns ad; the series keeps its own C^-1
     assert np.array_equal(dualdrazin.drazin.dual_drazin_series(x, data=data).inf, -inv @ x.inf @ inv)
+
+
+def _staircase_orders(monkeypatch):
+    """Record the order of each matrix drazin_complex hands to the staircase."""
+    body = dualdrazin.drazin._staircase
+    orders = []
+
+    def counted(a, tol=None):
+        orders.append(len(a))
+        return body(a, tol)
+
+    monkeypatch.setattr(dualdrazin.drazin, "_staircase", counted)
+    return orders
+
+
+def _ill_conditioned(n, kappa):
+    """Dense real n x n matrix with singular values 1, n - 1 times, and 1 / kappa."""
+    q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+    return (q * np.r_[np.ones(n - 1), 1.0 / kappa]) @ q.T
+
+
+def _certificate_holds(a):
+    """The index-0 certificate: 1 / |A^-1|_F > 4 n tol |A|_F at the default tol."""
+    return 1.0 / np.linalg.norm(np.linalg.inv(a)) > 4 * len(a) * 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n", [64, 96, 128])
+def test_an_lu_inverse_certifies_index_0_from_order_64(n, monkeypatch):
+    orders = _staircase_orders(monkeypatch)
+    x = gaussian_integers(n)
+    assert _certificate_holds(x.std)
+    certified = dual_drazin(x)
+    assert orders == [] and certified.index == 0
+    # with the gate out of reach the staircase decides, to the same bits
+    monkeypatch.setattr(dualdrazin.drazin, "_CERTIFY_ORDER", math.inf)
+    staircase = dual_drazin(x)
+    assert orders == [n]
+    for got, want in ((certified.drazin, staircase.drazin), (certified.inverse, staircase.inverse)):
+        for name in got.__slots__ if isinstance(got, DualMatrix) else [f.name for f in dataclasses.fields(got)]:
+            a, b = getattr(got, name), getattr(want, name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            else:
+                assert a == b, name
+
+
+@pytest.mark.parametrize("case", ["order_63", "kappa_fails", "singular_member"])
+def test_the_staircase_decides_below_the_gate_and_past_the_certificate(case, monkeypatch):
+    # one staircase each: an invertible matrix below the gate, an invertible
+    # order-64 matrix whose kappa_F = 5e9 sqrt(64) fails the certificate
+    # while sigma_min = 2e-10 clears the staircase's floor 6.4e-11, and a
+    # singular order-64 member
+    if case == "order_63":
+        a, index = gaussian_integers(63).std, 0
+    elif case == "kappa_fails":
+        a, index = _ill_conditioned(64, 5e9), 0
+        assert not _certificate_holds(a)
+    else:
+        a = gen_member(64, np.random.default_rng([64, 5]), invertible=False).std
+        index = matrix_index(a)
+        assert index > 0
+    orders = _staircase_orders(monkeypatch)
+    data = drazin_complex(a)
+    assert orders == [len(a)] and data.index == index
+    if index == 0:
+        assert np.array_equal(data.ad, np.linalg.inv(a.astype(complex)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_order_64_inputs_that_are_not_finite_or_overflow_are_rejected(bad):
+    # the LU route decides nothing on them; the staircase raises as below the gate
+    if bad == "overflow":  # invertible, and sigma_max overflows
+        a, message = 1.5e308 * np.triu(np.ones((64, 64))), "the largest singular value overflows"
+    else:
+        a, message = np.eye(64), "entries must be finite"
+        a[3, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntries, match=message):
+            drazin_complex(a)
 
 
 def test_residuals_are_computed_once_on_first_read(monkeypatch, rng):
