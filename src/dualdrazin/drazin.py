@@ -200,7 +200,7 @@ def _certified_inverse(a: np.ndarray, tol: float | None) -> np.ndarray | None:
     above about 1e152 / n, and then either |a|_F overflows (the product is
     inf or NaN) or kappa(a) is below about 100 n.
     """
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:
