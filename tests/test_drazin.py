@@ -456,19 +456,19 @@ def test_an_lu_inverse_certifies_index_0_from_order_64(n, monkeypatch):
     monkeypatch.setattr(dualdrazin.drazin, "_CERTIFY_ORDER", math.inf)
     staircase = dual_drazin(x)
     assert orders == [n]
-    for got, want in ((certified.drazin, staircase.drazin), (certified.inverse, staircase.inverse)):
-        for name in got.__slots__ if isinstance(got, DualMatrix) else [f.name for f in dataclasses.fields(got)]:
-            a, b = getattr(got, name), getattr(want, name)
-            if isinstance(a, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-            else:
-                assert a == b, name
+    assert certified.drazin.index == staircase.drazin.index
+    arrays = [(f.name, getattr(certified.drazin, f.name), getattr(staircase.drazin, f.name))
+              for f in dataclasses.fields(certified.drazin) if f.name != "index"]
+    arrays += [("inverse.std", certified.inverse.std, staircase.inverse.std),
+               ("inverse.inf", certified.inverse.inf, staircase.inverse.inf)]
+    for name, got, want in arrays:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
 
 @pytest.mark.parametrize("case", ["order_63", "kappa_fails", "singular_member"])
 def test_the_staircase_decides_below_the_gate_and_past_the_certificate(case, monkeypatch):
     # one staircase each: an invertible matrix below the gate, an invertible
-    # order-64 matrix whose kappa_F = 5e9 sqrt(64) fails the certificate
+    # order-64 matrix whose kappa_F, about 4e10, fails the certificate
     # while sigma_min = 2e-10 clears the staircase's floor 6.4e-11, and a
     # singular order-64 member
     if case == "order_63":
