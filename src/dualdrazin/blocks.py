@@ -20,7 +20,8 @@ of A^D or a trailing B or C multiply that one sum.
 
 Every [[A,B],[C,0]] closed form runs the right series of _abco_formula,
 from A^D, W = BC, W^D and k = Ind(W): BIPARTITE at A = A^D = 0, the BC = 0
-digraph bodies at W = W^D = 0, k = 1, and ABCO_LEFT on (A^T, C^T, B^T),
+digraph bodies at W = W^D = 0, k = 1 (each zero passed as None, so its
+products are skipped), and ABCO_LEFT on (A^T, C^T, B^T),
 transposed, since (X^T)^D = (X^D)^T.  The left report stays native: it
 factorises BC, as the fuzz accept filter does, and so shares its record.
 
@@ -321,24 +322,40 @@ def _abco_sided(theorem: str, a: DualMatrix, b: DualMatrix, c: DualMatrix,
     return _abco_formula(a.T, c.T, b.T, xa.T, w.T, xw.T, dw.index).T
 
 
-def _abco_formula(a: DualMatrix, b: DualMatrix, c: DualMatrix, xa: DualMatrix,
-                  w: DualMatrix, xw: DualMatrix, k: int) -> DualMatrix:
-    """The right [[A,B],[C,0]] series from A^D, W = BC, W^D and k = Ind(W)."""
-    eye = DualMatrix.identity(a.shape[0])
-    w_pi = eye - dmul(w, xw)
-    a_pi = eye - dmul(a, xa)
-    aapi = dmul(a, a_pi)
-    xa2 = dmul(xa, xa)
-    s = dmul(w_pi, _power_series(xa, w, xa2, k))
-    mid = dmul(s, xa) + dmul(xw, a_pi)
-    br = dmul(s, xa2) - dmul(dmul(xw, xw), aapi) - dmul(xw, xa)
-    return dblock([[s, dmul(mid, b)], [dmul(c, mid), dmul(dmul(c, br), b)]])
+def _abco_formula(a: DualMatrix | None, b: DualMatrix, c: DualMatrix, xa: DualMatrix | None,
+                  w: DualMatrix | None, xw: DualMatrix | None, k: int) -> DualMatrix:
+    """The right [[A,B],[C,0]] series from A^D, W = BC, W^D and k = Ind(W).
+
+        s   = W^pi sum_{i<k} W^i A^D (A^2D)^i
+        mid = s A^D + W^D A^pi
+        br  = s A^2D - (W^D)^2 A A^pi - W^D A^D
+        X^D = [[s, mid B], [C mid, C br B]]
+
+    A structural zero comes as None: A = A^D = None (BIPARTITE), or W = W^D
+    = None with k = 1 (the BC = 0 digraph bodies).  The series is then
+    evaluated with no product by that zero, or by the identity it leaves as
+    A^pi or W^pi.
+    """
+    n, m = b.shape
+    if a is None:  # A^pi = I: s = 0, mid = W^D, br = 0
+        s, mid, br = None, xw, None
+    elif w is None:  # W^pi = I, k = 1: s = A^D, mid = A^2D, br = A^3D
+        mid = dmul(xa, xa)
+        s, br = xa, dmul(xa, mid)
+    else:
+        eye = DualMatrix.identity(n)
+        a_pi = eye - dmul(a, xa)
+        xa2 = dmul(xa, xa)
+        s = dmul(eye - dmul(w, xw), _power_series(xa, w, xa2, k))
+        mid = dmul(s, xa) + dmul(xw, a_pi)
+        br = dmul(s, xa2) - dmul(dmul(xw, xw), dmul(a, a_pi)) - dmul(xw, xa)
+    return dblock([[DualMatrix.zeros(n) if s is None else s, dmul(mid, b)],
+                   [dmul(c, mid), DualMatrix.zeros(m) if br is None else dmul(dmul(c, br), b)]])
 
 
 def _bipartite(inst: BlockInstance, report: HypothesisReport) -> DualMatrix:
     dw = report.factorisations["BC"]
-    zero = DualMatrix.zeros(inst["B"].shape[0])
-    return _abco_formula(zero, inst["B"], inst["C"], zero, dw.source, dw.inverse, dw.index)
+    return _abco_formula(None, inst["B"], inst["C"], None, dw.source, dw.inverse, dw.index)
 
 
 _FORMULAS = {

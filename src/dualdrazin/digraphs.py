@@ -387,8 +387,7 @@ def _bc_zero(spec: GraphSpec, report: HypothesisReport) -> DualMatrix:
     """
     a, b, c = spec._parts
     xa = _scalar_scale(spec._theta[1], a) if isinstance(spec, DoubleStar) else report.factorisations["A"].inverse
-    zero = DualMatrix.zeros(a.shape[0])
-    inverse = _abco_formula(a, b, c, xa, zero, zero, 1)
+    inverse = _abco_formula(a, b, c, xa, None, None, 1)
     return _hub_first(inverse) if isinstance(spec, DutchWindmill) else inverse
 
 

@@ -10,6 +10,7 @@ from dualdrazin import (
     abco_drazin,
     abio_drazin,
     bipartite_drazin,
+    blocks,
     check_hypotheses,
     cline,
     closed_form,
@@ -165,6 +166,32 @@ def test_abco_zero_core_is_bipartite(rng):
     out = abco_drazin(DualMatrix.zeros(2), b, c)
     want = bipartite_drazin(b, c)
     assert rel_err(out, want) <= 1e-9
+
+
+@pytest.mark.parametrize("zero", ["A", "W"])
+def test_a_structural_zero_skips_its_products_in_the_abco_series(zero, monkeypatch):
+    # None for A = A^D = 0 (BIPARTITE) or W = W^D = 0 (the BC = 0 bodies)
+    # gives the values of the zero blocks, from 2 and 6 products against 15;
+    # the identities hold for any inverses, so random integer blocks do
+    rng = np.random.default_rng(7)
+    a, xa, w, xw = (rand_int_dual(rng, 3) for _ in range(4))
+    b, c = rand_int_dual(rng, 3, 2), rand_int_dual(rng, 2, 3)
+    z = DualMatrix.zeros(3)
+    zeros, skipped = {
+        "A": ((z, b, c, z, w, xw, 2), (None, b, c, None, w, xw, 2)),
+        "W": ((a, b, c, xa, z, z, 1), (a, b, c, xa, None, None, 1)),
+    }[zero]
+    want = blocks._abco_formula(*zeros)
+    products = []
+
+    def counted(x, y):
+        products.append((x, y))
+        return dmul(x, y)
+
+    monkeypatch.setattr(blocks, "dmul", counted)
+    got = blocks._abco_formula(*skipped)
+    assert np.array_equal(got.std, want.std) and np.array_equal(got.inf, want.inf)
+    assert len(products) == {"A": 2, "W": 6}[zero]
 
 
 def _abco_chain(side, index):

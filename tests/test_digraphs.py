@@ -228,13 +228,13 @@ def test_the_kept_adjacency_is_read_only_and_shared(family, monkeypatch):
 # (np.array_equal to the old values, checked before re-pinning) moves them.
 PINNED_LAYOUTS = {
     "DOUBLE_STAR": [("89f5000d74fd9851", "cfa6e56114e51c93"), ("db62749ff785a720", "3672abadc49f0656"),
-                    ("9b0678bb1dfb0fa2", "d994810124b5fa16")],
+                    ("9b0678bb1dfb0fa2", "182f38220f6da752")],
     "LINKED_STARS": [("abf86d4f1db66c6a", "67042dfda5683aea"), ("34b897497c1bc535", "d3b18f98f425beea"),
-                     ("9508e95cc4d777df", "751629dfcca57062")],
+                     ("9508e95cc4d777df", "2407d7f0190d3ee4")],
     "WINDMILL": [("dcfb4b453eee68f5", "2e73045bad0b765b"), ("6bdfc08886812545", "6c190262bc64fb52"),
                  ("0af182a93d89bf9c", "69f73988ecce07c5")],
-    "WINDMILL_BC0": [("8797db4794f6339d", "7fc500d720a220c8"), ("425249e89e2a2319", "95e62bbdaa8f4221"),
-                     ("07e740ac70f89609", "cae4abddb4ccef01")],
+    "WINDMILL_BC0": [("8797db4794f6339d", "97ebf6dde3a9db43"), ("425249e89e2a2319", "1db65d2ff406b650"),
+                     ("07e740ac70f89609", "645794f01a067e11")],
     "WINDMILL_GROUP": [("b27068c7db85cd48", "c6055b5461f13a8d"), ("2b0249d53919c64f", "d2d7943e7bf0fd6f"),
                        ("58d61930b986447e", "e6204db387eddd4e")],
 }

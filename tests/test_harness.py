@@ -295,6 +295,66 @@ def test_member_and_existence_draws_are_pinned(n):
     assert got == PINNED_FRAMES[n]
 
 
+# sha256[:16] over seeds 0-7 of the parts of three rounds of gen_member(n, rng),
+# gen_member(n, rng, invertible=True), gen_member(n, rng, invertible=False),
+# gen_existence(n, rng, True) and gen_existence(n, rng, False), drawn in that
+# order from default_rng([seed, n, 32]): 120 draws a size, signed zeros folded
+PINNED_STREAMS = {
+    1: "d39b32b84c0a1dec",
+    2: "5d1912c3ce28a588",
+    3: "4c0033f7c1fee6b6",
+    5: "7da61beed2cf180e",
+    8: "2599674917a5d7ba",
+    12: "8f1bd142110f419c",
+    16: "932a40d65cedff4d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_STREAMS))
+def test_member_and_existence_streams_are_pinned(n):
+    # a rewrite of the frame builders that draws one value more, fewer or in
+    # another order, or shears differently, moves one of these
+    h = hashlib.sha256()
+    for seed in range(8):
+        rng = np.random.default_rng([seed, n, 32])
+        for _ in range(3):
+            for x in (gen_member(n, rng), gen_member(n, rng, invertible=True),
+                      gen_member(n, rng, invertible=False),
+                      gen_existence(n, rng, True), gen_existence(n, rng, False)):
+                h.update((np.stack([x.std, x.inf]) + 0.0).tobytes())
+    assert h.hexdigest()[:16] == PINNED_STREAMS[n]
+
+
+def _reference_shear(n, rng):
+    """The shear loop with one size-2 draw of (i, j) a step and column updates through temporaries."""
+    s, sinv = np.eye(n), np.eye(n)
+    for _ in range(n + 2):
+        i, j = rng.integers(0, n, 2)
+        if i == j:
+            continue
+        c = (-1, 1)[rng.integers(0, 2)]
+        s[:, j] += c * s[:, i]
+        sinv[i, :] -= c * sinv[j, :]
+    return s.astype(complex), sinv.astype(complex)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_the_shear_matches_its_reference_and_inverts_exactly(n):
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        s, sinv = harness._unimodular(n, rng)
+        ref, ref_inv = _reference_shear(n, ref_rng)
+        assert s.tobytes() == ref.tobytes() and sinv.tobytes() == ref_inv.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws, no more
+        assert s.dtype == sinv.dtype == complex and s.flags.c_contiguous and sinv.flags.c_contiguous
+        assert not s.imag.any() and not sinv.imag.any()
+        a, b = s.real.astype(np.int64), sinv.real.astype(np.int64)
+        assert np.array_equal(a, s.real) and np.array_equal(b, sinv.real)  # integers, stored exactly
+        eye = np.eye(n, dtype=np.int64)
+        assert np.array_equal(a @ b, eye) and np.array_equal(b @ a, eye)
+        assert np.array_equal(s @ sinv, np.eye(n))
+
+
 def test_fuzz_factorises_each_matrix_once_per_trial(monkeypatch):
     # accept filters and hypothesis reports share one factorisation record per
     # distinct matrix, so the staircase and the certificate run once per entry
