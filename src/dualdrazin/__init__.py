@@ -1,19 +1,20 @@
 """Drazin-type generalized inverses over the dual complex numbers.
 
-The package splits into scalar and matrix arithmetic (dualnum, dualmat),
-the inverse itself with its existence test (drazin), closed forms for
-structured block matrices (blocks), adjacency formulas for dual-weighted
-digraph families (digraphs), a randomised verification harness (harness),
-exact arithmetic over the Gaussian rationals (exact), JSON serialisation
-(serialize), the theorem and family names (families) and the ddz command
-line tool (cli).
+The package splits into dual matrix arithmetic (dualmat), the dual Drazin
+inverse of a 1x1 dual matrix (dualnum), the inverse itself with its
+existence test (drazin), closed forms for structured block matrices
+(blocks), adjacency formulas for dual-weighted digraph families
+(digraphs), a randomised verification harness (harness), exact arithmetic
+over the Gaussian rationals (exact), JSON serialisation (serialize), the
+theorem and family names (families) and the ddz command line tool (cli).
+DualMatrix is the one dual value type: a dual number is a 1x1 DualMatrix.
 
 Importing the package loads none of them.  Each public name is resolved
 from its module on first access (_EXPORTS), so a program loads only the
 modules whose names it uses, and the ddz verbs only the modules they run:
 the matrix verbs drazin, dual-drazin, exists, index and rank load dualmat,
 drazin and serialize (rank adds exact); the block verbs add blocks; graph
-adds digraphs; only verify and fuzz load harness.
+adds digraphs and dualnum; only verify and fuzz load harness.
 """
 
 import importlib
@@ -24,7 +25,6 @@ __version__ = "0.1.0"
 # public name -> the module that defines it; __all__ keeps this order
 _EXPORTS = {
     # dual arithmetic
-    "DualScalar": "dualnum",
     "DualMatrix": "dualmat",
     "IndexReport": "dualmat",
     "dblock": "dualmat",
@@ -95,7 +95,6 @@ _EXPORTS = {
     "HypothesisViolated": "errors",
     "IndexTooLarge": "errors",
     "InexactInput": "errors",
-    "NotAppreciable": "errors",
     "NotDualDrazinInvertible": "errors",
     "SchemaError": "errors",
     "ShapeMismatch": "errors",

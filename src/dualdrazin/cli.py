@@ -47,7 +47,6 @@ from .errors import (
     IndexTooLarge,
     InexactInput,
     NonFiniteEntries,
-    NotAppreciable,
     NotDualDrazinInvertible,
     SchemaError,
     ShapeMismatch,
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
     except (HypothesisViolated, IndexTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (NotDualDrazinInvertible, NotAppreciable) as exc:
+    except NotDualDrazinInvertible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_INVERTIBLE
     except (SchemaError, SpecInvalid, ShapeMismatch, NonFiniteEntries, InexactInput, UncertainRank) as exc:

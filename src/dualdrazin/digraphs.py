@@ -19,14 +19,15 @@ too (blocks._require), then the body.  The double star, linked stars and
 the bc_zero windmill share one report, BC = 0 and a membership of A, and
 one body, the series at BC = 0 (_bc_zero).
 
-Weights are dual complex numbers.  Arc weights may be pure infinitesimals;
-a weight that is zero in both parts means the arc is missing, which the
-builders reject.
+Every weight is a DualMatrix: a fan is a column, a core or blade matrix
+square, and the double star's hub arcs a and b are 1x1, so theta and its
+inverse are 1x1 too (dualnum.scalar_dual_drazin).  Arc weights may be pure
+infinitesimals; a weight that is zero in both parts means the arc is
+missing, which the builders reject.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,8 +36,8 @@ import numpy as np
 from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _condition, _membership,
                      _require, bipartite_drazin)
 from .dualmat import DualMatrix, dblock, dmul
-from .dualnum import DualScalar, scalar_dual_drazin
-from .errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaError, SpecInvalid
+from .dualnum import scalar_dual_drazin
+from .errors import NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .families import _WINDMILL_FORMS
 from .serialize import (
     _is_count,
@@ -48,6 +49,7 @@ from .serialize import (
     scalar_to_doc,
     vector_from_doc,
 )
+from .tolerances import APPRECIABLE_TOL
 
 __all__ = [
     "DoubleStar",
@@ -105,7 +107,8 @@ class DoubleStar(_Spec):
     """Two bidirectionally joined hubs with m and n weighted leaf pairs.
 
     x and y weigh the arcs hub1->leaf and leaf->hub1, w and v the same
-    around hub2, and a and b the two arcs between the hubs.
+    around hub2, and the 1x1 dual matrices a and b the two arcs between
+    the hubs.
     """
 
     m: int
@@ -114,13 +117,13 @@ class DoubleStar(_Spec):
     y: DualMatrix
     w: DualMatrix
     v: DualMatrix
-    a: DualScalar
-    b: DualScalar
+    a: DualMatrix
+    b: DualMatrix
 
     @cached_property
-    def _theta(self) -> tuple[DualScalar, DualScalar | None]:
-        """theta = x^T y + ab, which the core inverts through, and its inverse (None if it has none)."""
-        theta = _dual_dot(self.x, self.y) + self.a * self.b
+    def _theta(self) -> tuple[DualMatrix, DualMatrix | None]:
+        """theta = x^T y + ab (1x1), which the core inverts through, and its inverse (None if it has none)."""
+        theta = _dual_dot(self.x, self.y) + dmul(self.a, self.b)
         try:
             return theta, scalar_dual_drazin(theta)
         except NotDualDrazinInvertible:
@@ -185,12 +188,11 @@ def _validate(spec: GraphSpec) -> None:
         _check_vector(spec.w, spec.n, "w", entries_nonzero=True)
         _check_vector(spec.v, spec.n, "v", entries_nonzero=True)
         for name, s in (("a", spec.a), ("b", spec.b)):
-            if not isinstance(s, DualScalar) or not s.is_appreciable(scale=1.0 + abs(s)):
+            if not isinstance(s, DualMatrix) or s.shape != (1, 1):
+                raise SpecInvalid(f"hub-to-hub weight {name} must be a 1x1 dual matrix")
+            std, inf = abs(s.std).item(), abs(s.inf).item()
+            if not std > APPRECIABLE_TOL * (1.0 + max(std, inf)):
                 raise SpecInvalid(f"hub-to-hub weight {name} must be appreciable")
-        # _blocks takes every weight unchecked; only these scalars can hold
-        # a NaN, in the infinitesimal part, which the appreciability test lets by
-        if not (cmath.isfinite(spec.a.inf) and cmath.isfinite(spec.b.inf)):
-            raise NonFiniteEntries("dual matrix entries must be finite")
     elif isinstance(spec, DLinkedStars):
         if not isinstance(spec.base, DualMatrix) or spec.base.shape[0] != spec.base.shape[1]:
             raise SpecInvalid("core adjacency must be a square dual matrix")
@@ -236,8 +238,8 @@ def _blocks(spec: GraphSpec, part: str) -> tuple[np.ndarray, np.ndarray, np.ndar
         a, b, c = (np.zeros(shape, dtype=complex) for shape in ((k, k), (k, spec.n), (spec.n, k)))
         a[0, 1 : k - 1] = getattr(spec.x, part)[:, 0]
         a[1 : k - 1, 0] = getattr(spec.y, part)[:, 0]
-        a[0, k - 1] = getattr(spec.a, part)
-        a[k - 1, 0] = getattr(spec.b, part)
+        a[0, k - 1] = getattr(spec.a, part)[0, 0]
+        a[k - 1, 0] = getattr(spec.b, part)[0, 0]
         b[k - 1] = getattr(spec.w, part)[:, 0]
         c[:, k - 1] = getattr(spec.v, part)[:, 0]
         return a, b, c
@@ -311,12 +313,12 @@ def windmill_pattern(m: int, n: int) -> DutchWindmill:
     )
 
 
-def _dual_dot(u: DualMatrix, v: DualMatrix) -> DualScalar:
-    prod = dmul(u.T, v)
-    return DualScalar(prod.std[0, 0], prod.inf[0, 0])
+def _dual_dot(u: DualMatrix, v: DualMatrix) -> DualMatrix:
+    return dmul(u.T, v)
 
 
-def _scalar_scale(s: DualScalar, x: DualMatrix) -> DualMatrix:
+def _scalar_scale(s: DualMatrix, x: DualMatrix) -> DualMatrix:
+    """The 1x1 dual matrix s times x, entry by entry (its parts broadcast)."""
     return DualMatrix._of(s.std * x.std, s.std * x.inf + s.inf * x.std)
 
 
@@ -352,8 +354,8 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
     membership = _membership(factors, tol, res_tol)
     if isinstance(spec, DoubleStar):
         theta, inverse = spec._theta
-        member = Condition("theta_membership", abs(theta.inf) if inverse is None else 0.0, inverse is not None)
-        theorem = "DOUBLE_STAR"
+        residual = 0.0 if inverse is not None else abs(theta.inf).item()
+        member, theorem = Condition("theta_membership", residual, inverse is not None), "DOUBLE_STAR"
     elif isinstance(spec, DLinkedStars):
         member, theorem = membership("A", a, "membership_base"), "LINKED_STARS"
     else:

@@ -5,10 +5,6 @@ class DualDrazinError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NotAppreciable(DualDrazinError):
-    """The standard part of a dual number is zero where a unit is required."""
-
-
 class NotDualDrazinInvertible(DualDrazinError):
     """The dual matrix admits no dual Drazin inverse."""
 

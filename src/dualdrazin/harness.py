@@ -36,7 +36,6 @@ from .digraphs import (
 )
 from .drazin import _factorise, _memo, defining_residuals, dual_drazin
 from .dualmat import DualMatrix, dmul
-from .dualnum import DualScalar
 from .errors import (
     DualDrazinError,
     GenerationFailed,
@@ -462,8 +461,7 @@ def _gen_double_star(cfg, trial, rng):
     n = _dim(cfg, trial, rng, floor=2)
     x = DualMatrix.column(_nonzero_ints(rng, m), _ints(rng, m))
     y = DualMatrix.column(_nonzero_ints(rng, m), _ints(rng, m))
-    a = DualScalar(_choice(rng, (-2, -1, 1, 2)), _int(rng))
-    b = DualScalar(_choice(rng, (-2, -1, 1, 2)), _int(rng))
+    a, b = (DualMatrix([[_choice(rng, (-2, -1, 1, 2))]], [[_int(rng)]]) for _ in range(2))
     if cfg.violate:
         ones = DualMatrix.column(np.ones(n))
         spec = DoubleStar(m=m, n=n, x=x, y=y, w=ones, v=ones, a=a, b=b)

@@ -1,4 +1,4 @@
-"""JSON readers and writers for dual matrices, vectors and scalars.
+"""JSON readers and writers for dual matrices, vectors and scalars (1x1 matrices).
 
 Writers render every float with 17 significant digits so a write-read cycle
 reproduces the double exactly and re-serialising gives identical bytes;
@@ -40,7 +40,6 @@ from typing import Any
 import numpy as np
 
 from .dualmat import DualMatrix
-from .dualnum import DualScalar
 from .errors import NonFiniteEntries, SchemaError
 
 __all__ = [
@@ -275,17 +274,21 @@ def dump_matrix(x: DualMatrix, path, **extra) -> None:
         fh.writelines(pieces)
 
 
-def scalar_to_doc(z: DualScalar) -> dict:
-    return {"std": _pair(z.std), "inf": _pair(z.inf)}
+def scalar_to_doc(z: DualMatrix) -> dict:
+    """{"std": [re, im], "inf": [re, im]} of a 1x1 dual matrix."""
+    if z.shape != (1, 1):
+        raise SchemaError("dual scalars serialise as 1x1 matrices")
+    return {"std": _pair(z.std[0, 0]), "inf": _pair(z.inf[0, 0])}
 
 
-def scalar_from_doc(doc: Any, label: str = "scalar") -> DualScalar:
+def scalar_from_doc(doc: Any, label: str = "scalar") -> DualMatrix:
+    """The 1x1 dual matrix of a scalar document; a missing 'inf' is zero."""
     if not isinstance(doc, dict) or "std" not in doc:
         raise SchemaError(f"{label}: dual scalar needs a 'std' [re, im] pair")
 
-    std = complex(_number_pairs(doc["std"], (), f"{label}.std"))
-    inf = complex(_number_pairs(doc["inf"], (), f"{label}.inf")) if "inf" in doc else 0j
-    return DualScalar(std, inf)
+    std = _number_pairs(doc["std"], (), f"{label}.std").reshape(1, 1)
+    inf = _number_pairs(doc["inf"], (), f"{label}.inf").reshape(1, 1) if "inf" in doc else None
+    return DualMatrix(std, inf)
 
 
 def _vector_doc(v: DualMatrix) -> dict:

@@ -199,13 +199,13 @@ def test_criterion_6_rank_and_index_suites():
 
 def test_criterion_7_builder_shapes_and_patterns():
     """Published example graphs reproduce their documented sizes and arcs."""
-    from dualdrazin import DLinkedStars, DoubleStar, DualScalar
+    from dualdrazin import DLinkedStars, DoubleStar
 
     col = DualMatrix.column
     star = DoubleStar(m=3, n=2,
                       x=col([1.0, 1.0, 1.0]), y=col([1.0, 2.0, 1.0]),
                       w=col([1.0, -1.0]), v=col([1.0, 1.0]),
-                      a=DualScalar(1), b=DualScalar(1))
+                      a=col([1.0]), b=col([1.0]))
     ds = build_adjacency(star)
     ds_nonzeros = int(((ds.matrix.std != 0) | (ds.matrix.inf != 0)).sum())
 

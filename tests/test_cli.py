@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DualScalar, DutchWindmill, blocks, digraphs
+from dualdrazin import DLinkedStars, DoubleStar, DualMatrix, DutchWindmill, blocks, digraphs
 import dualdrazin.drazin
 from dualdrazin.blocks import (
     _SHAPES,
@@ -318,18 +318,32 @@ def test_order_64_entries_that_are_not_finite_or_overflow_are_exit_4(bad, verb, 
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+HUB_STAR = DoubleStar(
+    m=1, n=2, x=DualMatrix([[1.0]]), y=DualMatrix([[1.0]]),
+    w=DualMatrix([[1.0], [1.0]]), v=DualMatrix([[1.0], [-1.0]]),
+    a=DualMatrix([[1.0]]), b=DualMatrix([[1.0]]),
+)
+
+
 @pytest.mark.parametrize("verb", ["graph", "verify"])
 def test_a_nan_hub_weight_is_exit_4(verb, write, capsys):
-    spec = graph_spec_to_doc(DoubleStar(
-        m=1, n=2, x=DualMatrix([[1.0]]), y=DualMatrix([[1.0]]),
-        w=DualMatrix([[1.0], [1.0]]), v=DualMatrix([[1.0], [-1.0]]),
-        a=DualScalar(1.0), b=DualScalar(1.0),
-    ))
+    spec = graph_spec_to_doc(HUB_STAR)
     spec["a"]["inf"] = [float("nan"), 0.0]
     path = write(spec, "spec.json")
     code, out, err = run(capsys, verb, *(["--spec", path] if verb == "graph" else ["-i", path]))
     assert (code, out) == (4, "")
     assert err == "error: dual matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("verb", ["graph", "verify"])
+def test_an_inappreciable_hub_weight_is_exit_4(verb, write, capsys):
+    # the document format is unchanged: a hub weight is a dual scalar, read
+    # as a 1x1 dual matrix, and 1e-300 is no unit beside an eps part of 1
+    spec = graph_spec_to_doc(HUB_STAR)
+    spec["b"] = {"std": [1e-300, 0.0], "inf": [1.0, 0.0]}
+    path = write(spec, "spec.json")
+    code, out, err = run(capsys, verb, *(["--spec", path] if verb == "graph" else ["-i", path]))
+    assert (code, out, err) == (4, "", "error: hub-to-hub weight b must be appreciable\n")
 
 
 def test_index_reports_the_dual_index_of_a_large_member(write, capsys):
@@ -686,7 +700,7 @@ REPORT_GAPS = {
     # precision, so the double star core has no dual Drazin inverse
     "theta": ("drazin", "theta_membership", ds_dual_drazin, DoubleStar(
         m=1, n=2, x=_col(1), y=_col(-1 + 1e-13), w=_col(1, 1), v=_col(1, -1),
-        a=DualScalar(1, 1), b=DualScalar(1, 0))),
+        a=DualMatrix([[1]], [[1]]), b=DualMatrix([[1]]))),
     "windmill_hub": ("drazin", "hub_membership", dw_dual_drazin, EPS_HUB_WINDMILL),
     "group_hub": ("group", "hub_membership", dw_group, EPS_HUB_WINDMILL),
     "windmill_D": ("drazin", "membership_D", dw_dual_drazin, EPS_WINDMILL),
@@ -733,7 +747,7 @@ ABCO_GAPS = {
     **{f"windmill_{form}": DutchWindmill(m=1, n=1, blades=(DualMatrix([[0]]),), x=(EPS,), y=(EPS,))
        for form in ("drazin", "bc-zero", "group")},
     "linked_stars": DLinkedStars(base=DualMatrix([[0]]), r=(1,), x=(EPS,), y=(EPS,)),
-    "double_star": DoubleStar(m=1, n=1, x=_col(1), y=_col(1), w=EPS, v=EPS, a=DualScalar(1), b=DualScalar(1)),
+    "double_star": DoubleStar(m=1, n=1, x=_col(1), y=_col(1), w=EPS, v=EPS, a=_col(1), b=_col(1)),
 }
 
 

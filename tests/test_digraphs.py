@@ -13,7 +13,6 @@ from dualdrazin import (
     DoubleStar,
     DLinkedStars,
     DualMatrix,
-    DualScalar,
     DutchWindmill,
     bipartite_dual,
     build_adjacency,
@@ -57,8 +56,8 @@ def unit_star(m, n):
         y=col([1.0] * m),
         w=col(w, None if n > 1 else [1.0]),
         v=col(v, None if n > 1 else [1.0]),
-        a=DualScalar(1),
-        b=DualScalar(1),
+        a=DualMatrix([[1.0]]),
+        b=DualMatrix([[1.0]]),
     )
 
 
@@ -133,7 +132,7 @@ def test_validation_catches_bad_specs():
     with pytest.raises(SpecInvalid):
         DoubleStar(m=2, n=2, x=col([1.0, 0.0]), y=spec.y, w=spec.w, v=spec.v, a=spec.a, b=spec.b)
     with pytest.raises(SpecInvalid):
-        dataclasses.replace(spec, a=DualScalar(0, 1))
+        dataclasses.replace(spec, a=DualMatrix([[0]], [[1]]))
     with pytest.raises(SpecInvalid):
         dataclasses.replace(spec, m=3)  # x and y keep two entries
     with pytest.raises(SpecInvalid):
@@ -155,6 +154,18 @@ def test_validation_catches_bad_specs():
             public(DualMatrix.identity(3))
 
 
+@pytest.mark.parametrize("hub", [1.0, DualMatrix([[1.0, 1.0]]), DualMatrix([[1.0], [1.0]]),
+                                 DualMatrix([[1e-300]], [[1.0]]), DualMatrix([[0.0]])],
+                         ids=["number", "row", "column", "inappreciable", "zero"])
+def test_a_double_star_refuses_a_hub_weight_that_is_not_an_appreciable_1x1_matrix(hub):
+    # a hub arc is a 1x1 dual matrix whose standard part is a unit at the
+    # scale 1 + max(|std|, |inf|)
+    spec = unit_star(2, 2)
+    for name in ("a", "b"):
+        with pytest.raises(SpecInvalid, match=f"hub-to-hub weight {name} must be"):
+            dataclasses.replace(spec, **{name: hub})
+
+
 def test_a_built_spec_s_weights_are_read_only():
     # the check and the kept adjacency have read the weights; a write that
     # neither would see raises instead, even before the adjacency is laid out
@@ -168,7 +179,7 @@ def test_a_built_spec_s_weights_are_read_only():
     star = unit_star(2, 2)
     links = DLinkedStars(base=DualMatrix.identity(2), r=(1, 1), x=(col([1.0]), col([2.0])),
                          y=(col([1.0]), col([3.0])))
-    weights = [star.x, star.y, star.w, star.v, links.base, *links.x, *links.y]
+    weights = [star.x, star.y, star.w, star.v, star.a, star.b, links.base, *links.x, *links.y]
     assert not any(part.flags.writeable for w in weights for part in (w.std, w.inf))
     assert build_adjacency(spec).matrix.std[0, 1] == 1
 
@@ -262,6 +273,42 @@ def test_layouts_and_closed_forms_are_pinned(family):
         build = build_adjacency(spec)
         got.append((_digest(build.matrix, build.vertex_order), _digest(CLOSED_FORMS[family](spec))))
     assert got == PINNED_LAYOUTS[family]
+
+
+def _float_star_doc(rng):
+    """A double star document with uniform float weights, both parts, and pure-infinitesimal hub-2 fans.
+
+    The fans' product w^T v is eps^2 = 0, so the report passes and
+    ds_dual_drazin evaluates the body.
+    """
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+
+    def weight(count):
+        std, inf = rng.uniform(-3, 3, (2, count, 2)).tolist()
+        return {"std": std, "inf": inf}
+
+    def fan(count):
+        return {"std": [[0.0, 0.0]] * count, "inf": weight(count)["inf"]}
+
+    def hub():
+        std, inf = rng.uniform(-3, 3, (2, 2)).tolist()
+        return {"std": std, "inf": inf}
+
+    return {"family": "double_star", "m": m, "n": n, "x": weight(m), "y": weight(m), "w": fan(n), "v": fan(n),
+            "a": hub(), "b": hub()}
+
+
+def test_theta_and_the_double_star_inverse_are_pinned_on_float_weights():
+    # PINNED_LAYOUTS draws Gaussian integers only; theta = x^T y + ab, its
+    # inverse 1/theta_s - eps theta_i/theta_s^2 and the closed form are
+    # pinned bit for bit on 32 float-weight specs read from documents
+    rng = np.random.default_rng(33)
+    h = hashlib.sha256()
+    for _ in range(32):
+        spec = graph_spec_from_doc(_float_star_doc(rng))
+        for z in (*spec._theta, ds_dual_drazin(spec)):
+            h.update(z.std.tobytes() + z.inf.tobytes())
+    assert h.hexdigest()[:16] == "43fd3963f8473806"
 
 
 # ---- closed forms --------------------------------------------------------

@@ -34,6 +34,7 @@ from dualdrazin.serialize import (
     matrix_from_doc,
     matrix_to_doc,
     scalar_from_doc,
+    scalar_to_doc,
     vector_from_doc,
     vector_to_doc,
 )
@@ -591,7 +592,17 @@ def test_readers_give_the_bits_of_the_nested_array_reader():
     assert _bits(v.inf[:, 0]) == _bits(_reference_part(READER_PAIRS[::-1]))
     for pair in READER_PAIRS:
         z = scalar_from_doc({"std": pair, "inf": pair})
-        assert _bits(z.std) == _bits(z.inf) == _bits(_reference_part(pair))
+        assert _bits(z.std[0, 0]) == _bits(z.inf[0, 0]) == _bits(_reference_part(pair))
+
+
+def test_a_dual_scalar_document_is_a_1x1_matrix():
+    # the scalar format is unchanged; in Python a dual scalar is 1x1
+    z = scalar_from_doc({"std": [2, -1], "inf": [0.5, 0]})
+    assert z.shape == (1, 1) and (z.std[0, 0], z.inf[0, 0]) == (2 - 1j, 0.5)
+    assert scalar_to_doc(z) == {"std": [2.0, -1.0], "inf": [0.5, 0.0]}
+    assert scalar_from_doc({"std": [3, 0]}).inf[0, 0] == 0
+    with pytest.raises(SchemaError):
+        scalar_to_doc(DualMatrix.identity(2))
 
 
 def test_load_matrix_round_trips_and_rejects_deep_nesting(tmp_path):

@@ -1,89 +1,97 @@
-"""Scalar dual-number algebra: arithmetic laws, inversion, the 1x1 inverse."""
+"""Dual numbers as 1x1 dual matrices: the product theta uses, and the 1x1 inverse."""
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dualdrazin import DualScalar, scalar_dual_drazin
-from dualdrazin.errors import NotAppreciable, NotDualDrazinInvertible
+from dualdrazin import DualMatrix, dmul, scalar_dual_drazin
+from dualdrazin.errors import NotDualDrazinInvertible, ShapeMismatch
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-duals = st.builds(
-    DualScalar,
-    std=st.builds(complex, finite, finite),
-    inf=st.builds(complex, finite, finite),
-)
+complexes = st.builds(complex, finite, finite)
+duals = st.builds(lambda std, inf: DualMatrix([[std]], [[inf]]), complexes, complexes)
+
+
+def dual(std, inf=0):
+    return DualMatrix([[std]], [[inf]])
+
+
+def parts(z):
+    return complex(z.std[0, 0]), complex(z.inf[0, 0])
+
+
+def size(z):
+    return max(abs(z.std[0, 0]), abs(z.inf[0, 0]))
 
 
 def test_product_drops_square_infinitesimal():
-    z = DualScalar(1, 2) * DualScalar(3, 4)
-    assert z.std == 3 and z.inf == 10
-    eps = DualScalar(0, 1)
-    assert eps * eps == DualScalar()
+    assert parts(dmul(dual(1, 2), dual(3, 4))) == (3, 10)
+    assert parts(dmul(dual(0, 1), dual(0, 1))) == (0, 0)
 
 
 def test_one_is_neutral():
-    z = DualScalar(2.5 - 1j, 0.75j)
-    assert z * DualScalar(1) == z
-    assert DualScalar(1) * z == z
+    z = dual(2.5 - 1j, 0.75j)
+    assert parts(dmul(z, dual(1))) == parts(z)
+    assert parts(dmul(dual(1), z)) == parts(z)
 
 
 @given(duals, duals)
 def test_multiplication_commutes(x, y):
-    assert x * y == y * x
+    assert parts(dmul(x, y)) == parts(dmul(y, x))
 
 
 @given(duals, duals, duals)
 def test_multiplication_distributes(x, y, z):
-    left = x * (y + z)
-    right = x * y + x * z
-    assert abs(left - right) <= 1e-9 * (1 + abs(x)) * (1 + abs(y) + abs(z))
+    left = dmul(x, y + z)
+    right = dmul(x, y) + dmul(x, z)
+    assert size(left - right) <= 1e-9 * (1 + size(x)) * (1 + size(y) + size(z))
 
 
 def test_inverse_closed_form():
-    z = DualScalar(2, 1)
-    w = z.inverse()
-    assert w.std == 0.5 and w.inf == -0.25
-    assert z * w - DualScalar(1) == DualScalar()
-    assert DualScalar(1).inverse() == DualScalar(1)
+    z = dual(2, 1)
+    w = scalar_dual_drazin(z)
+    assert parts(w) == (0.5, -0.25)
+    assert parts(dmul(z, w)) == (1, 0)
+    assert parts(scalar_dual_drazin(dual(1))) == (1, 0)
 
 
-@given(duals.filter(lambda z: abs(z.std) > 1e-3))
-@example(DualScalar(0.046875j, 546523j))
+@given(duals.filter(lambda z: abs(z.std[0, 0]) > 1e-3))
+@example(dual(0.046875j, 546523j))
 def test_inverse_round_trips(z):
-    # the eps-part of z * z^-1 cancels two terms of size |z.inf / z.std|,
+    # the eps-part of z * z^D cancels two terms of size |z.inf / z.std|,
     # up to 1e9 under this strategy, so the bound scales with that size
-    w = z.inverse()
-    assert abs(z * w - DualScalar(1)) <= 1e-12 * (1 + abs(z.inf) / abs(z.std))
-
-
-def test_inverse_needs_appreciable_part():
-    with pytest.raises(NotAppreciable):
-        DualScalar(0, 1).inverse()
-
-
-def test_division_uses_inverse():
-    q = DualScalar(1, 0) / DualScalar(2, 1)
-    assert q == DualScalar(2, 1).inverse()
+    w = scalar_dual_drazin(z)
+    std, inf = parts(z)
+    assert size(dmul(z, w) - dual(1)) <= 1e-12 * (1 + abs(inf) / abs(std))
 
 
 @pytest.mark.parametrize(
     "z, expected",
     [
-        (DualScalar(0, 0), DualScalar(0, 0)),
-        (DualScalar(2, 1), DualScalar(0.5, -0.25)),
-        (DualScalar(1, 0), DualScalar(1, 0)),
+        (dual(0, 0), (0, 0)),
+        (dual(2, 1), (0.5, -0.25)),
+        (dual(1, 0), (1, 0)),
     ],
 )
 def test_scalar_drazin_appreciable_and_zero(z, expected):
-    assert scalar_dual_drazin(z) == expected
+    w = scalar_dual_drazin(z)
+    assert w.shape == (1, 1) and parts(w) == expected
 
 
 def test_scalar_drazin_rejects_pure_infinitesimal():
     # the only candidate is zero, and zero fails the inner equation
     with pytest.raises(NotDualDrazinInvertible):
-        scalar_dual_drazin(DualScalar(0, 1))
+        scalar_dual_drazin(dual(0, 1))
 
 
 def test_appreciable_scale_is_relative():
-    tiny = DualScalar(1e-300, 1.0)
-    assert not tiny.is_appreciable(scale=1.0 + abs(tiny))
+    # the standard part a is weighed against 1 + |a| + |b|: 1e-3 is a unit
+    # beside an infinitesimal part of 1, and none beside one of 1e10
+    assert scalar_dual_drazin(dual(1e-3, 1.0)).std[0, 0] == 1.0 / 1e-3
+    for z in (dual(1e-3, 1e10), dual(1e-300, 1.0)):
+        with pytest.raises(NotDualDrazinInvertible):
+            scalar_dual_drazin(z)
+
+
+def test_scalar_drazin_takes_only_a_1x1_matrix():
+    with pytest.raises(ShapeMismatch):
+        scalar_dual_drazin(DualMatrix.identity(2))

@@ -200,7 +200,7 @@ def test_cli_import_does_not_load_scipy():
 # matrix, INST a CLINE instance of two identities, SPEC the m = n = 1 windmill
 # pattern, OUT an output file), and
 # which of the modules in LATE_MODULES the run loads
-LATE_MODULES = ("blocks", "digraphs", "harness")
+LATE_MODULES = ("blocks", "digraphs", "dualnum", "harness")
 VERB_RUNS = {
     "drazin": ("drazin -i EYE", ()),
     "dual-drazin": ("dual-drazin -i EYE", ()),
@@ -212,7 +212,7 @@ VERB_RUNS = {
     "abio": ("abio -a ZERO -b EYE", ("blocks",)),
     "abco": ("abco -a ZERO -b EYE -c EYE", ("blocks",)),
     "bipartite": ("bipartite -b EYE -c EYE", ("blocks",)),
-    "graph": ("graph --spec SPEC --closed-form OUT", ("blocks", "digraphs")),
+    "graph": ("graph --spec SPEC --closed-form OUT", ("blocks", "digraphs", "dualnum")),
     "verify": ("verify -i INST", LATE_MODULES),
     "fuzz": ("fuzz --theorem cline --trials 1", LATE_MODULES),
 }
