@@ -11,10 +11,11 @@ DualMatrix is the one dual value type: a dual number is a 1x1 DualMatrix.
 
 Importing the package loads none of them.  Each public name is resolved
 from its module on first access (_EXPORTS), so a program loads only the
-modules whose names it uses, and the ddz verbs only the modules they run:
-the matrix verbs drazin, dual-drazin, exists, index and rank load dualmat,
-drazin and serialize (rank adds exact); the block verbs add blocks; graph
-adds digraphs and dualnum; only verify and fuzz load harness.
+modules whose names it uses, and the ddz verbs only the modules they run.
+Every verb loads dualmat and serialize; drazin, dual-drazin and exists add
+drazin, index nothing more, and rank exact; the block verbs add blocks and
+drazin; graph adds digraphs and dualnum to those; only verify and fuzz load
+harness, with everything graph loads.
 """
 
 import importlib

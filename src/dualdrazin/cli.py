@@ -8,8 +8,9 @@ abco, bipartite), digraph assembly (graph), and verification drivers
 Every verb reads and writes documents through serialize, which loads
 dualmat, so this module imports those two and the name tables of families.
 A verb's handler imports the rest of what it runs: drazin, dual-drazin and
-exists add drazin, rank adds exact, the block verbs add blocks, graph adds
-digraphs, and only verify and fuzz load harness.
+exists add drazin, index adds nothing, rank adds exact, the block verbs add
+blocks and drazin, graph adds digraphs and dualnum to those, and verify and
+fuzz add harness to what graph loads.
 
 Matrices travel as JSON documents with 17-significant-digit floats, so a
 write-read-write cycle is byte identical.  A verb computes and renders all
@@ -63,8 +64,9 @@ EXIT_NOT_INVERTIBLE = 3
 EXIT_SCHEMA = 4
 
 # largest row or column count `rank` runs the exact oracle on; its Fraction
-# elimination grows faster than cubically, from 0.11 s at order 16 to 0.9 s
-# at 32 and 3.2 s at 48 (random entries in -3..3, best of 3, 2-vCPU VM)
+# elimination grows a little faster than cubically, from 0.04 s at order 16
+# to 0.34 s at 32 and 1.2 s at 48 (random integer entries in -3..3 in both
+# parts, best of 3, 2-vCPU VM)
 _SMITH_MAX_ORDER = 32
 
 # block verb -> (theorem whose lower-cased _SHAPES keys are the block
@@ -269,6 +271,16 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
+# matrix verb -> (handler, help); each reads one matrix document, -i
+_MATRIX_VERBS = {
+    "drazin": (_cmd_drazin, "Drazin inverse of a complex matrix"),
+    "dual-drazin": (_cmd_dual_drazin, "dual Drazin inverse of a dual matrix"),
+    "exists": (_cmd_exists, "membership test for the invertible class"),
+    "index": (_cmd_index, "standard, dual and embedding indices"),
+    "rank": (_cmd_rank, "standard and dual ranks, exact when integral"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-tol", type=float, default=None,
@@ -284,25 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("drazin", parents=[common], help="Drazin inverse of a complex matrix")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=_cmd_drazin)
-
-    p = sub.add_parser("dual-drazin", parents=[common], help="dual Drazin inverse of a dual matrix")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=_cmd_dual_drazin)
-
-    p = sub.add_parser("exists", parents=[common], help="membership test for the invertible class")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=_cmd_exists)
-
-    p = sub.add_parser("index", parents=[common], help="standard, dual and embedding indices")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=_cmd_index)
-
-    p = sub.add_parser("rank", parents=[common], help="standard and dual ranks, exact when integral")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=_cmd_rank)
+    for verb, (func, help_text) in _MATRIX_VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_text)
+        p.add_argument("-i", "--input", required=True)
+        p.set_defaults(func=func)
 
     for verb, (theorem, help_text, variant, _) in _BLOCK_VERBS.items():
         p = sub.add_parser(verb, parents=[common], help=help_text)

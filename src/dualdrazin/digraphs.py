@@ -36,7 +36,7 @@ import numpy as np
 from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _condition, _membership,
                      _require, bipartite_drazin)
 from .dualmat import DualMatrix, dblock, dmul
-from .dualnum import scalar_dual_drazin
+from .dualnum import _appreciable, scalar_dual_drazin
 from .errors import NotDualDrazinInvertible, SchemaError, SpecInvalid
 from .families import _WINDMILL_FORMS
 from .serialize import (
@@ -49,7 +49,6 @@ from .serialize import (
     scalar_to_doc,
     vector_from_doc,
 )
-from .tolerances import APPRECIABLE_TOL
 
 __all__ = [
     "DoubleStar",
@@ -190,8 +189,7 @@ def _validate(spec: GraphSpec) -> None:
         for name, s in (("a", spec.a), ("b", spec.b)):
             if not isinstance(s, DualMatrix) or s.shape != (1, 1):
                 raise SpecInvalid(f"hub-to-hub weight {name} must be a 1x1 dual matrix")
-            std, inf = abs(s.std).item(), abs(s.inf).item()
-            if not std > APPRECIABLE_TOL * (1.0 + max(std, inf)):
+            if not _appreciable(s.std.item(), s.inf.item()):
                 raise SpecInvalid(f"hub-to-hub weight {name} must be appreciable")
     elif isinstance(spec, DLinkedStars):
         if not isinstance(spec.base, DualMatrix) or spec.base.shape[0] != spec.base.shape[1]:

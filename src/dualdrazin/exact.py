@@ -2,9 +2,11 @@
 
 A complex number is a pair of Fractions (real, imaginary) and a dual number
 a pair of such pairs (standard, infinitesimal).  smith_rank_oracle counts
-the pivots of a Gaussian-integer dual matrix exactly; it cross-checks the
-numerical ranks of dualmat, and ddz rank reports it for small integral
-documents.
+the pivots of a Gaussian-integer dual matrix's Smith form exactly, in one
+elimination loop: unit pivots in dual arithmetic while any standard part is
+nonzero, then pivots on the infinitesimal parts in complex arithmetic.  It
+cross-checks the numerical ranks of dualmat, and ddz rank reports it for
+small integral documents.
 """
 
 from __future__ import annotations
@@ -53,9 +55,13 @@ def _dsub_exact(x, y):
 def smith_rank_oracle(x: DualMatrix) -> tuple[int, int]:
     """Exact pivot counts (appreciable, infinitesimal) over the dual ring.
 
-    Gaussian elimination with unit pivots runs until no entry has a
-    nonzero standard part; what remains is epsilon times a complex matrix
-    whose exact rank gives the infinitesimal pivot count.  Requires
+    The loop is the dual Smith form.  While any entry has a nonzero
+    standard part it pivots on one, a unit, and clears the pivot's column
+    in dual arithmetic; each such pivot counts towards the appreciable
+    rank.  Once none is left every entry is pure epsilon, so it pivots on
+    a nonzero infinitesimal part and clears the column on the infinitesimal
+    parts alone; each such pivot counts towards the infinitesimal rank.
+    Either way the pivot's row and column are then deleted.  Requires
     Gaussian integer entries so every step stays in exact fractions.
     """
     rows, cols = x.shape
@@ -71,60 +77,33 @@ def smith_rank_oracle(x: DualMatrix) -> tuple[int, int]:
         ]
         for i in range(rows)
     ]
-    r = 0
-    while True:
-        pivot = next(
-            ((i, j) for i in range(len(work)) for j in range(len(work[0]) if work else 0)
-             if work[i][j][0] != _CZERO),
+    counts = [0, 0]  # pivots taken on the standard parts, then on the infinitesimal parts
+    while work and work[0]:
+        found = next(
+            ((part, i, j) for part in (0, 1) for i, row in enumerate(work)
+             for j, entry in enumerate(row) if entry[part] != _CZERO),
             None,
         )
-        if pivot is None:
+        if found is None:
             break
-        pi, pj = pivot
-        pval = work[pi][pj]
-        pinv_std = _cinv(pval[0])
-        pinv = (pinv_std, _cmul((Fraction(-1), Fraction(0)), _cmul(pinv_std, _cmul(pval[1], pinv_std))))
-        for i in range(len(work)):
-            if i == pi:
-                continue
-            factor = _dmul_exact(work[i][pj], pinv)
-            work[i] = [
-                _dsub_exact(work[i][j], _dmul_exact(factor, work[pi][j]))
-                for j in range(len(work[0]))
-            ]
-        work = [
-            [work[i][j] for j in range(len(work[0])) if j != pj]
-            for i in range(len(work)) if i != pi
-        ]
-        r += 1
-        if not work or not work[0]:
-            break
-    # remaining entries are pure infinitesimals; their rank over the
-    # complex rationals is the epsilon pivot count
-    resid = [[entry[1] for entry in row] for row in work]
-    s = _exact_rank(resid)
-    return r, s
-
-
-def _exact_rank(rows_in) -> int:
-    rows = [list(row) for row in rows_in if any(v != _CZERO for v in row)]
-    rank = 0
-    col = 0
-    width = len(rows_in[0]) if rows_in else 0
-    while rows and col < width:
-        pivot_row = next((i for i, row in enumerate(rows) if row[col] != _CZERO), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[0], rows[pivot_row] = rows[pivot_row], rows[0]
-        inv = _cinv(rows[0][col])
-        for i in range(1, len(rows)):
-            if rows[i][col] == _CZERO:
-                continue
-            factor = _cmul(rows[i][col], inv)
-            rows[i] = [_csub(rows[i][j], _cmul(factor, rows[0][j])) for j in range(width)]
-        rows = rows[1:]
-        rows = [row for row in rows if any(v != _CZERO for v in row)]
-        rank += 1
-        col += 1
-    return rank
+        part, pi, pj = found
+        counts[part] += 1
+        pivot_row = work.pop(pi)
+        pivot = pivot_row[pj]
+        if part == 0:
+            u = _cinv(pivot[0])
+            inv = (u, _csub(_CZERO, _cmul(u, _cmul(pivot[1], u))))  # 1/a - eps*b/a**2
+        else:
+            inv = _cinv(pivot[1])
+        for i, row in enumerate(work):
+            if row[pj] == (_CZERO, _CZERO):
+                del row[pj]
+            elif part == 0:
+                factor = _dmul_exact(row[pj], inv)
+                work[i] = [_dsub_exact(entry, _dmul_exact(factor, top))
+                           for j, (entry, top) in enumerate(zip(row, pivot_row)) if j != pj]
+            else:
+                factor = _cmul(row[pj][1], inv)
+                work[i] = [(_CZERO, _csub(entry[1], _cmul(factor, top[1])))
+                           for j, (entry, top) in enumerate(zip(row, pivot_row)) if j != pj]
+    return counts[0], counts[1]

@@ -16,6 +16,7 @@ from dualdrazin import (
     closed_form,
     dmul,
     dual_drazin,
+    dual_exists,
     matrix_index,
     sum_pq_zero,
     tri_drazin,
@@ -229,13 +230,27 @@ def test_abco_series_past_its_first_term(side, index):
     assert cross.norm() > 0
     inst = BlockInstance(f"ABCO_{side.upper()}", {"A": a, "B": w, "C": dual_eye(a.shape[0])})
     want = dual_drazin(inst.assembled()).inverse
-    assert (closed_form(inst) - want).norm() <= 1e-12 * want.norm()
+    got = closed_form(inst)
+    assert (got - want).norm() <= 1e-12 * want.norm()
+    # the ungated series runs the gated body on the same factorisations
+    series = abco_series(a, w, dual_eye(a.shape[0]), side)
+    assert series.std.tobytes() == got.std.tobytes() and series.inf.tobytes() == got.inf.tobytes()
 
 
 def test_abco_series_rejects_an_unknown_side():
     a = dual_eye(2)
     with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
         abco_series(a, a, a, side="up")
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_abco_series_refuses_an_a_outside_the_class(side):
+    # N + eps E with N nilpotent of index 2 and (N + eps E)^2 = eps I: no
+    # dual Drazin inverse, which the series meets when it factorises A
+    a = DualMatrix([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
+    assert not dual_exists(a)[0]
+    with pytest.raises(NotDualDrazinInvertible):
+        abco_series(a, dual_eye(2), dual_eye(2), side)
 
 
 @pytest.mark.parametrize("violate", [False, True])

@@ -338,12 +338,14 @@ def test_a_nan_hub_weight_is_exit_4(verb, write, capsys):
 @pytest.mark.parametrize("verb", ["graph", "verify"])
 def test_an_inappreciable_hub_weight_is_exit_4(verb, write, capsys):
     # the document format is unchanged: a hub weight is a dual scalar, read
-    # as a 1x1 dual matrix, and 1e-300 is no unit beside an eps part of 1
-    spec = graph_spec_to_doc(HUB_STAR)
-    spec["b"] = {"std": [1e-300, 0.0], "inf": [1.0, 0.0]}
-    path = write(spec, "spec.json")
-    code, out, err = run(capsys, verb, *(["--spec", path] if verb == "graph" else ["-i", path]))
-    assert (code, out, err) == (4, "", "error: hub-to-hub weight b must be appreciable\n")
+    # as a 1x1 dual matrix; 1e-300 is no unit beside an eps part of 1, nor
+    # 1 + 1.5e-12 beside one of 1e12 at the scale 1 + |std| + |inf|
+    for std, inf in ((1e-300, 1.0), (1 + 1.5e-12, 1e12)):
+        spec = graph_spec_to_doc(HUB_STAR)
+        spec["b"] = {"std": [std, 0.0], "inf": [inf, 0.0]}
+        path = write(spec, "spec.json")
+        code, out, err = run(capsys, verb, *(["--spec", path] if verb == "graph" else ["-i", path]))
+        assert (code, out, err) == (4, "", "error: hub-to-hub weight b must be appreciable\n")
 
 
 def test_index_reports_the_dual_index_of_a_large_member(write, capsys):
@@ -949,6 +951,18 @@ def test_block_verb_options_are_the_theorem_blocks(verb):
     # parameters are the same blocks in the same order
     assert getattr(blocks, _BLOCK_VERBS[verb][3]) is form
     assert list(inspect.signature(form).parameters)[:len(required)] == required
+
+
+def test_the_verbs_register_in_order_and_each_matrix_verb_reads_one_input():
+    # ddz --help lists the verbs in registration order; a matrix verb takes
+    # the common options and one required -i/--input, nothing else
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    matrix_verbs = ["drazin", "dual-drazin", "exists", "index", "rank"]
+    assert list(sub.choices) == [*matrix_verbs, *_BLOCK_VERBS, "graph", "verify", "fuzz"]
+    for verb in matrix_verbs:
+        options = [(action.option_strings, action.required) for action in sub.choices[verb]._actions]
+        assert options == [(["-h", "--help"], False), (["--rank-tol"], False), (["--residual-tol"], False),
+                           (["-o", "--output"], False), (["-i", "--input"], True)]
 
 
 # sha256[:16] of the file `ddz <verb> -i <input> -o <file>` writes; drazin is

@@ -159,7 +159,7 @@ def test_validation_catches_bad_specs():
                          ids=["number", "row", "column", "inappreciable", "zero"])
 def test_a_double_star_refuses_a_hub_weight_that_is_not_an_appreciable_1x1_matrix(hub):
     # a hub arc is a 1x1 dual matrix whose standard part is a unit at the
-    # scale 1 + max(|std|, |inf|)
+    # scale 1 + |std| + |inf| (dualnum._appreciable)
     spec = unit_star(2, 2)
     for name in ("a", "b"):
         with pytest.raises(SpecInvalid, match=f"hub-to-hub weight {name} must be"):

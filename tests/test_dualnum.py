@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dualdrazin import DualMatrix, dmul, scalar_dual_drazin
-from dualdrazin.errors import NotDualDrazinInvertible, ShapeMismatch
+from dualdrazin import DoubleStar, DualMatrix, dmul, scalar_dual_drazin
+from dualdrazin.errors import NotDualDrazinInvertible, ShapeMismatch, SpecInvalid
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -95,3 +95,23 @@ def test_appreciable_scale_is_relative():
 def test_scalar_drazin_takes_only_a_1x1_matrix():
     with pytest.raises(ShapeMismatch):
         scalar_dual_drazin(DualMatrix.identity(2))
+
+
+@pytest.mark.parametrize("std", [1 + 0.5e-12, 1 + 1.5e-12, 1 + 2.5e-12, 1 + 3e-12, 2.0])
+def test_a_hub_weight_is_valid_exactly_when_it_is_invertible(std):
+    # one rule decides both: beside an eps part of 1e12 the threshold on the
+    # standard part is 1e-12 * (1 + std + 1e12), about 1 + 2e-12
+    hub = dual(std, 1e12)
+    try:
+        scalar_dual_drazin(hub)
+    except NotDualDrazinInvertible:
+        invertible = False
+    else:
+        invertible = True
+    try:
+        DoubleStar(m=1, n=1, x=dual(1), y=dual(1), w=dual(1), v=dual(1), a=hub, b=dual(1))
+    except SpecInvalid:
+        valid = False
+    else:
+        valid = True
+    assert valid == invertible == (std > 1 + 2e-12)

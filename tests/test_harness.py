@@ -16,6 +16,7 @@ from dualdrazin import (
     THEOREMS,
     DualMatrix,
     build_adjacency,
+    dmul,
     dual_exists,
     graph_spec_to_doc,
     harness,
@@ -98,6 +99,43 @@ def test_smith_oracle_matches_numerical_ranks(rng):
         r, s = smith_rank_oracle(x)
         assert r == rank_std(x)
         assert r + s == rank_dual(x)
+
+
+def _gaussian(rng, *shape):
+    return rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+
+
+def _smith_sweep():
+    """Gaussian-integer duals of shapes 1..8 x 1..8: dense, pure-eps, and low-rank parts."""
+    rng = np.random.default_rng([34, 8])
+    for _ in range(240):
+        rows, cols = (int(v) for v in rng.integers(1, 9, 2))
+        kind = int(rng.integers(0, 4))
+        std, inf = _gaussian(rng, rows, cols), _gaussian(rng, rows, cols)
+        if kind == 1:
+            std = np.zeros((rows, cols), complex)
+        elif kind >= 2:  # a standard part of rank below min(rows, cols), and for 3 an eps part too
+            k = int(rng.integers(0, min(rows, cols)))
+            std = _gaussian(rng, rows, k) @ _gaussian(rng, k, cols)
+            if kind == 3:
+                k = int(rng.integers(0, min(rows, cols) + 1))
+                inf = _gaussian(rng, rows, k) @ _gaussian(rng, k, cols)
+        yield DualMatrix(std, inf)
+
+
+# digest of the (r, s) pairs of _smith_sweep, taken with the Smith oracle that
+# ran a dual elimination and then a separate complex row echelon on the eps block
+PINNED_SMITH_SWEEP = "a79284cfcef5e8f1"
+
+
+def test_the_smith_oracle_is_pinned_on_a_seeded_sweep():
+    pairs = [smith_rank_oracle(x) for x in _smith_sweep()]
+    # the sweep reaches pure-eps matrices, deficient standard parts with and
+    # without eps pivots, and full-rank ones
+    assert {(r == 0, s == 0) for r, s in pairs} == {(True, True), (True, False), (False, True), (False, False)}
+    assert any(r < min(x.shape) and s > 0 and r > 0 for (r, s), x in zip(pairs, _smith_sweep()))
+    digest = hashlib.sha256(";".join(f"{r},{s}" for r, s in pairs).encode()).hexdigest()[:16]
+    assert digest == PINNED_SMITH_SWEEP
 
 
 def test_fuzz_passes_each_family_briefly():
@@ -452,6 +490,27 @@ def test_summary_counts_a_violating_run_whose_hypotheses_pass(monkeypatch):
     assert (summary["evaluated"], summary["hypothesis_failures"]) == (3, 0)
     assert (summary["generation_failures"], summary["pass_count"]) == (0, 0)
     assert summary["max_closed_form_error"] == max(r["closed_form_error"] for r in report.records)
+    assert not report.passed
+
+
+def test_a_non_violating_draw_that_fails_its_hypotheses_is_kept(monkeypatch):
+    # a generator that hands a plain run a violating draw: SUM_PQ0 with PQ != 0
+    draws = []
+
+    def violating(cfg, trial, rng):
+        inst, ok = harness._gen_sum(dataclasses.replace(cfg, violate=True), trial, rng)
+        draws.append(inst)
+        return inst, ok
+
+    monkeypatch.setitem(harness._GENERATORS, "SUM_PQ0", violating)
+    report = fuzz(GenConfig("SUM_PQ0", trials=1, seed=3))
+    assert dmul(draws[-1]["P"], draws[-1]["Q"]).norm() > 0
+    (record,) = report.records
+    assert record["hypotheses_pass"] is False and record["pass"] is False
+    assert record["note"] == "hypotheses failed on a non-violating draw"
+    (kept,) = report.counterexamples
+    assert (kept["family"], kept["trial"], kept["record"]) == ("SUM_PQ0", 0, record)
+    assert report.summary["hypothesis_failures"] == 1
     assert not report.passed
 
 

@@ -136,7 +136,7 @@ UNEXPORTED = {
     "drazin.DrazinData": "what drazin_complex returns; callers read it, never build it",
     "drazin.DualDrazinData": "what dual_drazin returns; callers read it, never build it",
     "drazin.dual_drazin_series": "the ungated inverse series dual_drazin gates",
-    "blocks.abco_series": "the ungated ABCO series, for tests that run W past its first term",
+    "blocks.abco_series": "the ABCO series without its gate; tests hold it to the gated closed form, bit for bit",
     "harness.GRAPH_FAMILIES": "the digraph part of FAMILIES",
     "serialize.dumps_doc": "the writer behind the CLI and dump_matrix",
     "serialize.fmt17": "the float format of dumps_doc",
@@ -199,22 +199,26 @@ def test_cli_import_does_not_load_scipy():
 # verb -> one run of it on 2x2 documents (EYE the identity, ZERO the zero
 # matrix, INST a CLINE instance of two identities, SPEC the m = n = 1 windmill
 # pattern, OUT an output file), and
-# which of the modules in LATE_MODULES the run loads
-LATE_MODULES = ("blocks", "digraphs", "dualnum", "harness")
+# which of the modules in LATE_MODULES the run loads; every run loads the
+# EARLY_MODULES and no other package module
+EARLY_MODULES = ("cli", "dualmat", "errors", "families", "serialize", "tolerances")
+LATE_MODULES = ("blocks", "digraphs", "drazin", "dualnum", "exact", "harness")
+_BLOCK_LOADS = ("blocks", "drazin")
+_GRAPH_LOADS = ("blocks", "digraphs", "drazin", "dualnum")
 VERB_RUNS = {
-    "drazin": ("drazin -i EYE", ()),
-    "dual-drazin": ("dual-drazin -i EYE", ()),
-    "exists": ("exists -i EYE", ()),
+    "drazin": ("drazin -i EYE", ("drazin",)),
+    "dual-drazin": ("dual-drazin -i EYE", ("drazin",)),
+    "exists": ("exists -i EYE", ("drazin",)),
     "index": ("index -i EYE", ()),
-    "rank": ("rank -i EYE", ()),
-    "cline": ("cline -a EYE -b EYE", ("blocks",)),
-    "tri": ("tri -a EYE -b EYE -d EYE", ("blocks",)),
-    "abio": ("abio -a ZERO -b EYE", ("blocks",)),
-    "abco": ("abco -a ZERO -b EYE -c EYE", ("blocks",)),
-    "bipartite": ("bipartite -b EYE -c EYE", ("blocks",)),
-    "graph": ("graph --spec SPEC --closed-form OUT", ("blocks", "digraphs", "dualnum")),
-    "verify": ("verify -i INST", LATE_MODULES),
-    "fuzz": ("fuzz --theorem cline --trials 1", LATE_MODULES),
+    "rank": ("rank -i EYE", ("exact",)),
+    "cline": ("cline -a EYE -b EYE", _BLOCK_LOADS),
+    "tri": ("tri -a EYE -b EYE -d EYE", _BLOCK_LOADS),
+    "abio": ("abio -a ZERO -b EYE", _BLOCK_LOADS),
+    "abco": ("abco -a ZERO -b EYE -c EYE", _BLOCK_LOADS),
+    "bipartite": ("bipartite -b EYE -c EYE", _BLOCK_LOADS),
+    "graph": ("graph --spec SPEC --closed-form OUT", _GRAPH_LOADS),
+    "verify": ("verify -i INST", (*_GRAPH_LOADS, "harness")),
+    "fuzz": ("fuzz --theorem cline --trials 1", (*_GRAPH_LOADS, "harness")),
 }
 
 
@@ -247,6 +251,8 @@ def test_a_cold_verb_loads_only_the_modules_it_runs(verb, tmp_path):
     code, modules = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     assert [name for name in LATE_MODULES if f"dualdrazin.{name}" in modules] == list(loads)
+    package = {name.split(".")[1] for name in modules if name.startswith("dualdrazin.")}
+    assert package - set(LATE_MODULES) == set(EARLY_MODULES)
 
 
 def test_the_package_resolves_its_names_on_first_use():
