@@ -14,7 +14,7 @@ from its module on first access (_EXPORTS), so a program loads only the
 modules whose names it uses, and the ddz verbs only the modules they run.
 Every verb loads dualmat and serialize; drazin, dual-drazin and exists add
 drazin, index nothing more, and rank exact; the block verbs add blocks and
-drazin; graph adds digraphs and dualnum to those; only verify and fuzz load
+drazin; graph and verify add digraphs and dualnum to those; only fuzz loads
 harness, with everything graph loads.
 """
 

@@ -6,9 +6,13 @@ entry in _SHAPES when it is built and raises ShapeMismatch there, so later
 stages take the shapes as given.  check_hypotheses evaluates the
 hypotheses and keeps the factorisation of every block it tests for
 membership; the formula bodies take their inverses from that report, so
-each block is factorised once.  closed_form, behind every formula
-function, passes the report through one gate (_require), which decides
-what a failed hypothesis raises; the formula bodies only evaluate.
+each block is factorised once.  The report names its formula body
+(_FORMULAS, here or in digraphs), and one function, _closed, evaluates
+every closed form, a block instance's or a graph spec's: the one gate
+(_require), which decides what a failed hypothesis raises, then the body,
+which only evaluates.  _verify, the check of ddz verify and of each fuzz
+trial, asks the instance for its report and matrix, so it needs no
+generator (harness).
 
 Each series is one drazin._power_series call, sum_{i<k} L^i F R^i with k
 the standard index of the governing block: D and A for the two TRI sums,
@@ -36,9 +40,10 @@ out as a block permutation, which the transpose route cannot improve on.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .drazin import DualDrazinData, _factorise, _power_series, dual_drazin
+from .drazin import DualDrazinData, _factorise, _power_series, defining_residuals, dual_drazin
 from .dualmat import DualMatrix, dblock, dmul, dpow
 from .errors import HypothesisViolated, IndexTooLarge, NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch
 from .families import _SHAPES, THEOREMS
@@ -75,6 +80,8 @@ class HypothesisReport:
     conditions: tuple[Condition, ...]
     # name -> factorisation of each matrix the formula inverts, kept by the check
     factorisations: dict[str, DualDrazinData] = field(default_factory=dict, compare=False, repr=False)
+    # (instance, this report) -> its closed form: the theorem's formula body, which _closed runs
+    _body: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -110,6 +117,10 @@ class BlockInstance:
     def __getitem__(self, key: str) -> DualMatrix:
         return self.blocks[key]
 
+    def _report(self, form: str, tol, res_tol) -> HypothesisReport:
+        """The report _verify checks; form is a windmill variant, which a block instance ignores."""
+        return check_hypotheses(self, tol, res_tol)
+
     def assembled(self) -> DualMatrix:
         """The matrix whose dual Drazin inverse the theorem describes."""
         t, b = self.theorem, self.blocks
@@ -132,6 +143,8 @@ class BlockInstance:
         bb, c = b["B"], b["C"]
         n, p = bb.shape
         return dblock([[DualMatrix.zeros(n), bb], [c, DualMatrix.zeros(p)]])
+
+    _assembled = assembled  # the matrix _verify's oracle inverts
 
     def _doc(self) -> dict:
         """The instance document with complex array parts; to_doc lists them."""
@@ -246,11 +259,11 @@ def check_hypotheses(
         conds.append(membership(key, w))
     else:  # BIPARTITE
         conds.append(membership("BC", dmul(b["B"], b["C"])))
-    return HypothesisReport(theorem=t, conditions=tuple(conds), factorisations=factors)
+    return HypothesisReport(t, tuple(conds), factors, _FORMULAS[t])
 
 
 # Formula bodies: (instance, its passed report) -> the dual Drazin inverse.
-# A body only evaluates: closed_form gates the report first (_require), and
+# A body only evaluates: _closed gates the report first (_require), and
 # every inverse comes from the report's factorisations.
 
 
@@ -438,6 +451,42 @@ def bipartite_drazin(b: DualMatrix, c: DualMatrix, tol=None, res_tol=None) -> Du
 
 def closed_form(inst: BlockInstance, tol=None, res_tol=None) -> DualMatrix:
     """Check an instance's hypotheses, gate the report and evaluate its theorem's formula."""
-    report = check_hypotheses(inst, tol, res_tol)
+    return _closed(inst, check_hypotheses(inst, tol, res_tol))
+
+
+def _closed(inst, report: HypothesisReport) -> DualMatrix:
+    """Every closed form, of a block instance or a graph spec: gate the report, then run the body it names."""
     _require(report)
-    return _FORMULAS[inst.theorem](inst, report)
+    return report._body(inst, report)
+
+
+def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
+    """Check one block instance or graph spec: hypotheses, closed form, oracle, defining residuals.
+
+    The instance gives its own report (_report) and the matrix the oracle
+    inverts (_assembled): a spec's report and body read its kept blocks,
+    the oracle its kept adjacency.  form is the graph_hypotheses form a
+    windmill is checked under; every other instance ignores it.
+
+    Fills record with order, hypotheses_pass and hypothesis_residuals, then,
+    when every hypothesis holds, closed_form_error (the relative gap to the
+    series inverse of the assembled matrix) and defining_residuals, and
+    last pass.  Errors propagate and leave the fields set so far in place.
+    """
+    report = inst._report(form, tol, res_tol)
+    assembled = inst._assembled()
+    record["order"] = assembled.shape[0]
+    record["hypotheses_pass"] = report.passed
+    record["hypothesis_residuals"] = {c.name: c.residual for c in report.conditions}
+    if not report.passed:
+        record["pass"] = False
+        return
+    closed = _closed(inst, report)
+    oracle = dual_drazin(assembled, tol, res_tol)
+    rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
+    if not math.isfinite(rel):  # an overflowing closed form or oracle; no record can hold it
+        raise NonFiniteEntries("the closed-form error overflows")
+    defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, tol)]
+    record["closed_form_error"] = rel
+    record["defining_residuals"] = defres
+    record["pass"] = rel <= max_rel_error and max(defres) <= max_rel_error

@@ -9,8 +9,8 @@ Every verb reads and writes documents through serialize, which loads
 dualmat, so this module imports those two and the name tables of families.
 A verb's handler imports the rest of what it runs: drazin, dual-drazin and
 exists add drazin, index adds nothing, rank adds exact, the block verbs add
-blocks and drazin, graph adds digraphs and dualnum to those, and verify and
-fuzz add harness to what graph loads.
+blocks and drazin, graph and verify add digraphs and dualnum to those, and
+fuzz adds harness to what graph loads.
 
 Matrices travel as JSON documents with 17-significant-digit floats, so a
 write-read-write cycle is byte identical.  A verb computes and renders all
@@ -201,7 +201,8 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .digraphs import _graph_closed_form, build_adjacency, graph_spec_from_doc
+    from .blocks import _closed
+    from .digraphs import build_adjacency, graph_hypotheses, graph_spec_from_doc
 
     spec = graph_spec_from_doc(_read_doc(args.spec))
     build = build_adjacency(spec)
@@ -212,16 +213,15 @@ def _cmd_graph(args) -> int:
         extras["metadata"] = build.metadata
     outputs = [(_matrix_doc(build.matrix, **extras), args.output)]
     if args.closed_form:
-        inverse = _graph_closed_form(spec, args.form.replace("-", "_"), args.rank_tol, args.residual_tol)
-        outputs.append((_matrix_doc(inverse), args.closed_form))
+        report = graph_hypotheses(spec, args.form.replace("-", "_"), args.rank_tol, args.residual_tol)
+        outputs.append((_matrix_doc(_closed(spec, report)), args.closed_form))
     _emit(*outputs)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from .blocks import BlockInstance
+    from .blocks import BlockInstance, _verify
     from .digraphs import graph_spec_from_doc
-    from .harness import _verify
 
     doc = _read_doc(args.input)
     if not isinstance(doc, dict):

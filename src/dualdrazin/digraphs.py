@@ -13,11 +13,11 @@ Every family is [[A, B], [C, 0]], the windmill once its hub is moved
 last: _blocks places every weight straight into A, B and C.  A spec keeps
 them (_Spec._parts) and the adjacency built from them (_Spec._adjacency),
 read-only and made once.  Each family is checked (graph_hypotheses) and
-inverted (blocks._abco_formula) on its blocks.  Every public closed form
-runs _graph_closed_form: the report, the gate the block closed forms use
-too (blocks._require), then the body.  The double star, linked stars and
-the bc_zero windmill share one report, BC = 0 and a membership of A, and
-one body, the series at BC = 0 (_bc_zero).
+inverted (blocks._abco_formula) on its blocks.  The report names its
+body, which blocks._closed runs behind the gate every closed form shares.
+A public closed form refuses a spec of another family (_graph_form).  The
+double star, linked stars and the bc_zero windmill share one report, BC = 0
+and a membership of A, and one body, the series at BC = 0 (_bc_zero).
 
 Every weight is a DualMatrix: a fan is a column, a core or blade matrix
 square, and the double star's hub arcs a and b are 1x1, so theta and its
@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _condition, _membership,
-                     _require, bipartite_drazin)
+from .blocks import (Condition, HypothesisReport, _abco_conditions, _abco_formula, _closed, _condition,
+                     _membership, bipartite_drazin)
 from .dualmat import DualMatrix, dblock, dmul
 from .dualnum import _appreciable, scalar_dual_drazin
 from .errors import NotDualDrazinInvertible, SchemaError, SpecInvalid
@@ -99,6 +99,16 @@ class _Spec:
             matrix = _hub_first(matrix)
         matrix.std.flags.writeable = matrix.inf.flags.writeable = False
         return matrix
+
+    # what blocks._verify asks of every instance, as BlockInstance answers it
+    def _report(self, form: str, tol, res_tol) -> HypothesisReport:
+        return graph_hypotheses(self, form, tol, res_tol)
+
+    def _assembled(self) -> DualMatrix:
+        return self._adjacency
+
+    def _doc(self) -> dict:
+        return _graph_doc(self)
 
 
 @dataclass(frozen=True)
@@ -364,17 +374,17 @@ def graph_hypotheses(spec: GraphSpec, form: str = "drazin", tol=None, res_tol=No
         cols = np.linalg.norm(np.vstack((c.std, c.inf)), axis=0)
         ratio = np.hypot(abs(w.std), abs(w.inf)) / (1.0 + np.outer(rows, cols))
         conds = [_condition("outer_zero", float(ratio.max()), 1.0, res_tol), member]
-        return HypothesisReport(theorem, tuple(conds), factors)
-    conds = _abco_conditions(a, w, factors["A"].inverse, "right", res_tol)
-    conds += [member, membership("W", w, "hub_membership")]
+    else:
+        conds = _abco_conditions(a, w, factors["A"].inverse, "right", res_tol)
+        conds += [member, membership("W", w, "hub_membership")]
     if theorem == "WINDMILL_GROUP":
         for name, dd in (("blade_group_index", factors["A"]), ("hub_group_index", factors["W"])):
             conds.append(Condition(name, float(max(0, dd.index - 1)), dd.index <= 1))
-    return HypothesisReport(theorem, tuple(conds), factors)
+    return HypothesisReport(theorem, tuple(conds), factors, _FORMULAS[theorem])
 
 
 # Formula bodies: (spec, its passed report) -> inverse of the adjacency
-# matrix.  A body only evaluates: _graph_closed_form gates the report first
+# matrix.  A body only evaluates: blocks._closed gates the report first
 # (blocks._require), and a body takes every matrix inverse from the report's
 # factorisations and its blocks and theta's inverse from the spec.
 
@@ -407,11 +417,11 @@ _FORMULAS = {
 }
 
 
-def _graph_closed_form(spec: GraphSpec, form: str, tol, res_tol) -> DualMatrix:
-    """Check a spec's hypotheses under form, gate the report and evaluate its family's formula."""
-    report = graph_hypotheses(spec, form, tol, res_tol)
-    _require(report)
-    return _FORMULAS[report.theorem](spec, report)
+def _graph_form(spec, family: type, form: str, tol, res_tol) -> DualMatrix:
+    """The public closed form of family under form: refuse any other spec, then check, gate and evaluate."""
+    if not isinstance(spec, family):
+        raise SpecInvalid(f"a {family.__name__} closed form got a {type(spec).__name__}")
+    return _closed(spec, graph_hypotheses(spec, form, tol, res_tol))
 
 
 def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
@@ -422,7 +432,7 @@ def ds_dual_drazin(spec: DoubleStar, tol=None, res_tol=None) -> DualMatrix:
     inverts through the single dual number theta = x^T y + a*b, as
     A^D = theta^D A; a pure-infinitesimal theta admits no inverse.
     """
-    return _graph_closed_form(spec, "drazin", tol, res_tol)
+    return _graph_form(spec, DoubleStar, "drazin", tol, res_tol)
 
 
 def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
@@ -433,7 +443,7 @@ def dls_dual_drazin(spec: DLinkedStars, tol=None, res_tol=None) -> DualMatrix:
     return weights, and the core's dual Drazin inverse is the only
     nontrivial ingredient.
     """
-    return _graph_closed_form(spec, "drazin", tol, res_tol)
+    return _graph_form(spec, DLinkedStars, "drazin", tol, res_tol)
 
 
 def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -444,7 +454,7 @@ def dw_dual_drazin(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     D D^pi commutes with the hub product W = BC, D D D^D W = 0, and the
     blade matrix D and W have dual Drazin inverses.
     """
-    return _graph_closed_form(spec, "drazin", tol, res_tol)
+    return _graph_form(spec, DutchWindmill, "drazin", tol, res_tol)
 
 
 def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -454,7 +464,7 @@ def dw_bc_zero(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     and the series collapses to [[C D^3D B, C D^2D], [D^2D B, D^D]], hub
     first, with B and C as in dw_dual_drazin.
     """
-    return _graph_closed_form(spec, "bc_zero", tol, res_tol)
+    return _graph_form(spec, DutchWindmill, "bc_zero", tol, res_tol)
 
 
 def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
@@ -463,7 +473,7 @@ def dw_group(spec: DutchWindmill, tol=None, res_tol=None) -> DualMatrix:
     Same conditions as dw_dual_drazin, with the blade matrix and the hub
     product additionally required to have standard index at most one.
     """
-    return _graph_closed_form(spec, "group", tol, res_tol)
+    return _graph_form(spec, DutchWindmill, "group", tol, res_tol)
 
 
 def bipartite_dual(e: DualMatrix, f: DualMatrix, tol=None, res_tol=None) -> DualMatrix:

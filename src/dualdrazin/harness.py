@@ -8,40 +8,26 @@ invertible class is then either structural or enforced by an exact-filter
 and resample loop.
 
 fuzz drives a family of such instances through the one check that ddz
-verify also runs (_verify): hypotheses, the closed form, the series inverse
-of the assembled matrix as oracle, and the three defining equations.  It
-emits a deterministic JSON-lines report.
+verify also runs (blocks._verify): hypotheses, the closed form, the series
+inverse of the assembled matrix as oracle, and the three defining
+equations.  It emits a deterministic JSON-lines report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .blocks import _FORMULAS as _BLOCK_FORMULAS
-from .blocks import BlockInstance, check_hypotheses
-from .digraphs import _FORMULAS as _GRAPH_FORMULAS
-from .digraphs import (
-    DLinkedStars,
-    DoubleStar,
-    DutchWindmill,
-    _graph_doc,
-    graph_hypotheses,
-)
-from .drazin import _factorise, _memo, defining_residuals, dual_drazin
+from .blocks import BlockInstance, _verify
+from .digraphs import DLinkedStars, DoubleStar, DutchWindmill
+from .drazin import _factorise, _memo
 from .dualmat import DualMatrix, dmul
-from .errors import (
-    DualDrazinError,
-    GenerationFailed,
-    NonFiniteEntries,
-    SpecInvalid,
-)
+from .errors import DualDrazinError, GenerationFailed, SpecInvalid
 from .families import _WINDMILL_FORMS, FAMILIES, GRAPH_FAMILIES
 from .serialize import _listed, dumps_doc
 
@@ -654,10 +640,6 @@ def gen_instance(cfg: GenConfig, trial: int):
 # fuzz driver
 
 
-# report theorem -> formula body (instance, report) -> closed-form inverse,
-# for the nine block theorems and the five digraph families alike
-_FORMULAS = {**_BLOCK_FORMULAS, **_GRAPH_FORMULAS}
-
 # graph_hypotheses form of each windmill family; fuzz uses "drazin" for the rest
 _FUZZ_FORMS = {theorem: form for form, theorem in _WINDMILL_FORMS.items()}
 
@@ -684,54 +666,6 @@ class VerifyReport:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
 
-def _instance_doc(inst) -> dict:
-    """The instance document with complex array parts, rendered for the record digest.
-
-    It writes the bytes of inst.to_doc() or graph_spec_to_doc(inst), which
-    list it (serialize._listed).  A graph spec was checked when it was built.
-    """
-    if isinstance(inst, BlockInstance):
-        return inst._doc()
-    return _graph_doc(inst)
-
-
-def _verify(inst, form: str, tol, res_tol, max_rel_error: float, record: dict) -> None:
-    """Check one instance: hypotheses, closed form, oracle, defining residuals.
-
-    form is the graph_hypotheses form a windmill is checked under; a
-    double star or linked stars accepts any of the three forms and ignores
-    it (its one report is the BC = 0 report), and block instances ignore
-    it.  The formula body is the _FORMULAS entry of the report's theorem.
-    A graph spec's report and body read its kept blocks, the oracle its kept adjacency.
-
-    Fills record with order, hypotheses_pass and hypothesis_residuals, then,
-    when every hypothesis holds, closed_form_error (the relative gap to the
-    series inverse of the assembled matrix) and defining_residuals, and
-    last pass.  Errors propagate and leave the fields set so far in place.
-    """
-    if isinstance(inst, BlockInstance):
-        hyp = check_hypotheses(inst, tol, res_tol)
-        assembled = inst.assembled()
-    else:
-        hyp = graph_hypotheses(inst, form, tol, res_tol)
-        assembled = inst._adjacency
-    record["order"] = assembled.shape[0]
-    record["hypotheses_pass"] = hyp.passed
-    record["hypothesis_residuals"] = {c.name: c.residual for c in hyp.conditions}
-    if not hyp.passed:
-        record["pass"] = False
-        return
-    closed = _FORMULAS[hyp.theorem](inst, hyp)
-    oracle = dual_drazin(assembled, tol, res_tol)
-    rel = float((closed - oracle.inverse).norm() / (1.0 + oracle.inverse.norm()))
-    if not math.isfinite(rel):  # an overflowing closed form or oracle; no record can hold it
-        raise NonFiniteEntries("the closed-form error overflows")
-    defres = [float(v) for v in defining_residuals(assembled, closed, oracle.index, tol)]
-    record["closed_form_error"] = rel
-    record["defining_residuals"] = defres
-    record["pass"] = rel <= max_rel_error and max(defres) <= max_rel_error
-
-
 def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     """Generate, gate and verify cfg.trials instances of one family.
 
@@ -755,7 +689,7 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
                 note = str(exc) if isinstance(exc, GenerationFailed) else f"{type(exc).__name__}: {exc}"
                 record.update({"pass": False, "note": note})
                 continue
-            doc = _instance_doc(inst)
+            doc = inst._doc()  # the public document's bytes, its parts left as arrays
             record["digest"] = hashlib.sha256(dumps_doc(doc).encode()).hexdigest()[:16]
             try:
                 form = _FUZZ_FORMS.get(cfg.family, "drazin")

@@ -6,8 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import dualdrazin.blocks
 import dualdrazin.digraphs
-import dualdrazin.harness
 from dualdrazin import (
     BlockInstance,
     DoubleStar,
@@ -31,8 +31,9 @@ from dualdrazin import (
     indices,
     windmill_pattern,
 )
+from dualdrazin.blocks import _closed
 from dualdrazin.errors import HypothesisViolated, IndexTooLarge, ShapeMismatch, SpecInvalid
-from dualdrazin.harness import _FORMULAS, _FUZZ_FORMS, GRAPH_FAMILIES, GenConfig, _verify, gen_instance
+from dualdrazin.harness import _FUZZ_FORMS, GRAPH_FAMILIES, GenConfig, _verify, gen_instance
 
 from conftest import rand_int_dual, rel_err, sub
 
@@ -148,10 +149,19 @@ def test_validation_catches_bad_specs():
             graph_spec_from_doc(bad)
     with pytest.raises(SpecInvalid):
         graph_spec_from_doc({**graph_spec_to_doc(wm), "n": 3})  # 3x3 blades, 5 wanted
-    # anything but a spec is refused by every public graph function
-    for public in (build_adjacency, graph_hypotheses, graph_spec_to_doc, ds_dual_drazin, dw_group):
+    # anything but a spec is refused by every public graph function, and a
+    # family's closed form refuses a spec of every other family
+    linked = DLinkedStars(base=DualMatrix.identity(2), r=(1, 1), x=(col([1.0]),) * 2, y=(col([1.0]),) * 2)
+    forms = [(ds_dual_drazin, spec), (dls_dual_drazin, linked), (dw_dual_drazin, wm), (dw_bc_zero, wm),
+             (dw_group, wm)]
+    for public in (build_adjacency, graph_hypotheses, graph_spec_to_doc, *(form for form, _ in forms)):
         with pytest.raises(SpecInvalid):
             public(DualMatrix.identity(3))
+    for form, own in forms:
+        for other in (spec, linked, wm):
+            if other is not own:
+                with pytest.raises(SpecInvalid, match=f"a {type(own).__name__} closed form got a "):
+                    form(other)
 
 
 @pytest.mark.parametrize("hub", [1.0, DualMatrix([[1.0, 1.0]]), DualMatrix([[1.0], [1.0]]),
@@ -221,11 +231,10 @@ def test_the_kept_adjacency_is_read_only_and_shared(family, monkeypatch):
 
     monkeypatch.setattr(dualdrazin.digraphs, "_blocks", no_layout)
     oracle_inputs = []
-    oracle = dualdrazin.harness.dual_drazin
-    monkeypatch.setattr(dualdrazin.harness, "dual_drazin", lambda x, *args: oracle_inputs.append(x) or oracle(x, *args))
+    oracle = dualdrazin.blocks.dual_drazin
+    monkeypatch.setattr(dualdrazin.blocks, "dual_drazin", lambda x, *args: oracle_inputs.append(x) or oracle(x, *args))
     form = _FUZZ_FORMS.get(family, "drazin")
-    report = graph_hypotheses(spec, form)
-    _FORMULAS[report.theorem](spec, report)
+    _closed(spec, graph_hypotheses(spec, form))
     record = {}
     _verify(spec, form, None, None, 1e-8, record)
     assert record["pass"] and len(oracle_inputs) == 1 and oracle_inputs[0] is matrix

@@ -241,6 +241,25 @@ def test_rank_dual_matches_the_smith_oracle_at_every_eps_scale():
     assert wrong == []
 
 
+def test_indices_of_j_plus_eps_sj_at_s_1e10():
+    # J + eps*sJ with s = 1e10: phi(X) and phi(X)^2 both have rank 2, so the
+    # indices are (1, 1, 1), and the exact Smith ranks are (1, 0)
+    j = np.ones((2, 2))
+    x = DualMatrix(j, 1e10 * j)
+    assert indices(x) == IndexReport(ind_std=1, ind_dual=1, ind_phi=1)
+    assert smith_rank_oracle(x) == (1, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the staircase of phi(X) reads J's singular values below its floor (ROADMAP known defect 1)")
+def test_indices_of_j_plus_eps_sj_at_s_1e12():
+    # the same X at s = 1e12: the exact indices are still (1, 1, 1), but the
+    # floor n*tol*sigma_1(phi(X)) grows with s and swallows J's own singular
+    # values, so indices reads ind_dual = ind_phi = 2
+    j = np.ones((2, 2))
+    assert indices(DualMatrix(j, 1e12 * j)) == IndexReport(ind_std=1, ind_dual=1, ind_phi=1)
+
+
 def test_indices_nilpotent_standard_part():
     x = DualMatrix([[0, 1], [0, 0]])
     rep = indices(x)

@@ -19,8 +19,11 @@ condition name a report gives falls in exactly one class of the one gate
 that does (blocks._require).  One function reads the trial memo
 (drazin._factorise) and one opens it (harness.fuzz).  One function checks
 a graph spec (when it is built) and one lays it out.  One function forms
-the commutation and annihilation conditions.  No module reads the
-environment, so each setting is given one way: on the command line.
+the commutation and annihilation conditions.  One function gates and
+evaluates every closed form (blocks._closed, the one caller of _require),
+and a formula table is read only where a report is built, which names its
+body.  No module reads the environment, so each setting is given one way:
+on the command line.
 """
 
 import ast
@@ -217,7 +220,7 @@ VERB_RUNS = {
     "abco": ("abco -a ZERO -b EYE -c EYE", _BLOCK_LOADS),
     "bipartite": ("bipartite -b EYE -c EYE", _BLOCK_LOADS),
     "graph": ("graph --spec SPEC --closed-form OUT", _GRAPH_LOADS),
-    "verify": ("verify -i INST", (*_GRAPH_LOADS, "harness")),
+    "verify": ("verify -i INST", _GRAPH_LOADS),
     "fuzz": ("fuzz --theorem cline --trials 1", (*_GRAPH_LOADS, "harness")),
 }
 
@@ -404,23 +407,27 @@ def test_one_function_reads_the_trial_memo_and_one_opens_it():
     assert [where for _, opens in sites for where in opens] == ["harness.fuzz"]
 
 
-def _callers(name):
-    """The package functions that call name, as module.function (or module.Class.function)."""
-    callers = []
+def _sites(match):
+    """Where the package holds a node match accepts: module.function, module.Class.function or module."""
+    sites = []
 
     def visit(node, where):
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where}.{node.name}"
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            callers.append(where)
+        if match(node):
+            sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return sorted(set(callers))
+    return sorted(set(sites))
+
+
+def _callers(name):
+    """The package functions that call name."""
+    return _sites(lambda node: isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_one_function_checks_a_graph_spec_and_one_lays_it_out():
@@ -433,20 +440,8 @@ def test_one_function_checks_a_graph_spec_and_one_lays_it_out():
 
 
 def _literal_sites(value):
-    """The package functions whose bodies hold the string literal value, as module.function."""
-    sites = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Constant) and node.value == value:
-            sites.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    for path in sorted((ROOT / "src" / "dualdrazin").glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return sorted(set(sites))
+    """The package functions whose bodies hold the string literal value."""
+    return _sites(lambda node: isinstance(node, ast.Constant) and node.value == value)
 
 
 def test_one_function_forms_the_commutation_and_annihilation_conditions():
@@ -454,6 +449,21 @@ def test_one_function_forms_the_commutation_and_annihilation_conditions():
     # a second copy of the rule, free to drift in its scale or its form
     assert _literal_sites("commutation") == ["blocks._abco_conditions"]
     assert _literal_sites("annihilation") == ["blocks._abco_conditions"]
+
+
+def _name_reads(name):
+    """The package functions that read or import name."""
+    return _sites(lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Attribute) and node.attr == name
+                  or isinstance(node, ast.alias) and node.name == name)
+
+
+def test_one_function_gates_and_evaluates_every_closed_form():
+    # the report names its formula body and _closed runs the gate, then that
+    # body; a second gate site or a second reader of a formula table would
+    # be a second pipeline, which a new check after the body could miss
+    assert _callers("_require") == ["blocks._closed"]
+    assert _name_reads("_FORMULAS") == ["blocks.check_hypotheses", "digraphs.graph_hypotheses"]
 
 
 def test_no_module_reads_the_environment():
