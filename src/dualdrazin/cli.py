@@ -20,17 +20,17 @@ check runs on the input and the inverse alone, and drazin and dual-drazin
 drop the input matrix and the inverse before they write, so a large run
 holds its input only as arrays and its output only once, as text pieces.
 Files are written before stdout, and a run that stops on an error (one
-"error:" line on stderr) leaves no output file and nothing on stdout; a
-fuzz run whose report cannot be written also removes the counterexamples
---artifacts stored during its campaign (one that stops because an artifact
-cannot be written keeps those stored before it).  The verdicts of exists,
-verify and fuzz are written whatever their exit code.
+"error:" line on stderr) leaves no output file and nothing on stdout.  fuzz
+writes the counterexamples --artifacts asks for in the same _emit call as
+its report, so one that cannot be written leaves no report and no
+counterexample.  The verdicts of exists, verify and fuzz are written
+whatever their exit code.
 graph reads the digraph it builds from one graph spec document (--spec,
 "-" for stdin), and the tolerances come only from --rank-tol and
 --residual-tol.  Exit codes: 0 success, 1 verification failure, 2 violated
 hypotheses, 3 no dual Drazin inverse, 4 malformed input, including input
 outside the float routes' reach, a command line that does not parse and an
-output that cannot be written.
+output that cannot be written, a closed stdout among them.
 """
 
 from __future__ import annotations
@@ -104,25 +104,26 @@ def _emit(*outputs: tuple) -> None:
 
     Every output is rendered before any is written, so a document that
     cannot be written as JSON raises with nothing written.  Files go first
-    and stdout last; a file that cannot be written removes the files
-    written before it, so a run that fails here leaves no output.
+    and stdout last; an output that cannot be written, a closed stdout
+    among them, removes the files written before it, so a run that fails
+    here leaves no output file.
     """
     rendered = [([payload] if isinstance(payload, str) else _pieces(payload), path)
                 for payload, path in outputs]
     written = []
     try:
-        for pieces, path in rendered:
+        for pieces, path in sorted(rendered, key=lambda out: not out[1]):  # files, then stdout
             if path:
                 with open(path, "w", encoding="utf-8") as fh:
                     written.append(path)
                     fh.writelines(pieces)
+            else:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
     except OSError as exc:
         for done in written:
             Path(done).unlink(missing_ok=True)
-        raise SchemaError(f"cannot write {path}: {exc}") from exc
-    for pieces, path in rendered:
-        if not path:
-            sys.stdout.writelines(pieces)
+        raise SchemaError(f"cannot write {path or 'to standard output'}: {exc}") from exc
 
 
 def _cmd_drazin(args) -> int:
@@ -254,20 +255,20 @@ def _cmd_fuzz(args) -> int:
         dim_max=args.dim_max,
         max_rel_error=args.max_rel_error,
         violate=args.violate,
-        artifact_dir=args.artifacts,
     )
-    try:
-        report = fuzz(cfg, args.rank_tol, args.residual_tol)
-    except OSError as exc:  # a counterexample document --artifacts cannot hold
-        raise SchemaError(f"cannot write to {args.artifacts}: {exc}") from exc
-    try:
-        _emit((report.to_jsonl(), args.output))
-    except DualDrazinError:
-        # a report that cannot be written leaves no counterexample behind either
-        for record in report.records:
-            if "artifact" in record:
-                Path(record["artifact"]).unlink(missing_ok=True)
-        raise
+    report = fuzz(cfg, args.rank_tol, args.residual_tol)
+    outputs = []
+    if args.artifacts is not None and report.counterexamples:
+        directory = Path(args.artifacts)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"cannot write to {args.artifacts}: {exc}") from exc
+        for entry in report.counterexamples:
+            path = str(directory / f"{family.lower()}_{entry['trial']:04d}.json")
+            report.records[entry["trial"]]["artifact"] = path
+            outputs.append((entry, path))
+    _emit(*outputs, (report.to_jsonl(), args.output))
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 

@@ -19,7 +19,6 @@ import hashlib
 import logging
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +57,9 @@ class GenConfig:
     are sampled uniformly between dim_min and dim_max, except that the
     first two trials pin the two boundary dimensions.  violate flips the
     generator into producing instances that break their own hypotheses,
-    for exercising the rejection paths.
+    for exercising the rejection paths.  A run writes nothing: its
+    counterexamples stay on the report (fuzz), and ddz fuzz --artifacts
+    writes them with the report.
     """
 
     family: str
@@ -68,7 +69,6 @@ class GenConfig:
     dim_max: int = 5
     max_rel_error: float = 1e-8
     violate: bool = False
-    artifact_dir: str | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -662,9 +662,6 @@ class VerifyReport:
         lines.append(dumps_doc(self.summary))
         return "".join(lines)
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
-
 
 def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     """Generate, gate and verify cfg.trials instances of one family.
@@ -673,8 +670,8 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
     only evaluated when every hypothesis holds, so a config built to
     violate them produces a report with zero evaluations.  A DualDrazinError
     while generating, from a generator or its accept filter, fails the trial
-    as a generation failure.  Counterexamples are kept on the report and,
-    when artifact_dir is set, written to disk.
+    as a generation failure.  Each failed trial that got an instance is kept
+    on the report as a counterexample; fuzz writes no file.
     """
     report = VerifyReport(config=cfg)
     for trial in range(cfg.trials):
@@ -729,13 +726,10 @@ def fuzz(cfg: GenConfig, tol=None, res_tol=None) -> VerifyReport:
 
 
 def _persist(report: VerifyReport, cfg: GenConfig, trial: int, doc: dict, record: dict) -> None:
-    """Keep a failed trial on the report, with the listed instance document."""
+    """Keep a failed trial on the report, with the listed instance document.
+
+    The entry holds a copy of the record, so the artifact path ddz fuzz adds
+    to the record later stays out of the counterexample document.
+    """
     entry = {"family": cfg.family, "trial": trial, "instance": _listed(doc), "record": dict(record)}
     report.counterexamples.append(entry)
-    if cfg.artifact_dir is None:
-        return
-    directory = Path(cfg.artifact_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{cfg.family.lower()}_{trial:04d}.json"
-    path.write_text(dumps_doc(entry), encoding="utf-8")
-    record["artifact"] = str(path)

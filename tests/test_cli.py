@@ -6,6 +6,8 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -500,6 +502,57 @@ def test_a_fuzz_report_that_cannot_be_written_leaves_no_artifacts(capsys, tmp_pa
     code, _, _ = run(capsys, *argv, "-o", "out.jsonl")
     assert code == 1
     assert sorted(path.name for path in Path("art").glob("cline_*.json")) == ["cline_0000.json", "cline_0001.json"]
+
+
+def test_a_counterexample_that_cannot_be_written_leaves_no_output(capsys, tmp_path, monkeypatch):
+    # all three trials fail the negative error bound; the second
+    # counterexample's path is a directory, so the run removes the first
+    # and writes neither the third nor the report
+    monkeypatch.chdir(tmp_path)
+    Path("art/cline_0001.json").mkdir(parents=True)
+    code, out, err = run(capsys, "fuzz", "--theorem", "cline", "--trials", "3", "--max-rel-error", "-1",
+                         "--artifacts", "art", "-o", "out.jsonl")
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "art/cline_0001.json" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["art"]
+    assert [path.name for path in Path("art").iterdir()] == ["cline_0001.json"]
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    writelines = write
+
+
+def test_a_closed_stdout_is_one_line_exit_4(write, capsys, tmp_path, monkeypatch):
+    # the closed form goes to a file first, then the adjacency to stdout,
+    # which cannot take it: the run removes the closed form
+    closed = tmp_path / "inv.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["graph", "--spec", write({"family": "dutch_windmill", "m": 1, "n": 1}, "spec.json"),
+                 "--closed-form", str(closed)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: cannot write to standard output:") and err.count("\n") == 1
+    assert not closed.exists()
+
+
+def test_a_pipe_closed_early_is_one_line_exit_4():
+    # the reader takes 20 bytes of the adjacency (201 x 201, far more than
+    # the pipe holds) and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "dualdrazin.cli", "graph", "--spec", "-"], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdin.write(b'{"family": "dutch_windmill", "m": 40, "n": 3}')
+    proc.stdin.close()
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 4
+    assert err.startswith("error: cannot write to standard output:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("with_output", [True, False], ids=["file", "stdout"])

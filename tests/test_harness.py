@@ -179,14 +179,18 @@ def test_windmill_draws_have_an_invertible_hub_product():
     assert all("hub_membership" in r["hypothesis_residuals"] for r in report.records)
 
 
-def test_fuzz_persists_counterexamples(tmp_path):
-    cfg = GenConfig(family="BIPARTITE", trials=2, seed=3, violate=True,
-                    artifact_dir=tmp_path)
-    report = fuzz(cfg)
-    # violations with violate=True are expected, hence not persisted
-    assert report.counterexamples == []
-    report.write(tmp_path / "report.jsonl")
-    assert (tmp_path / "report.jsonl").read_text().count("\n") == 3
+def test_fuzz_persists_counterexamples(tmp_path, monkeypatch):
+    # a negative error bound fails every evaluated CLINE trial; each failed
+    # trial is kept on the report, and fuzz writes no file
+    monkeypatch.chdir(tmp_path)
+    report = fuzz(GenConfig("CLINE", trials=3, max_rel_error=-1.0))
+    failed = [r["trial"] for r in report.records if not r["pass"]]
+    assert failed == [0, 1, 2]
+    assert [entry["trial"] for entry in report.counterexamples] == failed
+    assert not any("artifact" in r for r in report.records)
+    # a violating run's failed hypotheses are expected, so it keeps none
+    assert fuzz(GenConfig("BIPARTITE", trials=2, seed=3, violate=True)).counterexamples == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_boundary_dims_are_pinned():

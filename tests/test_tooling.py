@@ -23,7 +23,9 @@ the commutation and annihilation conditions.  One function gates and
 evaluates every closed form (blocks._closed, the one caller of _require),
 and a formula table is read only where a report is built, which names its
 body.  No module reads the environment, so each setting is given one way:
-on the command line.
+on the command line.  Only cli and serialize touch files (open, write,
+make, move or remove one), so every output of a run leaves through the
+CLI's one write path or the public writer serialize.dump_matrix.
 """
 
 import ast
@@ -476,3 +478,18 @@ def test_no_module_reads_the_environment():
                     or isinstance(node, ast.alias) and node.name in ("environ", "environb", "getenv")):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+# the calls that create, write, move or remove a file or a directory
+_FILE_WRITES = ("open", "write_text", "write_bytes", "mkdir", "unlink", "rename", "replace", "rmdir")
+
+
+def test_only_the_front_end_and_the_public_writer_touch_files():
+    # the CLI writes every output through _emit and makes the --artifacts
+    # directory; serialize.dump_matrix is the public writer.  A library
+    # module that wrote a file itself would be a second output path with its
+    # own failure rule
+    touching = _sites(lambda node: isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) in _FILE_WRITES
+                           or getattr(node.func, "attr", None) in _FILE_WRITES))
+    assert touching and {site.split(".")[0] for site in touching} <= {"cli", "serialize"}
