@@ -105,8 +105,10 @@ def _emit(*outputs: tuple) -> None:
     Every output is rendered before any is written, so a document that
     cannot be written as JSON raises with nothing written.  Files go first
     and stdout last; an output that cannot be written, a closed stdout
-    among them, removes the files written before it, so a run that fails
-    here leaves no output file.
+    among them (a pipe closed early, or fd 1 closed before the run, when
+    sys.stdout is None), removes the files written before it, so a run
+    that fails here leaves no output file.  A run whose outputs are all
+    files never reads sys.stdout.
     """
     rendered = [([payload] if isinstance(payload, str) else _pieces(payload), path)
                 for payload, path in outputs]
@@ -118,6 +120,8 @@ def _emit(*outputs: tuple) -> None:
                     written.append(path)
                     fh.writelines(pieces)
             else:
+                if sys.stdout is None:  # Python sets it so when fd 1 is closed at start
+                    raise OSError("it is closed")
                 sys.stdout.writelines(pieces)
                 sys.stdout.flush()
     except OSError as exc:

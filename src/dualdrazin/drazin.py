@@ -29,6 +29,20 @@ inv(A) bit for bit.  The factor c keeps the decision clear of the rounding
 in the computed inverse and singular values.  When LU fails, the inequality
 fails or an entry is not finite, the staircase decides as it always has.
 
+The field is decided once per input part: a part whose imaginary part is
+all zero is factorised on its float64 real part (dualmat._working), where a
+product, QR or SVD costs about half as much as in complex arithmetic.  So
+a real A gets a real staircase, Newton steps, Z, T and T^-1, and a real A0
+a real mixed series M, sandwich Pi M Pi and inverse series; a complex part
+runs in complex arithmetic as before, to the bit.  The public arrays (A^D,
+the projectors, the inverse and M) are complex128, cast once where they
+are built, while the private basis, N and C^-1 stay in the working field.
+At index 0 only the staircase's first SVD, the decision, runs in the
+working field: the answer is inv(A) of the input as given, so the LU route
+and the staircase route agree to the bit on every input.  matrix_index,
+drazin_oracle, defining_residuals and dualmat.indices work in complex
+arithmetic.
+
 A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
     (I - A A^D) M (I - A A^D) == 0,   M = sum_{i=1..k} A^(k-i) A0 A^(i-1),
@@ -59,7 +73,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dualmat import DualMatrix, _norm, _staircase, dmul, dpow
+from .dualmat import DualMatrix, _norm, _staircase, _working, dmul, dpow
 from .errors import NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch, UncertainRank
 from .tolerances import rank_tol, residual_tol
 
@@ -149,6 +163,11 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
     a null vector leaves a zero eigenvalue in the core block C, whose
     inversion then fails; that raises UncertainRank, not numpy's LinAlgError.
 
+    A real ``a`` (all-zero imaginary part) is factorised in float64 and a
+    complex one in complex128; ad, proj_e and proj_pi are complex128 either
+    way.  At index 0 the answer is inv(a) of the input as given, whatever
+    field the staircase decided in (the module docstring).
+
     From order _CERTIFY_ORDER on, an LU inverse that certifies index 0
     (_certified_inverse, the module docstring) stands in for the staircase.
     The gate is a measured trade-off.  An LU that fails still costs about a
@@ -164,12 +183,15 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
         inv = _certified_inverse(a, tol)
         if inv is not None:
             return _index_zero(inv)
+    work = _working(a)
     try:
-        k, s, q, h = _staircase(a, tol)
+        k, s, q, h = _staircase(work, tol)
+        if k == 0:
+            return _index_zero(np.linalg.inv(a))
         p = n - s
         refine = k > 1 and s > 0
         if refine:
-            q, h = _newton_nilpotent_basis(a, k, p, q)
+            q, h = _newton_nilpotent_basis(work, k, p, q)
         core_inv = np.linalg.inv(h[p:, p:])
         # Z = sum_{i<k} N^i X C^-(i+1); in the staircase basis A A^D = [[0, Z], [0, I]]
         z = _power_series(h[:p, p:] @ core_inv, h[:p, :p], core_inv, k)
@@ -177,14 +199,12 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
             z, core_inv = _newton_core_basis(h, k, p, z)
     except np.linalg.LinAlgError as exc:
         raise UncertainRank(f"the staircase split is unusable in floating point ({exc})") from exc
-    if k == 0:
-        return _index_zero(core_inv)
     basis = q[:, :p] @ z + q[:, p:]
     q_core = q[:, p:].conj().T
     t = np.concatenate((q[:, :p], basis), axis=1)
     t_inv = np.concatenate((q[:, :p].conj().T - z @ q_core, q_core))
-    proj_e = basis @ q_core
-    ad = basis @ core_inv @ q_core
+    proj_e = np.asarray(basis @ q_core, dtype=complex)
+    ad = np.asarray(basis @ core_inv @ q_core, dtype=complex)
     return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e,
                       _basis=t, _basis_inv=t_inv, _nil=h[:p, :p].copy(), _core_inv=core_inv)
 
@@ -293,9 +313,9 @@ def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:
     P = A^i is formed only while a later pass reads it.  M is a new array
     even at k = 1, never a view of x.inf.
     """
-    a, a0 = x.std, x.inf
     if k == 0:
-        return np.zeros_like(a)
+        return np.zeros_like(x.std)
+    a, a0 = _working(x.std), _working(x.inf)
     p, m = a, a0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, k):
@@ -326,6 +346,7 @@ def dual_exists(
     m = _mixed_series(x, data.index)
     certificate = _sandwich(data, m)
     ok = bool(certificate <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m)))
+    m = np.asarray(m, dtype=complex)
     return (ok, m, certificate) if _certified else (ok, m)
 
 
@@ -337,8 +358,11 @@ def _sandwich(data: DrazinData, m: np.ndarray) -> float:
     """
     if data.index == 0:
         return 0.0  # Pi = 0
+    pi = data.proj_pi
+    if data._basis.dtype != pi.dtype:  # a real working field: Pi's real part, laid out for BLAS
+        pi = np.ascontiguousarray(pi.real)
     with np.errstate(over="ignore", invalid="ignore"):
-        certificate = float(np.linalg.norm(data.proj_pi @ m @ data.proj_pi))
+        certificate = float(np.linalg.norm(pi @ m @ pi))
     if not math.isfinite(certificate):
         raise NonFiniteEntries("the existence certificate |Pi M Pi| overflows")
     return certificate
@@ -368,13 +392,13 @@ def dual_drazin_series(
     if k == 0:  # T = I, so R = -C^-1 A0 C^-1
         return DualMatrix._of(data.ad, -core_inv @ x.inf @ core_inv)
     p = nil.shape[0]
-    f = data._basis_inv @ x.inf @ data._basis
+    f = data._basis_inv @ _working(x.inf) @ data._basis
     core_inv2 = core_inv @ core_inv
-    r = np.zeros((n, n), dtype=complex)
+    r = np.zeros((n, n), dtype=f.dtype)
     r[:p, p:] = _power_series(f[:p, p:] @ core_inv2, nil, core_inv, k)
     r[p:, :p] = _power_series(core_inv2 @ f[p:, :p], core_inv, nil, k)
     r[p:, p:] = -core_inv @ f[p:, p:] @ core_inv
-    return DualMatrix._of(data.ad, data._basis @ r @ data._basis_inv)
+    return DualMatrix._of(data.ad, np.asarray(data._basis @ r @ data._basis_inv, dtype=complex))
 
 
 def defining_residuals(

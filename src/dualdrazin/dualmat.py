@@ -240,8 +240,13 @@ def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
     return int(np.count_nonzero(sv > floor))
 
 
+def _working(a: np.ndarray) -> np.ndarray:
+    """The field a factorisation works in: a's float64 real part when its imaginary part is all zero, else a."""
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+
 def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Core-nilpotent split of a square complex array by SVD null-space deflation.
+    """Core-nilpotent split of a square real or complex array by SVD null-space deflation.
 
     Returns (k, s, q, h) with q unitary and h = q* a q = [[N, X], [0, C]]:
     N is nilpotent and strictly block upper triangular, C is s x s and
@@ -251,11 +256,14 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
     decides rank(a) as numerical_rank does.  k, the number of deflating
     steps, is the index, and s = rank(a**k) the core dimension.  a is not
     copied: h is a new array from the first deflating step on, but at k = 0
-    it is a itself (and q = I), so callers must not write into h.  Raises
-    NonFiniteEntries on NaN or inf entries and when sigma_max overflows.
+    it is a itself (and q = I), so callers must not write into h.  q and h
+    keep a's dtype: a float64 input is factorised in real arithmetic, whose
+    products, SVDs and QRs cost about half as much as complex ones, and the
+    caller decides the field (_working).  Raises NonFiniteEntries on NaN or
+    inf entries and when sigma_max overflows.
     """
     # the C layout a copy would have: the first step's a @ w reads it
-    a = np.ascontiguousarray(a, dtype=complex)
+    a = np.ascontiguousarray(a)
     n = a.shape[0]
     h, q = a, None
     k = p = 0
@@ -281,7 +289,7 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
         p += d
         k += 1
     if q is None:
-        q = np.eye(n, dtype=complex)
+        q = np.eye(n, dtype=a.dtype)
     return k, n - p, q, h
 
 

@@ -35,9 +35,11 @@ def rng():
 
 # Standard part of the first TRI_LOWER draw of fuzz(GenConfig("TRI_LOWER",
 # trials=28, seed=0, dim_min=6, dim_max=10)) trial 27.  Exact rank of powers
-# gives index 8 and core dimension 5; at the eighth deflation the staircase
-# counts the true null vector's singular value (3.3e-10) as nonzero, so a
-# zero eigenvalue stays in the core block and inverting it fails.
+# gives index 8 and core dimension 5.  In complex arithmetic, at the eighth
+# deflation the staircase counts the true null vector's singular value
+# (3.3e-10) as nonzero, so a zero eigenvalue stays in the core block and
+# inverting it fails; the real input is factorised in real arithmetic, which
+# gets (8, 5).
 MISSED_NULL_VECTOR = np.array([
     [-2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 1, -3, -2, -3, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -55,6 +57,30 @@ MISSED_NULL_VECTOR = np.array([
     [-2, -2, -2, 2, -2, 2, 0, 0, 0, 0, 0, 0, -2, 0, 3],
     [2, -1, 0, -1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 2, 0],
 ], dtype=complex)
+
+# Standard part of the matrix the accept filter factorises in trial 30 of
+# fuzz(GenConfig("SUM_PQ0", trials=31, seed=8, dim_min=11, dim_max=16)).
+# Exact rank of powers gives index 9 and core dimension 6; the staircase
+# reads (8, 7) in real and in complex arithmetic, so a zero eigenvalue stays
+# in the core block and inverting it fails.
+SINGULAR_CORE = np.array([
+    [0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, -2],
+    [0, 2, 0, 2, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+    [-1, -1, -3, 3, 0, -2, 1, 2, 0, 1, 0, 0, 0, -1, -2, 2],
+    [0, -2, 0, 1, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0],
+    [2, -1, -1, -1, 5, -2, 0, 1, 0, 5, -1, 1, 0, 0, -4, 1],
+    [0, 2, -1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-2, -2, -4, 1, 2, 0, 2, 2, 0, 3, 0, 0, 0, -1, 0, 0],
+    [-4, -3, -5, 1, 0, -1, 3, 2, 1, 1, 0, 0, 0, -1, -1, 1],
+    [-5, -1, -2, -1, 0, -2, 2, 0, 0, 1, 0, 0, 0, -1, -2, 2],
+    [-3, 1, 1, 3, -4, 1, 0, -1, 0, -4, 1, -1, 0, 0, 3, 0],
+    [-8, -8, -3, -5, 2, -6, 3, 0, 1, 2, -1, 1, 1, 0, -7, 4],
+    [3, -3, 2, 2, 1, -1, -2, 0, 0, 1, -1, 0, 1, 0, -2, -1],
+    [-4, -8, -2, 0, 3, -3, 2, 0, 1, 3, -1, 1, 1, 1, -4, 1],
+    [-3, 0, -2, 2, -2, 0, 2, 0, 0, -2, 0, 0, 0, 0, 1, -1],
+    [3, -1, 1, 1, 0, 2, -1, 0, 0, 0, 0, 0, 0, 0, 2, -2],
+    [1, 2, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, -2],
+], dtype=float)
 
 
 def wrong_dual_index_draw():

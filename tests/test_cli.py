@@ -42,7 +42,7 @@ from dualdrazin.errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaE
 from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
 from dualdrazin.serialize import _matrix_doc, dump_matrix, dumps_doc, load_matrix, matrix_to_doc
 
-from conftest import MISSED_NULL_VECTOR, gaussian_integers, wrong_dual_index_draw
+from conftest import SINGULAR_CORE, gaussian_integers, wrong_dual_index_draw
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
 COMPATIBLE = dict(NILPOTENT, inf=[[[0, 0], [3, 0]], [[0, 0], [0, 0]]])
@@ -357,22 +357,22 @@ def test_index_reports_the_dual_index_of_a_large_member(write, capsys):
 
 @pytest.mark.parametrize("verb", ["drazin", "dual-drazin", "exists"])
 def test_a_missed_null_vector_is_exit_4(verb, write, capsys):
-    code, out, err = run(capsys, verb, "-i", write(matrix_to_doc(DualMatrix(MISSED_NULL_VECTOR)), "a.json"))
+    code, out, err = run(capsys, verb, "-i", write(matrix_to_doc(DualMatrix(SINGULAR_CORE)), "a.json"))
     assert (code, out) == (4, "")
     assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_fuzz_reaching_a_missed_null_vector_keeps_its_report(capsys):
-    # trial 27's first draw is MISSED_NULL_VECTOR; the accept filter's error
-    # fails that trial and keeps the records of the other 27
-    code, out, _ = run(capsys, "fuzz", "--theorem", "tri-lower", "--trials", "28", "--seed", "0",
-                       "--dim-min", "6", "--dim-max", "10")
+    # trial 30's accept filter factorises SINGULAR_CORE; its error fails that
+    # trial and keeps the records of the other 30
+    code, out, _ = run(capsys, "fuzz", "--theorem", "sum-pq0", "--trials", "31", "--seed", "8",
+                       "--dim-min", "11", "--dim-max", "16")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
-    assert len(records) == 29 and records[-1]["record"] == "summary"
+    assert len(records) == 32 and records[-1]["record"] == "summary"
     assert records[-1]["generation_failures"] == 1
-    assert records[27]["trial"] == 27 and records[27]["pass"] is False
-    assert records[27]["note"].startswith("UncertainRank: ")
+    assert records[30]["trial"] == 30 and records[30]["pass"] is False
+    assert records[30]["note"].startswith("UncertainRank: ")
 
 
 def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):
@@ -537,6 +537,31 @@ def test_a_closed_stdout_is_one_line_exit_4(write, capsys, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: cannot write to standard output:") and err.count("\n") == 1
+    assert not closed.exists()
+
+
+def test_no_stdout_is_one_line_exit_4_unless_every_output_is_a_file(write, capsys, tmp_path, monkeypatch):
+    # with fd 1 closed at start Python sets sys.stdout to None: the adjacency
+    # bound for stdout fails the run and removes the closed form, and a run
+    # that writes files only succeeds
+    spec = write({"family": "dutch_windmill", "m": 1, "n": 1}, "spec.json")
+    adjacency, closed = tmp_path / "adj.json", tmp_path / "inv.json"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["graph", "--spec", spec, "--closed-form", str(closed)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: cannot write to standard output: it is closed\n"
+    assert not closed.exists()
+    assert main(["graph", "--spec", spec, "-o", str(adjacency), "--closed-form", str(closed)]) == 0
+    assert capsys.readouterr().err == "" and adjacency.exists() and closed.exists()
+
+
+def test_a_stdout_closed_at_start_is_one_line_exit_4(write, tmp_path):
+    spec = write({"family": "dutch_windmill", "m": 1, "n": 1}, "spec.json")
+    closed = tmp_path / "inv.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(["sh", "-c", '"$0" -m dualdrazin.cli graph --spec "$1" --closed-form "$2" >&-',
+                           sys.executable, spec, str(closed)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (4, "error: cannot write to standard output: it is closed\n")
     assert not closed.exists()
 
 
@@ -1023,14 +1048,20 @@ def test_the_verbs_register_in_order_and_each_matrix_verb_reads_one_input():
 # order 48 goes through the staircase, order 96 through the LU inverse that
 # certifies index 0 (pinned before that route existed, so the bytes are the
 # staircase's).  member_index_4 is gen_member(10, default_rng([1, 2]),
-# invertible=False), of index 4.
+# invertible=False), of index 4, a real input factorised in real arithmetic.
+# member_index_0 is gen_member(10, default_rng([1, 0]), invertible=True): a
+# real input whose staircase decides index 0 in real arithmetic, and whose
+# answer is inv(A) of the input as given, so its bytes are those of the
+# complex route, where it was pinned.
 PINNED_INVERSES = {
     ("gaussian_integers_48", "dual-drazin"): "efb92836daf0ada5",
     ("gaussian_integers_48", "drazin"): "28331e9242230a6c",
     ("gaussian_integers_96", "dual-drazin"): "e0ad2acfe337dd50",
     ("gaussian_integers_96", "drazin"): "f3f0611f348ce0ce",
-    ("member_index_4", "dual-drazin"): "980d828456738a30",
-    ("member_index_4", "drazin"): "6065b93fc3de69b3",
+    ("member_index_0", "dual-drazin"): "a6e87430fa73364b",
+    ("member_index_0", "drazin"): "b0c81aae323b05bf",
+    ("member_index_4", "dual-drazin"): "b64f40004588eae8",
+    ("member_index_4", "drazin"): "d061ed4ea26b4131",
 }
 
 
@@ -1039,7 +1070,8 @@ def test_inverse_outputs_are_pinned(name, verb, tmp_path):
     if name.startswith("gaussian_integers_"):
         x, index = gaussian_integers(int(name.rsplit("_", 1)[1])), 0
     else:
-        x, index = gen_member(10, np.random.default_rng([1, 2]), invertible=False), 4
+        index = int(name.rsplit("_", 1)[1])
+        x = gen_member(10, np.random.default_rng([1, 2 if index else 0]), invertible=not index)
     assert matrix_index(x.std) == index
     if verb == "drazin":
         x = DualMatrix(x.std)
