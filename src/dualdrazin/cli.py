@@ -27,15 +27,17 @@ counterexample.  The verdicts of exists, verify and fuzz are written
 whatever their exit code.
 graph reads the digraph it builds from one graph spec document (--spec,
 "-" for stdin), and the tolerances come only from --rank-tol and
---residual-tol.  Exit codes: 0 success, 1 verification failure, 2 violated
-hypotheses, 3 no dual Drazin inverse, 4 malformed input, including input
-outside the float routes' reach, a command line that does not parse and an
-output that cannot be written, a closed stdout among them.
+--residual-tol, each a finite number >= 0.  Exit codes: 0 success, 1
+verification failure, 2 violated hypotheses, 3 no dual Drazin inverse, 4
+malformed input, including input outside the float routes' reach, a
+command line that does not parse and an output that cannot be written, a
+closed stdout among them.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -286,12 +288,31 @@ _MATRIX_VERBS = {
 }
 
 
+def _float_in(low: float, high: float, what: str):
+    """An argparse type: a float with low <= value <= high, which NaN never is."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+# --rank-tol and --residual-tol (tolerances); --max-rel-error, where a
+# negative bound fails every trial
+_TOLERANCE = _float_in(0.0, sys.float_info.max, "a finite number >= 0")
+_ERROR_BOUND = _float_in(-math.inf, math.inf, "a number")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-tol", type=float, default=None,
-                        help="numerical rank threshold")
-    common.add_argument("--residual-tol", type=float, default=None,
-                        help="residual acceptance threshold")
+    common.add_argument("--rank-tol", type=_TOLERANCE, default=None,
+                        help="numerical rank threshold, a finite number >= 0")
+    common.add_argument("--residual-tol", type=_TOLERANCE, default=None,
+                        help="residual acceptance threshold, a finite number >= 0")
     common.add_argument("-o", "--output", default=None,
                         help="output file (default: stdout)")
 
@@ -327,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="check one instance document end to end")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--form", choices=_FORM_CHOICES, default="drazin")
-    p.add_argument("--max-rel-error", type=float, default=1e-8)
+    p.add_argument("--max-rel-error", type=_ERROR_BOUND, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fuzz", parents=[common], help="randomised verification campaign")
@@ -337,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim-min", type=int, default=1)
     p.add_argument("--dim-max", type=int, default=5)
-    p.add_argument("--max-rel-error", type=float, default=1e-8)
+    p.add_argument("--max-rel-error", type=_ERROR_BOUND, default=1e-8)
     p.add_argument("--violate", action="store_true",
                    help="generate hypothesis-breaking instances instead")
     p.add_argument("--artifacts", default=None, metavar="DIR",

@@ -30,18 +30,17 @@ in the computed inverse and singular values.  When LU fails, the inequality
 fails or an entry is not finite, the staircase decides as it always has.
 
 The field is decided once per input part: a part whose imaginary part is
-all zero is factorised on its float64 real part (dualmat._working), where a
-product, QR or SVD costs about half as much as in complex arithmetic.  So
-a real A gets a real staircase, Newton steps, Z, T and T^-1, and a real A0
-a real mixed series M, sandwich Pi M Pi and inverse series; a complex part
-runs in complex arithmetic as before, to the bit.  The public arrays (A^D,
-the projectors, the inverse and M) are complex128, cast once where they
-are built, while the private basis, N and C^-1 stay in the working field.
-At index 0 only the staircase's first SVD, the decision, runs in the
-working field: the answer is inv(A) of the input as given, so the LU route
-and the staircase route agree to the bit on every input.  matrix_index,
-drazin_oracle, defining_residuals and dualmat.indices work in complex
-arithmetic.
+all zero is worked on as its float64 real part (dualmat._working), where a
+product, QR or SVD costs about half as much as in complex arithmetic.  The
+staircase and dualmat's rank floor apply that rule themselves, so every
+index and rank of a matrix is decided in the field its factorisation works
+in.  A real A gets a real staircase, Newton steps, Z, T and T^-1, and a
+real A0 a real mixed series M, sandwich Pi M Pi and inverse series.  The
+public arrays (A^D, the projectors, the inverse and M) are complex128, cast
+once where they are built, while the private basis, N and C^-1 stay in the
+working field.  At index 0 only the staircase's first SVD, the decision,
+runs in the working field: the answer is inv(A) of the input as given, so
+the LU route and the staircase route agree to the bit on every input.
 
 A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
@@ -175,9 +174,7 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
     one core), and small inputs are mostly singular; at n = 256 an
     invertible input saves most of the SVD's 20 ms for an LU of 5.7 ms.
     """
-    a = np.ascontiguousarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
+    a = _square(a)
     n = a.shape[0]
     if n >= _CERTIFY_ORDER:
         inv = _certified_inverse(a, tol)
@@ -207,6 +204,14 @@ def drazin_complex(a, tol: float | None = None) -> DrazinData:
     ad = np.asarray(basis @ core_inv @ q_core, dtype=complex)
     return DrazinData(ad=ad, index=k, proj_e=proj_e, proj_pi=np.eye(n, dtype=complex) - proj_e,
                       _basis=t, _basis_inv=t_inv, _nil=h[:p, :p].copy(), _core_inv=core_inv)
+
+
+def _square(a) -> np.ndarray:
+    """a as a C-ordered complex128 array; raises ShapeMismatch unless it is square and 2-d."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"square matrix required, got shape {a.shape}")
+    return a
 
 
 def _certified_inverse(a: np.ndarray, tol: float | None) -> np.ndarray | None:
@@ -292,7 +297,7 @@ def _power_series(first, left, right, k: int):
 
 def drazin_oracle(a, tol: float | None = None) -> np.ndarray:
     """Independent route: A^k pinv(A^(2k+1)) A^k, with k from the staircase."""
-    a = np.ascontiguousarray(a, dtype=complex)
+    a = _square(a)
     n = a.shape[0]
     k = _staircase(a, tol)[0]
     ak = np.linalg.matrix_power(a, k)
@@ -302,8 +307,7 @@ def drazin_oracle(a, tol: float | None = None) -> np.ndarray:
 
 def matrix_index(a, tol: float | None = None) -> int:
     """Index of a complex matrix: the number of staircase deflation steps."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    return _staircase(a, tol)[0]
+    return _staircase(_square(a), tol)[0]
 
 
 def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:

@@ -215,13 +215,19 @@ def phi_embed(x: DualMatrix) -> np.ndarray:
     return out
 
 
+def _working(a: np.ndarray) -> np.ndarray:
+    """The field a is worked in: its float64 real part when a is complex with all-zero imaginary part, else a."""
+    return a if a.dtype.kind != "c" or a.imag.any() else np.ascontiguousarray(a.real)
+
+
 def _svd_floor(a: np.ndarray, tol: float | None, compute_uv: bool):
-    """np.linalg.svd(a, compute_uv=compute_uv) and the rank floor max(m, n) * tol * sigma_max.
+    """np.linalg.svd of a in its working field (_working) and the rank floor max(m, n) * tol * sigma_max.
 
     Singular values at or below the floor count as zero.  Raises
     NonFiniteEntries on NaN or inf entries, which the SVD cannot take, and
     when sigma_max overflows, since every rank would then read 0.
     """
+    a = _working(a)
     if not np.isfinite(a).all():
         raise NonFiniteEntries("matrix entries must be finite")
     svd = np.linalg.svd(a, compute_uv=compute_uv)
@@ -240,11 +246,6 @@ def numerical_rank(a: np.ndarray, tol: float | None = None) -> int:
     return int(np.count_nonzero(sv > floor))
 
 
-def _working(a: np.ndarray) -> np.ndarray:
-    """The field a factorisation works in: a's float64 real part when its imaginary part is all zero, else a."""
-    return a if a.imag.any() else np.ascontiguousarray(a.real)
-
-
 def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Core-nilpotent split of a square real or complex array by SVD null-space deflation.
 
@@ -254,16 +255,15 @@ def _staircase(a: np.ndarray, tol: float | None = None) -> tuple[int, int, np.nd
     null vectors to the front (Kublanovskaya's staircase); singular values
     at or below n * tol * sigma_max(a) count as zero, so the first step
     decides rank(a) as numerical_rank does.  k, the number of deflating
-    steps, is the index, and s = rank(a**k) the core dimension.  a is not
-    copied: h is a new array from the first deflating step on, but at k = 0
-    it is a itself (and q = I), so callers must not write into h.  q and h
-    keep a's dtype: a float64 input is factorised in real arithmetic, whose
-    products, SVDs and QRs cost about half as much as complex ones, and the
-    caller decides the field (_working).  Raises NonFiniteEntries on NaN or
-    inf entries and when sigma_max overflows.
+    steps, is the index, and s = rank(a**k) the core dimension.  Ranks, q
+    and h are in a's working field (_working), where real input costs about
+    half as much.  h is new from the first deflating step on; at k = 0 it is
+    the working array (a itself if a is C-ordered and in its field) and
+    q = I, so callers must not write into h.  Raises NonFiniteEntries on NaN
+    or inf entries and when sigma_max overflows.
     """
     # the C layout a copy would have: the first step's a @ w reads it
-    a = np.ascontiguousarray(a)
+    a = np.ascontiguousarray(_working(a))
     n = a.shape[0]
     h, q = a, None
     k = p = 0
@@ -309,8 +309,9 @@ def rank_dual(x: DualMatrix, tol: float | None = None) -> int:
         return 0
     (u, sv, vh), floor = _svd_floor(x.std, tol, compute_uv=True)
     r = int(np.count_nonzero(sv > floor))
-    floor0 = _svd_floor(x.inf, tol, compute_uv=False)[1]
-    proj = u[:, r:].conj().T @ x.inf @ vh[r:].conj().T
+    a0 = _working(x.inf)  # a real u and v project a real A0 in real arithmetic
+    floor0 = _svd_floor(a0, tol, compute_uv=False)[1]
+    proj = u[:, r:].conj().T @ a0 @ vh[r:].conj().T
     return r + int(np.count_nonzero(np.linalg.svd(proj, compute_uv=False) > floor0))
 
 

@@ -11,8 +11,10 @@ number type exists.
 
 from __future__ import annotations
 
+import cmath
+
 from .dualmat import DualMatrix
-from .errors import NotDualDrazinInvertible, ShapeMismatch
+from .errors import NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch
 from .tolerances import APPRECIABLE_TOL
 
 __all__ = ["scalar_dual_drazin"]
@@ -34,11 +36,15 @@ def scalar_dual_drazin(z: DualMatrix) -> DualMatrix:
     1/a - eps*b/a**2.  The zero dual number maps to zero.  A nonzero
     pure-infinitesimal number has no dual Drazin inverse: with standard
     part 0 the only candidate solution is 0, and the defining equations
-    then force the infinitesimal part to vanish as well.
+    then force the infinitesimal part to vanish as well.  A part that is
+    not finite (an overflowed theta) raises NonFiniteEntries: to the rule
+    below, an infinite a would look like zero.
     """
     if z.shape != (1, 1):
         raise ShapeMismatch(f"expected a 1x1 dual matrix, got {z.shape[0]}x{z.shape[1]}")
     a, b = z.std.item(), z.inf.item()
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise NonFiniteEntries("dual number entries must be finite")
     if _appreciable(a, b):
         return DualMatrix([[1.0 / a]], [[-b / (a * a)]])
     if abs(b) <= APPRECIABLE_TOL * (1.0 + abs(a) + abs(b)):

@@ -58,6 +58,27 @@ MISSED_NULL_VECTOR = np.array([
     [2, -1, 0, -1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 2, 0],
 ], dtype=complex)
 
+# Standard part of gen_instance(GenConfig("TRI_UPPER", trials=40, seed=1,
+# dim_min=6, dim_max=10), 16), an order-14 draw of the same kind: exact rank
+# of powers gives index 8, complex arithmetic misses a null vector at the
+# eighth deflation and reads 7, and real arithmetic gets 8.
+MISSED_NULL_VECTOR_UPPER = np.array([
+    [0, 1, -1, 0, 0, 0, 0, -2, -2, 1, -1, 2, 1, -2],
+    [0, 0, 1, 0, 0, 0, 0, 1, 1, 2, 0, -1, -2, 0],
+    [1, 0, 0, 1, 1, 0, 0, 2, -1, 1, 0, 1, 2, 2],
+    [2, -1, 3, 2, 6, -2, 0, 1, -2, -2, 1, -2, -2, -1],
+    [-1, 0, -2, -1, -4, 2, 0, 2, -2, 1, 0, 2, 0, -1],
+    [0, 0, -1, 0, -3, 2, 1, -1, 2, 1, 2, -1, 0, -1],
+    [-1, 0, 0, -1, -1, 0, 0, 0, -2, 2, 1, -1, -1, -2],
+    [0, 0, 0, 0, 0, 0, 0, -2, 2, 2, 2, -1, 2, -2],
+    [0, 0, 0, 0, 0, 0, 0, 0, 3, 2, 2, -3, 2, -3],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, -2, -2, 2, 1, 3],
+    [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, -1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, -5, -2, -2, 3, -4, 3],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, -2, -2, 2, 1, 3],
+], dtype=complex)
+
 # Standard part of the matrix the accept filter factorises in trial 30 of
 # fuzz(GenConfig("SUM_PQ0", trials=31, seed=8, dim_min=11, dim_max=16)).
 # Exact rank of powers gives index 9 and core dimension 6; the staircase

@@ -42,7 +42,7 @@ from dualdrazin.errors import NonFiniteEntries, NotDualDrazinInvertible, SchemaE
 from dualdrazin.harness import FAMILIES, GRAPH_FAMILIES, GenConfig, _FUZZ_FORMS, fuzz, gen_instance, gen_member
 from dualdrazin.serialize import _matrix_doc, dump_matrix, dumps_doc, load_matrix, matrix_to_doc
 
-from conftest import SINGULAR_CORE, gaussian_integers, wrong_dual_index_draw
+from conftest import MISSED_NULL_VECTOR, SINGULAR_CORE, gaussian_integers, wrong_dual_index_draw
 
 NILPOTENT = {"rows": 2, "cols": 2, "std": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
 COMPATIBLE = dict(NILPOTENT, inf=[[[0, 0], [3, 0]], [[0, 0], [0, 0]]])
@@ -338,6 +338,23 @@ def test_a_nan_hub_weight_is_exit_4(verb, write, capsys):
 
 
 @pytest.mark.parametrize("verb", ["graph", "verify"])
+def test_an_overflowing_theta_is_one_line_exit_4(verb, write, capsys, tmp_path):
+    # theta = x^T y + ab = 1e400 + 1 overflows; read as the zero number it
+    # gave an all-zero closed form with exit 0
+    spec = graph_spec_to_doc(HUB_STAR)
+    spec["x"] = spec["y"] = {"std": [[1e200, 0]]}
+    path = write(spec, "spec.json")
+    outputs = {"closed": tmp_path / "inv.json", "adjacency": tmp_path / "adj.json"}
+    if verb == "graph":
+        argv = ["graph", "--spec", path, "--closed-form", str(outputs["closed"]), "-o", str(outputs["adjacency"])]
+    else:
+        argv = ["verify", "-i", path]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, "", "error: dual number entries must be finite\n")
+    assert not any(p.exists() for p in outputs.values())
+
+
+@pytest.mark.parametrize("verb", ["graph", "verify"])
 def test_an_inappreciable_hub_weight_is_exit_4(verb, write, capsys):
     # the document format is unchanged: a hub weight is a dual scalar, read
     # as a 1x1 dual matrix; 1e-300 is no unit beside an eps part of 1, nor
@@ -373,6 +390,14 @@ def test_fuzz_reaching_a_missed_null_vector_keeps_its_report(capsys):
     assert records[-1]["generation_failures"] == 1
     assert records[30]["trial"] == 30 and records[30]["pass"] is False
     assert records[30]["note"].startswith("UncertainRank: ")
+
+
+def test_index_and_exists_read_one_index(write, capsys):
+    # both decide the standard part's rank in its working field; index once
+    # read 7 in complex arithmetic where exists read the exact 8
+    path = write(matrix_to_doc(DualMatrix(MISSED_NULL_VECTOR)), "a.json")
+    indices = [json.loads(run(capsys, verb, "-i", path)[1])["ind_std"] for verb in ("index", "exists")]
+    assert indices == [8, 8]
 
 
 def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):
@@ -463,6 +488,33 @@ def test_a_command_line_that_does_not_parse_is_exit_4(argv, capsys):
     # exit 2 is kept for violated hypotheses; usage errors are malformed input
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == "" and "error:" in err
+
+
+# each once answered for the value: an identity with no inverse, a nilpotent
+# of index 0, rank 0 beside its own smith field of 1, an invertible Jordan
+# block of index 1 with a zero inverse, and every verify run failed
+BAD_TOLERANCES = {
+    "residual-tol-nan": ("exists", "EYE", "--residual-tol", "nan"),
+    "residual-tol-negative": ("exists", "EYE", "--residual-tol", "-1"),
+    "rank-tol-nan-index": ("index", "NIL", "--rank-tol", "nan"),
+    "rank-tol-nan-rank": ("rank", "NIL", "--rank-tol", "nan"),
+    "rank-tol-inf": ("drazin", "JORDAN", "--rank-tol", "inf"),
+    "max-rel-error-nan": ("verify", "INST", "--max-rel-error", "nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOLERANCES))
+def test_a_tolerance_out_of_range_does_not_parse(case, write, capsys):
+    eye = {"rows": 2, "cols": 2, "std": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    jordan = {"rows": 2, "cols": 2, "std": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}
+    docs = {"EYE": eye, "NIL": NILPOTENT, "JORDAN": jordan, "INST": {"theorem": "CLINE", "blocks": {"A": eye, "B": eye}}}
+    verb, doc, option, value = BAD_TOLERANCES[case]
+    code, out, err = run(capsys, verb, "-i", write(docs[doc], "a.json"), option, value)
+    assert (code, out) == (4, "")
+    assert f"error: argument {option}: expected a" in err and repr(value) in err
+    # 0 is a tolerance, and a negative bound fails every trial
+    edge = {"--rank-tol": "0", "--residual-tol": "0", "--max-rel-error": "-1"}[option]
+    assert run(capsys, verb, "-i", write(docs[doc], "a.json"), option, edge)[0] != 4
 
 
 def test_help_exits_0(capsys):

@@ -13,6 +13,7 @@ from dualdrazin import (
     dblock,
     dmul,
     dpow,
+    drazin_complex,
     dual_exists,
     indices,
     matrix_index,
@@ -22,7 +23,7 @@ from dualdrazin import (
     smith_rank_oracle,
 )
 from dualdrazin.dualmat import _staircase, numerical_rank
-from dualdrazin.errors import NonFiniteEntries, SchemaError, ShapeMismatch
+from dualdrazin.errors import NonFiniteEntries, SchemaError, ShapeMismatch, UncertainRank
 from dualdrazin.serialize import (
     _matrix_doc,
     _read_json,
@@ -41,7 +42,7 @@ from dualdrazin.serialize import (
 
 from dualdrazin.harness import gen_existence, gen_member
 
-from conftest import rand_int_dual, wrong_dual_index_draw
+from conftest import MISSED_NULL_VECTOR, MISSED_NULL_VECTOR_UPPER, rand_int_dual, wrong_dual_index_draw
 
 
 def test_shapes_must_agree():
@@ -304,16 +305,57 @@ def test_index_phi_within_double_bound(rng):
 
 
 def test_indices_agree_with_matrix_index(rng):
+    # every index routine decides in the field drazin_complex factorises in;
+    # on the two real draws complex arithmetic misses a null vector (known
+    # defect 2) and read 7, where the exact index (rank of powers in
+    # Fractions) is 8
+    turn = np.exp(0.7j)
     examples = [
         DualMatrix([[0, 1], [0, 0]]),
         DualMatrix(np.diag([1.0, 2.0]), np.ones((2, 2))),
         DualMatrix([[0.0]], [[1.0]]),
         DualMatrix(np.eye(3)),
         DualMatrix(np.zeros((2, 2))),
+        DualMatrix(turn * np.array([[0, 1, 2], [0, 0, 3], [0, 0, 1j]])),
+        DualMatrix([[1j, 1], [0, 0]], [[0, 1], [1, 0]]),
     ]
     examples += [rand_int_dual(rng, int(rng.integers(1, 6))) for _ in range(25)]
-    for x in examples:
-        assert indices(x).ind_std == matrix_index(x.std)
+    examples += [DualMatrix(turn * x.std, x.inf) for x in examples[-5:]]
+    exact = [DualMatrix(MISSED_NULL_VECTOR), DualMatrix(MISSED_NULL_VECTOR_UPPER)]
+    for x in examples + exact:
+        index = matrix_index(x.std)
+        assert indices(x).ind_std == index
+        try:
+            assert drazin_complex(x.std).index == index
+        except UncertainRank:
+            pass  # drazin_complex returns nothing to compare with
+    assert [matrix_index(x.std) for x in exact] == [8, 8]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_every_rank_route_takes_its_svds_in_the_working_field(field, monkeypatch):
+    # the rank primitives choose the field, so a real matrix held in
+    # complex128 arrays is decided in float64 whichever routine asks;
+    # rank_dual's projection U2* A0 V2 is formed from the working A0
+    turn, want = (1.0, np.float64) if field == "real" else (np.exp(0.7j), np.complex128)
+    x = DualMatrix(turn * MISSED_NULL_VECTOR, turn * MISSED_NULL_VECTOR.T)
+    svd, seen = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    routes = {"matrix_index": lambda: matrix_index(x.std), "indices": lambda: indices(x),
+              "rank_std": lambda: rank_std(x), "rank_dual": lambda: rank_dual(x),
+              "drazin_complex": lambda: drazin_complex(x.std)}
+    for name, route in routes.items():
+        seen.clear()
+        try:
+            route()
+        except UncertainRank:
+            assert field == "complex"  # known defect 2: complex arithmetic can miss the null vector
+        assert seen and set(seen) == {np.dtype(want)}, name
 
 
 def _rank_of_powers(a, tol=None):

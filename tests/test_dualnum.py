@@ -1,10 +1,12 @@
 """Dual numbers as 1x1 dual matrices: the product theta uses, and the 1x1 inverse."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dualdrazin import DoubleStar, DualMatrix, dmul, scalar_dual_drazin
-from dualdrazin.errors import NotDualDrazinInvertible, ShapeMismatch, SpecInvalid
+from dualdrazin import DoubleStar, DualMatrix, dmul, ds_dual_drazin, scalar_dual_drazin
+from dualdrazin.digraphs import graph_spec_from_doc
+from dualdrazin.errors import NonFiniteEntries, NotDualDrazinInvertible, ShapeMismatch, SpecInvalid
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -90,6 +92,29 @@ def test_appreciable_scale_is_relative():
     for z in (dual(1e-3, 1e10), dual(1e-300, 1.0)):
         with pytest.raises(NotDualDrazinInvertible):
             scalar_dual_drazin(z)
+
+
+@pytest.mark.parametrize("std, inf", [(np.inf, 0), (1, np.inf), (1, np.nan), (np.nan, 0)],
+                         ids=["inf-std", "inf-eps", "nan-eps", "nan-std"])
+def test_scalar_drazin_refuses_a_part_that_is_not_finite(std, inf):
+    # an overflowed theta reaches it through DualMatrix._of; an infinite
+    # standard part passes no appreciability test and would map to zero
+    z = DualMatrix._of(np.array([[std]], dtype=complex), np.array([[inf]], dtype=complex))
+    with pytest.raises(NonFiniteEntries, match="entries must be finite"):
+        scalar_dual_drazin(z)
+
+
+# a double star whose theta = x^T y + ab = 1e400 + 1 overflows to inf
+OVERFLOWING_THETA = {"family": "double_star", "m": 1, "n": 2, "x": {"std": [[1e200, 0]]},
+                     "y": {"std": [[1e200, 0]]}, "w": {"std": [[1, 0], [1, 0]]},
+                     "v": {"std": [[1, 0], [-1, 0]]}, "a": {"std": [1, 0]}, "b": {"std": [1, 0]}}
+
+
+def test_a_double_star_whose_theta_overflows_has_no_closed_form():
+    # theta^D would read 0 and A^D = theta^D A an all-zero matrix, where the
+    # inverse is nonzero with entries near 1e-200
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteEntries, match="entries must be finite"):
+        ds_dual_drazin(graph_spec_from_doc(OVERFLOWING_THETA))
 
 
 def test_scalar_drazin_takes_only_a_1x1_matrix():

@@ -25,7 +25,9 @@ and a formula table is read only where a report is built, which names its
 body.  No module reads the environment, so each setting is given one way:
 on the command line.  Only cli and serialize touch files (open, write,
 make, move or remove one), so every output of a run leaves through the
-CLI's one write path or the public writer serialize.dump_matrix.
+CLI's one write path or the public writer serialize.dump_matrix.  Only
+dualmat takes an SVD, and only dualmat._working tests whether a matrix is
+real, so every rank decision follows the one field rule.
 """
 
 import ast
@@ -493,3 +495,16 @@ def test_only_the_front_end_and_the_public_writer_touch_files():
                       and (getattr(node.func, "id", None) in _FILE_WRITES
                            or getattr(node.func, "attr", None) in _FILE_WRITES))
     assert touching and {site.split(".")[0] for site in touching} <= {"cli", "serialize"}
+
+
+def test_rank_decisions_stay_in_the_field_rule():
+    # dualmat takes every SVD of the package, in the working field
+    # dualmat._working chooses; an SVD or a field test anywhere else
+    # could decide a rank of a real matrix in complex arithmetic, and give
+    # one matrix two indices
+    svds = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "svd"
+                  and getattr(node.value, "attr", None) == "linalg")
+    field_tests = _sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "any"
+                         and getattr(node.func.value, "attr", None) == "imag")
+    assert svds and {site.split(".")[0] for site in svds} == {"dualmat"}
+    assert field_tests == ["dualmat._working"]
