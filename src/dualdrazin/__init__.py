@@ -12,9 +12,9 @@ DualMatrix is the one dual value type: a dual number is a 1x1 DualMatrix.
 Importing the package loads none of them.  Each public name is resolved
 from its module on first access (_EXPORTS), so a program loads only the
 modules whose names it uses, and the ddz verbs only the modules they run.
-Every verb loads dualmat and serialize; drazin, dual-drazin and exists add
-drazin, index nothing more, and rank exact; the block verbs add blocks and
-drazin; graph and verify add digraphs and dualnum to those; only fuzz loads
+Every verb loads dualmat and serialize; drazin, dual-drazin, exists and
+index add drazin, and rank exact; the block verbs add blocks and drazin;
+graph and verify add digraphs and dualnum to those; only fuzz loads
 harness, with everything graph loads.
 """
 
@@ -32,7 +32,6 @@ _EXPORTS = {
     "dmul": "dualmat",
     "dpow": "dualmat",
     "indices": "dualmat",
-    "phi_embed": "dualmat",
     "rank_dual": "dualmat",
     "rank_std": "dualmat",
     "scalar_dual_drazin": "dualnum",

@@ -7,10 +7,10 @@ abco, bipartite), digraph assembly (graph), and verification drivers
 
 Every verb reads and writes documents through serialize, which loads
 dualmat, so this module imports those two and the name tables of families.
-A verb's handler imports the rest of what it runs: drazin, dual-drazin and
-exists add drazin, index adds nothing, rank adds exact, the block verbs add
-blocks and drazin, graph and verify add digraphs and dualnum to those, and
-fuzz adds harness to what graph loads.
+A verb's handler imports the rest of what it runs: drazin, dual-drazin,
+exists and index add drazin, rank adds exact, the block verbs add blocks and
+drazin, graph and verify add digraphs and dualnum to those, and fuzz adds
+harness to what graph loads.
 
 Matrices travel as JSON documents with 17-significant-digit floats, so a
 write-read-write cycle is byte identical.  A verb computes and renders all
@@ -174,8 +174,8 @@ def _cmd_exists(args) -> int:
 
 def _cmd_index(args) -> int:
     x = _load_matrix(args.input)
-    rep = indices(x, args.rank_tol)
-    _emit(({"ind_std": rep.ind_std, "ind_dual": rep.ind_dual, "ind_phi": rep.ind_phi}, args.output))
+    rep = indices(x, args.rank_tol, args.residual_tol)
+    _emit(({"ind_std": rep.ind_std, "ind_dual": rep.ind_dual}, args.output))
     return EXIT_OK
 
 
@@ -283,7 +283,7 @@ _MATRIX_VERBS = {
     "drazin": (_cmd_drazin, "Drazin inverse of a complex matrix"),
     "dual-drazin": (_cmd_dual_drazin, "dual Drazin inverse of a dual matrix"),
     "exists": (_cmd_exists, "membership test for the invertible class"),
-    "index": (_cmd_index, "standard, dual and embedding indices"),
+    "index": (_cmd_index, "standard and dual indices"),
     "rank": (_cmd_rank, "standard and dual ranks, exact when integral"),
 }
 

@@ -46,10 +46,14 @@ A dual matrix A + eps*A0 has a dual Drazin inverse exactly when
 
     (I - A A^D) M (I - A A^D) == 0,   M = sum_{i=1..k} A^(k-i) A0 A^(i-1),
 
-the eps-part of (A + eps*A0)^k with k = Ind(A), built as M_1 = A0,
-M_(i+1) = A^i A0 + M_i A (_mixed_series), which forms no power of A past
-A^(k-1); at index 0, M = 0.  The inverse is then A^D + eps*R, and R is
-two sums over k terms in N and C^-1 of the blocks of F = T^-1 A0 T
+the eps-part M_k of (A + eps*A0)^k with k = Ind(A), built as M_1 = A0,
+M_(t+1) = A^t A0 + M_t A (_mixed_powers), which forms no power of A past
+A^(k-1); at index 0, M = 0.  With F = T^-1 A0 T, Pi M_t Pi = T diag(E_t, 0)
+T^-1, E_t the eps-part of (N + eps*F11)^t, and N^t = 0 from t = k on, so
+the dual index ind phi(X) is the first t >= k with Pi M_t Pi = 0, at most
+2k; _dual_index reads it by dual_exists' rule (_existence_rule), so it
+reads k exactly when dual_exists passes.  The inverse is then A^D + eps*R,
+and R is two sums over k terms in N and C^-1 of the blocks of F
 (dual_drazin_series), which forms no power of A or A^D; at index 0 it is
 R = -C^-1 A0 C^-1, and the existence test holds trivially.
 
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -310,25 +315,27 @@ def matrix_index(a, tol: float | None = None) -> int:
     return _staircase(_square(a), tol)[0]
 
 
-def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:
-    """The eps-part M of x^k, by the running dual product (P, M) <- (P A, P A0 + M A).
+def _mixed_powers(x: DualMatrix):
+    """Yield M_1, M_2, ..., the eps-parts of x^t, by the running dual product (P, M) <- (P A, P A0 + M A).
 
-    It starts from x itself, (P, M) = (A, A0), so k - 1 passes follow, and
-    P = A^i is formed only while a later pass reads it.  M is a new array
-    even at k = 1, never a view of x.inf.
+    P = A^t is formed only when M_(t+1) is asked for, so M_k takes the same products in the same order
+    whoever reads it.  M_1 is a copy of x.inf, and the reader checks for overflow (_sandwich).
     """
-    if k == 0:
-        return np.zeros_like(x.std)
     a, a0 = _working(x.std), _working(x.inf)
     p, m = a, a0.copy()
+    yield m
+    while True:
+        m = p @ a0 + m @ a
+        yield m
+        p = p @ a
+
+
+def _mixed_series(x: DualMatrix, k: int) -> np.ndarray:
+    """M_k of _mixed_powers, the eps-part of x^k; a zero matrix at k = 0."""
+    if k == 0:
+        return np.zeros_like(x.std)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, k):
-            m = p @ a0 + m @ a
-            if i < k - 1:
-                p = p @ a
-    if not np.isfinite(m).all():
-        raise NonFiniteEntries("the mixed series M of the existence test overflows")
-    return m
+        return next(itertools.islice(_mixed_powers(x), k - 1, None))
 
 
 def dual_exists(
@@ -348,20 +355,33 @@ def dual_exists(
     if data is None:
         data = drazin_complex(x.std, tol)
     m = _mixed_series(x, data.index)
-    certificate = _sandwich(data, m)
-    ok = bool(certificate <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m)))
+    ok, certificate = _existence_rule(data, m, res_tol)
     m = np.asarray(m, dtype=complex)
     return (ok, m, certificate) if _certified else (ok, m)
 
 
-def _sandwich(data: DrazinData, m: np.ndarray) -> float:
-    """Norm of Pi M Pi, the projection dual_exists compares with zero.
+def _dual_index(x: DualMatrix, data: DrazinData, res_tol: float | None) -> int:
+    """ind phi(X): the first t in k .. 2k - 1 whose M_t passes _existence_rule, else 2k (module docstring)."""
+    k = data.index
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, m in zip(range(1, 2 * k), _mixed_powers(x)):
+            if t >= k and _existence_rule(data, m, res_tol)[0]:
+                return t
+    return 2 * k
 
-    A norm past the float range decides nothing, so it raises, as an
-    overflowing M does in _mixed_series.
-    """
+
+def _existence_rule(data: DrazinData, m: np.ndarray, res_tol: float | None) -> tuple[bool, float]:
+    """(|Pi M Pi| <= res_tol * (1 + |M|), |Pi M Pi|): the one existence rule."""
+    certificate = _sandwich(data, m)
+    return bool(certificate <= residual_tol(res_tol) * (1.0 + np.linalg.norm(m))), certificate
+
+
+def _sandwich(data: DrazinData, m: np.ndarray) -> float:
+    """Norm of Pi M Pi for _existence_rule; an M or norm past the float range decides nothing, so it raises."""
     if data.index == 0:
         return 0.0  # Pi = 0
+    if not np.isfinite(m).all():
+        raise NonFiniteEntries("the mixed series M of the existence test overflows")
     pi = data.proj_pi
     if data._basis.dtype != pi.dtype:  # a real working field: Pi's real part, laid out for BLAS
         pi = np.ascontiguousarray(pi.real)

@@ -5,9 +5,9 @@ A dual matrix is ``A + eps*A0`` with complex ``A`` (standard part) and
 
     phi(A + eps*A0) = [[A, A0], [0, A]]
 
-is a ring homomorphism into ordinary complex matrices and drives the index
-notions used everywhere else; rank_dual reads rank phi(X) from the two
-parts, each at its own scale.
+is a ring homomorphism into ordinary complex matrices, and no routine
+forms it: rank_dual reads rank phi(X) from the two parts, each at its own
+scale, and indices the dual index ind phi(X) from drazin's existence rule.
 
 Two constructors.  DualMatrix(std, inf) validates: it copies its input
 into contiguous complex arrays if need be, checks that both parts are 2-d
@@ -42,7 +42,6 @@ __all__ = [
     "dblock",
     "dmul",
     "dpow",
-    "phi_embed",
     "numerical_rank",
     "rank_std",
     "rank_dual",
@@ -205,16 +204,6 @@ def dpow(x: DualMatrix, k: int) -> DualMatrix:
     return result
 
 
-def phi_embed(x: DualMatrix) -> np.ndarray:
-    """The 2m x 2n complex matrix [[std, inf], [0, std]]."""
-    m, n = x.shape
-    out = np.zeros((2 * m, 2 * n), dtype=complex)
-    out[:m, :n] = x.std
-    out[:m, n:] = x.inf
-    out[m:, n:] = x.std
-    return out
-
-
 def _working(a: np.ndarray) -> np.ndarray:
     """The field a is worked in: its float64 real part when a is complex with all-zero imaginary part, else a."""
     return a if a.dtype.kind != "c" or a.imag.any() else np.ascontiguousarray(a.real)
@@ -319,22 +308,14 @@ def rank_dual(x: DualMatrix, tol: float | None = None) -> int:
 class IndexReport:
     ind_std: int
     ind_dual: int
-    ind_phi: int
 
 
-def indices(x: DualMatrix, tol: float | None = None) -> IndexReport:
-    """Standard index, dual index and index of the phi embedding.
+def indices(x: DualMatrix, tol: float | None = None, res_tol: float | None = None) -> IndexReport:
+    """Ind(A) and the dual index ind phi(X), from one factorisation of A (drazin._dual_index).
 
-    The dual index is the smallest t >= ind_std at which the dual rank of
-    X**t collapses onto its standard rank, and that is ind_phi: phi(X**t) =
-    [[A**t, M_t], [0, A**t]] has rank at least 2 rank(A**t), and for
-    t >= ind_std equality holds exactly when t >= ind phi(X), which lies
-    between ind_std and 2 ind_std.  So it is never missing, and in exact
-    arithmetic it equals ind_std exactly when a dual Drazin inverse exists
-    (drazin.dual_exists); the float staircase of phi(X) can miss that when
-    the infinitesimal part is much larger than the standard part.
+    ind_dual == ind_std exactly when drazin.dual_exists passes at the same tolerances.
     """
-    x.require_square()
-    k = _staircase(x.std, tol)[0]
-    k_phi = _staircase(phi_embed(x), tol)[0]
-    return IndexReport(ind_std=k, ind_dual=k_phi, ind_phi=k_phi)
+    from .drazin import _dual_index, drazin_complex
+
+    data = drazin_complex(x.std, tol)
+    return IndexReport(ind_std=data.index, ind_dual=_dual_index(x, data, res_tol))

@@ -24,6 +24,11 @@ def rand_int_dual(rng, rows, cols=None, scale=3, with_inf=True):
     return DualMatrix(std, inf)
 
 
+def phi(x):
+    """The embedding phi(X) = [[A, A0], [0, A]] of a dual matrix, a ring homomorphism."""
+    return np.block([[x.std, x.inf], [np.zeros_like(x.std), x.std]])
+
+
 def rel_err(got, want):
     return (got - want).norm() / (1.0 + want.norm())
 
@@ -109,7 +114,7 @@ def wrong_dual_index_draw():
 
     indices took the dual index from fixed-floor ranks of X**t for t up to
     2 ind_std; their entries grow with t, and at t = 9..18 the ranks never
-    settled, although the inverse exists and ind_phi = ind_std = 9.
+    settled, although the inverse exists and ind phi(X) = ind_std = 9.
     """
     rng = np.random.default_rng([17, 77])
     n = int(rng.integers(2, 25))

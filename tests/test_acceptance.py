@@ -189,7 +189,7 @@ def test_criterion_6_rank_and_index_suites():
         dim = trial % 6 + 1
         x = gen_member(dim, rng) if trial % 2 else rand_int_dual(rng, dim, scale=2)
         rep = indices(x)
-        if not rep.ind_std <= rep.ind_phi <= 2 * rep.ind_std:
+        if not rep.ind_std <= rep.ind_dual <= 2 * rep.ind_std:
             bound_violations += 1
     print(f"criterion 6: {rank_mismatches} rank mismatches, "
           f"{bound_violations} index bound violations (200 + 200 instances)")

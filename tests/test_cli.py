@@ -112,7 +112,7 @@ def test_index_verb(write, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ind_std"] == 2
-    assert doc["ind_phi"] >= doc["ind_std"]
+    assert doc["ind_dual"] >= doc["ind_std"]
 
 
 def test_rank_verb_includes_exact_oracle(write, capsys):
@@ -369,10 +369,10 @@ def test_an_inappreciable_hub_weight_is_exit_4(verb, write, capsys):
 
 def test_index_reports_the_dual_index_of_a_large_member(write, capsys):
     path = write(matrix_to_doc(wrong_dual_index_draw()), "a.json")
-    assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 9, "ind_dual": 9, "ind_phi": 9}\n')
+    assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 9, "ind_dual": 9}\n')
 
 
-@pytest.mark.parametrize("verb", ["drazin", "dual-drazin", "exists"])
+@pytest.mark.parametrize("verb", ["drazin", "dual-drazin", "exists", "index"])
 def test_a_missed_null_vector_is_exit_4(verb, write, capsys):
     code, out, err = run(capsys, verb, "-i", write(matrix_to_doc(DualMatrix(SINGULAR_CORE)), "a.json"))
     assert (code, out) == (4, "")
@@ -400,10 +400,21 @@ def test_index_and_exists_read_one_index(write, capsys):
     assert indices == [8, 8]
 
 
+@pytest.mark.parametrize("flags, exists, ind_dual", [((), 3, 3), (("--residual-tol", "1e300"), 0, 2)],
+                         ids=["default", "residual-tol-1e300"])
+def test_index_and_exists_decide_existence_alike(flags, exists, ind_dual, write, capsys):
+    # A = [[0, 1], [0, 0]], A0 = I: |Pi M_2 Pi| = |2A| = 2 fails the default
+    # tolerance and passes 1e300, and index reads the dual index by the same
+    # rule; it once ignored --residual-tol and printed ind_dual 3 either way
+    path = write(matrix_to_doc(DualMatrix([[0, 1], [0, 0]], np.eye(2))), "a.json")
+    assert run(capsys, "exists", "-i", path, *flags)[0] == exists
+    assert run(capsys, "index", "-i", path, *flags)[:2] == (0, f'{{"ind_std": 2, "ind_dual": {ind_dual}}}\n')
+
+
 def test_huge_entries_with_a_finite_singular_value_are_answered(write, capsys):
     # A = 1e200 * J has sigma_max 2e200, index 1 and A^D = J / 4e200
     path = write(OVERFLOWING["big_std"], "big.json")
-    assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 1, "ind_dual": 1, "ind_phi": 1}\n')
+    assert run(capsys, "index", "-i", path)[:2] == (0, '{"ind_std": 1, "ind_dual": 1}\n')
     assert run(capsys, "exists", "-i", path)[:2] == (0, '{"exists": true, "residual": 0, "ind_std": 1}\n')
     code, out, _ = run(capsys, "drazin", "-i", path)
     got = np.array([[v[0] for v in row] for row in json.loads(out)["std"]])

@@ -23,14 +23,14 @@ from dualdrazin import (
     matrix_index,
 )
 import dualdrazin.drazin
-from dualdrazin.dualmat import numerical_rank
 from dualdrazin.errors import (
     NonFiniteEntries,
     NotDualDrazinInvertible,
     ShapeMismatch,
     UncertainRank,
 )
-from dualdrazin.harness import _make_frame, gen_existence, gen_member
+from dualdrazin.dualmat import IndexReport, indices, numerical_rank
+from dualdrazin.harness import GenConfig, _make_frame, gen_existence, gen_instance, gen_member
 
 from conftest import MISSED_NULL_VECTOR, SINGULAR_CORE, gaussian_integers, rand_int_dual, rel_err
 
@@ -154,6 +154,62 @@ def test_a_complex_phase_of_the_missed_null_vector_is_right_or_flagged():
     except UncertainRank:
         return
     assert index == 8
+
+
+def _seed_1_violate_draw(family, trial):
+    """Trial of the violate sweep GenConfig(family, trials=40, seed=1, dim_min=6, dim_max=10)."""
+    cfg = GenConfig(family, trials=40, seed=1, dim_min=6, dim_max=10, violate=True)
+    return gen_instance(cfg, trial)._assembled()
+
+
+# (Ind(A), dual index ind phi(X)) of every trial of that sweep, exact: ranks
+# of powers of A and phi(X) modulo three primes p = 1 mod 4, which agree
+_SEED_1_VIOLATE_EXACT = {
+    "LINKED_STARS": [(3, 3), (5, 5), (6, 6), (4, 4), (4, 4), (2, 2), (6, 6), (7, 7), (6, 6), (2, 2),
+                     (4, 4), (6, 6), (5, 5), (4, 4), (7, 7), (5, 5), (4, 5), (5, 5), (2, 2), (7, 7),
+                     (4, 4), (8, 8), (5, 5), (6, 6), (3, 3), (6, 6), (6, 6), (6, 6), (3, 3), (7, 7),
+                     (5, 5), (7, 7), (3, 3), (6, 6), (3, 3), (2, 2), (6, 6), (4, 4), (5, 5), (6, 6)],
+    "TRI_UPPER": [(2, 3), (6, 7), (6, 7), (6, 7), (4, 5), (1, 2), (1, 2), (4, 5), (11, 12), (7, 8),
+                  (10, 11), (7, 8), (6, 7), (7, 8), (8, 9), (7, 8), (8, 9), (6, 7), (3, 4), (5, 6),
+                  (5, 6), (5, 6), (5, 6), (7, 8), (2, 3), (6, 7), (9, 10), (5, 6), (10, 11), (3, 4),
+                  (4, 5), (2, 3), (2, 3), (2, 3), (6, 7), (7, 8), (6, 7), (7, 8), (6, 7), (4, 5)],
+}
+# the one trial of each family that the float routes get wrong, pinned below
+_SEED_1_VIOLATE_WRONG = {"LINKED_STARS": 14, "TRI_UPPER": 26}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the existence bound ignores |Pi| (ROADMAP known defect 5)")
+def test_a_member_with_a_large_nilpotent_projector_passes_the_existence_test():
+    # LINKED_STARS trial 14, order 40, is a member: its exact dual index is
+    # its exact Ind(A) = 7.  |Pi M_7 Pi| is 42 times the bound
+    # res_tol * (1 + |M_7|), and |Pi|_2 = 1.8e5, so exists (and index, by the
+    # same rule) refuse it
+    assert dual_exists(_seed_1_violate_draw("LINKED_STARS", 14))[0] is True
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect 2: a real draw whose staircase reads index 7 against an exact 9,"
+                          " unflagged")
+def test_a_real_tri_upper_draw_is_right_or_flagged():
+    # TRI_UPPER trial 26, order 16: the exact index is 9, the staircase reads
+    # 7 with |Pi|_2 = 7.8e53 and raises nothing
+    try:
+        index = drazin_complex(_seed_1_violate_draw("TRI_UPPER", 26).std).index
+    except UncertainRank:
+        return
+    assert index == 9
+
+
+@pytest.mark.parametrize("family", sorted(_SEED_1_VIOLATE_EXACT))
+def test_the_other_draws_of_the_sweep_get_their_exact_indices(family):
+    # the companions of the two pins above: on the other 39 trials, index
+    # reads both exact indices and exists the exact verdict
+    for trial, (k, k_phi) in enumerate(_SEED_1_VIOLATE_EXACT[family]):
+        if trial != _SEED_1_VIOLATE_WRONG[family]:
+            x = _seed_1_violate_draw(family, trial)
+            assert indices(x) == IndexReport(ind_std=k, ind_dual=k_phi), trial
+            assert dual_exists(x)[0] is (k == k_phi), trial
 
 
 def test_members_of_order_32_have_their_inverse():

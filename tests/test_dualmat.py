@@ -17,7 +17,6 @@ from dualdrazin import (
     dual_exists,
     indices,
     matrix_index,
-    phi_embed,
     rank_dual,
     rank_std,
     smith_rank_oracle,
@@ -40,9 +39,16 @@ from dualdrazin.serialize import (
     vector_to_doc,
 )
 
-from dualdrazin.harness import gen_existence, gen_member
+from dualdrazin.harness import FAMILIES, GenConfig, gen_existence, gen_instance, gen_member
 
-from conftest import MISSED_NULL_VECTOR, MISSED_NULL_VECTOR_UPPER, rand_int_dual, wrong_dual_index_draw
+from conftest import (
+    MISSED_NULL_VECTOR,
+    MISSED_NULL_VECTOR_UPPER,
+    SINGULAR_CORE,
+    phi,
+    rand_int_dual,
+    wrong_dual_index_draw,
+)
 
 
 def test_shapes_must_agree():
@@ -166,8 +172,8 @@ def test_dmul_matches_phi_embedding(seed):
     rng = np.random.default_rng(seed)
     x = rand_int_dual(rng, 3)
     y = rand_int_dual(rng, 3)
-    direct = phi_embed(dmul(x, y))
-    via_phi = phi_embed(x) @ phi_embed(y)
+    direct = phi(dmul(x, y))
+    via_phi = phi(x) @ phi(y)
     assert np.array_equal(direct, via_phi)
 
 
@@ -187,14 +193,6 @@ def test_dpow_infinitesimal_sum():
     sq = dpow(x, 2)
     assert np.array_equal(sq.std, np.zeros((2, 2)))
     assert np.array_equal(sq.inf, np.array([[0, 2], [0, 0]], dtype=complex))
-
-
-def test_phi_embed_layout():
-    x = DualMatrix(np.zeros((2, 2)), np.eye(2))
-    expected = np.block(
-        [[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 2)), np.zeros((2, 2))]]
-    )
-    assert np.array_equal(phi_embed(x), expected)
 
 
 def test_ranks_on_pure_infinitesimal_identity():
@@ -244,32 +242,29 @@ def test_rank_dual_matches_the_smith_oracle_at_every_eps_scale():
 
 def test_indices_of_j_plus_eps_sj_at_s_1e10():
     # J + eps*sJ with s = 1e10: phi(X) and phi(X)^2 both have rank 2, so the
-    # indices are (1, 1, 1), and the exact Smith ranks are (1, 0)
+    # indices are (1, 1), and the exact Smith ranks are (1, 0)
     j = np.ones((2, 2))
     x = DualMatrix(j, 1e10 * j)
-    assert indices(x) == IndexReport(ind_std=1, ind_dual=1, ind_phi=1)
+    assert indices(x) == IndexReport(ind_std=1, ind_dual=1)
     assert smith_rank_oracle(x) == (1, 0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the staircase of phi(X) reads J's singular values below its floor (ROADMAP known defect 1)")
 def test_indices_of_j_plus_eps_sj_at_s_1e12():
-    # the same X at s = 1e12: the exact indices are still (1, 1, 1), but the
-    # floor n*tol*sigma_1(phi(X)) grows with s and swallows J's own singular
-    # values, so indices reads ind_dual = ind_phi = 2
+    # the same X at s = 1e12: the exact indices are still (1, 1).  A
+    # staircase of phi(X) read 2, its floor n*tol*sigma_1(phi(X)) growing
+    # with s past J's own singular values; the existence rule reads Pi M Pi,
+    # where the eps-part's scale sits on both sides of the comparison
     j = np.ones((2, 2))
-    assert indices(DualMatrix(j, 1e12 * j)) == IndexReport(ind_std=1, ind_dual=1, ind_phi=1)
+    assert indices(DualMatrix(j, 1e12 * j)) == IndexReport(ind_std=1, ind_dual=1)
 
 
 def test_indices_nilpotent_standard_part():
     x = DualMatrix([[0, 1], [0, 0]])
-    rep = indices(x)
-    assert (rep.ind_std, rep.ind_dual, rep.ind_phi) == (2, 2, 2)
+    assert indices(x) == IndexReport(ind_std=2, ind_dual=2)
 
 
 def test_indices_invertible():
-    rep = indices(DualMatrix(np.diag([1.0, 2.0]), np.ones((2, 2))))
-    assert (rep.ind_std, rep.ind_dual, rep.ind_phi) == (0, 0, 0)
+    assert indices(DualMatrix(np.diag([1.0, 2.0]), np.ones((2, 2)))) == IndexReport(ind_std=0, ind_dual=0)
 
 
 def test_indices_pure_infinitesimal_scalar():
@@ -277,31 +272,96 @@ def test_indices_pure_infinitesimal_scalar():
     rep = indices(DualMatrix([[0.0]], [[1.0]]))
     assert rep.ind_std == 1
     assert rep.ind_dual == 2
-    assert rep.ind_phi == 2
 
 
 def test_dual_index_of_a_large_member_is_its_phi_index():
     x = wrong_dual_index_draw()
     assert x.shape == (23, 23) and dual_exists(x)[0]
-    assert indices(x) == IndexReport(ind_std=9, ind_dual=9, ind_phi=9)
+    assert indices(x) == IndexReport(ind_std=9, ind_dual=9)
 
 
 def test_dual_index_agrees_with_the_labels():
-    # ind_phi == ind_std exactly on members; the dual index is ind_phi
+    # the dual index ind phi(X) equals ind_std exactly on members
     for s in range(45):
         rng = np.random.default_rng([s, 77])
         n = int(rng.integers(2, 25))
         x = gen_member(n, rng) if s % 3 == 2 else gen_existence(n, rng, s % 3 == 0)
         rep = indices(x)
-        assert rep.ind_dual == rep.ind_phi
-        assert (rep.ind_phi == rep.ind_std) == (s % 3 != 1), s
+        assert (rep.ind_dual == rep.ind_std) == (s % 3 != 1), s
+
+
+# (family, seed, (dim_min, dim_max), trial, exact index) of the member draws
+# gen_instance(GenConfig(family, trials=40, seed, dim_min, dim_max), trial)
+# whose dual index a staircase of phi(X) read too high; each is exactly
+# Ind(A) = ind phi(X), from ranks of powers modulo three primes p = 1 mod 4
+MOVED_MEMBERS = [
+    ("TRI_UPPER", 1, (6, 10), 16, 8), ("TRI_UPPER", 1, (11, 16), 16, 11), ("TRI_UPPER", 1, (11, 16), 29, 7),
+    ("TRI_UPPER", 2, (6, 10), 27, 14), ("TRI_UPPER", 2, (11, 16), 36, 14), ("TRI_LOWER", 0, (11, 16), 27, 13),
+    ("TRI_LOWER", 1, (11, 16), 32, 17), ("TRI_LOWER", 2, (6, 10), 33, 8), ("TRI_LOWER", 2, (11, 16), 6, 10),
+    ("TRI_LOWER", 2, (11, 16), 11, 17), ("TRI_LOWER", 2, (11, 16), 38, 12), ("ABIO_RIGHT", 0, (11, 16), 17, 20),
+    ("ABIO_RIGHT", 1, (6, 10), 31, 16),
+]
+
+
+def test_members_the_phi_staircase_misread_get_their_exact_dual_index():
+    for family, seed, (lo, hi), trial, index in MOVED_MEMBERS:
+        x = gen_instance(GenConfig(family, trials=40, seed=seed, dim_min=lo, dim_max=hi), trial)._assembled()
+        assert indices(x) == IndexReport(ind_std=index, ind_dual=index), (family, seed, lo, trial)
+
+
+def _exact_dual_index(x):
+    """The smallest t with rank phi(X^t) == rank phi(X^(t+1)), rank phi(Y) = 2r + s from Y's Smith ranks (r, s)."""
+    ranks = []
+    for t in range(2 * x.shape[0] + 2):  # ind phi(X) <= 2 Ind(A) <= 2n
+        y = dpow(x, t)
+        # Gaussian-integer entries below 2**53: the float power is the exact one
+        assert max(np.abs(y.std.view(float)).max(), np.abs(y.inf.view(float)).max()) < 2.0**53
+        r, s = smith_rank_oracle(y)
+        ranks.append(2 * r + s)
+        if t and ranks[-1] == ranks[-2]:
+            return t - 1
+    raise AssertionError("rank phi(X^t) did not settle")
+
+
+def _small_draws():
+    """Members and violate draws of every family at dims 1-5, and gen_existence non-members."""
+    for family in FAMILIES:
+        for violate in (False, True):
+            cfg = GenConfig(family, trials=3, seed=5, dim_max=5, violate=violate)
+            for trial in range(3):
+                yield gen_instance(cfg, trial)._assembled()
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        yield gen_existence(n, rng, False)
+
+
+def test_the_dual_index_is_the_exact_phi_index_at_small_dims():
+    # one rule: ind_dual == ind_std exactly when exists passes
+    checked = 0
+    for x in _small_draws():
+        rep = indices(x)
+        assert rep.ind_dual == _exact_dual_index(x), checked
+        assert (rep.ind_dual == rep.ind_std) == dual_exists(x)[0], checked
+        checked += 1
+    assert checked == len(FAMILIES) * 6 + 8
+
+
+def test_a_zero_eps_part_has_dual_index_ind_std_or_is_flagged():
+    # a matrix with no eps-part always has a dual Drazin inverse; a staircase
+    # of phi(X) read ind_dual = ind_std + 1 on both of these.  The complex
+    # phase reads ind_std 7 against an exact 8 (known defect 2), and index
+    # reads the same 7 as exists and drazin
+    with pytest.raises(UncertainRank):
+        indices(DualMatrix(SINGULAR_CORE))
+    rep = indices(DualMatrix((1 + 1j) * MISSED_NULL_VECTOR))
+    assert rep.ind_dual == rep.ind_std
 
 
 def test_index_phi_within_double_bound(rng):
     for _ in range(25):
         x = rand_int_dual(rng, rng.integers(1, 6))
         rep = indices(x)
-        assert rep.ind_std <= rep.ind_phi <= 2 * rep.ind_std
+        assert rep.ind_std <= rep.ind_dual <= 2 * rep.ind_std
 
 
 def test_indices_agree_with_matrix_index(rng):
@@ -389,7 +449,7 @@ def _staircase_draws():
 def test_staircase_matches_the_rank_of_powers():
     checked = 0
     for x in _staircase_draws():
-        for a in (x.std, phi_embed(x)):
+        for a in (x.std, phi(x)):
             k, s, q, h = _staircase(a)
             assert (k, s) == _rank_of_powers(a), a
             n = a.shape[0]

@@ -27,7 +27,8 @@ on the command line.  Only cli and serialize touch files (open, write,
 make, move or remove one), so every output of a run leaves through the
 CLI's one write path or the public writer serialize.dump_matrix.  Only
 dualmat takes an SVD, and only dualmat._working tests whether a matrix is
-real, so every rank decision follows the one field rule.
+real, so every rank decision follows the one field rule.  One rule decides
+existence (drazin._existence_rule), for exists and index alike.
 """
 
 import ast
@@ -207,7 +208,8 @@ def test_cli_import_does_not_load_scipy():
 # matrix, INST a CLINE instance of two identities, SPEC the m = n = 1 windmill
 # pattern, OUT an output file), and
 # which of the modules in LATE_MODULES the run loads; every run loads the
-# EARLY_MODULES and no other package module
+# EARLY_MODULES and no other package module.  index loads drazin: it reads
+# both indices from one factorisation and the existence rule
 EARLY_MODULES = ("cli", "dualmat", "errors", "families", "serialize", "tolerances")
 LATE_MODULES = ("blocks", "digraphs", "drazin", "dualnum", "exact", "harness")
 _BLOCK_LOADS = ("blocks", "drazin")
@@ -216,7 +218,7 @@ VERB_RUNS = {
     "drazin": ("drazin -i EYE", ("drazin",)),
     "dual-drazin": ("dual-drazin -i EYE", ("drazin",)),
     "exists": ("exists -i EYE", ("drazin",)),
-    "index": ("index -i EYE", ()),
+    "index": ("index -i EYE", ("drazin",)),
     "rank": ("rank -i EYE", ("exact",)),
     "cline": ("cline -a EYE -b EYE", _BLOCK_LOADS),
     "tri": ("tri -a EYE -b EYE -d EYE", _BLOCK_LOADS),
@@ -495,6 +497,15 @@ def test_only_the_front_end_and_the_public_writer_touch_files():
                       and (getattr(node.func, "id", None) in _FILE_WRITES
                            or getattr(node.func, "attr", None) in _FILE_WRITES))
     assert touching and {site.split(".")[0] for site in touching} <= {"cli", "serialize"}
+
+
+def test_one_rule_decides_existence_for_exists_and_index():
+    # dual_exists tests M_k and _dual_index M_k, M_(k+1), ... by the same
+    # rule, so ind_dual == ind_std exactly when exists passes; a second
+    # sandwich or a phi embedding would be a second decision, free to disagree
+    assert _callers("_sandwich") == ["drazin._existence_rule"]
+    assert _callers("_existence_rule") == ["drazin._dual_index", "drazin.dual_exists"]
+    assert _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "phi_embed") == []
 
 
 def test_rank_decisions_stay_in_the_field_rule():
